@@ -38,6 +38,7 @@
 
 pub mod candidates;
 pub mod config;
+mod marks;
 pub mod partitioner;
 pub mod persist;
 pub mod quota;

@@ -5,7 +5,7 @@ use std::time::Instant;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use apg_exec::{fanout, vertex_rng, ActiveSet, ChangedSet, ShardPlan};
+use apg_exec::{fanout, vertex_rng, ShardPlan};
 use apg_graph::delta::DeltaTarget;
 use apg_graph::{ApplyReport, DynGraph, Graph, UpdateBatch, VertexId};
 use apg_partition::{
@@ -15,6 +15,7 @@ use apg_partition::{
 
 use crate::candidates::{DecisionKernel, MigrationDecision};
 use crate::config::{AdaptiveConfig, PlacementPolicy};
+use crate::marks::SlotMarks;
 use crate::quota::QuotaTable;
 use crate::runner::ConvergenceReport;
 
@@ -124,7 +125,8 @@ enum CapacityMode {
 /// partition to chase. A vertex that decided Stay therefore keeps deciding
 /// Stay — on every future iteration, under every RNG outcome — until
 /// something in its view changes: a neighbour's label, its own label, or
-/// its incident edges. The partitioner exploits this with an [`ActiveSet`]:
+/// its incident edges. The partitioner exploits this with an
+/// [`ActiveSet`](apg_exec::ActiveSet):
 /// a vertex is active iff it has not yet been evaluated to a Stay since it
 /// was last *dirtied*, and the decision phase visits **only active
 /// vertices** (whole shards with no active slot are skipped).
@@ -177,18 +179,12 @@ pub struct AdaptivePartitioner {
     iteration: usize,
     quiet_streak: usize,
     pending: Vec<(VertexId, PartitionId)>,
-    /// Which vertex slots the decision sweep still needs to visit; see the
-    /// type-level docs. Not persisted: restore conservatively re-marks all
-    /// live vertices (skipped ones would have decided *Stay* anyway).
-    active: ActiveSet,
-    /// Which vertex slots have *mutated* (liveness, adjacency, or label)
-    /// since the last checkpoint drained it. Unlike `active` — which is
-    /// cleared as the sweep retires vertices — this set only grows until
-    /// [`AdaptivePartitioner::drain_changed`] resets it, so it is exactly
-    /// the slot superset an incremental snapshot must re-encode. Not
-    /// persisted: restore starts it fully marked (the first checkpoint
-    /// after a restore is a full one anyway).
-    changed: ChangedSet,
+    /// Which vertex slots the decision sweep still needs to visit (see the
+    /// type-level docs) and which have mutated since the last checkpoint.
+    /// Every mutation site reports what happened to a slot here and nowhere
+    /// else. Not persisted: restore starts from the conservative saturated
+    /// record.
+    marks: SlotMarks,
     /// Largest partition size, tracked incrementally; `max_stale` flags
     /// that the current maximum may have shrunk (the argmax partition lost
     /// a vertex) and must be recomputed on next read.
@@ -302,19 +298,10 @@ impl AdaptivePartitioner {
         // cross-check).
         let cut = cut_edges_sharded(&graph, &partitioning, config.parallelism);
         let mut degree_mass = vec![0usize; config.num_partitions as usize];
-        // All live vertices start active: a fresh partitioner owes every
-        // vertex a first evaluation, and a restored one may not know which
-        // vertices the original had retired — conservatively re-marking is
-        // exact because skipped vertices would have decided Stay anyway.
-        let mut active = ActiveSet::with_default_shards(graph.num_vertices());
         for v in graph.vertices() {
             degree_mass[partitioning.partition_of(v) as usize] += graph.degree(v);
-            active.mark(v as usize);
         }
-        // No base to diff against yet: the first checkpoint must re-encode
-        // everything, so the changed set starts saturated.
-        let mut changed = ChangedSet::with_len(graph.num_vertices());
-        changed.mark_all();
+        let marks = SlotMarks::saturated(&graph);
         let max_live = partitioning.sizes().iter().copied().max().unwrap_or(0);
         let k = config.num_partitions as usize;
         let scratch = IterScratch {
@@ -334,8 +321,7 @@ impl AdaptivePartitioner {
             iteration: 0,
             quiet_streak: 0,
             pending: Vec::new(),
-            active,
-            changed,
+            marks,
             max_live,
             max_stale: false,
             scratch,
@@ -386,7 +372,7 @@ impl AdaptivePartitioner {
     /// mutations or migrations since its last evaluation. This is the
     /// per-iteration cost driver — `O(active)`, not `O(|V|)`.
     pub fn num_active_vertices(&self) -> usize {
-        self.active.num_active()
+        self.marks.sweep().num_active()
     }
 
     /// Whether vertex `v` is in the active set (will be visited by the
@@ -396,37 +382,23 @@ impl AdaptivePartitioner {
     ///
     /// Panics if `v` is outside the slot range.
     pub fn is_active(&self, v: VertexId) -> bool {
-        self.active.contains(v as usize)
+        self.marks.sweep().contains(v as usize)
     }
 
     /// Vertex slots mutated (liveness, adjacency, or label) since the last
-    /// [`AdaptivePartitioner::drain_changed`]. This is the slot superset an
-    /// incremental checkpoint re-encodes — `O(changed)` bytes, not
-    /// `O(|V|)`.
-    pub fn num_changed(&self) -> usize {
-        self.changed.num_marked()
-    }
-
-    /// The mutated slots in ascending order, *without* resetting the set —
-    /// for checkpoint writers that must keep the marks until the install
-    /// is durable (then [`AdaptivePartitioner::clear_changed`]).
+    /// [`AdaptivePartitioner::clear_changed`], ascending — the slot
+    /// superset an incremental checkpoint re-encodes, `O(changed)` not
+    /// `O(|V|)`. Reading does not reset the record: a checkpoint writer
+    /// keeps the marks until its install is durable.
     pub fn changed_slots(&self) -> Vec<usize> {
-        self.changed.collect_sorted()
+        self.marks.changed_slots()
     }
 
-    /// Drains the changed-slot set: returns the mutated slots in ascending
-    /// order and resets the set, establishing the *current* state as the
-    /// new diff base. Callers must checkpoint the state they drain
-    /// against, or the next drain will under-report.
-    pub fn drain_changed(&mut self) -> Vec<usize> {
-        self.changed.drain_sorted()
-    }
-
-    /// Resets the changed-slot set without reading it — used when a full
-    /// (non-incremental) checkpoint of the current state was just taken,
-    /// or when the state was just restored from one.
+    /// Resets the changed-slot record: the current state just became the
+    /// durable checkpoint base (an install succeeded), or was just
+    /// restored from it.
     pub fn clear_changed(&mut self) {
-        self.changed.clear();
+        self.marks.checkpointed();
     }
 
     /// Whether the convergence criterion (no migrations for
@@ -504,12 +476,12 @@ impl AdaptivePartitioner {
         // slot are skipped before the fan-out even sees them.
         let s = self.config.willingness_at(self.iteration);
         let plan = ShardPlan::with_default_size(self.graph.slot_range().len());
-        debug_assert_eq!(self.active.len(), plan.len(), "active set out of sync");
-        debug_assert_eq!(self.active.shard_size(), plan.shard_size());
+        let active = self.marks.sweep();
+        debug_assert_eq!(active.len(), plan.len(), "active set out of sync");
+        debug_assert_eq!(active.shard_size(), plan.shard_size());
         let exhaustive = self.config.sweep_exhaustive;
         let graph = &self.graph;
         let partitioning = &self.partitioning;
-        let active = &self.active;
         let count_self = self.config.count_self;
         let seed = self.seed;
         let round = self.iteration as u64;
@@ -572,7 +544,7 @@ impl AdaptivePartitioner {
         for outcome in &outcomes {
             visited += outcome.visited;
             for &v in &outcome.retire {
-                self.active.clear(v as usize);
+                self.marks.retire(v as usize);
             }
         }
         self.pending.clear();
@@ -616,7 +588,7 @@ impl AdaptivePartitioner {
         }
         let profile = SweepProfile {
             active_before,
-            active_after: self.active.num_active(),
+            active_after: self.marks.sweep().num_active(),
             visited,
             shards_swept,
             num_shards: plan.num_shards(),
@@ -659,7 +631,7 @@ impl AdaptivePartitioner {
             let mut out = ApplyOutcome {
                 cut_delta: 0,
                 mass_delta: vec![0i64; k],
-                dirty: Vec::new(),
+                relabelled_neighbours: Vec::new(),
             };
             for i in migrants {
                 let (v, to) = pending[i];
@@ -667,11 +639,10 @@ impl AdaptivePartitioner {
                 if from == to {
                     continue;
                 }
-                out.dirty.push(v as usize);
                 for &w in graph.neighbors(v) {
                     // The neighbour sees v's label change: it re-enters
                     // the active set (exactly as `apply_move` marks it).
-                    out.dirty.push(w as usize);
+                    out.relabelled_neighbours.push(w as usize);
                     let old_w = partitioning.partition_of(w);
                     let (new_w, counts_edge) = match migrant_target(pending, w) {
                         // A migrant–migrant edge contributes one delta,
@@ -696,8 +667,8 @@ impl AdaptivePartitioner {
             for (p, delta) in out.mass_delta.iter().enumerate() {
                 self.degree_mass[p] = (self.degree_mass[p] as i64 + delta) as usize;
             }
-            for &slot in &out.dirty {
-                self.active.mark(slot);
+            for &slot in &out.relabelled_neighbours {
+                self.marks.neighbour_relabelled(slot);
             }
         }
         self.cut = cut as usize;
@@ -708,9 +679,7 @@ impl AdaptivePartitioner {
                 continue;
             }
             self.partitioning.move_vertex(v, to);
-            // Only the migrant's own label changed; neighbours are dirty
-            // for the *sweep* (out.dirty above), not for checkpoints.
-            self.changed.mark(v as usize);
+            self.marks.mutated(v as usize);
             self.note_size_gain(to);
             self.note_size_loss(from);
         }
@@ -728,13 +697,9 @@ impl AdaptivePartitioner {
             } else if pw == to {
                 self.cut -= 1; // was cut, becomes internal
             }
-            // The neighbour sees v's label change: its decision may differ
-            // next iteration, so it re-enters the active set.
-            self.active.mark(w as usize);
+            self.marks.neighbour_relabelled(w as usize);
         }
-        self.active.mark(v as usize);
-        // Checkpoint-wise only v's own state (its label) changed.
-        self.changed.mark(v as usize);
+        self.marks.mutated(v as usize);
         let deg = self.graph.degree(v);
         self.degree_mass[from as usize] -= deg;
         self.degree_mass[to as usize] += deg;
@@ -850,10 +815,7 @@ impl AdaptivePartitioner {
         let v = self.graph.add_vertex();
         let p = self.place_new_vertex(v);
         self.partitioning.grow_to(v as usize + 1, p);
-        self.active.grow_to(v as usize + 1);
-        self.active.mark(v as usize);
-        self.changed.grow_to(v as usize + 1);
-        self.changed.mark(v as usize);
+        self.marks.born(v as usize);
         self.note_size_gain(p);
         self.quiet_streak = 0;
         v
@@ -873,10 +835,8 @@ impl AdaptivePartitioner {
             }
             self.degree_mass[self.partitioning.partition_of(u) as usize] += 1;
             self.degree_mass[self.partitioning.partition_of(v) as usize] += 1;
-            self.active.mark(u as usize);
-            self.active.mark(v as usize);
-            self.changed.mark(u as usize);
-            self.changed.mark(v as usize);
+            self.marks.mutated(u as usize);
+            self.marks.mutated(v as usize);
             self.quiet_streak = 0;
         }
         added
@@ -893,10 +853,8 @@ impl AdaptivePartitioner {
             }
             self.degree_mass[self.partitioning.partition_of(u) as usize] -= 1;
             self.degree_mass[self.partitioning.partition_of(v) as usize] -= 1;
-            self.active.mark(u as usize);
-            self.active.mark(v as usize);
-            self.changed.mark(u as usize);
-            self.changed.mark(v as usize);
+            self.marks.mutated(u as usize);
+            self.marks.mutated(v as usize);
             self.quiet_streak = 0;
         }
         removed
@@ -915,16 +873,13 @@ impl AdaptivePartitioner {
                 self.cut -= 1;
             }
             self.degree_mass[self.partitioning.partition_of(w) as usize] -= 1;
-            self.active.mark(w as usize);
-            self.changed.mark(w as usize);
+            self.marks.mutated(w as usize);
         }
         self.degree_mass[pv as usize] -= self.graph.degree(v);
         self.graph.remove_vertex(v);
         self.partitioning.forget_vertex(v);
         self.note_size_loss(pv);
-        self.active.clear(v as usize);
-        // The tombstone leaves the sweep but *is* a checkpoint change.
-        self.changed.mark(v as usize);
+        self.marks.tombstoned(v as usize);
         self.quiet_streak = 0;
         true
     }
@@ -1063,15 +1018,10 @@ impl AdaptivePartitioner {
         // equality is safe; randomness only enters once another partition
         // strictly wins). This is precisely what makes skipping inactive
         // vertices indistinguishable from evaluating them.
-        self.active.audit();
-        assert_eq!(
-            self.active.len(),
-            self.graph.num_vertices(),
-            "active set does not cover the slot range"
-        );
+        self.marks.audit(&self.graph);
         let mut counts = vec![0u32; self.config.num_partitions as usize];
         for v in self.graph.vertices() {
-            if self.active.contains(v as usize) {
+            if self.marks.sweep().contains(v as usize) {
                 continue;
             }
             counts.iter_mut().for_each(|c| *c = 0);
@@ -1087,12 +1037,6 @@ impl AdaptivePartitioner {
                      {count} of its neighbours vs {own} at home"
                 );
             }
-        }
-        for slot in self.active.iter() {
-            assert!(
-                self.graph.is_vertex(slot as VertexId),
-                "tombstone {slot} lingering in the active set"
-            );
         }
     }
 }
@@ -1135,14 +1079,15 @@ struct ShardOutcome {
 
 /// What one shard of the parallel apply produced: the cut and degree-mass
 /// deltas of its migrants' moves, computed against the frozen
-/// iteration-start labels, plus the slots those moves dirty. Folding the
+/// iteration-start labels, plus the neighbours that saw a label change
+/// (the migrants themselves are marked by the merge). Folding the
 /// outcomes in shard order reproduces the serial
 /// [`AdaptivePartitioner::apply_move`] loop's final state exactly.
 #[derive(Debug)]
 struct ApplyOutcome {
     cut_delta: i64,
     mass_delta: Vec<i64>,
-    dirty: Vec<usize>,
+    relabelled_neighbours: Vec<usize>,
 }
 
 /// Looks up `w`'s admitted migration target, if any. `pending` is sorted

@@ -1,5 +1,6 @@
-//! Restartable streams: checkpoints as `(snapshot, delta-log tail)` with
-//! log compaction.
+//! Restartable streams: checkpoints as `(snapshot, delta-log tail)`,
+//! delta-encoded against a durable base, and the file-backed store that
+//! installs them.
 //!
 //! This is the top of the workspace's durable-state stack (`apg-persist`
 //! holds the codec, `apg-graph`/`apg-partition` the substrate codecs). The
@@ -25,9 +26,10 @@
 //! re-ingests the tail; because ingestion and the decision sweep are
 //! deterministic, the resumed runner's [`TimelineStats`] timeline — and
 //! every future batch it processes — is byte-identical to an uninterrupted
-//! run's (`wall_ms` aside). [`StreamCheckpoint::compact`] folds a prefix
-//! of the tail into a fresh snapshot by exactly that replay, then truncates
-//! the segments, bounding recovery time on long streams.
+//! run's (`wall_ms` aside). Recovery time is bounded by taking a fresh
+//! snapshot, which empties the tail; on disk the one mechanism that folds
+//! history into a snapshot is the [`CheckpointStore`]'s rebase (see
+//! [`StoreConfig::max_chain_len`]).
 //!
 //! The stream *source* is not persisted: every `apg-streams` source is a
 //! pure function of its constructor arguments, so the checkpoint only
@@ -348,9 +350,8 @@ impl Decode for PartitionerState {
 /// A durable `(snapshot, log tail)` pair for a [`StreamingRunner`].
 ///
 /// Created by [`StreamingRunner::checkpoint`]; grown batch-by-batch with
-/// [`StreamCheckpoint::append`]; bounded with [`StreamCheckpoint::compact`];
-/// turned back into a live runner with [`StreamingRunner::resume`];
-/// serialised with [`StreamCheckpoint::to_bytes`] /
+/// [`StreamCheckpoint::append`]; turned back into a live runner with
+/// [`StreamingRunner::resume`]; serialised with [`StreamCheckpoint::to_bytes`] /
 /// [`StreamCheckpoint::from_bytes`] (framed `APGC` container).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamCheckpoint {
@@ -402,48 +403,6 @@ impl StreamCheckpoint {
     /// [`batches_ingested`]: StreamCheckpoint::batches_ingested
     pub fn cursor(&self) -> SourceCursor {
         SourceCursor::at((self.batches_ingested + self.tail.len()) as u64)
-    }
-
-    /// Folds the oldest `batches` tail segments into a fresh snapshot and
-    /// truncates them, keeping recovery O(tail) instead of O(stream).
-    ///
-    /// Replay is deterministic, so compaction is observationally lossless:
-    /// resuming the compacted checkpoint yields exactly the runner that
-    /// resuming the uncompacted one would (pinned by the
-    /// compaction-equals-full-replay property tests).
-    pub fn compact(&mut self, batches: usize) {
-        let n = batches.min(self.tail.len());
-        if n == 0 {
-            return;
-        }
-        let mut tail = std::mem::take(&mut self.tail);
-        let prefix = DeltaLog::from(tail.split_front(n));
-        // Move the expensive parts (graph, assignment, log, timeline) into
-        // the replay instead of deep-cloning them — `*self` is rebuilt from
-        // the folded runner right after, so only cheap stand-ins are left
-        // behind transiently.
-        let state = PartitionerState {
-            graph: std::mem::replace(&mut self.state.graph, DynGraph::new()),
-            partitioning: std::mem::replace(&mut self.state.partitioning, Partitioning::new(0, 1)),
-            config: self.state.config.clone(),
-            seed: self.state.seed,
-            iteration: self.state.iteration,
-            quiet_streak: self.state.quiet_streak,
-            fixed_capacities: self.state.fixed_capacities.take(),
-        };
-        let folded = StreamingRunner::resume(StreamCheckpoint {
-            state,
-            iterations_per_batch: self.iterations_per_batch,
-            record: self.record,
-            log: std::mem::take(&mut self.log),
-            timeline_window: self.timeline_window,
-            batches_ingested: self.batches_ingested,
-            timeline_digest: self.timeline_digest,
-            timeline: std::mem::take(&mut self.timeline),
-            tail: prefix,
-        });
-        *self = folded.checkpoint();
-        self.tail = tail;
     }
 
     /// Serialises as a framed, versioned checkpoint file (`APGC` magic).
@@ -647,7 +606,7 @@ impl CheckpointDelta {
             return None;
         }
         // The recorded log only ever appends; anything else (a toggled
-        // `record`, an in-memory compaction) breaks the chain.
+        // `record`) breaks the chain.
         if base.log.len() > current.log.len()
             || base.log.batches() != &current.log.batches()[..base.log.len()]
         {
@@ -925,10 +884,9 @@ impl StreamingRunner {
     /// boundary, with an empty write-ahead tail.
     ///
     /// The intended loop: checkpoint rarely (O(graph)), then
-    /// [`StreamCheckpoint::append`] each ingested batch (O(batch)), and
-    /// occasionally [`StreamCheckpoint::compact`]. A checkpoint taken
-    /// mid-stream plus the tail of later batches reproduces this runner
-    /// exactly — see [`StreamingRunner::resume`].
+    /// [`StreamCheckpoint::append`] each ingested batch (O(batch)). A
+    /// checkpoint taken mid-stream plus the tail of later batches
+    /// reproduces this runner exactly — see [`StreamingRunner::resume`].
     pub fn checkpoint(&self) -> StreamCheckpoint {
         StreamCheckpoint {
             state: self.partitioner().snapshot_state(),
@@ -1028,8 +986,7 @@ pub struct InstallReport {
 /// [`StoreConfig::max_chain_len`] (the rebase, which also
 /// garbage-collects the superseded chain), or when the runner's history
 /// is not an append-only extension of the base. Each install starts a
-/// fresh write-ahead segment — the file-backed analogue of
-/// [`StreamCheckpoint::compact`]'s bounding of recovery time. After a
+/// fresh write-ahead segment, which is what bounds recovery time. After a
 /// crash, [`CheckpointStore::open`] replays base plus chain and rebuilds
 /// the exact `(snapshot, tail)` checkpoint that was durable at the kill
 /// point.
@@ -1110,39 +1067,38 @@ impl CheckpointStore {
     pub fn install(&mut self, runner: &mut StreamingRunner) -> Result<InstallReport, StoreError> {
         let full = runner.checkpoint();
         let full_bytes = full.to_bytes();
-        if !self.store.needs_rebase() {
-            if let (Some(base), Some(seq), Some(digest)) = (
-                self.base.as_ref(),
-                self.store.snapshot_seq(),
-                self.store.root_digest(),
-            ) {
+        let delta_bytes = match (
+            self.base.as_ref(),
+            self.store.snapshot_seq(),
+            self.store.root_digest(),
+        ) {
+            (Some(base), Some(seq), Some(digest)) if !self.store.needs_rebase() => {
                 let changed = runner.partitioner().changed_slots();
-                if let Some(delta) = CheckpointDelta::between(base, &full, &changed, seq, digest) {
-                    let bytes = delta.to_bytes();
+                CheckpointDelta::between(base, &full, &changed, seq, digest)
+                    .map(|delta| delta.to_bytes())
                     // A delta only earns its chain link by being smaller:
                     // when most of the state churned since the base, the
                     // per-slot framing makes the delta *larger* than the
                     // snapshot it stands in for — install full instead,
                     // which also resets the chain for free.
-                    if bytes.len() < full_bytes.len() {
-                        self.store.install_delta(&bytes)?;
-                        runner.partitioner_mut().clear_changed();
-                        self.base = Some(full);
-                        return Ok(InstallReport {
-                            incremental: true,
-                            bytes: bytes.len(),
-                        });
-                    }
-                }
+                    .filter(|bytes| bytes.len() < full_bytes.len())
             }
-        }
-        self.store.install_snapshot(&full_bytes)?;
+            _ => None,
+        };
+        let (incremental, bytes) = match &delta_bytes {
+            Some(bytes) => {
+                self.store.install_delta(bytes)?;
+                (true, bytes.len())
+            }
+            None => {
+                self.store.install_snapshot(&full_bytes)?;
+                (false, full_bytes.len())
+            }
+        };
+        // Durable either way: this state is the next install's diff base.
         runner.partitioner_mut().clear_changed();
         self.base = Some(full);
-        Ok(InstallReport {
-            incremental: false,
-            bytes: full_bytes.len(),
-        })
+        Ok(InstallReport { incremental, bytes })
     }
 
     /// Write-aheads one ingested batch (call with exactly the batches the
@@ -1156,8 +1112,8 @@ impl CheckpointStore {
         self.store.append(&batch.to_bytes())
     }
 
-    /// The underlying payload-agnostic store (sequence numbers, live byte
-    /// accounting, the directory path).
+    /// The underlying payload-agnostic store (sequence numbers, chain
+    /// length, live byte accounting).
     pub fn store(&self) -> &SegmentStore {
         &self.store
     }
@@ -1237,54 +1193,6 @@ mod tests {
         // `batches_ingested`, not `timeline().len()`: with a bounded window
         // the retained timeline is shorter than the stream position.
         apg_streams::SourceCursor::at(runner.batches_ingested() as u64)
-    }
-
-    #[test]
-    fn compaction_preserves_the_resumed_runner() {
-        let (mut runner, mut source) = growth_runner(1);
-        runner.drive(&mut source, 1);
-        let mut ckpt = runner.checkpoint();
-        for _ in 0..5 {
-            let batch = source.next_batch().unwrap();
-            runner.ingest(&batch);
-            ckpt.append(batch);
-        }
-        let full = ckpt.clone();
-        ckpt.compact(3);
-        assert_eq!(ckpt.tail.len(), 2, "three segments folded away");
-        assert_eq!(ckpt.timeline.len(), 4, "snapshot advanced to batch 4");
-        assert_eq!(ckpt.cursor(), full.cursor(), "coverage unchanged");
-
-        let a = StreamingRunner::resume(full);
-        let b = StreamingRunner::resume(ckpt);
-        assert_eq!(a.timeline(), b.timeline());
-        assert_eq!(a.partitioner().graph(), b.partitioner().graph());
-        assert_eq!(
-            a.partitioner().partitioning(),
-            b.partitioner().partitioning()
-        );
-        assert_eq!(a.log(), b.log());
-    }
-
-    #[test]
-    fn compact_everything_and_nothing() {
-        let (mut runner, mut source) = growth_runner(1);
-        runner.drive(&mut source, 1);
-        let mut ckpt = runner.checkpoint();
-        for _ in 0..2 {
-            let batch = source.next_batch().unwrap();
-            runner.ingest(&batch);
-            ckpt.append(batch);
-        }
-        let before = ckpt.clone();
-        ckpt.compact(0);
-        assert_eq!(ckpt, before, "compact(0) is a no-op");
-        ckpt.compact(usize::MAX);
-        assert!(ckpt.tail.is_empty(), "over-asking folds the whole tail");
-        assert_eq!(
-            StreamingRunner::resume(ckpt).timeline(),
-            StreamingRunner::resume(before).timeline(),
-        );
     }
 
     #[test]

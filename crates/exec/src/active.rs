@@ -10,6 +10,10 @@
 //! [`crate::ShardPlan`] of the same shard size) let a fan-out skip whole
 //! shards that have nothing to do.
 //!
+//! The same structure serves any "which slots were touched" record: marked
+//! at mutation time and read out ascending, it is also the changed-slot
+//! record incremental checkpoints are encoded from.
+//!
 //! Like [`crate::ShardPlan`], the set is pure data: which slots are active
 //! depends only on what the consumer marked, never on execution resources,
 //! so sweeps that iterate it stay deterministic at every thread count.
@@ -138,6 +142,26 @@ impl ActiveSet {
         self.shard_counts[slot / self.shard_size] -= 1;
         self.active -= 1;
         true
+    }
+
+    /// Marks every covered slot — the conservative state when nothing is
+    /// known about the slots (e.g. a changed-slot record with no base yet).
+    pub fn mark_all(&mut self) {
+        for (i, word) in self.words.iter_mut().enumerate() {
+            let bits = (self.len - i * 64).min(64);
+            *word = if bits == 64 { !0 } else { (1u64 << bits) - 1 };
+        }
+        for (shard, count) in self.shard_counts.iter_mut().enumerate() {
+            *count = (self.len - shard * self.shard_size).min(self.shard_size);
+        }
+        self.active = self.len;
+    }
+
+    /// Clears every slot in O(words), not O(members).
+    pub fn clear_all(&mut self) {
+        self.words.fill(0);
+        self.shard_counts.fill(0);
+        self.active = 0;
     }
 
     /// Extends coverage to `0..len`; new slots start inactive. Shrinking is
@@ -359,6 +383,39 @@ mod tests {
         set.grow_to(5);
         assert_eq!(set.len(), 100, "shrinking is a no-op");
         set.audit();
+    }
+
+    #[test]
+    fn mark_all_and_clear_all_keep_the_counts_exact() {
+        // 67 slots: a partial last word and a partial last shard.
+        let mut set = ActiveSet::new(67, 32);
+        set.mark(5);
+        set.mark_all();
+        assert_eq!(set.num_active(), 67);
+        assert_eq!(set.iter().collect::<Vec<_>>(), (0..67).collect::<Vec<_>>());
+        assert_eq!(
+            [
+                set.shard_active(0),
+                set.shard_active(1),
+                set.shard_active(2)
+            ],
+            [32, 32, 3]
+        );
+        set.audit();
+        assert!(set.clear(66), "mark_all set the last covered slot");
+        set.clear_all();
+        assert_eq!(set.num_active(), 0);
+        assert_eq!(set.iter().count(), 0);
+        set.audit();
+        // Growth after a whole-set mark leaves the new slots unmarked.
+        set.mark_all();
+        set.grow_to(130);
+        assert_eq!(set.num_active(), 67);
+        assert!(!set.contains(129));
+        set.audit();
+        let mut empty = ActiveSet::new(0, 8);
+        empty.mark_all();
+        assert_eq!(empty.num_active(), 0);
     }
 
     #[test]

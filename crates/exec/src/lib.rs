@@ -19,10 +19,9 @@
 //!   `threads <= 1`.
 //! * [`ActiveSet`] — a dense bitmap with per-shard counts, so sweeps can
 //!   visit only the slots that still need work and skip whole shards that
-//!   have none.
-//! * [`ChangedSet`] — the checkpoint-grade sibling: a persistent bitmap
-//!   of slots mutated since the last drain, the churn record delta
-//!   snapshots are encoded from.
+//!   have none. The same type, marked at mutation time and cleared only
+//!   at a durable install, is the changed-slot record delta snapshots are
+//!   encoded from.
 //!
 //! # The determinism contract
 //!
@@ -54,13 +53,11 @@
 //! ```
 
 pub mod active;
-pub mod changed;
 pub mod fanout;
 pub mod rng;
 pub mod shard;
 
 pub use active::{ActiveIter, ActiveSet};
-pub use changed::ChangedSet;
 pub use fanout::{available_parallelism, map_items, map_shards, map_slice};
 pub use rng::{stream_rng, stream_state, vertex_rng, vertex_state};
 pub use shard::{merge_in_order, ShardPlan, DEFAULT_SHARD_SIZE};

@@ -447,15 +447,6 @@ impl DeltaLog {
         self.batches.iter().map(UpdateBatch::len).sum()
     }
 
-    /// Removes and returns the oldest `n` batches (clamped to the length),
-    /// leaving the tail in place — the truncation half of log compaction:
-    /// the drained prefix gets folded into a snapshot, the remainder stays
-    /// as the live segment.
-    pub fn split_front(&mut self, n: usize) -> Vec<UpdateBatch> {
-        let n = n.min(self.batches.len());
-        self.batches.drain(..n).collect()
-    }
-
     /// Unwraps into the recorded batches, oldest first.
     pub fn into_batches(self) -> Vec<UpdateBatch> {
         self.batches

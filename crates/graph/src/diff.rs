@@ -9,8 +9,9 @@
 //! varints, not thirty-one. That is what keeps the encoding
 //! O(changed-edges) under churn that touches most slots shallowly, the
 //! common streaming regime. Computing one is O(changed + their degrees)
-//! given the changed-slot set that mutation paths track anyway (see
-//! `apg_exec::ChangedSet`), and applying one to a copy of the base
+//! given the changed-slot set that mutation paths track anyway (the
+//! partitioner's checkpoint-changed record, an `apg_exec::ActiveSet`), and
+//! applying one to a copy of the base
 //! reproduces the current graph exactly — including tombstone slots, so
 //! the never-reused id space stays aligned.
 //!
@@ -88,7 +89,7 @@ pub struct GraphDiff {
 impl GraphDiff {
     /// Computes the diff from `base` to `current`, given a sorted,
     /// deduplicated superset of the slots that may have changed
-    /// (typically a drained `ChangedSet`). Slots whose state is in fact
+    /// (typically the partitioner's changed-slot record). Slots whose state is in fact
     /// identical are filtered out, so conservative over-marking costs
     /// bytes never correctness; newborn slots missing from `candidates`
     /// are picked up unconditionally.

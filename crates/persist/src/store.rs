@@ -50,19 +50,22 @@
 //!
 //! # Fsync ordering (the write path's crash contract)
 //!
-//! [`SegmentStore::install_snapshot`] performs, in order:
+//! [`SegmentStore::install_snapshot`] and [`SegmentStore::install_delta`]
+//! share one install routine, which performs, in order:
 //!
-//! 1. write `snap-<S>.bin`, `fsync` it;
+//! 1. write the root file (`snap-<S>.bin` or `dsnap-<S>.bin`), `fsync` it;
 //! 2. create the fresh active segment `seg-<S+1>.bin`, `fsync` it;
 //! 3. `fsync` the directory (both names are durable);
 //! 4. write `MANIFEST.tmp` (pointing at `S`), `fsync`, atomically
 //!    `rename` onto `MANIFEST`, `fsync` the directory — the *pointer
-//!    flip*: only now is the new snapshot the recovery root;
-//! 5. best-effort delete of everything with `seq < S` (stale files are
+//!    flip*: only now is the new file the recovery root;
+//! 5. best-effort delete of everything the new root no longer reaches —
+//!    all files with `seq < S` after a full snapshot; after a delta, the
+//!    segments below `S` but not the chain it links down (stale files are
 //!    garbage, never a correctness hazard).
 //!
 //! Because the flip happens last, a crash anywhere in 1–3 leaves the old
-//! manifest pointing at the old, fully-fsynced snapshot + segments.
+//! manifest pointing at the old, fully-fsynced root + segments.
 //! [`SegmentStore::append`] writes one frame and (with
 //! [`StoreConfig::fsync`] on) syncs the segment before returning, so an
 //! acknowledged append is durable.
@@ -379,6 +382,55 @@ fn parse_frames(bytes: &[u8]) -> (Vec<(u64, Vec<u8>)>, Option<usize>) {
     }
 }
 
+/// One of the two kinds of recovery-root file. They share the install
+/// protocol and the single-frame layout; this is everything that differs.
+#[derive(Clone, Copy)]
+struct RootKind {
+    /// File-name prefix: `<prefix><seq>.bin`.
+    prefix: &'static str,
+    magic: [u8; 4],
+    /// Whether the frame payload starts with a back-link to a base root
+    /// (and the install therefore extends the chain instead of folding it).
+    chained: bool,
+    /// What recovery reports when the file is not one intact frame.
+    damaged: &'static str,
+}
+
+/// `snap-<seq>.bin`: a full snapshot, the base of a chain.
+const FULL: RootKind = RootKind {
+    prefix: "snap-",
+    magic: MAGIC_STORE_SNAPSHOT,
+    chained: false,
+    damaged: "snapshot frame is damaged",
+};
+/// `dsnap-<seq>.bin`: a delta snapshot linked to the root below it.
+const DELTA: RootKind = RootKind {
+    prefix: "dsnap-",
+    magic: MAGIC_STORE_DELTA,
+    chained: true,
+    damaged: "delta snapshot frame is damaged",
+};
+
+impl RootKind {
+    fn path(&self, dir: &Path, seq: u64) -> PathBuf {
+        dir.join(format!("{}{seq}.bin", self.prefix))
+    }
+}
+
+/// Reads a file that must hold exactly one frame (sequence 0) after its
+/// header — a root file or the manifest — and returns the frame payload.
+fn read_single_frame(
+    path: &Path,
+    magic: [u8; 4],
+    damaged: &'static str,
+) -> Result<Vec<u8>, StoreError> {
+    let bytes = fs::read(path).map_err(io_err("read single-frame file", path))?;
+    match next_frame(check_header(&bytes, magic)?) {
+        FrameStep::Ok(0, payload, []) => Ok(payload.to_vec()),
+        _ => Err(StoreError::Corrupt(damaged)),
+    }
+}
+
 impl SegmentStore {
     /// Opens (or creates) a store in `dir`, recovering whatever the last
     /// writer made durable.
@@ -400,7 +452,9 @@ impl SegmentStore {
             let entry = entry.map_err(io_err("read dir entry", dir))?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            if let Some(seq) = parse_seq(name, "snap-").or_else(|| parse_seq(name, "dsnap-")) {
+            if let Some(seq) =
+                parse_seq(name, FULL.prefix).or_else(|| parse_seq(name, DELTA.prefix))
+            {
                 max_seq = max_seq.max(seq);
             } else if let Some(seq) = parse_seq(name, "seg-") {
                 seg_seqs.push(seq);
@@ -409,111 +463,87 @@ impl SegmentStore {
         }
         seg_seqs.sort_unstable();
 
+        // The store as a fresh directory would have it; recovery below
+        // fills in whatever the manifest makes durable. The sequence starts
+        // above anything lying around so stale names are never re-written.
+        let mut store = SegmentStore {
+            dir: dir.to_path_buf(),
+            config,
+            next_seq: max_seq + 1,
+            snapshot_seq: None,
+            chain_base_seq: None,
+            chain: Vec::new(),
+            root_digest: None,
+            active: None,
+            next_frame_seq: 0,
+        };
         let manifest_path = dir.join("MANIFEST");
         if !manifest_path.exists() {
             // Fresh store (or a crash before the first pointer flip, whose
-            // debris is overwritten — it was never durable). Start the
-            // sequence above anything lying around so stale names are
-            // never re-written.
-            let mut store = SegmentStore {
-                dir: dir.to_path_buf(),
-                config,
-                next_seq: max_seq + 1,
-                snapshot_seq: None,
-                chain_base_seq: None,
-                chain: Vec::new(),
-                root_digest: None,
-                active: None,
-                next_frame_seq: 0,
-            };
+            // debris is overwritten — it was never durable).
             store.open_fresh_segment()?;
             return Ok((store, Recovery::default()));
         }
 
         // Manifest → durable recovery-root seq (a full snapshot or the
         // newest link of a delta chain).
-        let manifest_bytes =
-            fs::read(&manifest_path).map_err(io_err("read manifest", &manifest_path))?;
-        let body = check_header(&manifest_bytes, MAGIC_STORE_MANIFEST)?;
-        let snapshot_seq = match next_frame(body) {
-            FrameStep::Ok(0, payload, rest) if rest.is_empty() && payload.len() == 8 => {
-                u64::from_le_bytes(payload.try_into().expect("8 bytes"))
-            }
-            _ => return Err(StoreError::Corrupt("manifest frame is damaged")),
-        };
+        const MANIFEST_DAMAGED: &str = "manifest frame is damaged";
+        let manifest = read_single_frame(&manifest_path, MAGIC_STORE_MANIFEST, MANIFEST_DAMAGED)?;
+        let snapshot_seq = u64::from_le_bytes(
+            manifest
+                .try_into()
+                .map_err(|_| StoreError::Corrupt(MANIFEST_DAMAGED))?,
+        );
 
         // Walk the chain from the root down to its full-snapshot base,
         // validating every link: each delta snapshot records the `(seq,
         // digest)` of its base, and the digest must match what is actually
         // on disk — a broken or missing link is acknowledged-durable data
         // gone, hence fatal and typed.
-        let mut deltas_rev: Vec<Vec<u8>> = Vec::new();
-        let mut chain_rev: Vec<u64> = Vec::new();
+        let mut deltas: Vec<Vec<u8>> = Vec::new();
         let mut cursor = snapshot_seq;
         let mut expected_digest: Option<u64> = None;
-        let mut root_digest = 0u64;
         let (snapshot, chain_base_seq) = loop {
-            let snap_path = dir.join(format!("snap-{cursor}.bin"));
-            if snap_path.exists() {
-                let snap_bytes =
-                    fs::read(&snap_path).map_err(io_err("read snapshot", &snap_path))?;
-                let body = check_header(&snap_bytes, MAGIC_STORE_SNAPSHOT)?;
-                let payload = match next_frame(body) {
-                    FrameStep::Ok(0, payload, []) => payload.to_vec(),
-                    _ => return Err(StoreError::Corrupt("snapshot frame is damaged")),
-                };
-                let digest = fnv1a64(&payload);
-                if expected_digest.is_some_and(|want| want != digest) {
+            let (kind, path) = [FULL, DELTA]
+                .into_iter()
+                .map(|kind| (kind, kind.path(dir, cursor)))
+                .find(|(_, path)| path.exists())
+                .ok_or(StoreError::Corrupt(
+                    "delta chain link is missing from the store directory",
+                ))?;
+            let frame_payload = read_single_frame(&path, kind.magic, kind.damaged)?;
+            let digest = fnv1a64(&frame_payload);
+            match expected_digest {
+                Some(want) if want != digest => {
                     return Err(StoreError::Corrupt(
-                        "delta chain base digest does not match the snapshot on disk",
+                        "delta chain link digest does not match the file on disk",
                     ));
                 }
-                if expected_digest.is_none() {
-                    root_digest = digest;
-                }
-                break (payload, cursor);
+                Some(_) => {}
+                None => store.root_digest = Some(digest),
             }
-            let dsnap_path = dir.join(format!("dsnap-{cursor}.bin"));
-            if !dsnap_path.exists() {
-                return Err(StoreError::Corrupt(
-                    "delta chain link is missing from the store directory",
-                ));
+            if !kind.chained {
+                break (frame_payload, cursor);
             }
-            let dsnap_bytes =
-                fs::read(&dsnap_path).map_err(io_err("read delta snapshot", &dsnap_path))?;
-            let body = check_header(&dsnap_bytes, MAGIC_STORE_DELTA)?;
-            let frame_payload = match next_frame(body) {
-                FrameStep::Ok(0, payload, []) => payload,
-                _ => return Err(StoreError::Corrupt("delta snapshot frame is damaged")),
-            };
             if frame_payload.len() < 16 {
                 return Err(StoreError::Corrupt(
                     "delta snapshot is too short to hold its base link",
                 ));
-            }
-            let digest = fnv1a64(frame_payload);
-            if expected_digest.is_some_and(|want| want != digest) {
-                return Err(StoreError::Corrupt(
-                    "delta chain link digest does not match the file on disk",
-                ));
-            }
-            if expected_digest.is_none() {
-                root_digest = digest;
             }
             let base_seq = u64::from_le_bytes(frame_payload[..8].try_into().expect("8 bytes"));
             let base_digest = u64::from_le_bytes(frame_payload[8..16].try_into().expect("8 bytes"));
             if base_seq >= cursor {
                 return Err(StoreError::Corrupt("delta chain does not descend"));
             }
-            deltas_rev.push(frame_payload[16..].to_vec());
-            chain_rev.push(cursor);
+            deltas.push(frame_payload[16..].to_vec());
+            store.chain.push(cursor);
             expected_digest = Some(base_digest);
             cursor = base_seq;
         };
-        deltas_rev.reverse();
-        chain_rev.reverse();
-        let deltas = deltas_rev;
-        let chain = chain_rev;
+        // Both were collected root-first; recovery and the store want them
+        // oldest-first.
+        deltas.reverse();
+        store.chain.reverse();
 
         // Live segments: everything after the snapshot, in order. Torn
         // frames are only legal at the very tail of the very last one.
@@ -589,17 +619,10 @@ impl SegmentStore {
             }
         }
 
-        let mut store = SegmentStore {
-            dir: dir.to_path_buf(),
-            config,
-            next_seq: max_seq.max(snapshot_seq) + 1,
-            snapshot_seq: Some(snapshot_seq),
-            chain_base_seq: Some(chain_base_seq),
-            chain,
-            root_digest: Some(root_digest),
-            active: None,
-            next_frame_seq: expected_frame_seq,
-        };
+        store.next_seq = max_seq.max(snapshot_seq) + 1;
+        store.snapshot_seq = Some(snapshot_seq);
+        store.chain_base_seq = Some(chain_base_seq);
+        store.next_frame_seq = expected_frame_seq;
         // Continue appending to the last live segment; create one if the
         // tail is empty (e.g. the post-snapshot segment was torn away).
         match last_segment {
@@ -677,7 +700,6 @@ impl SegmentStore {
         let seq = self.active.as_ref().expect("rotation ensured a segment").0;
         let path = self.segment_path(seq);
         let bytes = frame(self.next_frame_seq, payload);
-        self.next_frame_seq += 1;
         let fsync = self.config.fsync;
         let (_, file, written) = self.active.as_mut().expect("rotation ensured a segment");
         file.write_all(&bytes)
@@ -685,86 +707,34 @@ impl SegmentStore {
         if fsync {
             file.sync_data().map_err(io_err("fsync append", &path))?;
         }
+        // Only an acknowledged frame consumes its sequence number: a failed
+        // write must not leave a gap that makes the next `open` reject the
+        // intact frames around it.
         *written += bytes.len() as u64;
+        self.next_frame_seq += 1;
         Ok(())
     }
 
-    /// Makes `payload` the durable recovery root: writes a new snapshot
-    /// file, starts a fresh log segment, flips the manifest pointer
-    /// atomically, then deletes everything older (best-effort). See the
+    /// Makes `payload` the durable recovery root as a full snapshot: writes
+    /// `snap-<seq>.bin`, starts a fresh log segment, flips the manifest
+    /// pointer atomically, then deletes everything older — including any
+    /// delta chain, which this install folds (best-effort). See the
     /// [module docs](self) for the exact fsync ordering.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`]. On error the manifest still names the previous
-    /// snapshot — a failed install never destroys the old recovery root.
+    /// root — a failed install never destroys the old recovery root.
     pub fn install_snapshot(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-
-        // 1. Snapshot file, fsynced before anything points at it.
-        let snap_path = self.dir.join(format!("snap-{seq}.bin"));
-        let mut bytes = Vec::with_capacity(6 + 16 + payload.len());
-        write_header(&mut bytes, MAGIC_STORE_SNAPSHOT);
-        bytes.extend_from_slice(&frame(0, payload));
-        let mut file = File::create(&snap_path).map_err(io_err("create snapshot", &snap_path))?;
-        file.write_all(&bytes)
-            .map_err(io_err("write snapshot", &snap_path))?;
-        file.sync_all()
-            .map_err(io_err("fsync snapshot", &snap_path))?;
-
-        // 2+3. Fresh tail segment for appends after this snapshot, then
-        // make both names durable.
-        let old_active = self.active.take();
-        self.open_fresh_segment()?;
-        if let Some((old_seq, old_file, _)) = old_active {
-            let old_path = self.segment_path(old_seq);
-            old_file
-                .sync_all()
-                .map_err(io_err("fsync sealed segment", &old_path))?;
-        }
-        self.sync_dir()?;
-
-        // 4. The pointer flip: tmp + fsync + atomic rename + dir fsync.
-        let manifest = self.dir.join("MANIFEST");
-        let tmp = self.dir.join("MANIFEST.tmp");
-        let mut bytes = Vec::with_capacity(6 + 16 + 8);
-        write_header(&mut bytes, MAGIC_STORE_MANIFEST);
-        bytes.extend_from_slice(&frame(0, &seq.to_le_bytes()));
-        let mut file = File::create(&tmp).map_err(io_err("create manifest tmp", &tmp))?;
-        file.write_all(&bytes)
-            .map_err(io_err("write manifest tmp", &tmp))?;
-        file.sync_all()
-            .map_err(io_err("fsync manifest tmp", &tmp))?;
-        drop(file);
-        fs::rename(&tmp, &manifest).map_err(io_err("rename manifest", &manifest))?;
-        self.sync_dir()?;
-        self.snapshot_seq = Some(seq);
-        // A full snapshot folds (rebases) any delta chain: it is now the
-        // whole recovery root.
-        self.chain_base_seq = Some(seq);
-        self.chain.clear();
-        self.root_digest = Some(fnv1a64(payload));
-        // The tail restarts at this snapshot: frame numbering resets only
-        // now — a *failed* install keeps the old root, whose tail (which
-        // the already-created fresh segment is part of) must keep counting.
-        self.next_frame_seq = 0;
-
-        // 5. Garbage: everything strictly below the new snapshot —
-        // including the entire superseded delta chain — is unreachable
-        // from the manifest. Deletion failures are ignored — stale files
-        // are filtered by sequence on recovery anyway.
-        self.collect_garbage(seq, seq);
-        Ok(())
+        self.install_root(FULL, payload)
     }
 
     /// Makes `payload` the durable recovery root as a *delta snapshot*
     /// chained onto the current root: writes `dsnap-<seq>.bin` carrying
-    /// the `(seq, digest)` back-link, starts a fresh log segment, flips
-    /// the manifest pointer atomically, then deletes stale artefacts
-    /// (best-effort). Fsync ordering is identical to
-    /// [`SegmentStore::install_snapshot`]; recovery replays the base
-    /// snapshot plus every chained delta in order.
+    /// the `(seq, digest)` back-link, then follows the same protocol as
+    /// [`SegmentStore::install_snapshot`], except that the chain's files
+    /// survive the garbage collection. Recovery replays the base snapshot
+    /// plus every chained delta in order.
     ///
     /// # Errors
     ///
@@ -777,26 +747,30 @@ impl SegmentStore {
                 "delta install requires an existing snapshot root",
             ));
         };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-
-        // 1. Delta-snapshot file: one frame whose payload is the 16-byte
-        // base link followed by the caller's bytes, fsynced before
-        // anything points at it.
-        let dsnap_path = self.dir.join(format!("dsnap-{seq}.bin"));
         let mut frame_payload = Vec::with_capacity(16 + payload.len());
         frame_payload.extend_from_slice(&base_seq.to_le_bytes());
         frame_payload.extend_from_slice(&base_digest.to_le_bytes());
         frame_payload.extend_from_slice(payload);
+        self.install_root(DELTA, &frame_payload)
+    }
+
+    /// The one root-install protocol, steps numbered as in the
+    /// [module docs](self). `frame_payload` is the root file's single
+    /// frame verbatim (for a delta, back-link included).
+    fn install_root(&mut self, kind: RootKind, frame_payload: &[u8]) -> Result<(), StoreError> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+
+        // 1. Root file, fsynced before anything points at it.
+        let root_path = kind.path(&self.dir, seq);
         let mut bytes = Vec::with_capacity(6 + 16 + frame_payload.len());
-        write_header(&mut bytes, MAGIC_STORE_DELTA);
-        bytes.extend_from_slice(&frame(0, &frame_payload));
-        let mut file =
-            File::create(&dsnap_path).map_err(io_err("create delta snapshot", &dsnap_path))?;
+        write_header(&mut bytes, kind.magic);
+        bytes.extend_from_slice(&frame(0, frame_payload));
+        let mut file = File::create(&root_path).map_err(io_err("create root file", &root_path))?;
         file.write_all(&bytes)
-            .map_err(io_err("write delta snapshot", &dsnap_path))?;
+            .map_err(io_err("write root file", &root_path))?;
         file.sync_all()
-            .map_err(io_err("fsync delta snapshot", &dsnap_path))?;
+            .map_err(io_err("fsync root file", &root_path))?;
 
         // 2+3. Fresh tail segment for appends after this root, then make
         // both names durable.
@@ -825,14 +799,26 @@ impl SegmentStore {
         fs::rename(&tmp, &manifest).map_err(io_err("rename manifest", &manifest))?;
         self.sync_dir()?;
         self.snapshot_seq = Some(seq);
-        self.chain.push(seq);
-        self.root_digest = Some(fnv1a64(&frame_payload));
+        self.root_digest = Some(fnv1a64(frame_payload));
+        if kind.chained {
+            self.chain.push(seq);
+        } else {
+            // A full snapshot folds (rebases) any delta chain: it is now
+            // the whole recovery root.
+            self.chain_base_seq = Some(seq);
+            self.chain.clear();
+        }
+        // The tail restarts at this root: frame numbering resets only now
+        // — a *failed* install keeps the old root, whose tail (which the
+        // already-created fresh segment is part of) must keep counting.
         self.next_frame_seq = 0;
 
-        // 5. Garbage: segments below the new root are folded into it, but
-        // the chain's snapshots (base and intermediate links) must stay.
-        let base_floor = self.chain_base_seq.unwrap_or(seq);
-        self.collect_garbage(base_floor, seq);
+        // 5. Garbage: segments below the new root are folded into it;
+        // root files survive from the chain's base up, which after a full
+        // snapshot is this very file — the superseded chain goes too.
+        // Deletion failures are ignored — stale files are filtered by
+        // sequence on recovery anyway.
+        self.collect_garbage(self.chain_base_seq.unwrap_or(seq), seq);
         Ok(())
     }
 
@@ -846,8 +832,8 @@ impl SegmentStore {
             for entry in entries.flatten() {
                 let name = entry.file_name();
                 let Some(name) = name.to_str() else { continue };
-                let stale = parse_seq(name, "snap-").is_some_and(|s| s < snap_floor)
-                    || parse_seq(name, "dsnap-").is_some_and(|s| {
+                let stale = parse_seq(name, FULL.prefix).is_some_and(|s| s < snap_floor)
+                    || parse_seq(name, DELTA.prefix).is_some_and(|s| {
                         s < snap_floor || (s < seg_floor && !self.chain.contains(&s))
                     })
                     || parse_seq(name, "seg-").is_some_and(|s| s < seg_floor);
@@ -856,11 +842,6 @@ impl SegmentStore {
                 }
             }
         }
-    }
-
-    /// The directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Sequence of the durable (manifest-named) recovery root, if one
@@ -912,8 +893,8 @@ impl SegmentStore {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
             let live = name == "MANIFEST"
-                || parse_seq(name, "snap-").is_some_and(|s| s >= snap_floor)
-                || parse_seq(name, "dsnap-").is_some_and(|s| s >= snap_floor)
+                || parse_seq(name, FULL.prefix).is_some_and(|s| s >= snap_floor)
+                || parse_seq(name, DELTA.prefix).is_some_and(|s| s >= snap_floor)
                 || parse_seq(name, "seg-").is_some_and(|s| s >= seg_floor);
             if live {
                 if let Ok(meta) = entry.metadata() {
@@ -1103,6 +1084,34 @@ mod tests {
     }
 
     #[test]
+    fn failed_append_does_not_burn_a_frame_sequence_number() {
+        let scratch = Scratch::new("append-fails");
+        let (mut store, _) = SegmentStore::open(&scratch.0, no_sync()).unwrap();
+        store.install_snapshot(b"s").unwrap();
+        store.append(b"frame-zero").unwrap();
+        // Force the next write to fail (EBADF): swap the active handle for
+        // a read-only one on the same file.
+        let (seq, good, written) = store.active.take().unwrap();
+        let read_only = File::open(store.segment_path(seq)).unwrap();
+        store.active = Some((seq, read_only, written));
+        assert!(matches!(
+            store.append(b"never-written"),
+            Err(StoreError::Io { .. })
+        ));
+        // The caller carries on with a working handle: the retried frame
+        // must take the sequence number the failed one never used.
+        store.active = Some((seq, good, written));
+        store.append(b"frame-one").unwrap();
+        drop(store);
+        let (_, rec) = SegmentStore::open(&scratch.0, no_sync()).unwrap();
+        assert_eq!(
+            rec.tail,
+            vec![b"frame-zero".to_vec(), b"frame-one".to_vec()]
+        );
+        assert_eq!(rec.torn_frames_dropped, 0);
+    }
+
+    #[test]
     fn damaged_manifest_and_snapshot_are_typed_errors() {
         let scratch = Scratch::new("manifest");
         let (mut store, _) = SegmentStore::open(&scratch.0, no_sync()).unwrap();
@@ -1142,25 +1151,39 @@ mod tests {
 
     #[test]
     fn failed_install_preserves_the_old_root() {
-        // Simulate "crash between snapshot write and pointer flip" by
-        // hand-writing a newer snapshot file without touching MANIFEST:
-        // recovery must still land on the flipped root.
-        let scratch = Scratch::new("no-flip");
-        let (mut store, _) = SegmentStore::open(&scratch.0, no_sync()).unwrap();
-        store.install_snapshot(b"durable").unwrap();
-        store.append(b"tail-frame").unwrap();
-        drop(store);
-        // An orphaned higher-seq snapshot (never named by the manifest).
-        let mut bytes = Vec::new();
-        write_header(&mut bytes, MAGIC_STORE_SNAPSHOT);
-        bytes.extend_from_slice(&frame(0, b"never-flipped"));
-        fs::write(scratch.0.join("snap-99.bin"), &bytes).unwrap();
+        // Simulate "crash between root-file write and pointer flip" by
+        // hand-writing a newer root file of either kind without touching
+        // MANIFEST: recovery must still land on the flipped root.
+        for kind in [FULL, DELTA] {
+            let scratch = Scratch::new(&format!("no-flip-{}", kind.prefix));
+            let (mut store, _) = SegmentStore::open(&scratch.0, no_sync()).unwrap();
+            store.install_snapshot(b"durable").unwrap();
+            store.append(b"tail-frame").unwrap();
+            // An orphaned higher-seq root (never named by the manifest); the
+            // delta orphan carries a well-formed link to the real root.
+            let mut payload = Vec::new();
+            if kind.chained {
+                payload.extend_from_slice(&store.snapshot_seq().unwrap().to_le_bytes());
+                payload.extend_from_slice(&store.root_digest().unwrap().to_le_bytes());
+            }
+            payload.extend_from_slice(b"never-flipped");
+            drop(store);
+            let mut bytes = Vec::new();
+            write_header(&mut bytes, kind.magic);
+            bytes.extend_from_slice(&frame(0, &payload));
+            fs::write(kind.path(&scratch.0, 99), &bytes).unwrap();
 
-        let (store, rec) = SegmentStore::open(&scratch.0, no_sync()).unwrap();
-        assert_eq!(rec.snapshot.as_deref(), Some(&b"durable"[..]));
-        assert_eq!(rec.tail, vec![b"tail-frame".to_vec()]);
-        // And the writer will never reuse the orphan's sequence number.
-        assert!(store.next_seq > 99);
+            let (store, rec) = SegmentStore::open(&scratch.0, no_sync()).unwrap();
+            assert_eq!(rec.snapshot.as_deref(), Some(&b"durable"[..]));
+            assert!(
+                rec.deltas.is_empty(),
+                "{}orphan joined the chain",
+                kind.prefix
+            );
+            assert_eq!(rec.tail, vec![b"tail-frame".to_vec()]);
+            // And the writer will never reuse the orphan's sequence number.
+            assert!(store.next_seq > 99);
+        }
     }
 
     #[test]

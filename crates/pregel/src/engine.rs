@@ -195,6 +195,13 @@ pub struct Engine<P: VertexProgram> {
 /// A recovery checkpoint: every live vertex's value at some superstep.
 /// Restoring a crashed worker replays from here instead of from zeroed
 /// state (classic Pregel checkpoint recovery).
+///
+/// **Why this is not `apg_core::StreamCheckpoint`.** Core's checkpoint is
+/// durable *partitioner* state — topology, assignment, RNG position — on
+/// disk, so a killed process resumes a byte-identical history. This is
+/// the simulated engine's in-memory copy of vertex *values* (a
+/// user-program type `V` with no codec), consumed only by the fault
+/// plan's worker crashes; topology and placement are never part of it.
 #[derive(Debug, Clone)]
 pub struct Checkpoint<V> {
     /// Superstep at which the checkpoint was taken.
@@ -588,6 +595,13 @@ impl<P: VertexProgram> Engine<P> {
             .is_some_and(|&w| w != WorkerId::MAX)
     }
 
+    // Why the `*_internal` routines do not reuse core's `add_edge` & co.:
+    // adjacency here lives in per-worker `VertexState` maps beside each
+    // vertex's value and halt flag (a mutation finds the hosting worker
+    // and wakes the vertex), whereas core mutates one shared `DynGraph`
+    // and maintains cut, degree mass and sweep/checkpoint marks the engine
+    // does not have. What must not drift — which deltas are accepted and
+    // how they are reported — is shared via `DeltaTarget`.
     fn add_edge_internal(&mut self, u: VertexId, v: VertexId) -> bool {
         if u == v || !self.is_live(u) || !self.is_live(v) {
             return false;

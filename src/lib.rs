@@ -65,9 +65,7 @@ pub use apg_streams as streams;
 /// Most-used items in one import — **the blessed import path**.
 ///
 /// Re-exports are grouped by layer, bottom-up: substrate → partition state
-/// → heuristic → streaming → serving → engine. Anything importable both
-/// from here and from a root-level alias should be imported from here; the
-/// root aliases are deprecated.
+/// → heuristic → streaming → serving → engine.
 pub mod prelude {
     // ── Graph substrate ────────────────────────────────────────────────
     /// Static (CSR) and dynamic graphs, mutations, and the delta model.
@@ -100,13 +98,3 @@ pub mod prelude {
     /// The BSP engine with the paper's partitioning API extension.
     pub use apg_pregel::{Context, CostModel, Engine, EngineBuilder, MutationBatch, VertexProgram};
 }
-
-// Historical root-level aliases. Each duplicates a `prelude` item; they are
-// kept so `apg::AdaptiveConfig`-style paths keep compiling, but the prelude
-// is the one blessed import path.
-#[deprecated(note = "import from `apg::prelude` instead")]
-pub use apg_core::{AdaptiveConfig, AdaptivePartitioner, StreamingRunner};
-#[deprecated(note = "import from `apg::prelude` instead")]
-pub use apg_graph::DynGraph;
-#[deprecated(note = "import from `apg::prelude` instead")]
-pub use apg_partition::Partitioning;

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use apg::core::{AdaptiveConfig, AdaptivePartitioner, CheckpointDelta, StreamingRunner};
-use apg::graph::{DynGraph, Graph, GraphDiff, UpdateBatch};
+use apg::graph::{DynGraph, Graph, GraphDiff, UpdateBatch, VertexId};
 use apg::partition::InitialStrategy;
 
 /// Turns a fuzzed op-stream into `UpdateBatch`es of at most `chunk`
@@ -91,6 +91,23 @@ fn assert_delta_equals_full(
     current: &apg::core::StreamCheckpoint,
     changed: &[usize],
 ) {
+    // Completeness of the marking, brute force: a slot the partitioner
+    // mutated without reporting it would otherwise only surface as a byte
+    // diff three layers down.
+    let (base_state, cur_state) = (&base.state, &current.state);
+    let base_slots = base_state.graph.num_vertices();
+    for slot in 0..cur_state.graph.num_vertices() {
+        let v = slot as VertexId;
+        let differs = slot >= base_slots
+            || base_state.graph.is_vertex(v) != cur_state.graph.is_vertex(v)
+            || base_state.graph.neighbors(v) != cur_state.graph.neighbors(v)
+            || base_state.partitioning.partition_of(v) != cur_state.partitioning.partition_of(v);
+        assert!(
+            !differs || changed.binary_search(&slot).is_ok(),
+            "slot {slot} unmarked: it differs from the base (or is newborn) \
+             but is missing from the changed set"
+        );
+    }
     let delta = CheckpointDelta::between(base, current, changed, 7, 0xfeed)
         .expect("append-only growth must be delta-encodable");
     let full_bytes = current.to_bytes();

@@ -238,29 +238,30 @@ fn fixtures_reject_future_and_zero_versions() {
     }
 }
 
-/// The previous-generation fixtures stay committed verbatim: a v4 build
-/// must refuse real v3 bytes with a typed version error (the payload
-/// decoders are not version-aware — v3 had no delta-snapshot chaining —
-/// so feeding them stale bytes would misparse, not fail cleanly).
+/// A v4 build must refuse v3 containers with a typed version error (the
+/// payload decoders are not version-aware — v3 had no delta-snapshot
+/// chaining — so feeding them stale bytes would misparse, not fail
+/// cleanly). The header is all a reader consults before refusing, so the
+/// committed v4 fixtures with their version bytes (offsets 4–5) patched to
+/// 3 pin the rejection for all three containers.
 #[test]
 fn stale_v3_fixtures_are_rejected() {
-    for (name, found) in [
-        ("graph_v3.apgg", 3u16),
-        ("log_v3.apgl", 3),
-        ("checkpoint_v3.apgc", 3),
+    for (name, canonical) in [
+        ("graph_v4.apgg", canonical_graph().to_snapshot_bytes()),
+        ("log_v4.apgl", canonical_log().to_segment_bytes()),
+        ("checkpoint_v4.apgc", canonical_checkpoint().to_bytes()),
     ] {
-        let stale = std::fs::read(fixture_path(name))
-            .unwrap_or_else(|e| panic!("stale fixture {name} must stay committed: {e}"));
-        assert_eq!(u16::from_le_bytes([stale[4], stale[5]]), found, "{name}");
+        let mut stale = fixture(name, &canonical);
+        stale[4..6].copy_from_slice(&3u16.to_le_bytes());
         let err = match name {
-            "graph_v3.apgg" => DynGraph::from_snapshot_bytes(&stale).unwrap_err(),
-            "log_v3.apgl" => DeltaLog::from_segment_bytes(&stale).unwrap_err(),
+            "graph_v4.apgg" => DynGraph::from_snapshot_bytes(&stale).unwrap_err(),
+            "log_v4.apgl" => DeltaLog::from_segment_bytes(&stale).unwrap_err(),
             _ => StreamCheckpoint::from_bytes(&stale).unwrap_err(),
         };
         assert_eq!(
             err,
             DecodeError::UnsupportedVersion {
-                found,
+                found: 3,
                 supported: VERSION
             },
             "{name}"
