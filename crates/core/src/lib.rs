@@ -52,8 +52,8 @@ pub use config::{
 };
 pub use partitioner::{AdaptivePartitioner, IterationStats, SweepProfile};
 pub use persist::{
-    CheckpointDelta, CheckpointStore, InstallReport, PartitionerState, RecoveredCheckpoint,
-    StreamCheckpoint,
+    CheckpointDelta, CheckpointStore, CheckpointView, InstallReport, PartitionerState,
+    RecoveredCheckpoint, StreamCheckpoint,
 };
 // The store types `CheckpointStore`'s signatures speak in, so callers can
 // name them without depending on `apg-persist` directly.

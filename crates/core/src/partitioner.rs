@@ -918,17 +918,39 @@ impl AdaptivePartitioner {
     /// accounting (cut, degree mass) is *not* captured: it is a pure
     /// function of graph + assignment and is recomputed on restore.
     pub fn snapshot_state(&self) -> crate::persist::PartitionerState {
+        self.snapshot_state_with_graph(self.graph.clone())
+    }
+
+    /// [`AdaptivePartitioner::snapshot_state`] around a graph copy the
+    /// caller supplies, which must equal the live graph — the checkpoint
+    /// store hands in its already-synced base instead of paying for a
+    /// clone.
+    pub(crate) fn snapshot_state_with_graph(
+        &self,
+        graph: DynGraph,
+    ) -> crate::persist::PartitionerState {
         crate::persist::PartitionerState {
-            graph: self.graph.clone(),
+            graph,
             partitioning: self.partitioning.clone(),
             config: self.config.clone(),
             seed: self.seed,
             iteration: self.iteration,
             quiet_streak: self.quiet_streak,
-            fixed_capacities: match &self.capacity_mode {
-                CapacityMode::Auto => None,
-                CapacityMode::Fixed(caps) => Some(caps.clone()),
-            },
+            fixed_capacities: self.fixed_capacities().cloned(),
+        }
+    }
+
+    /// RNG seed.
+    pub(crate) fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The explicit capacity limits, if the automatic tracking was
+    /// overridden.
+    pub(crate) fn fixed_capacities(&self) -> Option<&CapacityModel> {
+        match &self.capacity_mode {
+            CapacityMode::Auto => None,
+            CapacityMode::Fixed(caps) => Some(caps),
         }
     }
 

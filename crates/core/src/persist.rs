@@ -582,26 +582,101 @@ pub struct CheckpointDelta {
     pub tail: DeltaLog,
 }
 
+/// Everything a checkpoint captures, borrowed: the *current* side of
+/// [`CheckpointDelta::between`]. Both a captured [`StreamCheckpoint`] and
+/// a live [`StreamingRunner`] convert into one, so a delta is diffed
+/// straight from the runner's state without first cloning it into a
+/// checkpoint.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckpointView<'a> {
+    graph: &'a DynGraph,
+    partitioning: &'a Partitioning,
+    config: &'a AdaptiveConfig,
+    seed: u64,
+    iteration: usize,
+    quiet_streak: usize,
+    fixed_capacities: Option<&'a CapacityModel>,
+    iterations_per_batch: usize,
+    record: bool,
+    log: &'a DeltaLog,
+    timeline_window: usize,
+    batches_ingested: usize,
+    timeline_digest: u64,
+    timeline: &'a [TimelineStats],
+    tail: &'a [UpdateBatch],
+}
+
+impl<'a> From<&'a StreamCheckpoint> for CheckpointView<'a> {
+    fn from(ckpt: &'a StreamCheckpoint) -> Self {
+        CheckpointView {
+            graph: &ckpt.state.graph,
+            partitioning: &ckpt.state.partitioning,
+            config: &ckpt.state.config,
+            seed: ckpt.state.seed,
+            iteration: ckpt.state.iteration,
+            quiet_streak: ckpt.state.quiet_streak,
+            fixed_capacities: ckpt.state.fixed_capacities.as_ref(),
+            iterations_per_batch: ckpt.iterations_per_batch,
+            record: ckpt.record,
+            log: &ckpt.log,
+            timeline_window: ckpt.timeline_window,
+            batches_ingested: ckpt.batches_ingested,
+            timeline_digest: ckpt.timeline_digest,
+            timeline: &ckpt.timeline,
+            tail: ckpt.tail.batches(),
+        }
+    }
+}
+
+impl<'a> From<&'a StreamingRunner> for CheckpointView<'a> {
+    /// The view [`StreamingRunner::checkpoint`] would capture: the
+    /// runner's state at the current batch boundary, with an empty tail.
+    fn from(runner: &'a StreamingRunner) -> Self {
+        let partitioner = runner.partitioner();
+        CheckpointView {
+            graph: partitioner.graph(),
+            partitioning: partitioner.partitioning(),
+            config: partitioner.config(),
+            seed: partitioner.seed(),
+            iteration: partitioner.iteration(),
+            quiet_streak: partitioner.quiet_streak(),
+            fixed_capacities: partitioner.fixed_capacities(),
+            iterations_per_batch: runner.iterations_budget(),
+            record: runner.records_log(),
+            log: runner.log(),
+            timeline_window: runner.timeline_window_len(),
+            batches_ingested: runner.batches_ingested(),
+            timeline_digest: runner.timeline_digest(),
+            timeline: runner.timeline(),
+            tail: &[],
+        }
+    }
+}
+
 impl CheckpointDelta {
-    /// Encodes `current` against `base`, given the ascending changed-slot
-    /// superset the mutation paths tracked (see
+    /// Encodes `current` — a [`StreamCheckpoint`] or a live
+    /// [`StreamingRunner`], by reference — against `base`, given the
+    /// ascending changed-slot superset the mutation paths tracked (see
     /// [`AdaptivePartitioner::changed_slots`]) and the store link
     /// `(base_seq, base_digest)` of the durable base.
+    /// `O(changed slots × degree)` plus the `O(k)`/`O(window)` members;
+    /// nothing `O(graph)` is read or copied.
     ///
     /// Returns `None` when `current` is not reachable from `base` by
     /// append-only growth — the recorded log is not an extension of the
     /// base's, the timeline's retained base suffix was rewritten, or the
     /// slot space shrank. Callers fall back to a full snapshot install;
     /// `None` is a policy signal, not an error.
-    pub fn between(
+    pub fn between<'a>(
         base: &StreamCheckpoint,
-        current: &StreamCheckpoint,
+        current: impl Into<CheckpointView<'a>>,
         changed: &[usize],
         base_seq: u64,
         base_digest: u64,
     ) -> Option<CheckpointDelta> {
+        let current: CheckpointView<'a> = current.into();
         let base_n = base.state.graph.num_vertices();
-        let cur_n = current.state.graph.num_vertices();
+        let cur_n = current.graph.num_vertices();
         if cur_n < base_n || current.batches_ingested < base.batches_ingested {
             return None;
         }
@@ -627,11 +702,11 @@ impl CheckpointDelta {
         if current.timeline.len() < keep || base.timeline[dropped..] != current.timeline[..keep] {
             return None;
         }
-        let graph = GraphDiff::between(&base.state.graph, &current.state.graph, changed);
+        let graph = GraphDiff::between(&base.state.graph, current.graph, changed);
         // Label records: every tracked slot whose assignment moved, plus
         // newborns (merged in exactly as `GraphDiff::between` does).
         let base_assign = base.state.partitioning.as_slice();
-        let cur_assign = current.state.partitioning.as_slice();
+        let cur_assign = current.partitioning.as_slice();
         let mut labels = Vec::new();
         let mut push_label = |slot: usize| {
             if slot >= base_n || base_assign[slot] != cur_assign[slot] {
@@ -662,12 +737,12 @@ impl CheckpointDelta {
             base_digest,
             graph,
             labels,
-            sizes: current.state.partitioning.sizes().to_vec(),
-            config: current.state.config.clone(),
-            seed: current.state.seed,
-            iteration: current.state.iteration,
-            quiet_streak: current.state.quiet_streak,
-            fixed_capacities: current.state.fixed_capacities.clone(),
+            sizes: current.partitioning.sizes().to_vec(),
+            config: current.config.clone(),
+            seed: current.seed,
+            iteration: current.iteration,
+            quiet_streak: current.quiet_streak,
+            fixed_capacities: current.fixed_capacities.cloned(),
             iterations_per_batch: current.iterations_per_batch,
             record: current.record,
             base_log_len: base.log.len(),
@@ -677,11 +752,14 @@ impl CheckpointDelta {
             timeline_window: current.timeline_window,
             batches_ingested: current.batches_ingested,
             timeline_digest: current.timeline_digest,
-            tail: current.tail.clone(),
+            tail: DeltaLog::from(current.tail.to_vec()),
         })
     }
 
-    /// Reconstitutes the checkpoint this delta encodes, given its base.
+    /// Turns `base` into the checkpoint this delta encodes. The base is
+    /// consumed and patched in place — graph slots, log and timeline are
+    /// edited, never cloned — so replaying a chain costs one base plus the
+    /// changes, however many links it has.
     ///
     /// Every invariant is validated before the result escapes: the graph
     /// diff against the base graph, label/size consistency, log chaining,
@@ -693,14 +771,22 @@ impl CheckpointDelta {
     /// # Errors
     ///
     /// [`DecodeError::Corrupt`] naming the violated invariant.
-    pub fn apply(&self, base: &StreamCheckpoint) -> Result<StreamCheckpoint, DecodeError> {
-        let mut graph = base.state.graph.clone();
+    pub fn apply(&self, base: StreamCheckpoint) -> Result<StreamCheckpoint, DecodeError> {
+        let StreamCheckpoint {
+            state: base_state,
+            mut log,
+            batches_ingested: base_ingested,
+            timeline_digest: base_digest,
+            mut timeline,
+            ..
+        } = base;
+        let base_n = base_state.graph.num_vertices();
+        let mut graph = base_state.graph;
         self.graph.apply_to(&mut graph)?;
-        let base_n = base.state.graph.num_vertices();
         // Labels: base assignment, slid under the records. Tombstones keep
         // their stale base label (the wire format persists it), so absence
         // of a record is itself meaningful.
-        let mut assignment = base.state.partitioning.as_slice().to_vec();
+        let mut assignment = base_state.partitioning.as_slice().to_vec();
         assignment.resize(self.graph.new_slots, 0);
         for &(slot, label) in &self.labels {
             assignment[slot] = label;
@@ -717,24 +803,29 @@ impl CheckpointDelta {
         let partitioning = Partitioning::from_labels_and_live_sizes(assignment, self.sizes.clone())
             .map_err(DecodeError::Corrupt)?;
         // Log: the suffix chains at exactly the base's recorded length.
-        if self.base_log_len != base.log.len() {
+        if self.base_log_len != log.len() {
             return Err(DecodeError::Corrupt(
                 "delta log suffix does not chain to the base log",
             ));
         }
-        let mut log = base.log.clone();
         for batch in self.log_suffix.batches() {
             log.record(batch.clone());
         }
         // Timeline: slide the base window, then append the new entries.
-        if self.timeline_dropped > base.timeline.len() {
+        if self.timeline_dropped > timeline.len() {
             return Err(DecodeError::Corrupt(
                 "delta drops more timeline entries than the base retains",
             ));
         }
-        let mut timeline = base.timeline[self.timeline_dropped..].to_vec();
+        let base_evicted = base_ingested - timeline.len();
+        // The digest the dropped entries fold to — what the delta must
+        // carry when they fully account for the eviction gap (below).
+        let slid_digest = timeline
+            .drain(..self.timeline_dropped)
+            .fold(base_digest, |digest, stats| {
+                fold_timeline_digest(digest, &stats)
+            });
         timeline.extend(self.timeline_new.iter().cloned());
-        let base_evicted = base.batches_ingested - base.timeline.len();
         let cur_evicted =
             self.batches_ingested
                 .checked_sub(timeline.len())
@@ -752,16 +843,12 @@ impl CheckpointDelta {
         // between the checkpoints; their stats exist in neither side, so
         // the carried digest is taken on faith and the store's frame CRC
         // plus chain digest guard its integrity.)
-        if cur_evicted - base_evicted == self.timeline_dropped {
-            let mut digest = base.timeline_digest;
-            for stats in &base.timeline[..self.timeline_dropped] {
-                digest = fold_timeline_digest(digest, stats);
-            }
-            if digest != self.timeline_digest {
-                return Err(DecodeError::Corrupt(
-                    "delta timeline digest does not extend the base's",
-                ));
-            }
+        if cur_evicted - base_evicted == self.timeline_dropped
+            && slid_digest != self.timeline_digest
+        {
+            return Err(DecodeError::Corrupt(
+                "delta timeline digest does not extend the base's",
+            ));
         }
         let checkpoint = StreamCheckpoint {
             state: PartitionerState {
@@ -888,8 +975,16 @@ impl StreamingRunner {
     /// checkpoint taken mid-stream plus the tail of later batches
     /// reproduces this runner exactly — see [`StreamingRunner::resume`].
     pub fn checkpoint(&self) -> StreamCheckpoint {
+        self.checkpoint_with_graph(self.partitioner().graph().clone())
+    }
+
+    /// [`StreamingRunner::checkpoint`] around a graph copy the caller
+    /// supplies, which must equal the live graph: everything else — the
+    /// `O(V)` assignment, the `O(window)` timeline, the log, the scalars —
+    /// is captured afresh.
+    fn checkpoint_with_graph(&self, graph: DynGraph) -> StreamCheckpoint {
         StreamCheckpoint {
-            state: self.partitioner().snapshot_state(),
+            state: self.partitioner().snapshot_state_with_graph(graph),
             iterations_per_batch: self.iterations_budget(),
             record: self.records_log(),
             log: self.log().clone(),
@@ -979,7 +1074,8 @@ pub struct InstallReport {
 /// The loop: [`CheckpointStore::install`] rarely, [`CheckpointStore::append`]
 /// after every ingested batch (one O(batch) durable frame). Installs are
 /// **incremental** whenever possible: the store keeps the chain-head
-/// checkpoint in memory as the diff base, drains the runner's changed-slot
+/// checkpoint in memory as the diff base (advancing it slot by slot as
+/// deltas land, never re-cloning it), drains the runner's changed-slot
 /// tracking, and writes an `O(changed-state)` [`CheckpointDelta`] chained
 /// onto the previous root — falling back to a full snapshot on the first
 /// install, when the chain reaches
@@ -1026,7 +1122,7 @@ impl CheckpointStore {
             let base = head.ok_or(StoreError::Corrupt(
                 "delta chain recovered without a base snapshot",
             ))?;
-            head = Some(delta.apply(&base)?);
+            head = Some(delta.apply(base)?);
         }
         let checkpoint = match &head {
             None => None,
@@ -1047,58 +1143,131 @@ impl CheckpointStore {
         ))
     }
 
-    /// Captures `runner`'s state and makes it the durable recovery root.
+    /// Makes `runner`'s state the durable recovery root.
     ///
-    /// Writes a chained [`CheckpointDelta`] (`O(changed-state)`) when a
-    /// base exists, the chain is below
-    /// [`StoreConfig::max_chain_len`], and the runner's
-    /// history extends the base append-only; otherwise a full snapshot —
-    /// which is also the **rebase**: installing it folds the chain away
-    /// and garbage-collects the stale files. Either way the manifest flip
-    /// is atomic, a fresh write-ahead segment starts, and the runner's
+    /// Writes a chained [`CheckpointDelta`] when a base exists, the chain
+    /// is below [`StoreConfig::max_chain_len`], the runner's history
+    /// extends the base append-only, and the delta is smaller than the
+    /// snapshot it stands in for; otherwise a full snapshot — which is
+    /// also the **rebase**: installing it folds the chain away and
+    /// garbage-collects the stale files. Either way the manifest flip is
+    /// atomic, a fresh write-ahead segment starts, and the runner's
     /// changed-slot tracking is drained so the next install diffs against
     /// exactly this state.
+    ///
+    /// # Cost
+    ///
+    /// The delta path is `O(changed slots × degree)` plus the `O(V)`
+    /// assignment and `O(window)` timeline: the delta is diffed from the
+    /// live runner (no capture), and once it is durable the in-memory base
+    /// is advanced by copying only the diff's slots from the live graph.
+    /// The "smaller than a full snapshot" guard needs no snapshot either —
+    /// a full snapshot spends at least one byte per edge and two per slot,
+    /// so a delta under `num_edges + 2 × num_slots` bytes is smaller
+    /// without looking; only a delta at or above that floor (wall-to-wall
+    /// churn) pays for the exact capture-encode-compare. The full path is
+    /// `O(graph)` — capture plus encode — and runs on the first install
+    /// and then once per `max_chain_len + 1` installs.
+    ///
+    /// The in-memory base, whenever one is held, equals the durable root:
+    /// it is only replaced or advanced after the store call returned `Ok`
+    /// (debug builds re-capture and compare on every install).
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`]; on error the previous root stays durable and
     /// the changed-slot tracking is left intact (the failed install never
-    /// becomes a diff base).
+    /// becomes a diff base). A failed install that had captured the
+    /// state — a full one, or one whose delta reached the floor — leaves
+    /// no in-memory base (the old one is released before the capture, to
+    /// hold one graph copy at a time), so the next install is a full
+    /// snapshot.
     pub fn install(&mut self, runner: &mut StreamingRunner) -> Result<InstallReport, StoreError> {
-        let full = runner.checkpoint();
-        let full_bytes = full.to_bytes();
-        let delta_bytes = match (
+        let mut delta = match (
             self.base.as_ref(),
             self.store.snapshot_seq(),
             self.store.root_digest(),
         ) {
             (Some(base), Some(seq), Some(digest)) if !self.store.needs_rebase() => {
                 let changed = runner.partitioner().changed_slots();
-                CheckpointDelta::between(base, &full, &changed, seq, digest)
-                    .map(|delta| delta.to_bytes())
-                    // A delta only earns its chain link by being smaller:
-                    // when most of the state churned since the base, the
-                    // per-slot framing makes the delta *larger* than the
-                    // snapshot it stands in for — install full instead,
-                    // which also resets the chain for free.
-                    .filter(|bytes| bytes.len() < full_bytes.len())
+                CheckpointDelta::between(base, &*runner, &changed, seq, digest).map(|delta| {
+                    let bytes = delta.to_bytes();
+                    (delta, bytes)
+                })
             }
             _ => None,
         };
-        let (incremental, bytes) = match &delta_bytes {
-            Some(bytes) => {
-                self.store.install_delta(bytes)?;
-                (true, bytes.len())
+        // A delta only earns its chain link by being smaller: when most of
+        // the state churned since the base, the per-slot framing makes the
+        // delta *larger* than the snapshot it stands in for — install full
+        // instead, which also resets the chain for free. Below the floor
+        // the delta is smaller than any encoding of this graph; at or
+        // above it, capture and compare.
+        let graph = runner.partitioner().graph();
+        let full_bytes_floor = graph.num_edges() + 2 * graph.num_vertices();
+        let mut captured = None;
+        if delta
+            .as_ref()
+            .is_some_and(|(_, bytes)| bytes.len() >= full_bytes_floor)
+        {
+            let (full, full_bytes) = self.capture_releasing_base(runner);
+            delta = delta.filter(|(_, bytes)| bytes.len() < full_bytes.len());
+            captured = Some((full, full_bytes));
+        }
+        let report = match delta {
+            Some((delta, bytes)) => {
+                self.store.install_delta(&bytes)?;
+                self.base = Some(match captured {
+                    Some((full, _)) => full,
+                    // Advance the base: only the diff's slots moved.
+                    None => {
+                        let base = self
+                            .base
+                            .take()
+                            .expect("a delta is diffed against a held base");
+                        let mut graph = base.state.graph;
+                        graph.sync_slots_from(
+                            runner.partitioner().graph(),
+                            delta.graph.changed.iter().map(|entry| entry.slot),
+                        );
+                        runner.checkpoint_with_graph(graph)
+                    }
+                });
+                InstallReport {
+                    incremental: true,
+                    bytes: bytes.len(),
+                }
             }
             None => {
+                let (full, full_bytes) =
+                    captured.unwrap_or_else(|| self.capture_releasing_base(runner));
                 self.store.install_snapshot(&full_bytes)?;
-                (false, full_bytes.len())
+                self.base = Some(full);
+                InstallReport {
+                    incremental: false,
+                    bytes: full_bytes.len(),
+                }
             }
         };
         // Durable either way: this state is the next install's diff base.
         runner.partitioner_mut().clear_changed();
-        self.base = Some(full);
-        Ok(InstallReport { incremental, bytes })
+        debug_assert_eq!(
+            self.base,
+            Some(runner.checkpoint()),
+            "in-memory base diverged from the state just made durable"
+        );
+        Ok(report)
+    }
+
+    /// The `O(graph)` step of an install: a full capture of `runner` and
+    /// its encoding. Whatever the install then writes, this capture is the
+    /// next base, so the old one is dropped first — one graph copy held at
+    /// a time.
+    fn capture_releasing_base(&mut self, runner: &StreamingRunner) -> (StreamCheckpoint, Vec<u8>) {
+        self.base = None;
+        let full = runner.checkpoint();
+        let full_bytes = full.to_bytes();
+        (full, full_bytes)
     }
 
     /// Write-aheads one ingested batch (call with exactly the batches the
@@ -1193,6 +1362,64 @@ mod tests {
         // `batches_ingested`, not `timeline().len()`: with a bounded window
         // the retained timeline is shorter than the stream position.
         apg_streams::SourceCursor::at(runner.batches_ingested() as u64)
+    }
+
+    #[test]
+    fn failed_install_never_becomes_the_diff_base() {
+        let dir = std::env::temp_dir().join(format!("apg-core-install-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = StoreConfig {
+            fsync: false,
+            ..StoreConfig::default()
+        };
+        let (mut store, _) = CheckpointStore::open(&dir, config.clone()).unwrap();
+        // Grown far enough that a batch or two of churn stays a small
+        // fraction of the state, i.e. installs as a delta.
+        let (mut runner, mut source) = growth_runner(2);
+        runner.drive(&mut source, 20);
+        assert!(!store.install(&mut runner).unwrap().incremental);
+        let mut ingest_and_append = |runner: &mut StreamingRunner, store: &mut CheckpointStore| {
+            let batch = source.next_batch().unwrap();
+            runner.ingest(&batch);
+            store.append(&batch).unwrap();
+        };
+        ingest_and_append(&mut runner, &mut store);
+
+        // The next root file takes the sequence number after the active
+        // segment's; a directory squatting on its name fails the create.
+        let next_root = store.store().active_segment_seq().unwrap() + 1;
+        let obstacle = dir.join(format!("dsnap-{next_root}.bin"));
+        std::fs::create_dir(&obstacle).unwrap();
+        let changed = runner.partitioner().changed_slots();
+        assert!(!changed.is_empty());
+        let root = store.store().snapshot_seq();
+        assert!(matches!(
+            store.install(&mut runner),
+            Err(StoreError::Io { .. })
+        ));
+        assert_eq!(runner.partitioner().changed_slots(), changed);
+        assert_eq!(store.store().snapshot_seq(), root);
+
+        // With the obstacle gone the same store carries on: the base it
+        // kept is still the durable root, so the retry chains a delta
+        // covering the failed attempt's changes and everything since.
+        std::fs::remove_dir(&obstacle).unwrap();
+        ingest_and_append(&mut runner, &mut store);
+        assert!(store.install(&mut runner).unwrap().incremental);
+        ingest_and_append(&mut runner, &mut store);
+        drop(store);
+
+        let (_, recovered) = CheckpointStore::open(&dir, config).unwrap();
+        assert_eq!(recovered.torn_frames_dropped, 0);
+        let resumed = StreamingRunner::resume(recovered.checkpoint.unwrap());
+        assert_eq!(resumed.timeline(), runner.timeline());
+        assert_eq!(resumed.log(), runner.log());
+        assert_eq!(resumed.partitioner().graph(), runner.partitioner().graph());
+        assert_eq!(
+            resumed.partitioner().partitioning(),
+            runner.partitioner().partitioning()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

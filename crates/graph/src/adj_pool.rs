@@ -167,6 +167,30 @@ impl AdjPool {
         true
     }
 
+    /// Overwrites `slot`'s list with `list` (strictly ascending,
+    /// debug-asserted) — the bulk primitive for callers that already hold
+    /// the final list. In place when the span has room; otherwise one
+    /// relocation to the arena end, with the growth policy of
+    /// [`AdjPool::insert_sorted`] (at least double), the vacated span
+    /// becoming garbage.
+    pub fn replace(&mut self, slot: usize, list: &[VertexId]) {
+        debug_assert!(
+            list.windows(2).all(|w| w[0] < w[1]),
+            "replacement list for slot {slot} not strictly ascending"
+        );
+        let len = list.len() as u32;
+        let mut span = self.spans[slot];
+        if len > span.cap {
+            self.garbage += span.cap as usize;
+            span.cap = len.max(span.cap * 2).max(MIN_SPAN_CAP);
+            span.offset = self.arena.len();
+            self.arena.resize(span.offset + span.cap as usize, 0);
+        }
+        self.arena[span.offset..span.offset + list.len()].copy_from_slice(list);
+        span.len = len;
+        self.spans[slot] = span;
+    }
+
     /// Empties `slot` and releases its capacity to garbage (the tombstone
     /// path — a cleared slot never grows back).
     pub fn clear_slot(&mut self, slot: usize) {
@@ -340,6 +364,103 @@ mod tests {
         }
         // Arena is now tight: live entries only.
         assert_eq!(pool.arena_len(), 4 * 64);
+    }
+
+    #[test]
+    fn replace_within_capacity_stays_in_place() {
+        let mut pool = pool_with_lists(&[&[1, 2, 3, 4, 5], &[9]]);
+        let (arena, garbage) = (pool.arena_len(), pool.garbage());
+        let offset = pool.spans[0].offset;
+        for list in [&[2, 4, 6][..], &[], &[0, 1, 2, 3, 7]] {
+            pool.replace(0, list);
+            assert_eq!(pool.neighbors(0), list);
+            assert_eq!(pool.spans[0].offset, offset, "a fitting list must not move");
+        }
+        assert_eq!(pool.arena_len(), arena);
+        assert_eq!(pool.garbage(), garbage, "nothing was vacated");
+        assert_eq!(
+            pool.neighbors(1),
+            &[9],
+            "the neighbouring span is untouched"
+        );
+    }
+
+    #[test]
+    fn replace_beyond_capacity_relocates_once() {
+        let mut pool = pool_with_lists(&[&[1, 2, 3], &[9]]);
+        let old = pool.spans[0];
+        let garbage = pool.garbage();
+        let list: Vec<VertexId> = (10..30).collect();
+        pool.replace(0, &list);
+        assert_eq!(pool.neighbors(0), list.as_slice());
+        assert_eq!(
+            pool.garbage(),
+            garbage + old.cap as usize,
+            "the vacated span, slack included, is garbage"
+        );
+        assert!(pool.spans[0].offset >= old.offset + old.cap as usize);
+        assert_eq!(pool.neighbors(1), &[9]);
+        // Growth at least doubles: outgrowing the exact-fit span by one
+        // entry buys room for twenty more.
+        pool.replace(0, &(0..21).collect::<Vec<VertexId>>());
+        let moved = pool.spans[0];
+        assert_eq!(moved.cap, 40);
+        pool.replace(0, &(0..40).collect::<Vec<VertexId>>());
+        assert_eq!(pool.spans[0].offset, moved.offset);
+        // A never-used slot gets the minimum capacity, like `insert_sorted`.
+        let slot = pool.push_slot();
+        pool.replace(slot, &[4]);
+        assert_eq!(pool.spans[slot].cap, MIN_SPAN_CAP);
+    }
+
+    #[test]
+    fn replace_equals_a_clear_and_reinsert_rebuild() {
+        let lists: [&[VertexId]; 4] = [&[], &[3], &[0, 2, 4, 6, 8, 10, 12], &[1, 5]];
+        let mut replaced = pool_with_lists(&[&[1, 2, 3], &[], &[7, 8], &[0, 1, 2, 3, 4, 5]]);
+        let mut rebuilt = replaced.clone();
+        for (slot, list) in lists.iter().enumerate() {
+            replaced.replace(slot, list);
+            rebuilt.clear_slot(slot);
+            for &v in *list {
+                assert!(rebuilt.insert_sorted(slot, v));
+            }
+        }
+        assert_eq!(replaced, rebuilt);
+        assert_eq!(replaced, pool_with_lists(&lists));
+    }
+
+    #[test]
+    fn replace_interleaves_with_compaction() {
+        let evens = |n: u32| (0..n).map(|i| i * 2).collect::<Vec<VertexId>>();
+        let mut pool = AdjPool::with_slots(8);
+        for slot in 0..8 {
+            pool.replace(slot, &evens(100));
+        }
+        // Outgrow half the spans, then tombstone most slots: relocation
+        // and clearing together push garbage past half the arena.
+        for slot in 0..4 {
+            pool.replace(slot, &evens(201));
+        }
+        assert_eq!(pool.garbage(), 4 * 100);
+        assert!(!pool.maybe_compact(), "relocation alone stays under half");
+        for slot in 2..8 {
+            pool.clear_slot(slot);
+        }
+        assert!(pool.maybe_compact());
+        assert_eq!(pool.garbage(), 0);
+        assert_eq!(pool.arena_len(), 2 * 201, "tight spans, live entries only");
+        // Compacted spans are exact-fit: shrinking stays put, a cleared
+        // slot coming back relocates to the arena end.
+        pool.replace(0, &evens(50));
+        assert_eq!(pool.arena_len(), 2 * 201);
+        pool.replace(5, &evens(7));
+        assert_eq!(pool.arena_len(), 2 * 201 + 7);
+        assert_eq!(pool.neighbors(0), evens(50).as_slice());
+        assert_eq!(pool.neighbors(1), evens(201).as_slice());
+        assert_eq!(pool.neighbors(5), evens(7).as_slice());
+        for slot in [2, 3, 4, 6, 7] {
+            assert_eq!(pool.neighbors(slot), &[] as &[VertexId]);
+        }
     }
 
     #[test]

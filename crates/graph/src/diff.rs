@@ -11,9 +11,9 @@
 //! common streaming regime. Computing one is O(changed + their degrees)
 //! given the changed-slot set that mutation paths track anyway (the
 //! partitioner's checkpoint-changed record, an `apg_exec::ActiveSet`), and
-//! applying one to a copy of the base
-//! reproduces the current graph exactly — including tombstone slots, so
-//! the never-reused id space stays aligned.
+//! applying one to the base turns it, in place, into exactly the current
+//! graph — including tombstone slots, so the never-reused id space stays
+//! aligned.
 //!
 //! # Trust boundary
 //!

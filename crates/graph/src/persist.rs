@@ -50,16 +50,14 @@ impl Encode for DynGraph {
             self.is_vertex(v).encode(enc);
         }
         for v in 0..n as VertexId {
-            let upper: Vec<VertexId> = if self.is_vertex(v) {
-                self.neighbors(v)
-                    .iter()
-                    .copied()
-                    .filter(|&w| w > v)
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            upper.encode(enc);
+            // Lists are sorted (and empty on tombstones), so the upper half
+            // is a suffix: length-prefixed like a `Vec`, without building one.
+            let list = self.neighbors(v);
+            let upper = &list[list.partition_point(|&w| w <= v)..];
+            enc.write_varint(upper.len() as u64);
+            for w in upper {
+                w.encode(enc);
+            }
         }
     }
 }

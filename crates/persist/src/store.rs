@@ -65,7 +65,9 @@
 //!    garbage, never a correctness hazard).
 //!
 //! Because the flip happens last, a crash anywhere in 1–3 leaves the old
-//! manifest pointing at the old, fully-fsynced root + segments.
+//! manifest pointing at the old, fully-fsynced root + segments. (With
+//! [`StoreConfig::fsync`] off the same writes happen in the same order
+//! and none of the syncs do.)
 //! [`SegmentStore::append`] writes one frame and (with
 //! [`StoreConfig::fsync`] on) syncs the segment before returning, so an
 //! acknowledged append is durable.
@@ -212,10 +214,11 @@ pub struct StoreConfig {
     /// Rotate the active segment to a fresh file once it holds at least
     /// this many payload bytes (checked *before* each append).
     pub segment_rotate_bytes: u64,
-    /// Whether to `fsync` after every append and snapshot write. Turning
+    /// Whether to `fsync` after every append and snapshot write — every
+    /// sync of the install protocol, files and directory alike. Turning
     /// this off surrenders the durability guarantee (a crash may lose
-    /// acknowledged appends) in exchange for write speed — the persist
-    /// bench prices exactly this knob.
+    /// acknowledged appends and installs) in exchange for write speed —
+    /// the persist bench prices exactly this knob.
     pub fsync: bool,
     /// Rebase policy for delta-snapshot chains: once
     /// [`SegmentStore::chain_len`] reaches this many links,
@@ -605,8 +608,7 @@ impl SegmentStore {
                         .map_err(io_err("open segment for repair", &path))?;
                     file.set_len(keep)
                         .map_err(io_err("truncate torn tail", &path))?;
-                    file.sync_all()
-                        .map_err(io_err("fsync repaired segment", &path))?;
+                    store.sync_file(&file, "fsync repaired segment", &path)?;
                     // Count whole torn frames conservatively: at least one
                     // (the torn frame itself).
                     torn_frames_dropped += 1;
@@ -659,18 +661,30 @@ impl SegmentStore {
         let mut file = File::create(&path).map_err(io_err("create segment", &path))?;
         file.write_all(&header)
             .map_err(io_err("write segment header", &path))?;
-        if self.config.fsync {
-            file.sync_all()
-                .map_err(io_err("fsync new segment", &path))?;
-            self.sync_dir()?;
-        }
+        self.sync_file(&file, "fsync new segment", &path)?;
+        self.sync_dir()?;
         self.active = Some((seq, file, 0));
         Ok(())
     }
 
+    /// `fsync`s `file` — unless [`StoreConfig::fsync`] is off, in which
+    /// case the store never syncs anything. Every whole-file and directory
+    /// sync goes through here.
+    fn sync_file(&self, file: &File, op: &'static str, path: &Path) -> Result<(), StoreError> {
+        if self.config.fsync {
+            file.sync_all().map_err(io_err(op, path))?;
+        }
+        Ok(())
+    }
+
+    /// Makes the directory's current names durable (subject to
+    /// [`StoreConfig::fsync`], like every sync).
     fn sync_dir(&self) -> Result<(), StoreError> {
+        if !self.config.fsync {
+            return Ok(());
+        }
         let dir = File::open(&self.dir).map_err(io_err("open dir", &self.dir))?;
-        dir.sync_all().map_err(io_err("fsync dir", &self.dir))
+        self.sync_file(&dir, "fsync dir", &self.dir)
     }
 
     /// Appends one payload frame to the active segment, rotating first if
@@ -689,11 +703,7 @@ impl SegmentStore {
             // Seal the old segment with a final sync so rotation never
             // weakens durability ordering.
             if let Some((seq, file, _)) = self.active.take() {
-                if self.config.fsync {
-                    let path = self.segment_path(seq);
-                    file.sync_all()
-                        .map_err(io_err("fsync sealed segment", &path))?;
-                }
+                self.sync_file(&file, "fsync sealed segment", &self.segment_path(seq))?;
             }
             self.open_fresh_segment()?;
         }
@@ -769,20 +779,20 @@ impl SegmentStore {
         let mut file = File::create(&root_path).map_err(io_err("create root file", &root_path))?;
         file.write_all(&bytes)
             .map_err(io_err("write root file", &root_path))?;
-        file.sync_all()
-            .map_err(io_err("fsync root file", &root_path))?;
+        self.sync_file(&file, "fsync root file", &root_path)?;
 
-        // 2+3. Fresh tail segment for appends after this root, then make
-        // both names durable.
+        // 2+3. Fresh tail segment for appends after this root; creating it
+        // ends with the directory sync that makes both names durable. The
+        // segment it seals gets its final sync too.
         let old_active = self.active.take();
         self.open_fresh_segment()?;
         if let Some((old_seq, old_file, _)) = old_active {
-            let old_path = self.segment_path(old_seq);
-            old_file
-                .sync_all()
-                .map_err(io_err("fsync sealed segment", &old_path))?;
+            self.sync_file(
+                &old_file,
+                "fsync sealed segment",
+                &self.segment_path(old_seq),
+            )?;
         }
-        self.sync_dir()?;
 
         // 4. The pointer flip: tmp + fsync + atomic rename + dir fsync.
         let manifest = self.dir.join("MANIFEST");
@@ -793,8 +803,7 @@ impl SegmentStore {
         let mut file = File::create(&tmp).map_err(io_err("create manifest tmp", &tmp))?;
         file.write_all(&bytes)
             .map_err(io_err("write manifest tmp", &tmp))?;
-        file.sync_all()
-            .map_err(io_err("fsync manifest tmp", &tmp))?;
+        self.sync_file(&file, "fsync manifest tmp", &tmp)?;
         drop(file);
         fs::rename(&tmp, &manifest).map_err(io_err("rename manifest", &manifest))?;
         self.sync_dir()?;

@@ -892,6 +892,58 @@ fn windowed_checkpoint_size_is_flat_in_stream_length() {
     );
 }
 
+/// Installs stay O(changed) — proved with the allocation counters, not a
+/// stopwatch. After a 10-edge batch on a graph of over half a million
+/// edges, the chained install may allocate for the delta, the O(V)
+/// assignment and the O(window) timeline, nothing graph-sized: a clone of
+/// the graph costs at least its arena, a full encode at least one byte per
+/// edge and two per slot, and either overshoots a quarter of the arena on
+/// its own. (Debug builds re-capture after every install to assert the
+/// advanced base, by design, so only an optimised build measures the peak;
+/// CI runs this binary in release.)
+#[test]
+fn chained_install_allocates_nothing_graph_sized() {
+    use apg::graph::Graph;
+    let graph = DynGraph::from(&apg::graph::gen::holme_kim(64_000, 10, 0.1, SEED));
+    assert!(graph.num_vertices() >= 50_000 && graph.num_edges() >= 500_000);
+    // Every edge sits in two neighbour lists of 4-byte ids.
+    let arena_bytes = 2 * graph.num_edges() * std::mem::size_of::<u32>();
+    let cfg = AdaptiveConfig::new(4).parallelism(2);
+    let partitioner = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, SEED);
+    drop(graph);
+    // Ingest only: the point is a small changed set on a large graph.
+    let mut r = StreamingRunner::new(partitioner).iterations_per_batch(0);
+    let scratch = Scratch::new("install-peak");
+    let (mut store, _) = CheckpointStore::open(&scratch.0, StoreConfig::default()).unwrap();
+    assert!(!store.install(&mut r).unwrap().incremental);
+
+    let mut ten_edges = |offset: u32| {
+        let mut batch = UpdateBatch::new();
+        for i in 0..10 {
+            batch.add_edge(1_000 + offset + i, 40_000 + 7 * (offset + i));
+        }
+        r.ingest(&batch);
+        store.append(&batch).unwrap();
+        let baseline = reset_peak();
+        let report = store.install(&mut r).unwrap();
+        (report, peak_above(baseline))
+    };
+    // The first relocation in the base's exact-fit arena doubles the
+    // backing `Vec` — amortised growth, paid once: measure the install
+    // after it.
+    assert!(ten_edges(0).0.incremental);
+    let (report, peak) = ten_edges(10);
+    assert!(report.incremental, "a 10-edge change must chain a delta");
+    assert!(report.bytes < 4096, "delta of {} bytes", report.bytes);
+    if !cfg!(debug_assertions) {
+        assert!(
+            peak < arena_bytes / 4,
+            "a chained install allocated {peak} bytes against a {arena_bytes}-byte arena: \
+             something graph-sized was cloned or encoded"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Decoder totality over the golden fixtures: every single-byte corruption
 // and truncation of every fixture must decode to a typed error or to a

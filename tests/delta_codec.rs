@@ -3,13 +3,20 @@
 //! **byte-identically** — graph, partitioning and runner state — over
 //! arbitrary `UpdateBatch` churn, at every parallelism, through the wire
 //! format, and regardless of adjacency-pool layout (compaction is
-//! observation-free, so it must be diff-free too).
+//! observation-free, so it must be diff-free too). The same churn through
+//! a real `CheckpointStore` pins which installs go incremental: the
+//! store's size guard must decide exactly as the full-capture reference
+//! rule does.
 
 use proptest::prelude::*;
 
-use apg::core::{AdaptiveConfig, AdaptivePartitioner, CheckpointDelta, StreamingRunner};
+use apg::core::{
+    AdaptiveConfig, AdaptivePartitioner, CheckpointDelta, CheckpointStore, StreamCheckpoint,
+    StreamingRunner,
+};
 use apg::graph::{DynGraph, Graph, GraphDiff, UpdateBatch, VertexId};
 use apg::partition::InitialStrategy;
+use apg::persist::store::StoreConfig;
 
 /// Turns a fuzzed op-stream into `UpdateBatch`es of at most `chunk`
 /// deltas (same shape as `proptest_invariants`): vertex births, edge
@@ -112,7 +119,9 @@ fn assert_delta_equals_full(
         .expect("append-only growth must be delta-encodable");
     let full_bytes = current.to_bytes();
     // In-memory apply.
-    let applied = delta.apply(base).expect("delta applies to its base");
+    let applied = delta
+        .apply(base.clone())
+        .expect("delta applies to its base");
     assert_eq!(
         applied.to_bytes(),
         full_bytes,
@@ -122,7 +131,7 @@ fn assert_delta_equals_full(
     let decoded = CheckpointDelta::from_bytes(&delta.to_bytes()).expect("delta bytes round-trip");
     assert_eq!(decoded.base_seq, 7);
     assert_eq!(decoded.base_digest, 0xfeed);
-    let applied = decoded.apply(base).expect("decoded delta applies");
+    let applied = decoded.apply(base.clone()).expect("decoded delta applies");
     assert_eq!(
         applied.to_bytes(),
         full_bytes,
@@ -130,8 +139,224 @@ fn assert_delta_equals_full(
     );
 }
 
+/// A store directory under the system temp dir, removed on drop.
+struct Scratch(std::path::PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Self {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "apg-delta-codec-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        Scratch(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+const MAX_CHAIN_LEN: usize = 3;
+
+fn store_config() -> StoreConfig {
+    StoreConfig {
+        fsync: false,
+        max_chain_len: MAX_CHAIN_LEN,
+        ..StoreConfig::default()
+    }
+}
+
+/// What the reference rule measured for one install.
+struct Measured {
+    /// Encoded size of the delta against the previous install (`None`
+    /// when the rule never got as far as encoding one).
+    delta_len: Option<usize>,
+    /// The byte floor `install` uses in place of `full_len` when it can.
+    floor: usize,
+    full_len: usize,
+    incremental: bool,
+}
+
+/// The store's install decisions, recomputed from full captures — the way
+/// `install` itself worked before it learned to skip them.
+#[derive(Default)]
+struct ReferenceRule {
+    /// The checkpoint the previous install made durable.
+    base: Option<StreamCheckpoint>,
+    /// Deltas chained since the last full snapshot.
+    chain: usize,
+}
+
+impl ReferenceRule {
+    /// Installs `runner` through `store` and checks the report against
+    /// the rule: incremental iff there is a base, the chain has room, and
+    /// the encoded delta is strictly smaller than the encoded snapshot.
+    fn install_checked(
+        &mut self,
+        store: &mut CheckpointStore,
+        runner: &mut StreamingRunner,
+    ) -> Measured {
+        let current = runner.checkpoint();
+        let full_len = current.to_bytes().len();
+        let graph = runner.partitioner().graph();
+        let floor = graph.num_edges() + 2 * graph.num_vertices();
+        assert!(
+            floor <= full_len,
+            "floor {floor} exceeds the true snapshot length {full_len}"
+        );
+        let delta_len = match &self.base {
+            Some(base) if self.chain < MAX_CHAIN_LEN => CheckpointDelta::between(
+                base,
+                &current,
+                &runner.partitioner().changed_slots(),
+                store.store().snapshot_seq().expect("installed before"),
+                store.store().root_digest().expect("installed before"),
+            )
+            .map(|delta| delta.to_bytes().len()),
+            _ => None,
+        };
+        let incremental = delta_len.is_some_and(|len| len < full_len);
+        let report = store.install(runner).expect("install");
+        assert_eq!(
+            report.incremental, incremental,
+            "install decided differently from the reference rule \
+             (delta {delta_len:?}, full {full_len}, floor {floor}, chain {})",
+            self.chain
+        );
+        let written = if incremental {
+            delta_len.unwrap()
+        } else {
+            full_len
+        };
+        assert_eq!(report.bytes, written);
+        self.chain = if incremental { self.chain + 1 } else { 0 };
+        assert_eq!(store.store().chain_len(), self.chain);
+        self.base = Some(current);
+        Measured {
+            delta_len,
+            floor,
+            full_len,
+            incremental,
+        }
+    }
+}
+
+/// Reopens `dir` and checks the recovered runner is the live one.
+fn assert_recovery_equals_live(dir: &std::path::Path, live: &StreamingRunner) {
+    let (_, recovered) = CheckpointStore::open(dir, store_config()).expect("reopen");
+    let resumed = StreamingRunner::resume(recovered.checkpoint.expect("a durable root"));
+    assert_eq!(resumed.timeline(), live.timeline());
+    assert_eq!(resumed.timeline_digest(), live.timeline_digest());
+    assert_eq!(resumed.batches_ingested(), live.batches_ingested());
+    assert_eq!(resumed.log(), live.log());
+    assert_eq!(resumed.partitioner().graph(), live.partitioner().graph());
+    assert_eq!(
+        resumed.partitioner().partitioning(),
+        live.partitioner().partitioning()
+    );
+    assert_eq!(
+        resumed.partitioner().iteration(),
+        live.partitioner().iteration()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Fuzzed churn through a real `CheckpointStore`, an install every
+    /// `cadence` batches: every full-vs-delta decision (and byte count)
+    /// equals the reference rule's, the size floor never overshoots, and
+    /// what is on disk after the last install recovers to the live runner.
+    #[test]
+    fn store_install_decisions_match_the_reference_rule(
+        ops in proptest::collection::vec((0u8..5, 0u32..96, 0u32..96), 8..120),
+        cadence in 1usize..4,
+        ballast in 0u32..3,
+        window in 0usize..4, // 0 = unbounded
+        record in 0u8..2,
+        seed in 0u64..200,
+    ) {
+        // A ring of extra vertices raises the byte floor (one byte per
+        // edge, two per slot) from well under a typical delta's size to
+        // well over it, so both sides of the floor test get exercised.
+        let base_slots = 24 + 60 * ballast as usize;
+        let mut graph = DynGraph::with_vertices(base_slots);
+        for v in 24..base_slots as u32 {
+            graph.add_edge(v, 24 + (v + 1 - 24) % (60 * ballast));
+        }
+        let batches = batches_from_ops(&ops, base_slots, 6);
+        let scratch = Scratch::new("decisions");
+        let (mut store, _) = CheckpointStore::open(&scratch.0, store_config()).expect("open");
+        let cfg = AdaptiveConfig::new(3).parallelism(2);
+        let partitioner =
+            AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, seed);
+        let mut runner = StreamingRunner::new(partitioner)
+            .iterations_per_batch(2)
+            .record_log(record == 1);
+        if window > 0 {
+            runner = runner.timeline_window(window);
+        }
+        let mut rule = ReferenceRule::default();
+        rule.install_checked(&mut store, &mut runner);
+        for (i, batch) in batches.iter().enumerate() {
+            runner.ingest(batch);
+            store.append(batch).expect("append");
+            if (i + 1) % cadence == 0 {
+                rule.install_checked(&mut store, &mut runner);
+            }
+        }
+        rule.install_checked(&mut store, &mut runner);
+        drop(store);
+        assert_recovery_equals_live(&scratch.0, &runner);
+    }
+
+    /// `DynGraph::sync_slots_from`: a stale clone synced over the slots
+    /// mutated since (tombstones, emptied lists and newborn slots among
+    /// them) equals the live graph, counters included — with or without
+    /// the newborn slots listed, and wherever compaction happened.
+    #[test]
+    fn slot_sync_brings_a_stale_clone_up_to_date(
+        ops in proptest::collection::vec((0u8..5, 0u32..64, 0u32..64), 4..80),
+        split_frac in 0usize..100,
+        compact_stale in 0u8..2,
+        list_newborns in 0u8..2,
+    ) {
+        let batches = batches_from_ops(&ops, 16, 8);
+        let split = split_frac * batches.len() / 100;
+        let mut live = DynGraph::with_vertices(16);
+        for batch in &batches[..split] {
+            batch.apply(&mut live);
+        }
+        let mut stale = live.clone();
+        if compact_stale == 1 {
+            stale.compact_adjacency();
+        }
+        for batch in &batches[split..] {
+            batch.apply(&mut live);
+        }
+        // The marked set: every slot that differs, as the partitioner's
+        // changed record would hold (a superset is allowed; this is exact).
+        let marked: Vec<usize> = (0..live.num_vertices())
+            .filter(|&slot| {
+                let v = slot as VertexId;
+                (slot >= stale.num_vertices() && list_newborns == 1)
+                    || (slot < stale.num_vertices()
+                        && (stale.is_vertex(v) != live.is_vertex(v)
+                            || stale.neighbors(v) != live.neighbors(v)))
+            })
+            .collect();
+        stale.sync_slots_from(&live, marked);
+        prop_assert_eq!(&stale, &live);
+        prop_assert_eq!(stale.num_live_vertices(), live.vertices().count());
+        prop_assert_eq!(stale.num_edges(), live.edges().count());
+        prop_assert_eq!(stale.num_vertices(), live.num_vertices());
+    }
 
     /// Fuzzed churn, fuzzed split point, bounded and unbounded timeline
     /// windows, with and without log recording: the delta always
@@ -284,5 +509,57 @@ fn delta_rejects_the_wrong_base() {
     // A base one batch short of the real one: its timeline cannot chain
     // densely into the delta's suffix, so validation must fire.
     let (wrong_base, _, _) = base_and_current(&batches, split - 1, 1, None, false, 3);
-    assert!(delta.apply(&wrong_base).is_err());
+    assert!(delta.apply(wrong_base).is_err());
+}
+
+/// Wall-to-wall churn: every slot of an edgeless base gains edges, so the
+/// delta (both endpoints of every new edge, plus per-slot framing) is
+/// bigger than the snapshot (upper adjacency only). The delta clears the
+/// byte floor, `install` takes the exact capture-encode-compare branch,
+/// and falls back to a full snapshot although the chain has room — then
+/// chains a delta again once the churn is back to a few slots.
+#[test]
+fn wall_to_wall_churn_falls_back_to_full() {
+    let scratch = Scratch::new("wall-to-wall");
+    let (mut store, _) = CheckpointStore::open(&scratch.0, store_config()).expect("open");
+    let n = 64u32;
+    let graph = DynGraph::with_vertices(n as usize);
+    let cfg = AdaptiveConfig::new(3).parallelism(1);
+    let partitioner = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 5);
+    let mut runner = StreamingRunner::new(partitioner).iterations_per_batch(2);
+    let mut rule = ReferenceRule::default();
+    assert!(!rule.install_checked(&mut store, &mut runner).incremental);
+
+    let mut everything = UpdateBatch::new();
+    for u in 0..n {
+        for step in 1..=6 {
+            everything.add_edge(u, (u + step) % n);
+        }
+    }
+    runner.ingest(&everything);
+    store.append(&everything).expect("append");
+    let churned = rule.install_checked(&mut store, &mut runner);
+    let delta_len = churned
+        .delta_len
+        .expect("append-only growth is delta-encodable");
+    assert!(
+        delta_len >= churned.floor,
+        "delta {delta_len} under the floor {}: the exact-compare branch was not taken",
+        churned.floor
+    );
+    assert!(delta_len >= churned.full_len);
+    assert!(
+        !churned.incremental,
+        "a delta bigger than the snapshot was chained"
+    );
+
+    let mut nudge = UpdateBatch::new();
+    nudge.remove_edge(0, 1);
+    runner.ingest(&nudge);
+    store.append(&nudge).expect("append");
+    let nudged = rule.install_checked(&mut store, &mut runner);
+    assert!(nudged.incremental);
+    assert!(nudged.delta_len.unwrap() < nudged.floor);
+    drop(store);
+    assert_recovery_equals_live(&scratch.0, &runner);
 }
