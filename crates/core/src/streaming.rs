@@ -253,6 +253,10 @@ impl StreamingRunner {
     /// The default is `usize::MAX` (keep everything). Shrinking the window
     /// on a runner that already holds more entries evicts immediately.
     ///
+    /// The same window bounds the [serve timeline](Self::serve_timeline):
+    /// it keeps the most recent `window` rounds and drops older ones
+    /// (without a digest — serve rounds are not checkpointed).
+    ///
     /// [`batches_ingested`]: StreamingRunner::batches_ingested
     ///
     /// # Panics
@@ -263,6 +267,7 @@ impl StreamingRunner {
         assert!(window > 0, "timeline window must retain at least one entry");
         self.timeline_window = window;
         self.evict_timeline_overflow();
+        self.evict_serve_overflow();
         self
     }
 
@@ -274,6 +279,16 @@ impl StreamingRunner {
         }
         for stats in self.timeline.drain(..excess) {
             self.timeline_digest = fold_timeline_digest(self.timeline_digest, &stats);
+        }
+    }
+
+    /// Drops serve rounds past the window, oldest first. The serve
+    /// timeline is outside the checkpoint wire format, so unlike the
+    /// ingest timeline there is no digest to fold evicted rounds into.
+    fn evict_serve_overflow(&mut self) {
+        if let Some(phase) = self.serve.as_mut() {
+            let excess = phase.timeline.len().saturating_sub(self.timeline_window);
+            phase.timeline.drain(..excess);
         }
     }
 
@@ -289,7 +304,10 @@ impl StreamingRunner {
     /// read-only against the fresh `(graph, partitioning)` snapshot (round
     /// index = batch index, parallelism = the partitioner's configured
     /// [`parallelism`](crate::AdaptiveConfig::parallelism)), and its
-    /// [`ServeStats`] appended to [`StreamingRunner::serve_timeline`].
+    /// [`ServeStats`] appended to [`StreamingRunner::serve_timeline`] —
+    /// which retains the most recent
+    /// [`timeline_window`](StreamingRunner::timeline_window) rounds, like
+    /// the ingest timeline (everything, at the default window).
     ///
     /// In debug builds every serve round is followed by a full
     /// [`AdaptivePartitioner::audit`] plus active-set and cut checks,
@@ -405,10 +423,14 @@ impl StreamingRunner {
             );
             partitioner.audit();
         }
+        self.evict_serve_overflow();
     }
 
     /// The per-round serving timeline, oldest first (empty when no
-    /// [workload is attached](StreamingRunner::serve_workload)).
+    /// [workload is attached](StreamingRunner::serve_workload)). Holds the
+    /// most recent [`timeline_window`](StreamingRunner::timeline_window)
+    /// rounds; each round's `round` field is its global batch index, so a
+    /// windowed suffix still says which batches it covers.
     pub fn serve_timeline(&self) -> &[ServeStats] {
         self.serve.as_ref().map_or(&[], |phase| &phase.timeline)
     }
@@ -722,6 +744,49 @@ mod tests {
         let without = run(false);
         assert!(without.serve_timeline().is_empty());
         assert_eq!(with_serve.timeline(), without.timeline());
+    }
+
+    #[test]
+    fn serve_timeline_honours_the_timeline_window() {
+        use apg_serve::{QueryMix, QueryWorkload};
+        const BATCHES: usize = 200;
+        const WINDOW: usize = 16;
+        let config = CdrConfig {
+            initial_subscribers: 200,
+            ..CdrConfig::default()
+        };
+        let graph = DynGraph::with_vertices(config.initial_subscribers);
+        let run = |window: Option<usize>| {
+            let mut r = runner(&graph, 3, 1, 21)
+                .iterations_per_batch(1)
+                .serve_workload(QueryWorkload::new(QueryMix::Uniform, 8, 3));
+            if let Some(w) = window {
+                r = r.timeline_window(w);
+            }
+            assert_eq!(r.drive(&mut CdrStream::new(config, 21), BATCHES), BATCHES);
+            r
+        };
+        let full = run(None);
+        assert_eq!(full.serve_timeline().len(), BATCHES, "default keeps all");
+        let mut windowed = run(Some(WINDOW));
+        assert_eq!(windowed.timeline().len(), WINDOW);
+        assert_eq!(windowed.serve_timeline().len(), WINDOW);
+        // The newest rounds, unchanged by the eviction of older ones.
+        assert_eq!(
+            windowed.serve_timeline(),
+            &full.serve_timeline()[BATCHES - WINDOW..]
+        );
+        assert_eq!(
+            windowed.serve_timeline()[0].round,
+            (BATCHES - WINDOW) as u64
+        );
+        // Shrinking the window evicts serve rounds at once, as it does
+        // ingest entries.
+        windowed = windowed.timeline_window(4);
+        assert_eq!(
+            windowed.serve_timeline(),
+            &full.serve_timeline()[BATCHES - 4..]
+        );
     }
 
     #[test]

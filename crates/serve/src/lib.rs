@@ -21,10 +21,21 @@
 //!   sweep uses — never by thread — so a served workload is byte-identical
 //!   at any parallelism level.
 //! * [`QueryRouter`] — answers queries read-only over a borrowed graph +
-//!   assignment snapshot and aggregates per-round [`ServeStats`]; fan-out
-//!   over queries uses the ordered [`apg_exec::fanout`] primitive, keeping
-//!   the aggregate a pure function of `(graph, assignment, workload,
-//!   round)`.
+//!   assignment snapshot and aggregates per-round [`ServeStats`]; a round
+//!   fans out over contiguous ranges of query indices through the ordered
+//!   [`apg_exec::fanout`] primitive and sums the per-range partials,
+//!   keeping the aggregate a pure function of `(graph, assignment,
+//!   workload, round)`.
+//!
+//! A query costs what it visits, not what the graph holds. Traversals
+//! deeper than one hop run one kernel on a [`TraversalScratch`]: a visited
+//! bitset (an eighth of a byte per vertex slot) and one flat buffer that is
+//! at once the frontier, the discovery-ordered result and the undo list
+//! that clears exactly the bits the query set — so a worker allocates its
+//! scratch once per round and each query's cost is O(vertices visited +
+//! edges scanned). Depth 1 needs no scratch at all: adjacency lists are
+//! sorted, duplicate-free and loop-free, so a neighborhood read *is* the
+//! anchor's neighbour list.
 //!
 //! `apg-core`'s `StreamingRunner` interleaves one serve round per ingested
 //! batch, producing a `ServeStats` timeline alongside the ingestion
@@ -63,6 +74,6 @@ pub mod stats;
 pub mod workload;
 
 pub use query::{Query, QueryKind, QueryOutcome};
-pub use router::QueryRouter;
+pub use router::{QueryRouter, TraversalScratch};
 pub use stats::ServeStats;
 pub use workload::{QueryMix, QueryWorkload};

@@ -1,16 +1,112 @@
 //! The query router: read-only execution over a partitioned graph
 //! snapshot.
 
-use std::collections::VecDeque;
 use std::time::Instant;
 
-use apg_exec::fanout;
+use apg_exec::{fanout, ShardPlan};
 use apg_graph::{DynGraph, Graph, VertexId};
 use apg_partition::Partitioning;
 
 use crate::query::{Query, QueryOutcome};
 use crate::stats::ServeStats;
 use crate::workload::QueryWorkload;
+
+/// Reusable working memory of the traversal kernel: a visited bitset (one
+/// bit per vertex slot — 14 KB at 116 k slots, so it stays cache-resident)
+/// and one flat vertex buffer.
+///
+/// The buffer is the whole traversal state: `buf[0]` is the anchor,
+/// `buf[1..len]` the discovered vertices in breadth-first discovery order,
+/// each level a contiguous index range that is the next level's frontier.
+/// After a query the same buffer is the undo list — only the bits it names
+/// are cleared — so a query costs O(vertices visited + edges
+/// scanned) however large the graph is, and the bitset is all-zero between
+/// queries (see [`TraversalScratch::is_clear`]).
+///
+/// A scratch is sized on first use and grows with the graph, so one scratch
+/// can serve any sequence of queries against any sequence of snapshots.
+/// [`QueryRouter::serve_round`] builds one per worker;
+/// [`QueryRouter::answer_with`] lets a caller that answers many queries
+/// one at a time do the same.
+#[derive(Debug, Clone, Default)]
+pub struct TraversalScratch {
+    /// Visited bitset: bit `v % 64` of word `v / 64`.
+    visited: Vec<u64>,
+    /// Anchor, then discovered vertices. Kept at its high-water length (the
+    /// live prefix is tracked by the kernel) so growing ahead of a
+    /// neighbour list is a length check, not a fill.
+    buf: Vec<VertexId>,
+}
+
+impl TraversalScratch {
+    /// An empty scratch; it sizes itself to the graph on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether every visited bit is clear — true between any two queries.
+    /// The kernel's undo pass is what keeps one query's visits from leaking
+    /// into the next; tests pin it through this.
+    pub fn is_clear(&self) -> bool {
+        self.visited.iter().all(|&word| word == 0)
+    }
+
+    /// The traversal kernel: every vertex within `k` hops of `anchor`
+    /// (anchor excluded) in breadth-first discovery order. Neighbour lists
+    /// are sorted, so discovery order — and with it every outcome — is
+    /// deterministic.
+    ///
+    /// Runs level by level over index ranges of the flat buffer, appending
+    /// each newly discovered vertex. The inner scan is branch-light: every
+    /// scanned neighbour is stored at the write position and the position
+    /// advances only when its bit was clear, so an already-seen vertex is
+    /// simply overwritten by the next store.
+    fn traverse(&mut self, graph: &DynGraph, anchor: VertexId, k: usize) -> &[VertexId] {
+        let words = graph.num_vertices().div_ceil(64);
+        if self.visited.len() < words {
+            self.visited.resize(words, 0);
+        }
+        let visited = &mut self.visited[..];
+        match self.buf.first_mut() {
+            Some(first) => *first = anchor,
+            None => self.buf.push(anchor),
+        }
+        visited[anchor as usize / 64] |= 1 << (anchor % 64);
+        let mut len = 1;
+        let mut level = 0..1;
+        for _ in 0..k {
+            if level.is_empty() {
+                break;
+            }
+            for i in level.clone() {
+                let neighbors = graph.neighbors(self.buf[i]);
+                // Grow ahead of the whole list so the scan below never
+                // reallocates; doubling keeps growth amortised.
+                if self.buf.len() < len + neighbors.len() {
+                    let grown = (len + neighbors.len()).next_power_of_two();
+                    self.buf.resize(grown, 0);
+                }
+                let out = &mut self.buf[len..len + neighbors.len()];
+                let mut new = 0;
+                for &w in neighbors {
+                    let word = &mut visited[w as usize / 64];
+                    let bit = 1u64 << (w % 64);
+                    out[new] = w;
+                    new += usize::from(*word & bit == 0);
+                    *word |= bit;
+                }
+                len += new;
+            }
+            level = level.end..len;
+        }
+        // Undo: the buffer names every bit this traversal set, and only
+        // those.
+        for &v in &self.buf[..len] {
+            visited[v as usize / 64] &= !(1 << (v % 64));
+        }
+        &self.buf[1..len]
+    }
+}
 
 /// Routes queries to their anchor's serving domain and executes them
 /// against a borrowed `(graph, assignment)` snapshot.
@@ -30,7 +126,9 @@ pub struct QueryRouter<'a> {
 
 impl<'a> QueryRouter<'a> {
     /// A router over the given snapshot. The assignment must cover every
-    /// vertex slot of the graph (checked on each query in debug builds).
+    /// vertex slot of the graph (checked here, once, in debug builds;
+    /// a short assignment panics on the first query that reaches an
+    /// uncovered slot in any build).
     pub fn new(graph: &'a DynGraph, assignment: &'a Partitioning) -> Self {
         debug_assert!(
             assignment.num_vertices() >= graph.num_vertices(),
@@ -44,23 +142,49 @@ impl<'a> QueryRouter<'a> {
     /// Answers one query. Tombstoned anchors yield
     /// [`QueryOutcome::missing`]; the query stream may race with removals,
     /// so this is an expected outcome, not an error.
+    ///
+    /// Builds a one-off [`TraversalScratch`] (allocated only if the query
+    /// traverses deeper than one hop); callers answering many queries
+    /// should keep one and use [`QueryRouter::answer_with`].
     pub fn answer(&self, query: &Query) -> QueryOutcome {
+        self.answer_with(&mut TraversalScratch::new(), query)
+    }
+
+    /// [`QueryRouter::answer`] on a caller-held scratch: the same outcome,
+    /// at a cost proportional to what the query visits. The scratch is left
+    /// clear, so any sequence of queries may share it.
+    pub fn answer_with(&self, scratch: &mut TraversalScratch, query: &Query) -> QueryOutcome {
         let anchor = query.anchor();
         if !self.graph.is_vertex(anchor) {
             return QueryOutcome::missing();
         }
-        match *query {
-            Query::VertexLookup(_) => QueryOutcome {
-                found: true,
-                result_size: 1,
-                hops: 0,
-                local_hops: 0,
-            },
+        // Each *discovered* vertex is one hop — a traversal fetches every
+        // discovered vertex exactly once, from whichever partition owns it.
+        let reached = match *query {
+            Query::VertexLookup(_) => {
+                return QueryOutcome {
+                    found: true,
+                    result_size: 1,
+                    hops: 0,
+                    local_hops: 0,
+                }
+            }
             // A neighborhood read is exactly a 1-hop traversal; routing
-            // both through the same BFS keeps the accounting semantics
-            // identical by construction.
-            Query::Neighborhood(_) => self.k_hop(anchor, 1),
-            Query::KHop { k, .. } => self.k_hop(anchor, k),
+            // both through `reach` keeps the accounting semantics identical
+            // by construction.
+            Query::Neighborhood(_) => self.reach(scratch, anchor, 1),
+            Query::KHop { k, .. } => self.reach(scratch, anchor, k),
+        };
+        let labels = self.assignment.as_slice();
+        let home = labels[anchor as usize];
+        QueryOutcome {
+            found: true,
+            result_size: reached.len(),
+            hops: reached.len(),
+            local_hops: reached
+                .iter()
+                .filter(|&&v| labels[v as usize] == home)
+                .count(),
         }
     }
 
@@ -71,65 +195,49 @@ impl<'a> QueryRouter<'a> {
         if !self.graph.is_vertex(anchor) {
             return Vec::new();
         }
-        let mut reached = Vec::new();
-        self.bfs(anchor, k, |v, _| reached.push(v));
-        reached
+        self.reach(&mut TraversalScratch::new(), anchor, k).to_vec()
     }
 
-    /// Bounded BFS with hop accounting. Each *discovered* vertex is one
-    /// hop — a traversal fetches every discovered vertex exactly once, from
-    /// whichever partition owns it.
-    fn k_hop(&self, anchor: VertexId, k: usize) -> QueryOutcome {
-        let home = self.assignment.partition_of(anchor);
-        let mut outcome = QueryOutcome {
-            found: true,
-            result_size: 0,
-            hops: 0,
-            local_hops: 0,
-        };
-        self.bfs(anchor, k, |v, _| {
-            outcome.result_size += 1;
-            outcome.hops += 1;
-            if self.assignment.partition_of(v) == home {
-                outcome.local_hops += 1;
-            }
-        });
-        outcome
-    }
-
-    /// Breadth-first traversal to depth `k`, invoking `visit(vertex,
-    /// depth)` once per discovered vertex (anchor excluded), in discovery
-    /// order. Neighbour lists are sorted, so discovery order — and with it
-    /// every outcome — is deterministic.
-    fn bfs(&self, anchor: VertexId, k: usize, mut visit: impl FnMut(VertexId, usize)) {
-        if k == 0 {
-            return;
-        }
-        let mut seen = vec![false; self.graph.num_vertices()];
-        seen[anchor as usize] = true;
-        let mut frontier = VecDeque::new();
-        frontier.push_back((anchor, 0usize));
-        while let Some((v, depth)) = frontier.pop_front() {
-            for &w in self.graph.neighbors(v) {
-                if seen[w as usize] {
-                    continue;
-                }
-                seen[w as usize] = true;
-                visit(w, depth + 1);
-                if depth + 1 < k {
-                    frontier.push_back((w, depth + 1));
-                }
-            }
+    /// The vertices within `k` hops of a live `anchor`, in discovery order.
+    ///
+    /// Depth 1 touches no scratch: adjacency is sorted, duplicate-free and
+    /// loop-free (`DynGraph::add_edge` rejects both), so the anchor's
+    /// neighbour list *is* the breadth-first result. Deeper traversals run
+    /// the one kernel.
+    fn reach<'s>(
+        &'s self,
+        scratch: &'s mut TraversalScratch,
+        anchor: VertexId,
+        k: usize,
+    ) -> &'s [VertexId] {
+        match k {
+            0 => &[],
+            1 => self.graph.neighbors(anchor),
+            _ => scratch.traverse(self.graph, anchor, k),
         }
     }
 
     /// Serves one round of `workload` and aggregates the outcomes.
     ///
-    /// Queries are generated for `round`, answered with up to `parallelism`
-    /// threads via the ordered [`fanout`] primitive, and folded into
-    /// [`ServeStats`] in query order — so the result is identical at every
-    /// parallelism level (only `wall_ms`, which equality ignores, may
-    /// differ).
+    /// The round's query indices `0..queries_per_round` are split into one
+    /// contiguous range per worker (up to `parallelism` of them, via the
+    /// ordered [`fanout`] primitive). Each worker builds one
+    /// [`TraversalScratch`], generates each of its queries from that
+    /// query's own `(seed, query, round)` stream, answers it and folds the
+    /// outcome into a partial [`ServeStats`]; the partials are then summed.
+    /// No per-query collection is ever built.
+    ///
+    /// Every deterministic field of [`ServeStats`] is an integer sum over
+    /// the round's queries, and a query's outcome depends only on its own
+    /// index — not on the worker that ran it or on the queries before it
+    /// (the scratch is clear between queries). Integer addition is
+    /// associative and commutative, so the total is independent of how the
+    /// indices were split: the result is identical at every parallelism
+    /// level (only `wall_ms`, which equality ignores, may differ).
+    ///
+    /// A workload with no live vertex to anchor on, or with all-zero
+    /// [`kind_weights`](QueryWorkload::kind_weights), serves an empty round
+    /// (`queries == 0`).
     pub fn serve_round(
         &self,
         workload: &QueryWorkload,
@@ -137,15 +245,26 @@ impl<'a> QueryRouter<'a> {
         parallelism: usize,
     ) -> ServeStats {
         let started = Instant::now();
-        let queries = workload.generate(self.graph, round);
-        let kinds: Vec<_> = queries.iter().map(|q| q.kind()).collect();
-        let outcomes = fanout::map_items(parallelism, queries, |_, q| self.answer(&q));
         let mut stats = ServeStats {
             round,
             ..ServeStats::default()
         };
-        for (kind, outcome) in kinds.iter().zip(&outcomes) {
-            stats.absorb(*kind, outcome);
+        let total = workload.round_len(self.graph);
+        if total > 0 {
+            let workers = parallelism.clamp(1, total);
+            let plan = ShardPlan::new(total, total.div_ceil(workers));
+            let partials = fanout::map_shards(parallelism, &plan, |_, range| {
+                let mut scratch = TraversalScratch::new();
+                let mut partial = ServeStats::default();
+                for q in range {
+                    let query = workload.generate_one(self.graph, q as u64, round);
+                    partial.absorb(query.kind(), &self.answer_with(&mut scratch, &query));
+                }
+                partial
+            });
+            for partial in &partials {
+                stats.merge(partial);
+            }
         }
         stats.wall_ms = started.elapsed().as_secs_f64() * 1e3;
         stats
@@ -252,6 +371,38 @@ mod tests {
         assert_eq!(r.k_hop_vertices(0, 1), vec![1, 2]);
         assert_eq!(r.k_hop_vertices(0, 2), vec![1, 2, 5]);
         assert_eq!(r.k_hop_vertices(0, 9), vec![1, 2, 5, 3, 4]);
+    }
+
+    #[test]
+    fn zero_weight_workload_serves_an_empty_round() {
+        let (g, p) = bridged_triangles();
+        let r = QueryRouter::new(&g, &p);
+        let mut w = QueryWorkload::new(QueryMix::Uniform, 64, 11);
+        w.kind_weights = [0, 0, 0];
+        for parallelism in [1, 4] {
+            let stats = r.serve_round(&w, 2, parallelism);
+            assert_eq!((stats.queries, stats.hops, stats.round), (0, 0, 2));
+        }
+        let empty = DynGraph::new();
+        let none = Partitioning::from_assignment(Vec::new(), 2);
+        let w = QueryWorkload::new(QueryMix::Uniform, 64, 11);
+        assert_eq!(
+            QueryRouter::new(&empty, &none)
+                .serve_round(&w, 0, 4)
+                .queries,
+            0
+        );
+    }
+
+    #[test]
+    fn the_kernel_agrees_with_the_depth_one_fast_path() {
+        let (g, _) = bridged_triangles();
+        let mut scratch = TraversalScratch::new();
+        for v in 0..6 {
+            assert_eq!(scratch.traverse(&g, v, 1), g.neighbors(v), "anchor {v}");
+            assert!(scratch.traverse(&g, v, 0).is_empty());
+            assert!(scratch.is_clear());
+        }
     }
 
     #[test]

@@ -6,9 +6,12 @@ use crate::query::{QueryKind, QueryOutcome};
 
 /// Aggregate outcome of one served round.
 ///
-/// Built by `QueryRouter::serve_round` as a fold over per-query
-/// [`QueryOutcome`]s in query order, so it is a pure function of
-/// `(graph, assignment, workload, round)` — parallelism never shows in it.
+/// Built by `QueryRouter::serve_round` as a sum of per-worker partials,
+/// each a fold ([`ServeStats::absorb`]) over a contiguous range of the
+/// round's queries. Every field but `round` and `wall_ms` is an integer sum
+/// over queries, so the total does not depend on how the round was split:
+/// it is a pure function of `(graph, assignment, workload, round)` —
+/// parallelism never shows in it.
 /// The one observational field, `wall_ms`, is excluded from equality (the
 /// same convention as `apg-core`'s `TimelineStats`): two rounds compare
 /// equal iff their deterministic fields agree.
@@ -53,6 +56,20 @@ impl ServeStats {
         self.hops += outcome.hops;
         self.local_hops += outcome.local_hops;
         self.vertices_reached += outcome.result_size;
+    }
+
+    /// Adds another partial's counts into this one. `round` and `wall_ms`
+    /// describe the round as a whole, not a share of its queries, and are
+    /// left alone.
+    pub fn merge(&mut self, partial: &ServeStats) {
+        self.queries += partial.queries;
+        self.lookups += partial.lookups;
+        self.neighborhoods += partial.neighborhoods;
+        self.khops += partial.khops;
+        self.misses += partial.misses;
+        self.hops += partial.hops;
+        self.local_hops += partial.local_hops;
+        self.vertices_reached += partial.vertices_reached;
     }
 
     /// Hops that crossed a partition boundary.
@@ -135,6 +152,49 @@ mod tests {
         assert_eq!(s.misses, 1);
         assert_eq!((s.hops, s.local_hops, s.remote_hops()), (5, 3, 2));
         assert_eq!(s.vertices_reached, 6);
+    }
+
+    #[test]
+    fn merging_partials_equals_one_fold() {
+        let reached = |hops, local_hops| QueryOutcome {
+            found: true,
+            result_size: hops,
+            hops,
+            local_hops,
+        };
+        let outcomes = [
+            (QueryKind::KHop, reached(5, 3)),
+            (QueryKind::Neighborhood, QueryOutcome::missing()),
+            (QueryKind::Neighborhood, reached(2, 2)),
+            (QueryKind::KHop, reached(9, 1)),
+        ];
+        let mut whole = ServeStats {
+            round: 7,
+            ..ServeStats::default()
+        };
+        for (kind, outcome) in &outcomes {
+            whole.absorb(*kind, outcome);
+        }
+        for split in 0..=outcomes.len() {
+            let mut merged = ServeStats {
+                round: 7,
+                wall_ms: 2.5,
+                ..ServeStats::default()
+            };
+            for part in [&outcomes[..split], &outcomes[split..]] {
+                let mut partial = ServeStats::default();
+                for (kind, outcome) in part {
+                    partial.absorb(*kind, outcome);
+                }
+                merged.merge(&partial);
+            }
+            assert_eq!(merged.deterministic_fields(), whole.deterministic_fields());
+            assert_eq!(
+                (merged.round, merged.wall_ms),
+                (7, 2.5),
+                "merge owns only the counts"
+            );
+        }
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl QueryWorkload {
     /// Panics if all three weights are zero.
     pub fn weights(mut self, lookup: u32, neighborhood: u32, khop: u32) -> Self {
         assert!(
-            lookup + neighborhood + khop > 0,
+            lookup != 0 || neighborhood != 0 || khop != 0,
             "at least one query kind must have weight"
         );
         self.kind_weights = [lookup, neighborhood, khop];
@@ -129,25 +129,45 @@ impl QueryWorkload {
     /// Generates round `round`'s queries against the current graph.
     ///
     /// Pure in `(graph, seed, round)`: query `q` draws only from its own
-    /// `(seed, q, round)` RNG stream. An empty graph yields an empty round.
+    /// `(seed, q, round)` RNG stream. A graph with no live vertex yields an
+    /// empty round, and so do all-zero [`kind_weights`] (the field is
+    /// public, so [`QueryWorkload::weights`]' assert can be bypassed): with
+    /// no kind to draw there is no query to generate.
+    ///
+    /// [`kind_weights`]: QueryWorkload::kind_weights
     pub fn generate(&self, graph: &DynGraph, round: u64) -> Vec<Query> {
-        if graph.num_live_vertices() == 0 {
-            return Vec::new();
-        }
-        (0..self.queries_per_round as u64)
+        (0..self.round_len(graph) as u64)
             .map(|q| self.generate_one(graph, q, round))
             .collect()
     }
 
-    /// Generates the single query with index `q` of round `round`.
-    fn generate_one(&self, graph: &DynGraph, q: u64, round: u64) -> Query {
+    /// Queries a round against `graph` holds: `queries_per_round`, or 0
+    /// when there is no live vertex to anchor on or no query kind has
+    /// weight. Decided once per round, so [`QueryWorkload::generate_one`]
+    /// may assume both.
+    pub(crate) fn round_len(&self, graph: &DynGraph) -> usize {
+        if graph.num_live_vertices() == 0 || self.total_weight() == 0 {
+            0
+        } else {
+            self.queries_per_round
+        }
+    }
+
+    /// Sum of the three kind weights, in `u64` so that it cannot overflow.
+    fn total_weight(&self) -> u64 {
+        self.kind_weights.iter().map(|&w| u64::from(w)).sum()
+    }
+
+    /// Generates the single query with index `q` of round `round`. The
+    /// caller has checked [`QueryWorkload::round_len`] is non-zero.
+    pub(crate) fn generate_one(&self, graph: &DynGraph, q: u64, round: u64) -> Query {
         let mut rng = vertex_rng(self.seed ^ QUERY_SALT, q, round);
         let anchor = self.pick_anchor(graph, &mut rng);
-        let [wl, wn, wk] = self.kind_weights;
-        let roll = rng.gen_range(0..(wl + wn + wk));
-        if roll < wl {
+        let [lookup, neighborhood, _] = self.kind_weights.map(u64::from);
+        let roll = rng.gen_range(0..self.total_weight());
+        if roll < lookup {
             Query::VertexLookup(anchor)
-        } else if roll < wl + wn {
+        } else if roll < lookup + neighborhood {
             Query::Neighborhood(anchor)
         } else {
             Query::KHop {
@@ -331,6 +351,33 @@ mod tests {
     #[should_panic(expected = "at least one query kind")]
     fn zero_weights_are_rejected() {
         let _ = QueryWorkload::new(QueryMix::Uniform, 10, 1).weights(0, 0, 0);
+    }
+
+    #[test]
+    fn zero_total_weight_is_an_empty_round_not_a_panic() {
+        // The field is public, so the builder's assert can be bypassed.
+        let g = star_graph(20);
+        let mut w = QueryWorkload::new(QueryMix::Uniform, 10, 1);
+        w.kind_weights = [0, 0, 0];
+        assert!(w.generate(&g, 0).is_empty());
+        assert_eq!(w.round_len(&g), 0);
+    }
+
+    #[test]
+    fn weights_past_u32_range_do_not_overflow() {
+        let g = star_graph(20);
+        let w = QueryWorkload::new(QueryMix::Uniform, 300, 4).weights(u32::MAX, u32::MAX, u32::MAX);
+        let queries = w.generate(&g, 0);
+        assert_eq!(queries.len(), 300);
+        // Equal weights: each kind draws about a third of the round.
+        for kind in [
+            crate::QueryKind::VertexLookup,
+            crate::QueryKind::Neighborhood,
+            crate::QueryKind::KHop,
+        ] {
+            let share = queries.iter().filter(|q| q.kind() == kind).count();
+            assert!((60..=140).contains(&share), "{kind:?}: {share}/300");
+        }
     }
 
     #[test]

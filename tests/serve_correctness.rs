@@ -1,6 +1,6 @@
 //! Correctness and determinism of the partition-aware serving layer.
 //!
-//! Two contracts:
+//! Three contracts:
 //!
 //! 1. **Traversal correctness** — `Query::KHop` answered by the router is
 //!    equivalent to a brute-force BFS over the same snapshot: the same
@@ -12,6 +12,12 @@
 //!    serve phase produces a byte-identical `ServeStats` timeline at
 //!    `parallelism` = 1, 2 and 8 (same pinning style as
 //!    `streaming_determinism.rs`).
+//! 3. **A round is the fold of its queries** — `serve_round`, which
+//!    generates and answers inside its workers on a reused
+//!    `TraversalScratch`, equals folding the public per-query API
+//!    (`generate` then `answer`) in order, at even and uneven splits; and a
+//!    reused scratch leaks nothing from one query into the next, across
+//!    graph growth included.
 
 use std::collections::BTreeSet;
 
@@ -19,8 +25,9 @@ use proptest::prelude::*;
 
 use apg::core::{AdaptiveConfig, AdaptivePartitioner, StreamingRunner};
 use apg::graph::{DynGraph, Graph, UpdateBatch, VertexId};
-use apg::partition::InitialStrategy;
+use apg::partition::{InitialStrategy, Partitioning};
 use apg::prelude::{Query, QueryMix, QueryRouter, QueryWorkload, ServeStats};
+use apg::serve::TraversalScratch;
 use apg::streams::{CdrConfig, CdrStream};
 
 /// Reference implementation: plain BFS to depth `k`, no shared code with
@@ -155,6 +162,193 @@ proptest! {
             );
         }
     }
+
+    /// On every churned snapshot, for every mix, `serve_round` equals the
+    /// public per-query API folded in query order — at parallelism 1, 2, 3
+    /// (uneven ranges) and 8. Pins in-worker generation, scratch reuse and
+    /// range folding against `generate` + `answer`.
+    #[test]
+    fn serve_round_is_the_fold_of_its_queries(
+        n in 4usize..40,
+        edges in proptest::collection::vec((0u32..40, 0u32..40), 1..120),
+        ops in proptest::collection::vec((0u8..5, 0u32..64, 0u32..64), 0..60),
+        queries in 0usize..50,
+        k in 0usize..4,
+        seed in 0u64..500,
+    ) {
+        let mut graph = DynGraph::with_vertices(n);
+        for &(u, v) in &edges {
+            if (u as usize) < n && (v as usize) < n {
+                graph.add_edge(u, v);
+            }
+        }
+        let config = AdaptiveConfig::builder(3).parallelism(1).build().unwrap();
+        let mut partitioner =
+            AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &config, seed);
+
+        for (round, batch) in batches_from_ops(&ops, n, 16).iter().enumerate() {
+            let round = round as u64;
+            partitioner.apply_batch(batch);
+            partitioner.iterate();
+            let g = partitioner.graph();
+            let router = QueryRouter::new(g, partitioner.partitioning());
+            for mix in [QueryMix::Uniform, QueryMix::DegreeBiased, QueryMix::CommunityBiased] {
+                let workload = QueryWorkload::new(mix, queries, seed ^ 0xF01D).khop_depth(k);
+                let mut folded = ServeStats { round, ..ServeStats::default() };
+                for query in workload.generate(g, round) {
+                    folded.absorb(query.kind(), &router.answer(&query));
+                }
+                for parallelism in [1, 2, 3, 8] {
+                    let served = router.serve_round(&workload, round, parallelism);
+                    prop_assert_eq!(
+                        served.deterministic_fields(),
+                        folded.deterministic_fields(),
+                        "{:?} round {} parallelism {}", mix, round, parallelism
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A hub (vertex 0) with eight spokes, each spoke the head of a three-vertex
+/// tail, plus a ring through the spokes so neighbourhoods overlap; vertex 40
+/// is tombstoned. Diameter well under 20.
+fn hub_graph() -> (DynGraph, Partitioning) {
+    let mut g = DynGraph::with_vertices(48);
+    for spoke in 1..=8u32 {
+        g.add_edge(0, spoke);
+        g.add_edge(spoke, spoke % 8 + 1);
+        let tail = 8 + (spoke - 1) * 3;
+        g.add_edge(spoke, tail + 1);
+        g.add_edge(tail + 1, tail + 2);
+        g.add_edge(tail + 2, tail + 3);
+    }
+    g.add_edge(40, 0);
+    g.add_edge(40, 41);
+    g.remove_vertex(40);
+    let p = Partitioning::from_assignment((0..48).map(|v| v % 4).collect(), 4);
+    (g, p)
+}
+
+/// One scratch answering a shuffled sequence of overlapping queries gives
+/// the outcomes a fresh scratch gives each time, and is all-clear after
+/// every query: the undo pass leaks no visited bit into the next query.
+#[test]
+fn scratch_reuse_leaks_nothing_between_queries() {
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+
+    let (g, p) = hub_graph();
+    let router = QueryRouter::new(&g, &p);
+    let mut queries = vec![
+        Query::KHop { anchor: 0, k: 2 },
+        Query::KHop { anchor: 0, k: 3 },
+        Query::KHop { anchor: 0, k: 2 },  // the hub again
+        Query::KHop { anchor: 40, k: 2 }, // tombstoned
+        Query::Neighborhood(40),
+        Query::KHop { anchor: 0, k: 0 },
+        Query::KHop { anchor: 5, k: 0 },
+        Query::KHop {
+            anchor: 0,
+            k: 1_000,
+        }, // far past the diameter
+        Query::KHop {
+            anchor: 32,
+            k: 1_000,
+        },
+        Query::KHop { anchor: 41, k: 5 }, // isolated since 40 was removed
+        Query::VertexLookup(0),
+        Query::Neighborhood(0),
+    ];
+    for spoke in 1..=8 {
+        queries.push(Query::KHop {
+            anchor: spoke,
+            k: 2,
+        });
+        queries.push(Query::KHop {
+            anchor: spoke,
+            k: 4,
+        });
+        queries.push(Query::Neighborhood(spoke));
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let mut shared = TraversalScratch::new();
+    for pass in 0..4 {
+        queries.shuffle(&mut rng);
+        for query in &queries {
+            let reused = router.answer_with(&mut shared, query);
+            assert_eq!(reused, router.answer(query), "pass {pass}: {query:?}");
+            assert!(shared.is_clear(), "pass {pass}: {query:?} left bits set");
+            if let Query::KHop { anchor, k } = *query {
+                assert_eq!(reused.hops, brute_force_khop(&g, anchor, k).len());
+            }
+        }
+    }
+}
+
+/// A router built after the graph grew answers anchors in the new slots —
+/// with a fresh scratch and with one last used on the smaller snapshot
+/// (its bitset was sized for fewer slots and must grow, across a 64-bit
+/// word boundary here).
+#[test]
+fn router_after_growth_answers_anchors_in_new_slots() {
+    const BASE: usize = 60;
+    let mut graph = DynGraph::with_vertices(BASE);
+    for v in 1..BASE as VertexId {
+        graph.add_edge(v - 1, v);
+    }
+    let config = AdaptiveConfig::builder(3).parallelism(1).build().unwrap();
+    let mut partitioner =
+        AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &config, 5);
+    let workload = QueryWorkload::new(QueryMix::Uniform, 40, 9).khop_depth(3);
+
+    let mut carried = TraversalScratch::new();
+    {
+        let router = QueryRouter::new(partitioner.graph(), partitioner.partitioning());
+        let before = router.serve_round(&workload, 0, 2);
+        assert_eq!(before.queries, 40);
+        let warm = Query::KHop { anchor: 30, k: 3 };
+        assert_eq!(
+            router.answer_with(&mut carried, &warm),
+            router.answer(&warm)
+        );
+    }
+
+    // 100 new vertices, each attached to an old vertex and chained to the
+    // previous new one: slots 60..160, past the first two bitset words.
+    let mut batch = UpdateBatch::new();
+    for i in 0..100usize {
+        batch.add_vertex(vec![(i % BASE) as VertexId]);
+        if i > 0 {
+            batch.connect_new(i - 1, i);
+        }
+    }
+    partitioner.apply_batch(&batch);
+    partitioner.iterate();
+    let g = partitioner.graph();
+    assert_eq!(g.num_vertices(), BASE + 100);
+
+    let router = QueryRouter::new(g, partitioner.partitioning());
+    for anchor in [60, 63, 64, 100, 127, 128, 159] {
+        for k in [1, 2, 4] {
+            let reference = brute_force_khop(g, anchor, k);
+            assert!(!reference.is_empty());
+            let reached: BTreeSet<VertexId> =
+                router.k_hop_vertices(anchor, k).into_iter().collect();
+            assert_eq!(reached, reference, "anchor {anchor} depth {k}");
+            let query = Query::KHop { anchor, k };
+            assert_eq!(router.answer(&query).hops, reference.len());
+            assert_eq!(
+                router.answer_with(&mut carried, &query),
+                router.answer(&query)
+            );
+            assert!(carried.is_clear());
+        }
+    }
+    let after = router.serve_round(&workload, 1, 2);
+    assert_eq!(after, router.serve_round(&workload, 1, 1));
+    assert_eq!(after.queries, 40);
 }
 
 /// One streaming run with an interleaved serve phase; returns the serve
