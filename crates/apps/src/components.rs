@@ -117,7 +117,7 @@ mod tests {
         use apg_core::AdaptiveConfig;
         let g = gen::mesh3d(5, 5, 5);
         let mut e = EngineBuilder::new(5)
-            .adaptive(AdaptiveConfig::new(5).willingness(1.0))
+            .adaptive(AdaptiveConfig::builder(5).willingness(1.0).build().unwrap())
             .seed(3)
             .build(&g, ConnectedComponents::new());
         e.run_until_halt(60);

@@ -121,7 +121,7 @@ mod tests {
         use apg_core::AdaptiveConfig;
         let g = gen::mesh3d(4, 4, 4);
         let mut e = EngineBuilder::new(4)
-            .adaptive(AdaptiveConfig::new(4).willingness(1.0))
+            .adaptive(AdaptiveConfig::builder(4).willingness(1.0).build().unwrap())
             .seed(9)
             .build(&g, Sssp::new(0));
         e.run_until_halt(40);

@@ -21,11 +21,17 @@ fn bench_quota_rule(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_quota_rule");
     g.sample_size(10);
     g.bench_function("per_source_split", |b| {
-        let cfg = AdaptiveConfig::new(9).quota_rule(QuotaRule::PerSourceSplit);
+        let cfg = AdaptiveConfig::builder(9)
+            .quota_rule(QuotaRule::PerSourceSplit)
+            .build()
+            .unwrap();
         b.iter(|| run_40(&cfg, 1));
     });
     g.bench_function("unbounded", |b| {
-        let cfg = AdaptiveConfig::new(9).quota_rule(QuotaRule::Unbounded);
+        let cfg = AdaptiveConfig::builder(9)
+            .quota_rule(QuotaRule::Unbounded)
+            .build()
+            .unwrap();
         b.iter(|| run_40(&cfg, 1));
     });
     g.finish();
@@ -35,11 +41,14 @@ fn bench_count_self(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_count_self");
     g.sample_size(10);
     g.bench_function("neighbours_only", |b| {
-        let cfg = AdaptiveConfig::new(9).count_self(false);
+        let cfg = AdaptiveConfig::builder(9)
+            .count_self(false)
+            .build()
+            .unwrap();
         b.iter(|| run_40(&cfg, 2));
     });
     g.bench_function("gamma_includes_self", |b| {
-        let cfg = AdaptiveConfig::new(9).count_self(true);
+        let cfg = AdaptiveConfig::builder(9).count_self(true).build().unwrap();
         b.iter(|| run_40(&cfg, 2));
     });
     g.finish();
@@ -50,7 +59,7 @@ fn bench_willingness(c: &mut Criterion) {
     g.sample_size(10);
     for s in [0.2, 0.5, 0.9] {
         g.bench_function(format!("s_{s}"), |b| {
-            let cfg = AdaptiveConfig::new(9).willingness(s);
+            let cfg = AdaptiveConfig::builder(9).willingness(s).build().unwrap();
             b.iter(|| run_40(&cfg, 3));
         });
     }

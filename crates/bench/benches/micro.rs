@@ -48,7 +48,7 @@ fn bench_iterate(c: &mut Criterion) {
             BenchmarkId::new("mesh", side * side * side),
             &graph,
             |b, g| {
-                let cfg = AdaptiveConfig::new(9);
+                let cfg = AdaptiveConfig::builder(9).build().unwrap();
                 let mut p = AdaptivePartitioner::with_strategy(g, InitialStrategy::Hash, &cfg, 1);
                 b.iter(|| p.iterate());
             },

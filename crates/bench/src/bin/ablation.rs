@@ -27,7 +27,7 @@ fn main() {
         ("C/(k-1) split", QuotaRule::PerSourceSplit),
         ("unbounded", QuotaRule::Unbounded),
     ] {
-        let cfg = AdaptiveConfig::new(9).quota_rule(rule);
+        let cfg = AdaptiveConfig::builder(9).quota_rule(rule).build().unwrap();
         let mut p =
             AdaptivePartitioner::with_strategy(&mesh, InitialStrategy::Hash, &cfg, args.seed);
         p.run_for(120);
@@ -43,9 +43,11 @@ fn main() {
     println!("\nAblation 2: candidate set includes self (mesh 16^3, k=9, to convergence)");
     println!("{:>18} {:>10} {:>14}", "variant", "cut", "conv (iters)");
     for (name, count_self) in [("neighbours only", false), ("self included", true)] {
-        let cfg = AdaptiveConfig::new(9)
+        let cfg = AdaptiveConfig::builder(9)
             .count_self(count_self)
-            .max_iterations(600);
+            .max_iterations(600)
+            .build()
+            .unwrap();
         let mut p =
             AdaptivePartitioner::with_strategy(&mesh, InitialStrategy::Hash, &cfg, args.seed);
         let report = p.run_to_convergence();
@@ -60,7 +62,11 @@ fn main() {
     println!("\nAblation 3: willingness to move (mesh 16^3, k=9, to convergence)");
     println!("{:>18} {:>10} {:>14}", "s", "cut", "conv (iters)");
     for s in [0.1, 0.3, 0.5, 0.7, 0.9, 1.0] {
-        let cfg = AdaptiveConfig::new(9).willingness(s).max_iterations(400);
+        let cfg = AdaptiveConfig::builder(9)
+            .willingness(s)
+            .max_iterations(400)
+            .build()
+            .unwrap();
         let mut p =
             AdaptivePartitioner::with_strategy(&mesh, InitialStrategy::Hash, &cfg, args.seed);
         let report = p.run_to_convergence();
@@ -82,7 +88,10 @@ fn main() {
         "objective", "cut", "vertex imb", "edge imb"
     );
     for (name, edges) in [("vertices (paper)", false), ("edges (paper s6)", true)] {
-        let cfg = AdaptiveConfig::new(9).balance_on_edges(edges);
+        let cfg = AdaptiveConfig::builder(9)
+            .balance_on_edges(edges)
+            .build()
+            .unwrap();
         let mut p =
             AdaptivePartitioner::with_strategy(&plaw, InitialStrategy::Hash, &cfg, args.seed);
         p.run_for(150);
@@ -97,19 +106,19 @@ fn main() {
 
     println!("\nAblation 5: willingness schedule (mesh 16^3, k=9, to convergence)");
     println!("{:>24} {:>10} {:>14}", "schedule", "cut", "conv (iters)");
-    let schedules: [(&str, AdaptiveConfig); 3] = [
-        ("constant 0.5", AdaptiveConfig::new(9)),
+    let schedules = [
+        ("constant 0.5", AdaptiveConfig::builder(9)),
         (
             "anneal 0.9 -> 0.3/60",
-            AdaptiveConfig::new(9).anneal_willingness(0.9, 0.3, 60),
+            AdaptiveConfig::builder(9).anneal_willingness(0.9, 0.3, 60),
         ),
         (
             "anneal 0.9 -> 0.1/40",
-            AdaptiveConfig::new(9).anneal_willingness(0.9, 0.1, 40),
+            AdaptiveConfig::builder(9).anneal_willingness(0.9, 0.1, 40),
         ),
     ];
-    for (name, cfg) in schedules {
-        let cfg = cfg.max_iterations(600);
+    for (name, schedule) in schedules {
+        let cfg = schedule.max_iterations(600).build().unwrap();
         let mut p =
             AdaptivePartitioner::with_strategy(&mesh, InitialStrategy::Hash, &cfg, args.seed);
         let report = p.run_to_convergence();
@@ -124,7 +133,7 @@ fn main() {
     println!("\nAblation 6: hot-spot capacity scaling on the busiest partition");
     println!("{:>18} {:>10} {:>14}", "variant", "cut", "hot-part mass");
     for (name, scale) in [("uniform caps", 1.0f64), ("hot spot +30%", 1.3)] {
-        let cfg = AdaptiveConfig::new(9);
+        let cfg = AdaptiveConfig::builder(9).build().unwrap();
         let mut p =
             AdaptivePartitioner::with_strategy(&plaw, InitialStrategy::Hash, &cfg, args.seed);
         p.run_for(40);

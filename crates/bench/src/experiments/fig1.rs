@@ -27,7 +27,11 @@ pub fn sweep(graph: &CsrGraph, s_values: &[f64], reps: usize, seed: u64) -> Vec<
             let mut conv = Vec::with_capacity(reps);
             let mut cuts = Vec::with_capacity(reps);
             for rep in 0..reps {
-                let cfg = AdaptiveConfig::new(9).willingness(s).max_iterations(800);
+                let cfg = AdaptiveConfig::builder(9)
+                    .willingness(s)
+                    .max_iterations(800)
+                    .build()
+                    .unwrap();
                 let mut p = AdaptivePartitioner::with_strategy(
                     graph,
                     InitialStrategy::Hash,

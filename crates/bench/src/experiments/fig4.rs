@@ -26,7 +26,10 @@ pub fn run(graph: &CsrGraph, reps: usize, seed: u64) -> Vec<Fig4Row> {
             let mut iterative = Vec::with_capacity(reps);
             for rep in 0..reps {
                 let rep_seed = seed.wrapping_add(rep as u64 * 104_729);
-                let cfg = AdaptiveConfig::new(9).max_iterations(800);
+                let cfg = AdaptiveConfig::builder(9)
+                    .max_iterations(800)
+                    .build()
+                    .unwrap();
                 let mut p = AdaptivePartitioner::with_strategy(graph, strategy, &cfg, rep_seed);
                 initial.push(p.cut_ratio());
                 let report = p.run_to_convergence();

@@ -44,7 +44,10 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> Vec<Fig5Row> {
                 .map(|&strategy| {
                     let mut vals = Vec::with_capacity(reps);
                     for rep in 0..reps {
-                        let cfg = AdaptiveConfig::new(9).max_iterations(600);
+                        let cfg = AdaptiveConfig::builder(9)
+                            .max_iterations(600)
+                            .build()
+                            .unwrap();
                         let mut p = AdaptivePartitioner::with_strategy(
                             &graph,
                             strategy,

@@ -57,7 +57,11 @@ fn measure(graph: &apg_graph::CsrGraph, n: usize, reps: usize, seed: u64) -> Sca
     let mut cuts = Vec::with_capacity(reps);
     let mut conv = Vec::with_capacity(reps);
     for rep in 0..reps {
-        let cfg = AdaptiveConfig::new(9).willingness(0.5).max_iterations(800);
+        let cfg = AdaptiveConfig::builder(9)
+            .willingness(0.5)
+            .max_iterations(800)
+            .build()
+            .unwrap();
         let mut p = AdaptivePartitioner::with_strategy(
             graph,
             InitialStrategy::Hash,

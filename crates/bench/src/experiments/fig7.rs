@@ -81,7 +81,7 @@ pub fn run(scale: Scale, seed: u64) -> Fig7Result {
     let mut engine = EngineBuilder::new(WORKERS)
         .seed(seed)
         .cost_model(CostModel::heartsim())
-        .adaptive(AdaptiveConfig::new(WORKERS))
+        .adaptive(AdaptiveConfig::builder(WORKERS).build().unwrap())
         .build(&mesh, HeartSim::new());
 
     let phase_a = run_phase(&mut engine, baseline_a, cap_a);

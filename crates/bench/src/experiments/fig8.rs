@@ -68,7 +68,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Fig8Point> {
         .seed(seed)
         .cost_model(CostModel::lan_10gbe())
         .fault_plan(plan())
-        .adaptive(AdaptiveConfig::new(WORKERS))
+        .adaptive(AdaptiveConfig::builder(WORKERS).build().unwrap())
         .cut_every(0)
         .build(&initial, program);
     let mut hash: Engine<TunkRank> = EngineBuilder::new(WORKERS)

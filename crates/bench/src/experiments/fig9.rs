@@ -52,7 +52,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Fig9Week> {
     let mut dynamic: Engine<MaxClique> = EngineBuilder::new(WORKERS)
         .seed(seed)
         .cost_model(CostModel::lan_10gbe())
-        .adaptive(AdaptiveConfig::new(WORKERS))
+        .adaptive(AdaptiveConfig::builder(WORKERS).build().unwrap())
         .cut_every(0)
         .build(&initial, MaxClique::new());
     let mut static_engine: Engine<MaxClique> = EngineBuilder::new(WORKERS)

@@ -176,7 +176,7 @@ fn run_once(
         ..CdrConfig::default()
     };
     let graph = DynGraph::with_vertices(subscribers);
-    let cfg = AdaptiveConfig::new(K);
+    let cfg = AdaptiveConfig::builder(K).build().unwrap();
     let partitioner = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, seed);
     let mut runner = StreamingRunner::new(partitioner).iterations_per_batch(ITERS_PER_BATCH);
     let mut source = CdrStream::new(config, seed);
@@ -258,10 +258,11 @@ fn run_durable_once(
         ..StoreConfig::default()
     };
     let graph = DynGraph::with_vertices(subscribers);
-    let mut cfg = AdaptiveConfig::new(K);
+    let mut cfg = AdaptiveConfig::builder(K);
     if let Some(p) = parallelism {
         cfg = cfg.parallelism(p);
     }
+    let cfg = cfg.build().unwrap();
     let partitioner = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, seed);
     let mut runner = StreamingRunner::new(partitioner).iterations_per_batch(ITERS_PER_BATCH);
     let mut source = CdrStream::new(config, seed);
@@ -429,7 +430,7 @@ fn check_window_growth(subscribers: usize, batches: usize, seed: u64) -> bool {
             ..CdrConfig::default()
         };
         let graph = DynGraph::with_vertices(subscribers);
-        let cfg = AdaptiveConfig::new(K);
+        let cfg = AdaptiveConfig::builder(K).build().unwrap();
         let partitioner =
             AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, seed);
         let mut runner = StreamingRunner::new(partitioner)

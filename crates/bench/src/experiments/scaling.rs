@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use apg_core::{AdaptiveConfig, AdaptivePartitioner, IterationStats};
+use apg_core::{reference, AdaptiveConfig, AdaptivePartitioner, IterationStats, SweepProfile};
 use apg_graph::{gen, CsrGraph, DynGraph, Graph, UpdateBatch, VertexId};
 use apg_partition::{cut_edges, cut_edges_sharded, InitialStrategy};
 use apg_streams::{forest_fire_delta, ForestFireConfig};
@@ -188,26 +188,33 @@ fn fingerprint(history: &[IterationStats]) -> u64 {
     }))
 }
 
-fn config(threads: usize, serial_apply: bool) -> AdaptiveConfig {
-    AdaptiveConfig::new(K)
+fn config(threads: usize) -> AdaptiveConfig {
+    AdaptiveConfig::builder(K)
         .parallelism(threads)
-        .apply_serial(serial_apply)
+        .build()
+        .unwrap()
 }
 
 /// One measured run: `(history, wall_ms, apply_ms)` where `apply_ms` is
 /// the apply-phase share summed over the run's iterations.
 type Measured = (Vec<IterationStats>, f64, f64);
 
+/// One profiled iteration: production's `iterate_profiled` for the
+/// measured rows, the serial-apply reference driver
+/// (`apg_core::reference::iterate_serial_apply`) for the equivalence arm.
+type Iterate = fn(&mut AdaptivePartitioner) -> (IterationStats, SweepProfile);
+
 /// Profiled `run_for`: drives `iters` iterations, accumulating the
 /// apply-phase wall-clock alongside the history.
 fn run_profiled(
     p: &mut AdaptivePartitioner,
     iters: usize,
+    iterate: Iterate,
     apply_ms: &mut f64,
 ) -> Vec<IterationStats> {
     (0..iters)
         .map(|_| {
-            let (stats, profile) = p.iterate_profiled();
+            let (stats, profile) = iterate(p);
             *apply_ms += profile.apply_ms;
             stats
         })
@@ -219,15 +226,15 @@ fn run_powerlaw(
     graph: &CsrGraph,
     _burst: &UpdateBatch,
     threads: usize,
-    serial_apply: bool,
+    iterate: Iterate,
     seed: u64,
     iters: usize,
 ) -> Measured {
-    let cfg = config(threads, serial_apply);
+    let cfg = config(threads);
     let mut p = AdaptivePartitioner::with_strategy(graph, InitialStrategy::Hash, &cfg, seed);
     let mut apply_ms = 0.0;
     let start = Instant::now();
-    let history = run_profiled(&mut p, iters, &mut apply_ms);
+    let history = run_profiled(&mut p, iters, iterate, &mut apply_ms);
     (history, start.elapsed().as_secs_f64() * 1e3, apply_ms)
 }
 
@@ -241,18 +248,18 @@ fn run_burst(
     graph: &CsrGraph,
     burst: &UpdateBatch,
     threads: usize,
-    serial_apply: bool,
+    iterate: Iterate,
     seed: u64,
     iters: usize,
 ) -> Measured {
     let warm = iters / 3;
-    let cfg = config(threads, serial_apply);
+    let cfg = config(threads);
     let mut p = AdaptivePartitioner::with_strategy(graph, InitialStrategy::Hash, &cfg, seed);
     let mut apply_ms = 0.0;
     let start = Instant::now();
-    let mut history = run_profiled(&mut p, warm, &mut apply_ms);
+    let mut history = run_profiled(&mut p, warm, iterate, &mut apply_ms);
     p.apply_batch(burst);
-    history.extend(run_profiled(&mut p, iters - warm, &mut apply_ms));
+    history.extend(run_profiled(&mut p, iters - warm, iterate, &mut apply_ms));
     (history, start.elapsed().as_secs_f64() * 1e3, apply_ms)
 }
 
@@ -403,10 +410,12 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> ScalingResult {
     let burst = burst_update_batch(&graph, seed);
     let reps = reps.max(1);
 
-    type Scenario = fn(&CsrGraph, &UpdateBatch, usize, bool, u64, usize) -> Measured;
+    type Scenario = fn(&CsrGraph, &UpdateBatch, usize, Iterate, u64, usize) -> Measured;
     let scenarios: [(&'static str, Scenario); 2] =
         [("powerlaw", run_powerlaw), ("forest-fire-burst", run_burst)];
 
+    let production: Iterate = AdaptivePartitioner::iterate_profiled;
+    let serial: Iterate = reference::iterate_serial_apply;
     let mut rows = Vec::new();
     let mut apply_parallel_equals_serial = true;
     for (name, scenario) in scenarios {
@@ -415,7 +424,7 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> ScalingResult {
             let mut apply_samples = Vec::with_capacity(reps);
             let mut history = Vec::new();
             for _ in 0..reps {
-                let (h, ms, apply) = scenario(&graph, &burst, threads, false, seed, iters);
+                let (h, ms, apply) = scenario(&graph, &burst, threads, production, seed, iters);
                 samples.push(ms);
                 apply_samples.push(apply);
                 history = h;
@@ -433,7 +442,7 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> ScalingResult {
         // Equivalence arm: one serial-apply run at the widest fan-out must
         // reproduce the parallel rows' history bit-for-bit.
         let widest = *THREADS.last().expect("THREADS is non-empty");
-        let (serial_history, _, _) = scenario(&graph, &burst, widest, true, seed, iters);
+        let (serial_history, _, _) = scenario(&graph, &burst, widest, serial, seed, iters);
         let serial_print = fingerprint(&serial_history);
         apply_parallel_equals_serial &= rows
             .iter()
@@ -445,7 +454,7 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> ScalingResult {
     // Every timed recount is also checked against the serial count, so a
     // wrong-but-fast recount cannot post a good number.
     let assignment =
-        AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &config(1, false), seed);
+        AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &config(1), seed);
     let partitioning = assignment.partitioning().clone();
     let serial_cut = cut_edges(&graph, &partitioning);
     let mut recount = Vec::new();

@@ -208,7 +208,10 @@ fn cells(scale: Scale, seed: u64) -> Vec<Cell> {
 }
 
 fn run_cell(cell: &Cell, threads: usize, seed: u64) -> (Vec<TimelineStats>, f64) {
-    let cfg = AdaptiveConfig::new(K).parallelism(threads);
+    let cfg = AdaptiveConfig::builder(K)
+        .parallelism(threads)
+        .build()
+        .unwrap();
     let partitioner =
         AdaptivePartitioner::with_strategy(&cell.graph, InitialStrategy::Hash, &cfg, seed);
     let mut runner = StreamingRunner::new(partitioner).iterations_per_batch(ITERS_PER_BATCH);

@@ -2,9 +2,10 @@
 //!
 //! Not a figure from the paper: it measures the PR 5 hot-path win. On a
 //! ≥100k-vertex power-law graph the adaptive partitioner runs the same
-//! scenario twice — once with the active-set sweep (the default) and once
-//! with the sweep forced exhaustive (`AdaptiveConfig::sweep_exhaustive`,
-//! identical results by construction) — through three phases:
+//! scenario twice — once with the active-set sweep (production's
+//! `iterate_profiled`) and once under the exhaustive reference driver
+//! (`apg_core::reference::iterate_exhaustive`, identical results by
+//! construction) — through three phases:
 //!
 //! 1. **refine**: a fixed iteration budget from a hash assignment, long
 //!    enough to go quiet (time-to-quiet is reported);
@@ -23,7 +24,7 @@
 
 use std::time::Instant;
 
-use apg_core::{AdaptiveConfig, AdaptivePartitioner, SweepProfile};
+use apg_core::{reference, AdaptiveConfig, AdaptivePartitioner, IterationStats, SweepProfile};
 use apg_graph::{gen, CsrGraph, Graph, UpdateBatch};
 use apg_partition::InitialStrategy;
 use apg_streams::{PowerLawGrowth, StreamSource};
@@ -198,16 +199,21 @@ impl SweepResult {
     }
 }
 
-/// Runs the three-phase scenario in one sweep mode.
+/// One profiled iteration under a sweep mode's driver.
+type Iterate = fn(&mut AdaptivePartitioner) -> (IterationStats, SweepProfile);
+
+/// Runs the three-phase scenario in one sweep mode: `"active-set"` under
+/// production's `iterate_profiled`, `"exhaustive"` under the reference
+/// driver.
 fn run_mode(
     graph: &CsrGraph,
     churn: &[UpdateBatch],
     scale: Scale,
+    cfg: &AdaptiveConfig,
     seed: u64,
-    exhaustive: bool,
+    (mode, iterate): (&'static str, Iterate),
 ) -> ModeResult {
-    let cfg = AdaptiveConfig::new(K).sweep_exhaustive(exhaustive);
-    let mut p = AdaptivePartitioner::with_strategy(graph, InitialStrategy::Hash, &cfg, seed);
+    let mut p = AdaptivePartitioner::with_strategy(graph, InitialStrategy::Hash, cfg, seed);
     let mut trajectory = Vec::new();
 
     let mut refine = PhaseCost::default();
@@ -215,7 +221,7 @@ fn run_mode(
     let refine_iters = refine_iterations(scale);
     for i in 0..refine_iters {
         let start = Instant::now();
-        let (stats, profile) = p.iterate_profiled();
+        let (stats, profile) = iterate(&mut p);
         refine.absorb(
             start.elapsed().as_secs_f64() * 1e3,
             &profile,
@@ -232,7 +238,7 @@ fn run_mode(
     let mut converged = PhaseCost::default();
     for _ in 0..CONVERGED_ITERS {
         let start = Instant::now();
-        let (stats, profile) = p.iterate_profiled();
+        let (stats, profile) = iterate(&mut p);
         converged.absorb(
             start.elapsed().as_secs_f64() * 1e3,
             &profile,
@@ -249,7 +255,7 @@ fn run_mode(
         let mut wall = start.elapsed().as_secs_f64() * 1e3;
         for _ in 0..CHURN_ITERS_PER_BATCH {
             let start = Instant::now();
-            let (stats, profile) = p.iterate_profiled();
+            let (stats, profile) = iterate(&mut p);
             wall += start.elapsed().as_secs_f64() * 1e3;
             churn_cost.absorb(0.0, &profile, stats.migrations);
             trajectory.push(stats.cut_edges);
@@ -260,11 +266,7 @@ fn run_mode(
     p.audit();
 
     ModeResult {
-        mode: if exhaustive {
-            "exhaustive"
-        } else {
-            "active-set"
-        },
+        mode,
         refine,
         converged,
         churn: churn_cost,
@@ -287,10 +289,14 @@ pub fn run(scale: Scale, seed: u64) -> SweepResult {
         .map(|_| source.next_batch().expect("growth streams never end"))
         .collect();
 
-    let modes = vec![
-        run_mode(&graph, &churn, scale, seed, false),
-        run_mode(&graph, &churn, scale, seed, true),
+    let cfg = AdaptiveConfig::builder(K).build().unwrap();
+    let drivers: [(&'static str, Iterate); 2] = [
+        ("active-set", AdaptivePartitioner::iterate_profiled),
+        ("exhaustive", reference::iterate_exhaustive),
     ];
+    let modes = drivers
+        .map(|driver| run_mode(&graph, &churn, scale, &cfg, seed, driver))
+        .to_vec();
     SweepResult {
         scale: scale.name(),
         threads_available: apg_exec::available_parallelism(),
@@ -299,7 +305,7 @@ pub fn run(scale: Scale, seed: u64) -> SweepResult {
         refine_iterations: refine_iterations(scale),
         churn_batches: churn.len(),
         churn_batch_size: churn_batch_size(scale),
-        parallelism: AdaptiveConfig::new(K).parallelism,
+        parallelism: cfg.parallelism,
         modes,
     }
 }

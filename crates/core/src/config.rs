@@ -53,22 +53,23 @@ impl Anneal {
     }
 }
 
-/// Why a configuration was rejected by [`AdaptiveConfigBuilder::build`].
+/// Why [`AdaptiveConfig::validate`] rejected a configuration.
 ///
-/// The builder validates *everything at once* and reports the first
-/// violation as a typed error — the fallible counterpart of the panicking
-/// [`AdaptiveConfig::new`] chainers, for callers assembling configurations
-/// from untrusted input (CLI flags, config files, sweep grids).
+/// One rule set serves both ways a configuration comes into being:
+/// [`AdaptiveConfigBuilder::build`] returns the violation as is, and the
+/// checkpoint decoder reports it as corruption — so every configuration
+/// that builds can be recovered from disk, and every one that decodes
+/// could have been built.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
     /// `k == 0`: there is nothing to partition into.
     ZeroPartitions,
     /// Willingness `s` outside `[0, 1]` (carries the offending value).
     WillingnessOutOfRange(f64),
-    /// Capacity factor below `1.0`, i.e. less than the balanced load
-    /// (carries the offending factor — note
+    /// Capacity factor below `1.0`, i.e. less than the balanced load, or
+    /// not finite (carries the offending factor — note
     /// [`AdaptiveConfigBuilder::capacity_slack`] with a negative slack
-    /// lands here).
+    /// lands here, as do NaN and `+∞`).
     CapacityFactorBelowOne(f64),
     /// `parallelism == 0`: the decision sweep needs at least one thread.
     ZeroParallelism,
@@ -93,7 +94,10 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "willingness s = {s} outside [0, 1]")
             }
             ConfigError::CapacityFactorBelowOne(c) => {
-                write!(f, "capacity factor {c} below the balanced load (1.0)")
+                write!(
+                    f,
+                    "capacity factor {c} not a finite multiple >= 1.0 of the balanced load"
+                )
             }
             ConfigError::ZeroParallelism => write!(f, "need at least one decision-sweep thread"),
             ConfigError::DrainFloorOutOfRange(d) => {
@@ -111,10 +115,10 @@ impl std::error::Error for ConfigError {}
 /// Validating builder for [`AdaptiveConfig`], created by
 /// [`AdaptiveConfig::builder`].
 ///
-/// Unlike the panicking [`AdaptiveConfig::new`] chainers, the builder
-/// accepts any values and defers all checking to
-/// [`build`](AdaptiveConfigBuilder::build), which returns a typed
-/// [`ConfigError`] instead of panicking — no silent clamping anywhere.
+/// The one way to construct an [`AdaptiveConfig`]: the setters accept any
+/// value and [`build`](AdaptiveConfigBuilder::build) runs
+/// [`AdaptiveConfig::validate`], returning a typed [`ConfigError`] — no
+/// panics, no silent clamping.
 ///
 /// # Example
 ///
@@ -133,31 +137,21 @@ impl std::error::Error for ConfigError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfigBuilder {
-    num_partitions: PartitionId,
-    willingness: f64,
-    capacity_factor: f64,
-    convergence_window: usize,
-    max_iterations: usize,
-    quota_rule: QuotaRule,
-    placement: PlacementPolicy,
-    anneal: Option<Anneal>,
-    balance_edges: bool,
-    count_self: bool,
-    parallelism: usize,
-    drain_floor: f64,
+    /// The settings accumulated so far; unchecked until `build`.
+    config: AdaptiveConfig,
 }
 
 impl AdaptiveConfigBuilder {
     /// Sets the willingness to move `s` (validated to `[0, 1]` at build).
     pub fn willingness(mut self, s: f64) -> Self {
-        self.willingness = s;
+        self.config.willingness = s;
         self
     }
 
     /// Sets the per-partition capacity as a factor of the balanced load
-    /// (validated to `>= 1.0` at build).
+    /// (validated to finite and `>= 1.0` at build).
     pub fn capacity_factor(mut self, factor: f64) -> Self {
-        self.capacity_factor = factor;
+        self.config.capacity_factor = factor;
         self
     }
 
@@ -165,51 +159,51 @@ impl AdaptiveConfigBuilder {
     /// `capacity_factor = 1.0 + slack` (so `0.1` means 110%, the paper's
     /// evaluation setting). Negative slack fails validation.
     pub fn capacity_slack(mut self, slack: f64) -> Self {
-        self.capacity_factor = 1.0 + slack;
+        self.config.capacity_factor = 1.0 + slack;
         self
     }
 
     /// Sets the convergence window (migration-free iterations before the
     /// runner declares convergence; the paper uses 30).
     pub fn convergence_window(mut self, window: usize) -> Self {
-        self.convergence_window = window;
+        self.config.convergence_window = window;
         self
     }
 
     /// Sets the hard iteration cap for convergence runs.
     pub fn max_iterations(mut self, cap: usize) -> Self {
-        self.max_iterations = cap;
+        self.config.max_iterations = cap;
         self
     }
 
     /// Sets the migration budget rule.
     pub fn quota_rule(mut self, rule: QuotaRule) -> Self {
-        self.quota_rule = rule;
+        self.config.quota_rule = rule;
         self
     }
 
     /// Sets the placement policy for streamed-in vertices.
     pub fn placement(mut self, placement: PlacementPolicy) -> Self {
-        self.placement = placement;
+        self.config.placement = placement;
         self
     }
 
     /// Sets whether a vertex counts itself when scoring its own partition.
     pub fn count_self(mut self, yes: bool) -> Self {
-        self.count_self = yes;
+        self.config.count_self = yes;
         self
     }
 
     /// Switches the balance objective to edge endpoints (paper §6).
     pub fn balance_on_edges(mut self, yes: bool) -> Self {
-        self.balance_edges = yes;
+        self.config.balance_edges = yes;
         self
     }
 
     /// Sets the decision-sweep thread count (validated to `>= 1` at
     /// build). Results are identical at any value for a fixed seed.
     pub fn parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = threads;
+        self.config.parallelism = threads;
         self
     }
 
@@ -218,7 +212,7 @@ impl AdaptiveConfigBuilder {
     /// stops a batch's iterations only once the active set is fully
     /// drained, which is provably history-preserving.
     pub fn drain_floor(mut self, fraction: f64) -> Self {
-        self.drain_floor = fraction;
+        self.config.drain_floor = fraction;
         self
     }
 
@@ -226,7 +220,7 @@ impl AdaptiveConfigBuilder {
     /// given number of iterations (endpoints validated to `[0, 1]` at
     /// build).
     pub fn anneal_willingness(mut self, start: f64, end: f64, over_iterations: usize) -> Self {
-        self.anneal = Some(Anneal {
+        self.config.anneal = Some(Anneal {
             start,
             end,
             over_iterations,
@@ -234,52 +228,11 @@ impl AdaptiveConfigBuilder {
         self
     }
 
-    /// Validates the accumulated settings and produces the configuration.
-    ///
-    /// Checks run in a fixed order (partitions, willingness, capacity,
-    /// parallelism, drain floor, anneal) and the first violation is
-    /// returned.
+    /// Validates the accumulated settings
+    /// ([`AdaptiveConfig::validate`]) and produces the configuration.
     pub fn build(self) -> Result<AdaptiveConfig, ConfigError> {
-        if self.num_partitions == 0 {
-            return Err(ConfigError::ZeroPartitions);
-        }
-        if !(0.0..=1.0).contains(&self.willingness) {
-            return Err(ConfigError::WillingnessOutOfRange(self.willingness));
-        }
-        if self.capacity_factor < 1.0 || self.capacity_factor.is_nan() {
-            return Err(ConfigError::CapacityFactorBelowOne(self.capacity_factor));
-        }
-        if self.parallelism == 0 {
-            return Err(ConfigError::ZeroParallelism);
-        }
-        if !(0.0..1.0).contains(&self.drain_floor) {
-            return Err(ConfigError::DrainFloorOutOfRange(self.drain_floor));
-        }
-        if let Some(a) = &self.anneal {
-            if !(0.0..=1.0).contains(&a.start) || !(0.0..=1.0).contains(&a.end) {
-                return Err(ConfigError::AnnealOutOfRange {
-                    start: a.start,
-                    end: a.end,
-                });
-            }
-        }
-        Ok(AdaptiveConfig {
-            num_partitions: self.num_partitions,
-            willingness: self.willingness,
-            capacity_factor: self.capacity_factor,
-            convergence_window: self.convergence_window,
-            max_iterations: self.max_iterations,
-            quota_rule: self.quota_rule,
-            placement: self.placement,
-            anneal: self.anneal,
-            balance_edges: self.balance_edges,
-            count_self: self.count_self,
-            parallelism: self.parallelism,
-            drain_floor: self.drain_floor,
-            sweep_exhaustive: false,
-            apply_serial: false,
-            budget_fixed: false,
-        })
+        self.config.validate()?;
+        Ok(self.config)
     }
 }
 
@@ -289,13 +242,12 @@ impl AdaptiveConfigBuilder {
 /// (§2.3), capacity 110% of the balanced load (§4.2.1), convergence after
 /// 30 migration-free iterations (§2.3).
 ///
-/// Two construction paths:
-///
-/// * [`AdaptiveConfig::builder`] — the blessed one: accumulate settings,
-///   then [`build`](AdaptiveConfigBuilder::build) validates everything and
-///   returns `Result<_, ConfigError>`.
-/// * [`AdaptiveConfig::new`] plus panicking chainers — the original API,
-///   kept as a thin shim for call sites with statically known-good values.
+/// Every field is a knob of the algorithm and every field is persisted in
+/// a checkpoint. There is one construction path —
+/// [`AdaptiveConfig::builder`], whose
+/// [`build`](AdaptiveConfigBuilder::build) returns
+/// `Result<_, ConfigError>` — and one rule set,
+/// [`AdaptiveConfig::validate`], which the checkpoint decoder applies too.
 ///
 /// # Example
 ///
@@ -317,7 +269,8 @@ pub struct AdaptiveConfig {
     /// Willingness to move `s ∈ (0, 1]`: each vertex evaluates migration
     /// with this probability per iteration.
     pub willingness: f64,
-    /// Per-partition capacity as a factor of the balanced load (`>= 1.0`).
+    /// Per-partition capacity as a factor of the balanced load (finite,
+    /// `>= 1.0`).
     pub capacity_factor: f64,
     /// Iterations without any migration before declaring convergence.
     pub convergence_window: usize,
@@ -371,198 +324,60 @@ pub struct AdaptiveConfig {
     /// fast-forward it for future draws to stay aligned with a
     /// fixed-budget run.
     pub drain_floor: f64,
-    /// Diagnostic/test hook: force the decision sweep to evaluate **every**
-    /// live vertex instead of only the active set. Because randomness is
-    /// keyed per `(seed, vertex, iteration)` and skipped vertices provably
-    /// decide *Stay*, both modes produce identical migration histories —
-    /// the exhaustive mode exists so tests and benches can pin exactly
-    /// that. Transient: deliberately not part of the persisted
-    /// configuration (decoded states always get the default `false`).
-    #[doc(hidden)]
-    pub sweep_exhaustive: bool,
-    /// Diagnostic/test hook: force the apply phase to run the serial
-    /// per-migrant [`apply_move`] loop instead of the sharded parallel
-    /// apply. Both paths produce identical state — the serial mode exists
-    /// so tests and benches can pin exactly that. Transient: not part of
-    /// the persisted configuration.
-    ///
-    /// [`apply_move`]: crate::AdaptivePartitioner
-    #[doc(hidden)]
-    pub apply_serial: bool,
-    /// Diagnostic/test hook: force [`crate::StreamingRunner`] to burn the
-    /// full fixed per-batch iteration budget, ignoring
-    /// [`AdaptiveConfig::drain_floor`]'s early stop. At the default
-    /// `drain_floor = 0.0` both modes record identical timelines — the
-    /// fixed mode exists so tests and benches can pin exactly that.
-    /// Transient: not part of the persisted configuration.
-    #[doc(hidden)]
-    pub budget_fixed: bool,
 }
 
 impl AdaptiveConfig {
-    /// Starts a validating builder with the paper defaults for `k`
-    /// partitions. Nothing is checked until
-    /// [`build`](AdaptiveConfigBuilder::build), which returns
-    /// `Err(ConfigError)` for any invalid combination — including `k == 0`.
+    /// Starts a builder with the paper defaults for `k` partitions.
+    /// Nothing is checked until [`build`](AdaptiveConfigBuilder::build),
+    /// which returns `Err(ConfigError)` for any invalid combination —
+    /// including `k == 0`.
     pub fn builder(k: PartitionId) -> AdaptiveConfigBuilder {
         AdaptiveConfigBuilder {
-            num_partitions: k,
-            willingness: 0.5,
-            capacity_factor: 1.10,
-            convergence_window: 30,
-            max_iterations: 1000,
-            quota_rule: QuotaRule::PerSourceSplit,
-            placement: PlacementPolicy::HashWithFallback,
-            anneal: None,
-            balance_edges: false,
-            count_self: false,
-            parallelism: apg_exec::available_parallelism(),
-            drain_floor: 0.0,
+            config: AdaptiveConfig {
+                num_partitions: k,
+                willingness: 0.5,
+                capacity_factor: 1.10,
+                convergence_window: 30,
+                max_iterations: 1000,
+                quota_rule: QuotaRule::PerSourceSplit,
+                placement: PlacementPolicy::HashWithFallback,
+                anneal: None,
+                balance_edges: false,
+                count_self: false,
+                parallelism: apg_exec::available_parallelism(),
+                drain_floor: 0.0,
+            },
         }
     }
 
-    /// Paper defaults for `k` partitions — the panicking shim over
-    /// [`AdaptiveConfig::builder`] for statically known-good `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn new(k: PartitionId) -> Self {
-        match Self::builder(k).build() {
-            Ok(config) => config,
-            Err(e) => panic!("{e}"),
+    /// Checks every rule a configuration must satisfy, in a fixed order
+    /// (partitions, willingness, capacity, parallelism, drain floor,
+    /// anneal), and returns the first violation. `s = 0` is allowed: the
+    /// paper notes it "causes no migration whatsoever", which experiments
+    /// use. NaN fails every range it is tested against.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let unit = 0.0..=1.0;
+        if self.num_partitions == 0 {
+            return Err(ConfigError::ZeroPartitions);
         }
-    }
-
-    /// Sets the willingness to move `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= s <= 1.0`. (`s = 0` disables migration — the
-    /// paper notes it "causes no migration whatsoever"; allowed for
-    /// experiments.)
-    pub fn willingness(mut self, s: f64) -> Self {
-        assert!((0.0..=1.0).contains(&s), "s must be in [0, 1]");
-        self.willingness = s;
-        self
-    }
-
-    /// Sets the capacity factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor < 1.0`.
-    pub fn capacity_factor(mut self, factor: f64) -> Self {
-        assert!(factor >= 1.0, "capacity factor below balanced load");
-        self.capacity_factor = factor;
-        self
-    }
-
-    /// Sets the convergence window (the paper uses 30).
-    pub fn convergence_window(mut self, window: usize) -> Self {
-        self.convergence_window = window;
-        self
-    }
-
-    /// Sets the iteration cap.
-    pub fn max_iterations(mut self, cap: usize) -> Self {
-        self.max_iterations = cap;
-        self
-    }
-
-    /// Sets the quota rule.
-    pub fn quota_rule(mut self, rule: QuotaRule) -> Self {
-        self.quota_rule = rule;
-        self
-    }
-
-    /// Sets the placement policy for streamed-in vertices.
-    pub fn placement(mut self, placement: PlacementPolicy) -> Self {
-        self.placement = placement;
-        self
-    }
-
-    /// Sets whether a vertex counts itself when scoring its own partition.
-    pub fn count_self(mut self, yes: bool) -> Self {
-        self.count_self = yes;
-        self
-    }
-
-    /// Switches the balance objective to edge endpoints (paper §6).
-    pub fn balance_on_edges(mut self, yes: bool) -> Self {
-        self.balance_edges = yes;
-        self
-    }
-
-    /// Sets the decision-sweep thread count (`1` = sequential). Results are
-    /// identical at any value for a fixed seed; see
-    /// [`AdaptiveConfig::parallelism`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn parallelism(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one thread");
-        self.parallelism = threads;
-        self
-    }
-
-    /// Sets the adaptive-budget drain floor; see
-    /// [`AdaptiveConfig::drain_floor`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= fraction < 1.0`.
-    pub fn drain_floor(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&fraction),
-            "drain floor must be in [0, 1)"
-        );
-        self.drain_floor = fraction;
-        self
-    }
-
-    /// Forces the exhaustive (every-live-vertex) decision sweep; see
-    /// [`AdaptiveConfig::sweep_exhaustive`]. Results are identical either
-    /// way — this only trades away the active-set skip, for tests and
-    /// benches that compare the two.
-    #[doc(hidden)]
-    pub fn sweep_exhaustive(mut self, yes: bool) -> Self {
-        self.sweep_exhaustive = yes;
-        self
-    }
-
-    /// Forces the serial per-migrant apply loop; see
-    /// [`AdaptiveConfig::apply_serial`]. Results are identical either way —
-    /// this exists for tests and benches that compare the two.
-    #[doc(hidden)]
-    pub fn apply_serial(mut self, yes: bool) -> Self {
-        self.apply_serial = yes;
-        self
-    }
-
-    /// Forces the fixed per-batch iteration budget; see
-    /// [`AdaptiveConfig::budget_fixed`].
-    #[doc(hidden)]
-    pub fn budget_fixed(mut self, yes: bool) -> Self {
-        self.budget_fixed = yes;
-        self
-    }
-
-    /// Anneals the willingness linearly from `start` to `end` over the
-    /// given number of iterations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is outside `[0, 1]`.
-    pub fn anneal_willingness(mut self, start: f64, end: f64, over_iterations: usize) -> Self {
-        assert!((0.0..=1.0).contains(&start) && (0.0..=1.0).contains(&end));
-        self.anneal = Some(Anneal {
-            start,
-            end,
-            over_iterations,
-        });
-        self
+        if !unit.contains(&self.willingness) {
+            return Err(ConfigError::WillingnessOutOfRange(self.willingness));
+        }
+        if !self.capacity_factor.is_finite() || self.capacity_factor < 1.0 {
+            return Err(ConfigError::CapacityFactorBelowOne(self.capacity_factor));
+        }
+        if self.parallelism == 0 {
+            return Err(ConfigError::ZeroParallelism);
+        }
+        if !(0.0..1.0).contains(&self.drain_floor) {
+            return Err(ConfigError::DrainFloorOutOfRange(self.drain_floor));
+        }
+        match self.anneal {
+            Some(Anneal { start, end, .. }) if !unit.contains(&start) || !unit.contains(&end) => {
+                Err(ConfigError::AnnealOutOfRange { start, end })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Effective willingness at an iteration (constant unless annealed).
@@ -578,9 +393,13 @@ impl AdaptiveConfig {
 mod tests {
     use super::*;
 
+    fn defaults(k: PartitionId) -> AdaptiveConfig {
+        AdaptiveConfig::builder(k).build().unwrap()
+    }
+
     #[test]
     fn defaults_match_paper() {
-        let c = AdaptiveConfig::new(9);
+        let c = defaults(9);
         assert_eq!(c.num_partitions, 9);
         assert!((c.willingness - 0.5).abs() < 1e-12);
         assert!((c.capacity_factor - 1.10).abs() < 1e-12);
@@ -592,14 +411,16 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let c = AdaptiveConfig::new(4)
+        let c = AdaptiveConfig::builder(4)
             .willingness(1.0)
             .capacity_factor(2.0)
             .convergence_window(5)
             .max_iterations(10)
             .quota_rule(QuotaRule::Unbounded)
             .placement(PlacementPolicy::LeastLoaded)
-            .count_self(true);
+            .count_self(true)
+            .build()
+            .unwrap();
         assert_eq!(c.max_iterations, 10);
         assert_eq!(c.placement, PlacementPolicy::LeastLoaded);
         assert!(c.count_self);
@@ -607,68 +428,36 @@ mod tests {
 
     #[test]
     fn anneal_interpolates_and_clamps() {
-        let c = AdaptiveConfig::new(2).anneal_willingness(0.9, 0.3, 10);
+        let c = AdaptiveConfig::builder(2)
+            .anneal_willingness(0.9, 0.3, 10)
+            .build()
+            .unwrap();
         assert!((c.willingness_at(0) - 0.9).abs() < 1e-12);
         assert!((c.willingness_at(5) - 0.6).abs() < 1e-12);
         assert!((c.willingness_at(10) - 0.3).abs() < 1e-12);
         assert!((c.willingness_at(1000) - 0.3).abs() < 1e-12);
         // Constant when no schedule is set.
-        let plain = AdaptiveConfig::new(2);
+        let plain = defaults(2);
         assert!((plain.willingness_at(7) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn parallelism_defaults_to_available_cores() {
-        let c = AdaptiveConfig::new(4);
+        let c = defaults(4);
         assert_eq!(c.parallelism, apg_exec::available_parallelism());
         assert!(c.parallelism >= 1);
-        assert_eq!(AdaptiveConfig::new(4).parallelism(6).parallelism, 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn rejects_zero_parallelism() {
-        let _ = AdaptiveConfig::new(2).parallelism(0);
+        let c = AdaptiveConfig::builder(4).parallelism(6).build().unwrap();
+        assert_eq!(c.parallelism, 6);
     }
 
     #[test]
     fn drain_floor_defaults_to_fully_drained() {
-        let c = AdaptiveConfig::new(4);
-        assert_eq!(c.drain_floor, 0.0);
-        assert!(!c.apply_serial && !c.budget_fixed);
+        assert_eq!(defaults(4).drain_floor, 0.0);
         let c = AdaptiveConfig::builder(4)
             .drain_floor(0.25)
             .build()
             .unwrap();
         assert!((c.drain_floor - 0.25).abs() < 1e-12);
-        assert!((AdaptiveConfig::new(4).drain_floor(0.5).drain_floor - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "drain floor must be in [0, 1)")]
-    fn rejects_bad_drain_floor() {
-        let _ = AdaptiveConfig::new(2).drain_floor(1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "s must be in [0, 1]")]
-    fn rejects_bad_willingness() {
-        let _ = AdaptiveConfig::new(2).willingness(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one partition")]
-    fn rejects_zero_partitions() {
-        let _ = AdaptiveConfig::new(0);
-    }
-
-    #[test]
-    fn builder_matches_new_defaults() {
-        assert_eq!(AdaptiveConfig::builder(9).build().unwrap(), {
-            // `new` routes through the builder; keep the equality anyway as
-            // the shim contract.
-            AdaptiveConfig::new(9)
-        });
     }
 
     #[test]
@@ -699,7 +488,6 @@ mod tests {
                 over_iterations: 40
             })
         );
-        assert!(!c.sweep_exhaustive, "diagnostic hook never set by builder");
     }
 
     #[test]
@@ -721,6 +509,12 @@ mod tests {
         assert_eq!(
             AdaptiveConfig::builder(4).capacity_factor(0.9).build(),
             Err(CapacityFactorBelowOne(0.9))
+        );
+        assert_eq!(
+            AdaptiveConfig::builder(4)
+                .capacity_factor(f64::INFINITY)
+                .build(),
+            Err(CapacityFactorBelowOne(f64::INFINITY))
         );
         assert_eq!(
             AdaptiveConfig::builder(4).capacity_slack(-0.2).build(),

@@ -21,6 +21,13 @@
 //! messaging (§3) lives in the `apg-pregel` crate and reuses the decision
 //! kernel and the same execution layer, so the two cannot drift.
 //!
+//! [`AdaptiveConfig`] holds the algorithm's knobs and nothing else: built
+//! one way ([`AdaptiveConfig::builder`]), checked by one rule set
+//! ([`AdaptiveConfig::validate`], shared with the checkpoint decoder),
+//! persisted whole. The naive implementations the equivalence suites
+//! compare against (exhaustive sweep, serial apply) are not modes of it but
+//! separate drivers in the hidden `reference` module.
+//!
 //! # Example
 //!
 //! ```
@@ -29,7 +36,7 @@
 //! use apg_partition::InitialStrategy;
 //!
 //! let graph = gen::mesh3d(10, 10, 10);
-//! let config = AdaptiveConfig::new(9); // k = 9, s = 0.5, capacity 110%
+//! let config = AdaptiveConfig::builder(9).build().unwrap(); // k = 9, s = 0.5, capacity 110%
 //! let mut partitioner =
 //!     AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &config, 42);
 //! let report = partitioner.run_to_convergence();
@@ -50,6 +57,9 @@ pub use candidates::{DecisionKernel, MigrationDecision};
 pub use config::{
     AdaptiveConfig, AdaptiveConfigBuilder, Anneal, ConfigError, PlacementPolicy, QuotaRule,
 };
+// Test support, not API: the naive drivers the equivalence suites use.
+#[doc(hidden)]
+pub use partitioner::reference;
 pub use partitioner::{AdaptivePartitioner, IterationStats, SweepProfile};
 pub use persist::{
     CheckpointDelta, CheckpointStore, CheckpointView, InstallReport, PartitionerState,

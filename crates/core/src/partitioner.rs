@@ -1,4 +1,11 @@
 //! The adaptive iterative vertex-migration partitioner.
+//!
+//! One iteration is a fixed sequence of private phases — budgets → work
+//! list → decide fan-out → admission into `pending` → apply → finish —
+//! composed by [`AdaptivePartitioner::iterate_profiled`] with no mode
+//! switch. The naive counterparts the equivalence suites compare against
+//! live in the hidden child module `reference` (`reference.rs`), which
+//! recomposes the same phases with exactly one swapped out.
 
 use std::time::Instant;
 
@@ -56,22 +63,22 @@ impl IterationStats {
 /// measurement or a sweep-internal count, deliberately **not** part of
 /// [`IterationStats`] (whose equality pins deterministic history, which
 /// must not depend on whether the active-set skip was enabled).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SweepProfile {
     /// Active slots when the iteration started.
     pub active_before: usize,
     /// Active slots when the iteration finished.
     pub active_after: usize,
-    /// Vertices the decision phase visited (all live vertices in
-    /// exhaustive mode, the live active ones otherwise).
+    /// Vertices the decision phase visited: the live active ones (all live
+    /// vertices under the exhaustive reference driver).
     pub visited: usize,
     /// Shards the fan-out scheduled (shards with no active slot are
-    /// skipped outright in active-set mode).
+    /// skipped outright).
     pub shards_swept: usize,
     /// Total shards in the iteration's plan.
     pub num_shards: usize,
-    /// Total slots inside the scheduled shard ranges. In active-set mode
-    /// each scheduled shard is trimmed to its dirtied region
+    /// Total slots inside the scheduled shard ranges. Each scheduled
+    /// shard is trimmed to its dirtied region
     /// (first..=last active slot), so this measures the slot footprint the
     /// sweep actually covered — after a local batch it is proportional to
     /// where the batch landed, not to `num_shards x shard_size`.
@@ -147,7 +154,7 @@ enum CapacityMode {
 ///
 /// Because per-vertex RNG keying makes skipping exact, the history is
 /// *identical* to an exhaustive sweep's
-/// ([`AdaptiveConfig::sweep_exhaustive`] pins this); a converged, quiet
+/// (`apg_core::reference::iterate_exhaustive` pins this); a converged, quiet
 /// partitioner iterates in `O(shards)` bookkeeping, and a streaming one
 /// pays per batch in proportion to the region the batch dirtied.
 ///
@@ -159,7 +166,7 @@ enum CapacityMode {
 /// use apg_partition::InitialStrategy;
 ///
 /// let g = gen::mesh3d(8, 8, 8);
-/// let cfg = AdaptiveConfig::new(4);
+/// let cfg = AdaptiveConfig::builder(4).build().unwrap();
 /// let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Random, &cfg, 7);
 /// let before = p.cut_edges();
 /// p.run_for(50);
@@ -204,8 +211,7 @@ struct IterScratch {
     /// Per-partition remaining capacity at iteration start.
     remaining: Vec<usize>,
     /// Work list of `(shard index, slot range)` pairs the decide fan-out
-    /// sweeps this iteration (trimmed to each shard's dirtied region in
-    /// active-set mode).
+    /// sweeps this iteration (trimmed to each shard's dirtied region).
     shards: Vec<(usize, std::ops::Range<usize>)>,
     /// One reusable [`DecisionKernel`] per scheduled shard: the k-length
     /// label histogram every vertex evaluation fills, hoisted here so its
@@ -445,16 +451,44 @@ impl AdaptivePartitioner {
     /// [`AdaptivePartitioner::iterate`], additionally reporting where the
     /// iteration spent its time and how much work the active-set sweep
     /// scheduled (benchmark instrumentation; the stats are identical to
-    /// what `iterate` would have produced).
+    /// what `iterate` would have produced). This is the production
+    /// composition of the phases; see the module docs.
     pub fn iterate_profiled(&mut self) -> (IterationStats, SweepProfile) {
-        let k = self.config.num_partitions;
+        self.iterate_with(Self::decide_active, Self::apply_pending_sharded)
+    }
+
+    /// The iteration skeleton: `decide` schedules the work list and runs
+    /// the fan-out over it, `apply` commits the admitted `pending` set.
+    fn iterate_with(
+        &mut self,
+        decide: impl FnOnce(&mut Self, &mut SweepProfile) -> Vec<ShardOutcome>,
+        apply: impl FnOnce(&mut Self),
+    ) -> (IterationStats, SweepProfile) {
+        let mut profile = self.prepare_iteration();
+        let outcomes = decide(self, &mut profile);
+        self.admit(&outcomes, &mut profile);
+        let apply_start = Instant::now();
+        apply(self);
+        profile.apply_ms = ms_since(apply_start);
+        self.finish_iteration(profile)
+    }
+
+    /// The shard decomposition of the current slot range.
+    fn shard_plan(&self) -> ShardPlan {
+        ShardPlan::with_default_size(self.graph.slot_range().len())
+    }
+
+    /// Budget phase: per-partition remaining capacity at iteration start
+    /// and the quota table derived from it. Also empties the work list and
+    /// opens the iteration's profile.
+    fn prepare_iteration(&mut self) -> SweepProfile {
         let caps = self.capacities();
+        let (degree_mass, partitioning) = (&self.degree_mass, &self.partitioning);
         let balance_edges = self.config.balance_edges;
-        {
-            let degree_mass = &self.degree_mass;
-            let partitioning = &self.partitioning;
-            self.scratch.remaining.clear();
-            self.scratch.remaining.extend((0..k).map(|p| {
+        self.scratch.remaining.clear();
+        self.scratch
+            .remaining
+            .extend((0..self.config.num_partitions).map(|p| {
                 let load = if balance_edges {
                     degree_mass[p as usize]
                 } else {
@@ -462,87 +496,103 @@ impl AdaptivePartitioner {
                 };
                 caps.remaining(p, load)
             }));
-        }
         self.scratch
             .quota
             .rebuild(self.config.quota_rule, &self.scratch.remaining);
 
-        // Decision phase: shards propose migrations for the active slots of
-        // their range against the frozen graph + assignment. Every vertex
-        // draws from its own (seed, vertex, iteration) RNG, so visiting a
-        // subset draws exactly what a full sweep would have drawn for each
-        // visited vertex. Read-only, embarrassingly parallel; proposals
-        // come back in shard order = vertex order. Shards with no active
-        // slot are skipped before the fan-out even sees them.
-        let s = self.config.willingness_at(self.iteration);
-        let plan = ShardPlan::with_default_size(self.graph.slot_range().len());
+        let plan = self.shard_plan();
         let active = self.marks.sweep();
         debug_assert_eq!(active.len(), plan.len(), "active set out of sync");
         debug_assert_eq!(active.shard_size(), plan.shard_size());
-        let exhaustive = self.config.sweep_exhaustive;
-        let graph = &self.graph;
-        let partitioning = &self.partitioning;
-        let count_self = self.config.count_self;
-        let seed = self.seed;
-        let round = self.iteration as u64;
-        let active_before = active.num_active();
-
         self.scratch.shards.clear();
-        if exhaustive {
-            self.scratch.shards.extend(plan.ranges().enumerate());
-        } else {
-            // The dirtied-region work list: only shards with active slots,
-            // each trimmed to its first..=last active slot, so the fan-out
-            // covers the region recent churn touched and nothing else.
-            active.collect_dirty_shards(&mut self.scratch.shards);
+        SweepProfile {
+            active_before: active.num_active(),
+            num_shards: plan.num_shards(),
+            ..SweepProfile::default()
         }
-        let shards_swept = self.scratch.shards.len();
-        let slots_scheduled: usize = self.scratch.shards.iter().map(|(_, r)| r.len()).sum();
+    }
+
+    /// Work-list and decide phases as production runs them: the
+    /// dirtied-region work list — only shards with active slots, each
+    /// trimmed to its first..=last active slot, so the fan-out covers the
+    /// region recent churn touched and nothing else — swept by visiting
+    /// each range's active slots.
+    fn decide_active(&mut self, profile: &mut SweepProfile) -> Vec<ShardOutcome> {
+        self.marks
+            .sweep()
+            .collect_dirty_shards(&mut self.scratch.shards);
+        self.decide(profile, |frozen, slots, eval| {
+            for slot in frozen.marks.sweep().iter_in(slots) {
+                let v = slot as VertexId;
+                debug_assert!(frozen.graph.is_vertex(v), "tombstone {v} in active set");
+                eval.evaluate(v);
+            }
+        })
+    }
+
+    /// Decide phase: fans the work list in `scratch.shards` over up to
+    /// [`AdaptiveConfig::parallelism`] threads; `sweep_shard` evaluates
+    /// the vertices it chooses to visit within one slot range. Shards
+    /// propose migrations against the frozen graph + assignment. Every
+    /// vertex draws from its own (seed, vertex, iteration) RNG, so visiting
+    /// a subset draws exactly what a full sweep would have drawn for each
+    /// visited vertex. Read-only, embarrassingly parallel; proposals come
+    /// back in shard order = vertex order.
+    fn decide<F>(&mut self, profile: &mut SweepProfile, sweep_shard: F) -> Vec<ShardOutcome>
+    where
+        F: Fn(&Self, std::ops::Range<usize>, &mut Evaluator<'_>) + Sync,
+    {
+        profile.shards_swept = self.scratch.shards.len();
+        profile.slots_scheduled = self.scratch.shards.iter().map(|(_, r)| r.len()).sum();
 
         // One reusable kernel per scheduled shard (grown on demand, kept
         // across iterations). Kernels are interchangeable — decide() leaves
         // no state behind — so pairing kernel i with work item i is safe.
-        if self.scratch.kernels.len() < shards_swept {
-            self.scratch
-                .kernels
-                .resize_with(shards_swept, || DecisionKernel::new(k, count_self));
+        // They leave the scratch for the fan-out so the workers can share
+        // `&self` beside them.
+        let mut kernels = std::mem::take(&mut self.scratch.kernels);
+        if kernels.len() < profile.shards_swept {
+            let (k, count_self) = (self.config.num_partitions, self.config.count_self);
+            kernels.resize_with(profile.shards_swept, || DecisionKernel::new(k, count_self));
         }
-        let work: Vec<(&mut DecisionKernel, &(usize, std::ops::Range<usize>))> = self
-            .scratch
-            .kernels
-            .iter_mut()
-            .zip(self.scratch.shards.iter())
-            .collect();
+        let frozen = &*self;
+        let s = frozen.config.willingness_at(frozen.iteration);
+        let round = frozen.iteration as u64;
+        let work: Vec<_> = kernels.iter_mut().zip(&frozen.scratch.shards).collect();
 
         let decide_start = Instant::now();
-        let outcomes: Vec<ShardOutcome> =
-            fanout::map_items(self.config.parallelism, work, |_, (kernel, (_, slots))| {
-                let mut out = ShardOutcome::default();
-                if exhaustive {
-                    for v in graph.live_in(slots.clone()) {
-                        evaluate_vertex(v, s, seed, round, graph, partitioning, kernel, &mut out);
-                    }
-                } else {
-                    for slot in active.iter_in(slots.clone()) {
-                        let v = slot as VertexId;
-                        debug_assert!(graph.is_vertex(v), "tombstone {v} in active set");
-                        evaluate_vertex(v, s, seed, round, graph, partitioning, kernel, &mut out);
-                    }
-                }
-                out
-            });
-        let decide_ms = decide_start.elapsed().as_secs_f64() * 1e3;
+        let outcomes = fanout::map_items(
+            frozen.config.parallelism,
+            work,
+            |_, (kernel, (_, slots))| {
+                let mut eval = Evaluator {
+                    s,
+                    seed: frozen.seed,
+                    round,
+                    graph: &frozen.graph,
+                    partitioning: &frozen.partitioning,
+                    kernel,
+                    out: ShardOutcome::default(),
+                };
+                sweep_shard(frozen, slots.clone(), &mut eval);
+                eval.out
+            },
+        );
+        profile.decide_ms = ms_since(decide_start);
+        self.scratch.kernels = kernels;
+        outcomes
+    }
 
-        // Merge phase: single-threaded and deterministic. First retire the
-        // vertices the sweep proved interior — the apply phase re-dirties
-        // every neighbourhood its moves perturb, so anything whose boundary
-        // status changes is re-marked immediately after. Then admit
-        // proposals against the quota table in ascending vertex order
-        // (exactly what a sequential sweep would have consumed).
+    /// Merge phase: single-threaded and deterministic. First retire the
+    /// vertices the sweep proved interior — the apply phase re-dirties
+    /// every neighbourhood its moves perturb, so anything whose boundary
+    /// status changes is re-marked immediately after. Then admit proposals
+    /// into `pending` against the quota table in ascending vertex order
+    /// (exactly what a sequential sweep would have consumed).
+    fn admit(&mut self, outcomes: &[ShardOutcome], profile: &mut SweepProfile) {
         let merge_start = Instant::now();
-        let mut visited = 0usize;
-        for outcome in &outcomes {
-            visited += outcome.visited;
+        for outcome in outcomes {
+            profile.visited += outcome.visited;
             for &v in &outcome.retire {
                 self.marks.retire(v as usize);
             }
@@ -550,7 +600,7 @@ impl AdaptivePartitioner {
         self.pending.clear();
         for (v, to) in outcomes.iter().flat_map(|o| o.proposals.iter().copied()) {
             let current = self.partitioning.partition_of(v);
-            let units = if balance_edges {
+            let units = if self.config.balance_edges {
                 self.graph.degree(v)
             } else {
                 1
@@ -559,44 +609,20 @@ impl AdaptivePartitioner {
                 self.pending.push((v, to));
             }
         }
-        let merge_ms = merge_start.elapsed().as_secs_f64() * 1e3;
+        profile.merge_ms = ms_since(merge_start);
+    }
 
-        // Apply phase: move vertices, updating the cut incrementally and
-        // re-dirtying each migrant's neighbourhood. The sharded path is the
-        // default; `apply_serial` keeps the per-migrant loop alive as the
-        // equivalence reference (both produce identical state — the
-        // apply-equivalence proptests pin this).
-        let apply_start = Instant::now();
+    /// Finish phase: the applied `pending` set becomes the iteration's
+    /// migration count, the counters advance and the profile closes.
+    fn finish_iteration(&mut self, mut profile: SweepProfile) -> (IterationStats, SweepProfile) {
         let migrations = self.pending.len();
-        if self.config.apply_serial {
-            // Index loop rather than iterating a moved-out buffer, so
-            // `pending` keeps its capacity in place across iterations.
-            for i in 0..self.pending.len() {
-                let (v, to) = self.pending[i];
-                self.apply_move(v, to);
-            }
-        } else {
-            self.apply_pending_sharded();
-        }
-        let apply_ms = apply_start.elapsed().as_secs_f64() * 1e3;
-
         self.iteration += 1;
         if migrations == 0 {
             self.quiet_streak += 1;
         } else {
             self.quiet_streak = 0;
         }
-        let profile = SweepProfile {
-            active_before,
-            active_after: self.marks.sweep().num_active(),
-            visited,
-            shards_swept,
-            num_shards: plan.num_shards(),
-            slots_scheduled,
-            decide_ms,
-            merge_ms,
-            apply_ms,
-        };
+        profile.active_after = self.marks.sweep().num_active();
         (self.stats_snapshot(migrations), profile)
     }
 
@@ -613,10 +639,11 @@ impl AdaptivePartitioner {
     /// migrant–migrant edge is counted by its lower-id endpoint, every
     /// other edge by its migrant — and the single-threaded merge folds
     /// them in shard order, then replays the label/size bookkeeping in
-    /// admission order. The resulting state is identical to running
-    /// [`AdaptivePartitioner::apply_move`] per migrant in admission order
-    /// (dirty-marking is idempotent and the deltas are exact), which
-    /// [`AdaptiveConfig::apply_serial`] keeps alive as the reference.
+    /// admission order. The resulting state is identical to moving one
+    /// migrant at a time in admission order (dirty-marking is idempotent
+    /// and the deltas are exact) — the loop
+    /// `apg_core::reference::iterate_serial_apply` keeps alive as the
+    /// reference.
     fn apply_pending_sharded(&mut self) {
         let k = self.config.num_partitions as usize;
         let graph = &self.graph;
@@ -641,7 +668,7 @@ impl AdaptivePartitioner {
                 }
                 for &w in graph.neighbors(v) {
                     // The neighbour sees v's label change: it re-enters
-                    // the active set (exactly as `apply_move` marks it).
+                    // the active set.
                     out.relabelled_neighbours.push(w as usize);
                     let old_w = partitioning.partition_of(w);
                     let (new_w, counts_edge) = match migrant_target(pending, w) {
@@ -683,29 +710,6 @@ impl AdaptivePartitioner {
             self.note_size_gain(to);
             self.note_size_loss(from);
         }
-    }
-
-    fn apply_move(&mut self, v: VertexId, to: PartitionId) {
-        let from = self.partitioning.partition_of(v);
-        if from == to {
-            return;
-        }
-        for &w in self.graph.neighbors(v) {
-            let pw = self.partitioning.partition_of(w);
-            if pw == from {
-                self.cut += 1; // was internal, becomes cut
-            } else if pw == to {
-                self.cut -= 1; // was cut, becomes internal
-            }
-            self.marks.neighbour_relabelled(w as usize);
-        }
-        self.marks.mutated(v as usize);
-        let deg = self.graph.degree(v);
-        self.degree_mass[from as usize] -= deg;
-        self.degree_mass[to as usize] += deg;
-        self.partitioning.move_vertex(v, to);
-        self.note_size_gain(to);
-        self.note_size_loss(from);
     }
 
     /// Partition `p` gained a vertex: its new size may be the new maximum.
@@ -1103,8 +1107,8 @@ struct ShardOutcome {
 /// deltas of its migrants' moves, computed against the frozen
 /// iteration-start labels, plus the neighbours that saw a label change
 /// (the migrants themselves are marked by the merge). Folding the
-/// outcomes in shard order reproduces the serial
-/// [`AdaptivePartitioner::apply_move`] loop's final state exactly.
+/// outcomes in shard order reproduces the serial per-migrant loop's final
+/// state exactly.
 #[derive(Debug)]
 struct ApplyOutcome {
     cut_delta: i64,
@@ -1122,55 +1126,67 @@ fn migrant_target(pending: &[(VertexId, PartitionId)], w: VertexId) -> Option<Pa
         .map(|i| pending[i].1)
 }
 
-/// Evaluates one vertex against the frozen iteration-start snapshot.
-///
-/// Every draw comes from the vertex's own `(seed, vertex, round)` RNG —
-/// first the willingness roll, then any tie-breaks inside the kernel — so
-/// the outcome is independent of which other vertices were visited. A
-/// vertex that decides *Stay* is retired from the active set: Stay is
-/// deterministic (the current partition wins every tie), so with an
-/// unchanged neighbourhood the vertex would decide Stay on every future
-/// iteration too.
-///
-/// `neighbors(v)` is walked exactly **once**: the kernel's label histogram
-/// is both the candidate tally and the interior-vertex early-out (a vertex
-/// whose neighbours all share its label makes its own partition the unique
-/// best, so the kernel returns Stay — without a random draw — and the
-/// vertex retires). Draw-for-draw identical to the old two-pass shape,
-/// which pre-scanned the neighbours for a differing label before tallying:
-/// the kernel only consumes randomness when several *foreign* partitions
-/// tie for best, which an interior vertex cannot produce.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn evaluate_vertex(
-    v: VertexId,
+/// One shard's view of the decide phase: the frozen iteration-start
+/// snapshot, the shard's kernel and the outcome it is filling.
+struct Evaluator<'a> {
+    /// Effective willingness this iteration.
     s: f64,
     seed: u64,
     round: u64,
-    graph: &DynGraph,
-    partitioning: &Partitioning,
-    kernel: &mut DecisionKernel,
-    out: &mut ShardOutcome,
-) {
-    out.visited += 1;
-    let mut rng = vertex_rng(seed, v as u64, round);
-    if s < 1.0 && !rng.gen_bool(s) {
-        // Declined to evaluate this round: it stays active and re-rolls
-        // next iteration, exactly as an exhaustive sweep would.
-        return;
+    graph: &'a DynGraph,
+    partitioning: &'a Partitioning,
+    kernel: &'a mut DecisionKernel,
+    out: ShardOutcome,
+}
+
+impl Evaluator<'_> {
+    /// Evaluates one vertex against the frozen iteration-start snapshot.
+    ///
+    /// Every draw comes from the vertex's own `(seed, vertex, round)` RNG —
+    /// first the willingness roll, then any tie-breaks inside the kernel —
+    /// so the outcome is independent of which other vertices were visited.
+    /// A vertex that decides *Stay* is retired from the active set: Stay is
+    /// deterministic (the current partition wins every tie), so with an
+    /// unchanged neighbourhood the vertex would decide Stay on every future
+    /// iteration too.
+    ///
+    /// `neighbors(v)` is walked exactly **once**: the kernel's label
+    /// histogram is both the candidate tally and the interior-vertex
+    /// early-out (a vertex whose neighbours all share its label makes its
+    /// own partition the unique best, so the kernel returns Stay — without
+    /// a random draw — and the vertex retires). Draw-for-draw identical to
+    /// the old two-pass shape, which pre-scanned the neighbours for a
+    /// differing label before tallying: the kernel only consumes randomness
+    /// when several *foreign* partitions tie for best, which an interior
+    /// vertex cannot produce.
+    #[inline]
+    fn evaluate(&mut self, v: VertexId) {
+        self.out.visited += 1;
+        let mut rng = vertex_rng(self.seed, v as u64, self.round);
+        if self.s < 1.0 && !rng.gen_bool(self.s) {
+            // Declined to evaluate this round: it stays active and re-rolls
+            // next iteration, exactly as an exhaustive sweep would.
+            return;
+        }
+        let (graph, partitioning) = (self.graph, self.partitioning);
+        let current = partitioning.partition_of(v);
+        match self.kernel.decide(
+            current,
+            graph
+                .neighbors(v)
+                .iter()
+                .map(|&w| partitioning.partition_of(w)),
+            &mut rng,
+        ) {
+            MigrationDecision::Stay => self.out.retire.push(v),
+            MigrationDecision::Migrate(to) => self.out.proposals.push((v, to)),
+        }
     }
-    let current = partitioning.partition_of(v);
-    match kernel.decide(
-        current,
-        graph
-            .neighbors(v)
-            .iter()
-            .map(|&w| partitioning.partition_of(w)),
-        &mut rng,
-    ) {
-        MigrationDecision::Stay => out.retire.push(v),
-        MigrationDecision::Migrate(to) => out.proposals.push((v, to)),
-    }
+}
+
+/// Milliseconds elapsed since `start`.
+fn ms_since(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1e3
 }
 
 /// Copies any [`Graph`] into a [`DynGraph`], degree prepass first: every
@@ -1194,6 +1210,12 @@ fn to_dyn<G: Graph>(graph: &G) -> DynGraph {
     d
 }
 
+// Reference drivers for the equivalence suites — a child module so they
+// can drive the private phases above without widening their visibility.
+#[doc(hidden)]
+#[path = "reference.rs"]
+pub mod reference;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1202,7 +1224,7 @@ mod tests {
 
     fn mesh_partitioner(s: f64, seed: u64) -> AdaptivePartitioner {
         let g = gen::mesh3d(8, 8, 8);
-        let cfg = AdaptiveConfig::new(4).willingness(s);
+        let cfg = AdaptiveConfig::builder(4).willingness(s).build().unwrap();
         AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, seed)
     }
 
@@ -1252,7 +1274,10 @@ mod tests {
     #[test]
     fn converges_on_small_mesh() {
         let g = gen::mesh3d(6, 6, 6);
-        let cfg = AdaptiveConfig::new(4).max_iterations(600);
+        let cfg = AdaptiveConfig::builder(4)
+            .max_iterations(600)
+            .build()
+            .unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 5);
         let report = p.run_to_convergence();
         assert!(report.converged(), "did not converge in 600 iterations");
@@ -1275,7 +1300,10 @@ mod tests {
     #[test]
     fn mutations_reset_convergence() {
         let g = gen::mesh3d(4, 4, 4);
-        let cfg = AdaptiveConfig::new(2).max_iterations(400);
+        let cfg = AdaptiveConfig::builder(2)
+            .max_iterations(400)
+            .build()
+            .unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 7);
         p.run_to_convergence();
         assert!(p.is_converged());
@@ -1286,7 +1314,7 @@ mod tests {
     #[test]
     fn new_vertex_migrates_towards_neighbours() {
         let g = gen::mesh3d(6, 6, 6);
-        let cfg = AdaptiveConfig::new(3).willingness(1.0);
+        let cfg = AdaptiveConfig::builder(3).willingness(1.0).build().unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 8);
         p.run_for(100);
         // Attach a vertex entirely to partition owners of vertex 0's area.
@@ -1321,7 +1349,10 @@ mod tests {
         // fans out; the histories must be identical anyway.
         let g = gen::mesh3d(20, 20, 20);
         let run = |threads: usize| {
-            let cfg = AdaptiveConfig::new(4).parallelism(threads);
+            let cfg = AdaptiveConfig::builder(4)
+                .parallelism(threads)
+                .build()
+                .unwrap();
             let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 17);
             let history = p.run_for(25);
             p.audit();
@@ -1335,17 +1366,18 @@ mod tests {
     #[test]
     fn sharded_apply_matches_serial_apply() {
         let g = gen::mesh3d(12, 12, 12);
-        let run = |serial: bool, threads: usize| {
-            let cfg = AdaptiveConfig::new(4)
+        let run = |iterate: fn(&mut AdaptivePartitioner) -> IterationStats, threads: usize| {
+            let cfg = AdaptiveConfig::builder(4)
                 .willingness(1.0)
                 .parallelism(threads)
-                .apply_serial(serial);
+                .build()
+                .unwrap();
             let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 41);
-            let mut history = p.run_for(12);
+            let mut history: Vec<_> = (0..12).map(|_| iterate(&mut p)).collect();
             let v = p.add_vertex_with_edges(&[0, 5, 9]);
             p.add_edge(v, 100);
             p.remove_vertex(200);
-            history.extend(p.run_for(12));
+            history.extend((0..12).map(|_| iterate(&mut p)));
             p.audit();
             (
                 history,
@@ -1354,15 +1386,15 @@ mod tests {
                 p.degree_mass().to_vec(),
             )
         };
-        let reference = run(true, 1);
-        assert_eq!(reference, run(false, 1));
-        assert_eq!(reference, run(false, 8));
+        let reference = run(|p| reference::iterate_serial_apply(p).0, 1);
+        assert_eq!(reference, run(AdaptivePartitioner::iterate, 1));
+        assert_eq!(reference, run(AdaptivePartitioner::iterate, 8));
     }
 
     #[test]
     fn from_partitioning_resumes() {
         let g = gen::mesh3d(4, 4, 4);
-        let cfg = AdaptiveConfig::new(2);
+        let cfg = AdaptiveConfig::builder(2).build().unwrap();
         let p1 = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Random, &cfg, 1);
         let assignment = p1.partitioning().clone();
         let p2 = AdaptivePartitioner::from_partitioning(&g, assignment.clone(), &cfg, 2);
@@ -1374,29 +1406,34 @@ mod tests {
     fn active_sweep_matches_exhaustive_sweep() {
         // The tentpole contract: with per-vertex RNG keying, skipping
         // interior vertices is exact — histories are identical whether the
-        // active-set skip is on (default) or forced off.
+        // sweep visits the active set (production) or every live vertex
+        // (the reference driver).
         let g = gen::mesh3d(10, 10, 10);
-        let run = |exhaustive: bool| {
-            let cfg = AdaptiveConfig::new(4)
-                .willingness(0.7)
-                .sweep_exhaustive(exhaustive);
+        let run = |iterate: fn(&mut AdaptivePartitioner) -> IterationStats| {
+            let cfg = AdaptiveConfig::builder(4).willingness(0.7).build().unwrap();
             let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 23);
-            let mut history = p.run_for(8);
+            let mut history: Vec<_> = (0..8).map(|_| iterate(&mut p)).collect();
             let v = p.add_vertex_with_edges(&[0, 1, 5, 17]);
             p.add_edge(v, 40);
             p.remove_edge(2, 3);
             p.remove_vertex(77);
-            history.extend(p.run_for(8));
+            history.extend((0..8).map(|_| iterate(&mut p)));
             p.audit();
             (history, p.partitioning().clone(), p.cut_edges())
         };
-        assert_eq!(run(false), run(true));
+        assert_eq!(
+            run(AdaptivePartitioner::iterate),
+            run(|p| reference::iterate_exhaustive(p).0)
+        );
     }
 
     #[test]
     fn stay_deciders_retire_from_the_active_set() {
         let g = gen::mesh3d(8, 8, 8);
-        let cfg = AdaptiveConfig::new(4).max_iterations(500);
+        let cfg = AdaptiveConfig::builder(4)
+            .max_iterations(500)
+            .build()
+            .unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 9);
         let all = p.num_active_vertices();
         assert_eq!(all, 512, "everything starts active");
@@ -1429,7 +1466,10 @@ mod tests {
     #[test]
     fn dirty_region_trims_the_scheduled_footprint() {
         let g = gen::mesh3d(8, 8, 8);
-        let cfg = AdaptiveConfig::new(4).max_iterations(500);
+        let cfg = AdaptiveConfig::builder(4)
+            .max_iterations(500)
+            .build()
+            .unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 9);
         // First iteration: everything is dirty, so the scheduled footprint
         // is the full slot range.
@@ -1456,7 +1496,11 @@ mod tests {
     #[test]
     fn mutations_reactivate_the_perturbed_region() {
         let g = gen::mesh3d(8, 8, 8);
-        let cfg = AdaptiveConfig::new(4).willingness(1.0).max_iterations(400);
+        let cfg = AdaptiveConfig::builder(4)
+            .willingness(1.0)
+            .max_iterations(400)
+            .build()
+            .unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 31);
         p.run_to_convergence();
         let quiet = p.num_active_vertices();
@@ -1471,7 +1515,7 @@ mod tests {
     #[test]
     fn restore_reactivates_all_live_vertices() {
         let g = gen::mesh3d(6, 6, 6);
-        let cfg = AdaptiveConfig::new(3).willingness(1.0);
+        let cfg = AdaptiveConfig::builder(3).willingness(1.0).build().unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 12);
         p.run_for(20);
         assert!(p.num_active_vertices() < p.graph().num_live_vertices());
@@ -1509,7 +1553,7 @@ mod tests {
     #[test]
     fn fixed_capacities_are_respected() {
         let g = gen::mesh3d(4, 4, 4);
-        let cfg = AdaptiveConfig::new(2).willingness(1.0);
+        let cfg = AdaptiveConfig::builder(2).willingness(1.0).build().unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Random, &cfg, 3);
         let tight = CapacityModel::vertex_balanced(64, 2, 1.0);
         p.set_fixed_capacities(tight.clone());

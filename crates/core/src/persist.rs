@@ -31,6 +31,10 @@
 //! history into a snapshot is the [`CheckpointStore`]'s rebase (see
 //! [`StoreConfig::max_chain_len`]).
 //!
+//! A decoded [`AdaptiveConfig`] passes [`AdaptiveConfig::validate`], the
+//! builder's own rule set, so whatever builds can be recovered and whatever
+//! decodes could have been built; every field of it is on the wire.
+//!
 //! The stream *source* is not persisted: every `apg-streams` source is a
 //! pure function of its constructor arguments, so the checkpoint only
 //! records the [`SourceCursor`] — reconstruct the source with the same
@@ -48,7 +52,7 @@
 //! use apg_streams::{PowerLawGrowth, RestartableSource, StreamSource};
 //!
 //! let base = DynGraph::with_vertices(100);
-//! let cfg = AdaptiveConfig::new(4).parallelism(1);
+//! let cfg = AdaptiveConfig::builder(4).parallelism(1).build().unwrap();
 //! let p = AdaptivePartitioner::with_strategy(&base, InitialStrategy::Hash, &cfg, 7);
 //! let mut runner = StreamingRunner::new(p).iterations_per_batch(2);
 //! let mut source = PowerLawGrowth::new(&base, 3, 25, 7);
@@ -85,7 +89,7 @@ use apg_persist::store::{SegmentStore, StoreConfig, StoreError};
 use apg_persist::{decode_len, format, Decode, DecodeError, Decoder, Encode, Encoder};
 use apg_streams::SourceCursor;
 
-use crate::config::{AdaptiveConfig, Anneal, PlacementPolicy, QuotaRule};
+use crate::config::{AdaptiveConfig, Anneal, ConfigError, PlacementPolicy, QuotaRule};
 use crate::partitioner::AdaptivePartitioner;
 use crate::streaming::{
     fold_timeline_digest, StreamingRunner, TimelineStats, TIMELINE_DIGEST_SEED,
@@ -167,45 +171,68 @@ impl Encode for Anneal {
 }
 
 impl Decode for Anneal {
+    /// Field-wise only: the endpoint ranges are
+    /// [`AdaptiveConfig::validate`]'s to check, with every other rule.
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let anneal = Anneal {
+        Ok(Anneal {
             start: f64::decode(dec)?,
             end: f64::decode(dec)?,
             over_iterations: usize::decode(dec)?,
-        };
-        if !(0.0..=1.0).contains(&anneal.start) || !(0.0..=1.0).contains(&anneal.end) {
-            return Err(DecodeError::Corrupt("anneal endpoint outside [0, 1]"));
-        }
-        Ok(anneal)
+        })
     }
 }
 
 impl Encode for AdaptiveConfig {
-    /// The diagnostic hooks (`sweep_exhaustive`, `apply_serial`,
-    /// `budget_fixed`) are deliberately absent: they are transient test
-    /// switches that never alter results, not logical state — persisting
-    /// them would change the wire format for knobs that never alter
-    /// behaviour. `drain_floor` *is* persisted (format v2): a non-default
-    /// floor changes which iterations a resumed stream executes.
+    /// Destructures exhaustively, so a field that is not put on the wire
+    /// does not compile.
     fn encode(&self, enc: &mut Encoder) {
-        self.num_partitions.encode(enc);
-        self.willingness.encode(enc);
-        self.capacity_factor.encode(enc);
-        self.convergence_window.encode(enc);
-        self.max_iterations.encode(enc);
-        self.quota_rule.encode(enc);
-        self.placement.encode(enc);
-        self.anneal.encode(enc);
-        self.balance_edges.encode(enc);
-        self.count_self.encode(enc);
-        self.parallelism.encode(enc);
-        self.drain_floor.encode(enc);
+        let AdaptiveConfig {
+            num_partitions,
+            willingness,
+            capacity_factor,
+            convergence_window,
+            max_iterations,
+            quota_rule,
+            placement,
+            anneal,
+            balance_edges,
+            count_self,
+            parallelism,
+            drain_floor,
+        } = self;
+        num_partitions.encode(enc);
+        willingness.encode(enc);
+        capacity_factor.encode(enc);
+        convergence_window.encode(enc);
+        max_iterations.encode(enc);
+        quota_rule.encode(enc);
+        placement.encode(enc);
+        anneal.encode(enc);
+        balance_edges.encode(enc);
+        count_self.encode(enc);
+        parallelism.encode(enc);
+        drain_floor.encode(enc);
+    }
+}
+
+/// A decoded configuration that [`AdaptiveConfig::validate`] rejects is a
+/// corrupt one: nothing the builder accepts encodes to it.
+impl From<ConfigError> for DecodeError {
+    fn from(violation: ConfigError) -> Self {
+        DecodeError::Corrupt(match violation {
+            ConfigError::ZeroPartitions => "config has zero partitions",
+            ConfigError::WillingnessOutOfRange(_) => "willingness outside [0, 1]",
+            ConfigError::CapacityFactorBelowOne(_) => "capacity factor not finite or below 1.0",
+            ConfigError::ZeroParallelism => "config has zero parallelism",
+            ConfigError::DrainFloorOutOfRange(_) => "drain floor outside [0, 1)",
+            ConfigError::AnnealOutOfRange { .. } => "anneal endpoint outside [0, 1]",
+        })
     }
 }
 
 impl Decode for AdaptiveConfig {
-    /// Re-validates every invariant the builder methods assert, returning
-    /// errors instead of panicking.
+    /// Applies the builder's own rule set ([`AdaptiveConfig::validate`]),
+    /// returning its violations as [`DecodeError::Corrupt`].
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let config = AdaptiveConfig {
             num_partitions: u16::decode(dec)?,
@@ -220,25 +247,8 @@ impl Decode for AdaptiveConfig {
             count_self: bool::decode(dec)?,
             parallelism: usize::decode(dec)?,
             drain_floor: f64::decode(dec)?,
-            sweep_exhaustive: false,
-            apply_serial: false,
-            budget_fixed: false,
         };
-        if config.num_partitions == 0 {
-            return Err(DecodeError::Corrupt("config has zero partitions"));
-        }
-        if !(0.0..=1.0).contains(&config.willingness) {
-            return Err(DecodeError::Corrupt("willingness outside [0, 1]"));
-        }
-        if !config.capacity_factor.is_finite() || config.capacity_factor < 1.0 {
-            return Err(DecodeError::Corrupt("capacity factor below 1.0"));
-        }
-        if config.parallelism == 0 {
-            return Err(DecodeError::Corrupt("config has zero parallelism"));
-        }
-        if !(0.0..1.0).contains(&config.drain_floor) {
-            return Err(DecodeError::Corrupt("drain floor outside [0, 1)"));
-        }
+        config.validate()?;
         Ok(config)
     }
 }
@@ -1296,7 +1306,10 @@ mod tests {
 
     fn growth_runner(parallelism: usize) -> (StreamingRunner, apg_streams::PowerLawGrowth) {
         let base = DynGraph::with_vertices(200);
-        let cfg = AdaptiveConfig::new(4).parallelism(parallelism);
+        let cfg = AdaptiveConfig::builder(4)
+            .parallelism(parallelism)
+            .build()
+            .unwrap();
         let p = AdaptivePartitioner::with_strategy(&base, InitialStrategy::Hash, &cfg, 11);
         let runner = StreamingRunner::new(p)
             .iterations_per_batch(2)
@@ -1424,7 +1437,7 @@ mod tests {
 
     #[test]
     fn config_and_state_decoders_reject_corruption() {
-        let cfg = AdaptiveConfig::new(3);
+        let cfg = AdaptiveConfig::builder(3).build().unwrap();
         // Willingness out of range.
         let mut bad = cfg.clone();
         bad.willingness = 7.5;
@@ -1450,10 +1463,133 @@ mod tests {
         ));
     }
 
+    /// One rule set, two doors: every setting `build()` rejects is also
+    /// rejected when a checkpoint carrying it is decoded, and every setting
+    /// `build()` accepts survives the checkpoint round trip unchanged — so
+    /// nothing that builds is unrecoverable and nothing that decodes is
+    /// unbuildable.
+    #[test]
+    fn builder_and_decoder_agree_on_every_config_rule() {
+        use ConfigError::*;
+        /// A row's settings, applied to a fresh builder.
+        type Tune = fn(crate::AdaptiveConfigBuilder) -> crate::AdaptiveConfigBuilder;
+
+        let (mut runner, mut source) = growth_runner(1);
+        runner.drive(&mut source, 2);
+        let valid = runner.checkpoint();
+
+        // Puts the setting a violation names into a configuration,
+        // bypassing the builder — the hand-patch a corrupt file amounts to.
+        // Exhaustive: a new `ConfigError` variant must add a row below.
+        fn carry(config: &mut AdaptiveConfig, violation: ConfigError) {
+            match violation {
+                ZeroPartitions => config.num_partitions = 0,
+                WillingnessOutOfRange(s) => config.willingness = s,
+                CapacityFactorBelowOne(c) => config.capacity_factor = c,
+                ZeroParallelism => config.parallelism = 0,
+                DrainFloorOutOfRange(d) => config.drain_floor = d,
+                AnnealOutOfRange { start, end } => {
+                    config.anneal = Some(Anneal {
+                        start,
+                        end,
+                        over_iterations: 10,
+                    })
+                }
+            }
+        }
+
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        let rejected: [(Tune, u16, ConfigError); 14] = [
+            (|b| b, 0, ZeroPartitions),
+            (|b| b.willingness(-0.1), 4, WillingnessOutOfRange(-0.1)),
+            (|b| b.willingness(1.5), 4, WillingnessOutOfRange(1.5)),
+            (|b| b.willingness(f64::NAN), 4, WillingnessOutOfRange(nan)),
+            (|b| b.capacity_factor(0.9), 4, CapacityFactorBelowOne(0.9)),
+            (
+                |b| b.capacity_factor(f64::NAN),
+                4,
+                CapacityFactorBelowOne(nan),
+            ),
+            (
+                |b| b.capacity_factor(f64::INFINITY),
+                4,
+                CapacityFactorBelowOne(inf),
+            ),
+            (|b| b.parallelism(0), 4, ZeroParallelism),
+            (|b| b.drain_floor(1.0), 4, DrainFloorOutOfRange(1.0)),
+            (|b| b.drain_floor(-0.1), 4, DrainFloorOutOfRange(-0.1)),
+            (|b| b.drain_floor(f64::NAN), 4, DrainFloorOutOfRange(nan)),
+            (
+                |b| b.anneal_willingness(1.2, 0.5, 10),
+                4,
+                AnnealOutOfRange {
+                    start: 1.2,
+                    end: 0.5,
+                },
+            ),
+            (
+                |b| b.anneal_willingness(0.5, -0.2, 10),
+                4,
+                AnnealOutOfRange {
+                    start: 0.5,
+                    end: -0.2,
+                },
+            ),
+            (
+                |b| b.anneal_willingness(f64::NAN, 0.5, 10),
+                4,
+                AnnealOutOfRange {
+                    start: nan,
+                    end: 0.5,
+                },
+            ),
+        ];
+        for (tune, k, expected) in rejected {
+            let violation = tune(AdaptiveConfig::builder(k)).build().unwrap_err();
+            // Debug strings, because NaN payloads defeat `==`.
+            assert_eq!(format!("{violation:?}"), format!("{expected:?}"));
+            let mut patched = valid.clone();
+            carry(&mut patched.state.config, violation);
+            let DecodeError::Corrupt(expected_reason) = DecodeError::from(violation) else {
+                unreachable!("config violations decode as Corrupt");
+            };
+            match StreamCheckpoint::from_bytes(&patched.to_bytes()) {
+                Err(DecodeError::Corrupt(reason)) => assert_eq!(reason, expected_reason),
+                other => panic!("{expected:?} decoded to {other:?}"),
+            }
+        }
+
+        let accepted: [Tune; 9] = [
+            |b| b,
+            |b| b.willingness(0.0),
+            |b| b.willingness(1.0),
+            |b| b.capacity_factor(1.0),
+            |b| b.capacity_factor(f64::MAX),
+            |b| b.parallelism(1).drain_floor(0.999),
+            |b| b.anneal_willingness(0.0, 1.0, 0),
+            |b| b.anneal_willingness(1.0, 0.0, 40),
+            |b| {
+                b.quota_rule(QuotaRule::Unbounded)
+                    .placement(PlacementPolicy::LeastLoaded)
+                    .balance_on_edges(true)
+                    .count_self(true)
+                    .convergence_window(0)
+                    .max_iterations(0)
+            },
+        ];
+        for tune in accepted {
+            let mut ckpt = valid.clone();
+            ckpt.state.config = tune(AdaptiveConfig::builder(4)).build().unwrap();
+            let back = StreamCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
+            assert_eq!(back, ckpt);
+        }
+    }
+
     #[test]
     fn fixed_capacities_survive_the_trip() {
         let graph = DynGraph::with_vertices(60);
-        let cfg = AdaptiveConfig::new(3);
+        let cfg = AdaptiveConfig::builder(3).build().unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 5);
         let caps = CapacityModel::vertex_balanced(60, 3, 1.5);
         p.set_fixed_capacities(caps.clone());

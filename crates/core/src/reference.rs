@@ -1,0 +1,80 @@
+//! Reference iteration drivers: what the equivalence suites and the
+//! `sweep`/`scaling` benches compare [`AdaptivePartitioner::iterate`]
+//! against.
+//!
+//! Each driver composes the same phases as
+//! [`AdaptivePartitioner::iterate_profiled`] and swaps **exactly one** for
+//! a deliberately naive implementation that shares nothing with the
+//! mechanism it checks:
+//!
+//! * [`iterate_exhaustive`] — the work list is every slot range of the
+//!   plan and the decide phase visits every live vertex in it, never
+//!   consulting the active set to choose what to visit;
+//! * [`iterate_serial_apply`] — the admitted migrants move one at a time,
+//!   in admission order, each through `apply_move`.
+//!
+//! Both must produce histories byte-identical to production's
+//! (`tests/active_set_sweep.rs`, `tests/apply_equivalence.rs`). Nothing
+//! here is reachable from a production call path or from a configuration.
+
+use apg_graph::{Graph, VertexId};
+use apg_partition::PartitionId;
+
+use super::{AdaptivePartitioner, IterationStats, SweepProfile};
+
+/// One iteration with the exhaustive decision sweep: every live vertex is
+/// evaluated, active or not. Because randomness is keyed per
+/// `(seed, vertex, iteration)` and skipped vertices provably decide *Stay*,
+/// the history equals [`AdaptivePartitioner::iterate`]'s.
+pub fn iterate_exhaustive(p: &mut AdaptivePartitioner) -> (IterationStats, SweepProfile) {
+    p.iterate_with(
+        |p, profile| {
+            let plan = p.shard_plan();
+            p.scratch.shards.extend(plan.ranges().enumerate());
+            p.decide(profile, |frozen, slots, eval| {
+                for v in frozen.graph.live_in(slots) {
+                    eval.evaluate(v);
+                }
+            })
+        },
+        AdaptivePartitioner::apply_pending_sharded,
+    )
+}
+
+/// One iteration with the serial apply: the admitted set is committed by
+/// the per-migrant `apply_move` loop instead of the sharded fan-out. The
+/// resulting state equals [`AdaptivePartitioner::iterate`]'s.
+pub fn iterate_serial_apply(p: &mut AdaptivePartitioner) -> (IterationStats, SweepProfile) {
+    p.iterate_with(AdaptivePartitioner::decide_active, |p| {
+        for i in 0..p.pending.len() {
+            let (v, to) = p.pending[i];
+            apply_move(p, v, to);
+        }
+    })
+}
+
+/// Moves one vertex, updating the cut edge by edge against the labels as
+/// they stand *now* (earlier migrants of the same iteration already moved)
+/// and re-dirtying the migrant's neighbourhood.
+fn apply_move(p: &mut AdaptivePartitioner, v: VertexId, to: PartitionId) {
+    let from = p.partitioning.partition_of(v);
+    if from == to {
+        return;
+    }
+    for &w in p.graph.neighbors(v) {
+        let pw = p.partitioning.partition_of(w);
+        if pw == from {
+            p.cut += 1; // was internal, becomes cut
+        } else if pw == to {
+            p.cut -= 1; // was cut, becomes internal
+        }
+        p.marks.neighbour_relabelled(w as usize);
+    }
+    p.marks.mutated(v as usize);
+    let deg = p.graph.degree(v);
+    p.degree_mass[from as usize] -= deg;
+    p.degree_mass[to as usize] += deg;
+    p.partitioning.move_vertex(v, to);
+    p.note_size_gain(to);
+    p.note_size_loss(from);
+}

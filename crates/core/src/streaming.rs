@@ -16,11 +16,12 @@
 //! iterations are skipped and fast-forwarded instead of executed — budget
 //! goes where the batch landed. At the default floor of `0.0` (stop only
 //! when fully drained) every skipped iteration is provably a no-op, so the
-//! recorded timeline is byte-identical to a fixed-budget run
-//! ([`AdaptiveConfig::budget_fixed`] forces that mode for comparison).
+//! recorded timeline is byte-identical to a fixed-budget run — which needs
+//! no mode here to compare against: it is `apply_batch` plus
+//! `iterations_per_batch` calls of `iterate` on a bare
+//! [`AdaptivePartitioner`], the oracle the tests use.
 //!
 //! [`AdaptiveConfig::drain_floor`]: crate::AdaptiveConfig::drain_floor
-//! [`AdaptiveConfig::budget_fixed`]: crate::AdaptiveConfig::budget_fixed
 //!
 //! # Determinism
 //!
@@ -46,7 +47,7 @@
 //! let partitioner = AdaptivePartitioner::with_strategy(
 //!     &graph,
 //!     InitialStrategy::Hash,
-//!     &AdaptiveConfig::new(4),
+//!     &AdaptiveConfig::builder(4).build().unwrap(),
 //!     7,
 //! );
 //! let mut runner = StreamingRunner::new(partitioner).iterations_per_batch(3);
@@ -383,15 +384,11 @@ impl StreamingRunner {
 
     /// Whether the adaptive budget should stop executing this batch's
     /// remaining iterations: the active set has drained to (or below) the
-    /// configured floor. Never true in `budget_fixed` mode.
+    /// configured floor.
     fn budget_drained(&self) -> bool {
         use apg_graph::Graph;
-        let config = self.partitioner.config();
-        if config.budget_fixed {
-            return false;
-        }
         let live = self.partitioner.graph().num_live_vertices();
-        let floor = (config.drain_floor * live as f64) as usize;
+        let floor = (self.partitioner.config().drain_floor * live as f64) as usize;
         self.partitioner.num_active_vertices() <= floor
     }
 
@@ -433,11 +430,6 @@ impl StreamingRunner {
     /// windowed suffix still says which batches it covers.
     pub fn serve_timeline(&self) -> &[ServeStats] {
         self.serve.as_ref().map_or(&[], |phase| &phase.timeline)
-    }
-
-    /// The attached serve workload, if any.
-    pub fn serve_workload_ref(&self) -> Option<&QueryWorkload> {
-        self.serve.as_ref().map(|phase| &phase.workload)
     }
 
     /// Pulls and ingests up to `max_batches` batches from `source`;
@@ -502,12 +494,10 @@ impl StreamingRunner {
     }
 
     /// Total budgeted iterations the adaptive budget skipped (rather than
-    /// executed) across the run so far — 0 in
-    /// [`budget_fixed`](crate::AdaptiveConfig::budget_fixed) mode or when
-    /// no batch drained early. Skipped iterations are still charged to the
-    /// partitioner's iteration counter and to each batch's recorded
-    /// `iterations`, so this is pure wall-clock savings, not a history
-    /// change.
+    /// executed) across the run so far — 0 when no batch drained early.
+    /// Skipped iterations are still charged to the partitioner's iteration
+    /// counter and to each batch's recorded `iterations`, so this is pure
+    /// wall-clock savings, not a history change.
     pub fn iterations_skipped(&self) -> usize {
         self.iterations_skipped
     }
@@ -581,7 +571,10 @@ mod tests {
     use apg_streams::{CdrConfig, CdrStream, TwitterConfig, TwitterStream};
 
     fn runner(graph: &DynGraph, k: u16, parallelism: usize, seed: u64) -> StreamingRunner {
-        let cfg = AdaptiveConfig::new(k).parallelism(parallelism);
+        let cfg = AdaptiveConfig::builder(k)
+            .parallelism(parallelism)
+            .build()
+            .unwrap();
         StreamingRunner::new(AdaptivePartitioner::with_strategy(
             graph,
             InitialStrategy::Hash,
@@ -652,43 +645,61 @@ mod tests {
     #[test]
     fn adaptive_budget_preserves_the_timeline_and_skips_work() {
         // A generous budget on a modest stream: most batches drain their
-        // active set before the budget runs out, so the adaptive run skips
-        // real work — while recording exactly the fixed run's timeline.
+        // active set before the budget runs out, so the runner skips real
+        // work — while recording exactly the timeline of the fixed-budget
+        // oracle: a bare partitioner that applies each batch and then
+        // executes every budgeted iteration.
+        const BUDGET: usize = 25;
         let config = CdrConfig {
             initial_subscribers: 300,
             ..CdrConfig::default()
         };
         let graph = DynGraph::with_vertices(config.initial_subscribers);
-        let run = |fixed: bool| {
-            let cfg = AdaptiveConfig::new(2).willingness(1.0).budget_fixed(fixed);
-            let mut stream = CdrStream::new(config, 7);
-            let mut r = StreamingRunner::new(AdaptivePartitioner::with_strategy(
-                &graph,
-                InitialStrategy::Hash,
-                &cfg,
-                7,
-            ))
-            .iterations_per_batch(25);
-            r.drive(&mut stream, 8);
-            r
-        };
-        let adaptive = run(false);
-        let fixed = run(true);
-        assert_eq!(fixed.iterations_skipped(), 0);
+        let cfg = AdaptiveConfig::builder(2).willingness(1.0).build().unwrap();
+        let fresh = || AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 7);
+
+        let mut adaptive = StreamingRunner::new(fresh()).iterations_per_batch(BUDGET);
+        adaptive.drive(&mut CdrStream::new(config, 7), 8);
+
+        let mut fixed = fresh();
+        let mut stream = CdrStream::new(config, 7);
+        let fixed_timeline: Vec<TimelineStats> = (0..8)
+            .map(|batch_index| {
+                let batch = apg_streams::StreamSource::next_batch(&mut stream).unwrap();
+                let cut_before = fixed.cut_edges();
+                let report = fixed.apply_batch(&batch);
+                let cut_after_ingest = fixed.cut_edges();
+                let migrations = fixed.run_for(BUDGET).iter().map(|s| s.migrations).sum();
+                TimelineStats {
+                    batch: batch_index,
+                    deltas: batch.len(),
+                    vertices_added: report.new_vertices.len(),
+                    vertices_removed: report.vertices_removed,
+                    edges_added: report.edges_added,
+                    edges_removed: report.edges_removed,
+                    cut_before,
+                    cut_after_ingest,
+                    cut_after: fixed.cut_edges(),
+                    migrations,
+                    iterations: BUDGET,
+                    live_vertices: fixed.graph().num_live_vertices(),
+                    num_edges: fixed.graph().num_edges(),
+                    wall_ms: 0.0,
+                }
+            })
+            .collect();
+
         assert!(
             adaptive.iterations_skipped() > 0,
             "a 25-iteration budget should drain early on this stream"
         );
-        assert_eq!(adaptive.timeline(), fixed.timeline());
+        assert_eq!(adaptive.timeline(), fixed_timeline);
         assert_eq!(
             adaptive.partitioner().iteration(),
-            fixed.partitioner().iteration(),
+            fixed.iteration(),
             "skipped iterations must still be charged to the counter"
         );
-        assert_eq!(
-            adaptive.partitioner().partitioning(),
-            fixed.partitioner().partitioning()
-        );
+        assert_eq!(adaptive.partitioner().partitioning(), fixed.partitioning());
         adaptive.partitioner().audit();
     }
 

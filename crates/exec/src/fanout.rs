@@ -82,55 +82,6 @@ where
         .collect()
 }
 
-/// [`map_items`] over a borrowed slice: applies `f(index, &item)` to every
-/// item without consuming the backing buffer, so hot loops can keep their
-/// work list in a reusable scratch `Vec` across calls.
-///
-/// Same contract as [`map_items`]: round-robin deal by index, outputs in
-/// index order, inline execution for `threads <= 1` or fewer than two
-/// items.
-///
-/// # Panics
-///
-/// Propagates panics from `f` (the scope joins every thread first).
-pub fn map_slice<I, T, F>(threads: usize, items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
-    }
-    let workers = threads.min(n);
-    let f = &f;
-    let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    items
-                        .iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(workers)
-                        .map(|(i, item)| (i, f(i, item)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, value) in handle.join().expect("fan-out worker panicked") {
-                out[i] = Some(value);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|slot| slot.expect("every index produced exactly once"))
-        .collect()
-}
-
 /// Runs `f(shard, slot_range)` for every shard of `plan` on up to `threads`
 /// threads, returning outputs in shard order.
 ///
@@ -178,18 +129,6 @@ mod tests {
         });
         assert_eq!(counter.load(Ordering::Relaxed), 1000);
         assert_eq!(got.len(), 1000);
-    }
-
-    #[test]
-    fn map_slice_matches_map_items_and_keeps_the_buffer() {
-        let items: Vec<usize> = (0..123).collect();
-        let expect = map_items(1, items.clone(), |i, x| i + x);
-        for threads in [1, 2, 5, 16] {
-            assert_eq!(map_slice(threads, &items, |i, &x| i + x), expect);
-        }
-        // The slice is untouched and reusable afterwards.
-        assert_eq!(items.len(), 123);
-        assert!(map_slice(4, &Vec::<u8>::new(), |_, &x| x).is_empty());
     }
 
     #[test]

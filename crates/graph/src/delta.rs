@@ -127,14 +127,6 @@ impl ApplyReport {
         self.edges_removed += other.edges_removed;
         self.rejected += other.rejected;
     }
-
-    /// Whether the application changed the graph at all.
-    pub fn changed_anything(&self) -> bool {
-        !self.new_vertices.is_empty()
-            || self.vertices_removed > 0
-            || self.edges_added > 0
-            || self.edges_removed > 0
-    }
 }
 
 /// A mutable graph-like structure the delta model can apply onto.

@@ -896,7 +896,7 @@ mod tests {
     }
 
     fn adaptive_cfg(k: WorkerId) -> AdaptiveConfig {
-        AdaptiveConfig::new(k).willingness(1.0)
+        AdaptiveConfig::builder(k).willingness(1.0).build().unwrap()
     }
 
     #[test]
@@ -933,7 +933,7 @@ mod tests {
         let g = gen::mesh3d(8, 8, 8);
         let mut e = EngineBuilder::new(8)
             .seed(5)
-            .adaptive(AdaptiveConfig::new(8))
+            .adaptive(AdaptiveConfig::builder(8).build().unwrap())
             .build(&g, TokenConservation);
         let first = e.superstep();
         let initial_cut = first.cut_edges.unwrap();

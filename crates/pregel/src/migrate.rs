@@ -159,7 +159,10 @@ mod tests {
     use super::*;
 
     fn controller(k: u16) -> MigrationController {
-        MigrationController::new(AdaptiveConfig::new(k).willingness(1.0), 3)
+        MigrationController::new(
+            AdaptiveConfig::builder(k).willingness(1.0).build().unwrap(),
+            3,
+        )
     }
 
     #[test]

@@ -175,11 +175,6 @@ impl TwitterStream {
         id
     }
 
-    /// Community of a user (for tests and diagnostics).
-    pub fn community_of(&self, user: usize) -> u32 {
-        self.community[user]
-    }
-
     /// The diurnal intensity profile: fraction of peak rate at `hour`
     /// (0–24, wraps). Calm overnight, morning rise, evening peak.
     pub fn rate_fraction(hour: f64) -> f64 {

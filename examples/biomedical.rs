@@ -25,7 +25,7 @@ fn main() {
     let mut engine = EngineBuilder::new(9)
         .seed(5)
         .cost_model(CostModel::heartsim())
-        .adaptive(AdaptiveConfig::new(9))
+        .adaptive(AdaptiveConfig::builder(9).build().unwrap())
         .build(&mesh, HeartSim::new());
 
     println!("\nphase (a): optimising the initial hash partitioning");

@@ -34,7 +34,7 @@ fn main() {
     let mut dynamic = EngineBuilder::new(5)
         .seed(11)
         .cost_model(CostModel::lan_10gbe())
-        .adaptive(AdaptiveConfig::new(5))
+        .adaptive(AdaptiveConfig::builder(5).build().unwrap())
         .cut_every(0)
         .build(&initial, MaxClique::new());
     let mut fixed = EngineBuilder::new(5)

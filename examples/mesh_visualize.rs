@@ -59,7 +59,7 @@ fn write_ppm(partitioning: &Partitioning, path: &str) -> std::io::Result<()> {
 fn main() {
     // A 2-D slice of the paper's 64kcube (40^3), 9 partitions from hash.
     let graph = gen::mesh3d(SIDE, SIDE, SIDE);
-    let config = AdaptiveConfig::new(9);
+    let config = AdaptiveConfig::builder(9).build().unwrap();
     let mut partitioner =
         AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &config, 3);
 

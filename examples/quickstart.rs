@@ -18,7 +18,7 @@ fn main() {
 
     // Paper defaults: k = 9 partitions, willingness s = 0.5, capacity 110%
     // of the balanced load, convergence after 30 quiet iterations.
-    let config = AdaptiveConfig::new(9);
+    let config = AdaptiveConfig::builder(9).build().unwrap();
     let mut partitioner =
         AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &config, 42);
 

@@ -33,7 +33,7 @@ fn main() {
     let mut adaptive = EngineBuilder::new(9)
         .seed(7)
         .cost_model(CostModel::lan_10gbe())
-        .adaptive(AdaptiveConfig::new(9))
+        .adaptive(AdaptiveConfig::builder(9).build().unwrap())
         .cut_every(0)
         .build(&initial, program);
     let mut hash = EngineBuilder::new(9)
@@ -44,7 +44,7 @@ fn main() {
     let mut runner = StreamingRunner::new(AdaptivePartitioner::with_strategy(
         &initial,
         InitialStrategy::Hash,
-        &AdaptiveConfig::new(9),
+        &AdaptiveConfig::builder(9).build().unwrap(),
         7,
     ))
     .iterations_per_batch(3);

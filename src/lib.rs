@@ -43,7 +43,7 @@
 //! // The paper's 64kcube dataset, 9 partitions, defaults from the paper
 //! // (s = 0.5, capacity = 110% of balanced load).
 //! let graph = apg::graph::gen::mesh3d(20, 20, 20);
-//! let config = AdaptiveConfig::new(9);
+//! let config = AdaptiveConfig::builder(9).build().unwrap();
 //! let mut partitioner =
 //!     AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &config, 42);
 //! let report = partitioner.run_to_convergence();

@@ -5,13 +5,14 @@
 //! keyed per `(seed, vertex, iteration)` and skipped vertices provably
 //! decide *Stay*.
 //!
-//! The exhaustive reference runs through the same code path with the
-//! `#[doc(hidden)]` [`AdaptiveConfig::sweep_exhaustive`] knob, so the two
-//! modes differ only in which slots the decision phase visits.
+//! The exhaustive reference is `apg::core::reference::iterate_exhaustive`:
+//! the same phases as `AdaptivePartitioner::iterate` with the work list and
+//! the visit swapped for "every live vertex of every shard", so the two
+//! drivers differ only in which slots the decision phase visits.
 
 use proptest::prelude::*;
 
-use apg::core::{AdaptiveConfig, AdaptivePartitioner, IterationStats};
+use apg::core::{reference, AdaptiveConfig, AdaptivePartitioner, IterationStats};
 use apg::graph::{gen, CsrGraph, Graph};
 use apg::partition::InitialStrategy;
 
@@ -23,22 +24,29 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = CsrGraph> {
     })
 }
 
+/// One iteration of either driver.
+type Iterate = fn(&mut AdaptivePartitioner) -> IterationStats;
+
 /// Runs the scripted scenario — iteration blocks interleaved with a fuzzed
-/// mutation stream — in one sweep mode; returns everything observable.
+/// mutation stream — under one sweep driver; returns everything observable.
 fn run_scenario(
     graph: &CsrGraph,
     ops: &[(u8, u32, u32)],
     k: u16,
     s: f64,
     seed: u64,
-    exhaustive: bool,
+    iterate: Iterate,
 ) -> (Vec<IterationStats>, Vec<u16>, usize) {
-    let cfg = AdaptiveConfig::new(k)
+    let cfg = AdaptiveConfig::builder(k)
         .willingness(s)
         .parallelism(2)
-        .sweep_exhaustive(exhaustive);
+        .build()
+        .unwrap();
     let mut p = AdaptivePartitioner::with_strategy(graph, InitialStrategy::Hash, &cfg, seed);
-    let mut history = p.run_for(3);
+    let run_for = |p: &mut AdaptivePartitioner, n: usize| -> Vec<IterationStats> {
+        (0..n).map(|_| iterate(p)).collect()
+    };
+    let mut history = run_for(&mut p, 3);
     for chunk in ops.chunks(3) {
         for &(op, a, b) in chunk {
             let range = p.graph().num_vertices().max(1) as u32;
@@ -57,9 +65,9 @@ fn run_scenario(
                 }
             }
         }
-        history.extend(p.run_for(2));
+        history.extend(run_for(&mut p, 2));
     }
-    history.extend(p.run_for(3));
+    history.extend(run_for(&mut p, 3));
     p.audit();
     (history, p.partitioning().as_slice().to_vec(), p.cut_edges())
 }
@@ -78,8 +86,9 @@ proptest! {
         s_percent in 10u32..101,
     ) {
         let s = s_percent as f64 / 100.0;
-        let active = run_scenario(&g, &ops, 4, s, seed, false);
-        let exhaustive = run_scenario(&g, &ops, 4, s, seed, true);
+        let active = run_scenario(&g, &ops, 4, s, seed, AdaptivePartitioner::iterate);
+        let exhaustive =
+            run_scenario(&g, &ops, 4, s, seed, |p| reference::iterate_exhaustive(p).0);
         prop_assert_eq!(&active.0, &exhaustive.0, "histories diverged");
         prop_assert_eq!(&active.1, &exhaustive.1, "assignments diverged");
         prop_assert_eq!(active.2, exhaustive.2, "cut counts diverged");
@@ -95,7 +104,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..5, 0u32..64, 0u32..64), 0..20),
         seed in 0u64..1000,
     ) {
-        let cfg = AdaptiveConfig::new(3).willingness(0.6).parallelism(2);
+        let cfg = AdaptiveConfig::builder(3).willingness(0.6).parallelism(2).build().unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, seed);
         p.audit();
         for &(op, a, b) in &ops {
@@ -126,7 +135,7 @@ proptest! {
     #[test]
     fn quiet_iterations_visit_only_the_active_set(seed in 0u64..200) {
         let g = gen::mesh3d(6, 6, 6);
-        let cfg = AdaptiveConfig::new(4).max_iterations(400);
+        let cfg = AdaptiveConfig::builder(4).max_iterations(400).build().unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, seed);
         p.run_to_convergence();
         let live = p.graph().num_live_vertices();

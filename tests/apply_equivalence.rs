@@ -8,20 +8,25 @@
 //! and each vertex moves at most once, which is what makes the fan-out
 //! exact rather than approximate.
 //!
-//! The serial reference runs through the same code path with the
-//! `#[doc(hidden)]` [`AdaptiveConfig::apply_serial`] knob, so the two modes
-//! differ only in how the pending migration set is committed.
+//! The serial reference is `apg::core::reference::iterate_serial_apply`:
+//! the same phases as `AdaptivePartitioner::iterate` with the apply phase
+//! swapped for the per-migrant loop, so the two drivers differ only in how
+//! the pending migration set is committed.
 //!
 //! The same file pins the adaptive iteration budget: skipping provably
 //! no-op iterations (empty active set, default `drain_floor` of zero) must
-//! never change the recorded `TimelineStats` relative to a fixed budget.
+//! never change the recorded `TimelineStats` relative to a fixed budget —
+//! the oracle being a bare `AdaptivePartitioner` that applies each batch
+//! and then executes every budgeted iteration.
 
 use proptest::prelude::*;
 
-use apg::core::{AdaptiveConfig, AdaptivePartitioner, IterationStats, StreamingRunner};
-use apg::graph::{gen, CsrGraph, Graph, UpdateBatch};
+use apg::core::{
+    reference, AdaptiveConfig, AdaptivePartitioner, IterationStats, StreamingRunner, TimelineStats,
+};
+use apg::graph::{gen, CsrGraph, DynGraph, Graph, UpdateBatch};
 use apg::partition::InitialStrategy;
-use apg::streams::{CdrConfig, CdrStream, PowerLawGrowth};
+use apg::streams::{CdrConfig, CdrStream, PowerLawGrowth, StreamSource};
 
 /// Random simple graph as an edge list over `n` vertices.
 fn arb_graph(max_n: usize) -> impl Strategy<Value = CsrGraph> {
@@ -64,28 +69,35 @@ fn churn_batch(ops: &[(u8, u32, u32)], range: u32) -> UpdateBatch {
     batch
 }
 
-/// Runs iteration blocks interleaved with `UpdateBatch` churn in one apply
-/// mode at one parallelism; returns everything observable.
+/// One iteration of either driver.
+type Iterate = fn(&mut AdaptivePartitioner) -> IterationStats;
+
+/// Runs iteration blocks interleaved with `UpdateBatch` churn under one
+/// apply driver at one parallelism; returns everything observable.
 fn run_scenario(
     graph: &CsrGraph,
     ops: &[(u8, u32, u32)],
     parallelism: usize,
     s: f64,
     seed: u64,
-    serial_apply: bool,
+    iterate: Iterate,
 ) -> Observed {
-    let cfg = AdaptiveConfig::new(4)
+    let cfg = AdaptiveConfig::builder(4)
         .willingness(s)
         .parallelism(parallelism)
-        .apply_serial(serial_apply);
+        .build()
+        .unwrap();
     let mut p = AdaptivePartitioner::with_strategy(graph, InitialStrategy::Hash, &cfg, seed);
-    let mut history = p.run_for(3);
+    let run_for = |p: &mut AdaptivePartitioner, n: usize| -> Vec<IterationStats> {
+        (0..n).map(|_| iterate(p)).collect()
+    };
+    let mut history = run_for(&mut p, 3);
     for chunk in ops.chunks(3) {
         let range = p.graph().num_vertices().max(1) as u32;
         p.apply_batch(&churn_batch(chunk, range));
-        history.extend(p.run_for(2));
+        history.extend(run_for(&mut p, 2));
     }
-    history.extend(p.run_for(3));
+    history.extend(run_for(&mut p, 3));
     p.audit();
     let active = (0..p.graph().num_vertices() as u32)
         .filter(|&v| p.is_active(v))
@@ -97,6 +109,43 @@ fn run_scenario(
         degree_mass: p.degree_mass().to_vec(),
         active,
     }
+}
+
+/// The fixed-budget oracle: pulls `batches` batches from `source` into a
+/// bare partitioner, executing all `budget` iterations after each, and
+/// records what a `StreamingRunner` would have recorded — every
+/// deterministic `TimelineStats` field (`wall_ms` is ignored by `==`).
+fn fixed_budget_timeline(
+    p: &mut AdaptivePartitioner,
+    source: &mut impl StreamSource,
+    batches: usize,
+    budget: usize,
+) -> Vec<TimelineStats> {
+    (0..batches)
+        .map(|batch_index| {
+            let batch = source.next_batch().expect("stream ended early");
+            let cut_before = p.cut_edges();
+            let report = p.apply_batch(&batch);
+            let cut_after_ingest = p.cut_edges();
+            let migrations = p.run_for(budget).iter().map(|s| s.migrations).sum();
+            TimelineStats {
+                batch: batch_index,
+                deltas: batch.len(),
+                vertices_added: report.new_vertices.len(),
+                vertices_removed: report.vertices_removed,
+                edges_added: report.edges_added,
+                edges_removed: report.edges_removed,
+                cut_before,
+                cut_after_ingest,
+                cut_after: p.cut_edges(),
+                migrations,
+                iterations: budget,
+                live_vertices: p.graph().num_live_vertices(),
+                num_edges: p.graph().num_edges(),
+                wall_ms: 0.0,
+            }
+        })
+        .collect()
 }
 
 proptest! {
@@ -114,9 +163,11 @@ proptest! {
         s_percent in 10u32..101,
     ) {
         let s = s_percent as f64 / 100.0;
-        let reference = run_scenario(&g, &ops, 1, s, seed, true);
+        let reference =
+            run_scenario(&g, &ops, 1, s, seed, |p| reference::iterate_serial_apply(p).0);
         for parallelism in [1usize, 2, 8] {
-            let sharded = run_scenario(&g, &ops, parallelism, s, seed, false);
+            let sharded =
+                run_scenario(&g, &ops, parallelism, s, seed, AdaptivePartitioner::iterate);
             prop_assert_eq!(&sharded.history, &reference.history,
                 "histories diverged at parallelism {}", parallelism);
             prop_assert_eq!(&sharded.assignment, &reference.assignment,
@@ -137,29 +188,19 @@ proptest! {
     /// budget and the RNG iteration counter.
     #[test]
     fn adaptive_budget_never_changes_the_timeline(seed in 0u64..200) {
-        let base = apg::graph::DynGraph::from(&gen::mesh3d(4, 4, 3));
-        let run = |fixed: bool| {
-            let cfg = AdaptiveConfig::new(3).budget_fixed(fixed);
-            let p = AdaptivePartitioner::with_strategy(
-                &base, InitialStrategy::Hash, &cfg, seed,
-            );
-            let mut r = StreamingRunner::new(p).iterations_per_batch(12);
-            let mut source = PowerLawGrowth::new(&base, 2, 5, seed ^ 0xAB);
-            r.drive(&mut source, 6);
-            r
-        };
-        let adaptive = run(false);
-        let fixed = run(true);
-        prop_assert_eq!(fixed.iterations_skipped(), 0);
-        prop_assert_eq!(adaptive.timeline(), fixed.timeline());
-        prop_assert_eq!(
-            adaptive.partitioner().iteration(),
-            fixed.partitioner().iteration()
-        );
-        prop_assert_eq!(
-            adaptive.partitioner().partitioning(),
-            fixed.partitioner().partitioning()
-        );
+        let base = DynGraph::from(&gen::mesh3d(4, 4, 3));
+        let cfg = AdaptiveConfig::builder(3).build().unwrap();
+        let fresh = || AdaptivePartitioner::with_strategy(&base, InitialStrategy::Hash, &cfg, seed);
+        let source = || PowerLawGrowth::new(&base, 2, 5, seed ^ 0xAB);
+
+        let mut adaptive = StreamingRunner::new(fresh()).iterations_per_batch(12);
+        adaptive.drive(&mut source(), 6);
+        let mut fixed = fresh();
+        let fixed_timeline = fixed_budget_timeline(&mut fixed, &mut source(), 6, 12);
+
+        prop_assert_eq!(adaptive.timeline(), fixed_timeline.as_slice());
+        prop_assert_eq!(adaptive.partitioner().iteration(), fixed.iteration());
+        prop_assert_eq!(adaptive.partitioner().partitioning(), fixed.partitioning());
         adaptive.partitioner().audit();
     }
 }
@@ -173,26 +214,22 @@ fn adaptive_budget_skips_on_a_converged_stream() {
         initial_subscribers: 300,
         ..CdrConfig::default()
     };
-    let graph = apg::graph::DynGraph::with_vertices(config.initial_subscribers);
-    let run = |fixed: bool| {
-        let cfg = AdaptiveConfig::new(2).willingness(1.0).budget_fixed(fixed);
-        let p = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 7);
-        let mut r = StreamingRunner::new(p).iterations_per_batch(25);
-        let mut stream = CdrStream::new(config, 7);
-        r.drive(&mut stream, 8);
-        r
-    };
-    let adaptive = run(false);
-    let fixed = run(true);
+    let graph = DynGraph::with_vertices(config.initial_subscribers);
+    let cfg = AdaptiveConfig::builder(2).willingness(1.0).build().unwrap();
+    let fresh = || AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 7);
+
+    let mut adaptive = StreamingRunner::new(fresh()).iterations_per_batch(25);
+    adaptive.drive(&mut CdrStream::new(config, 7), 8);
+    let mut fixed = fresh();
+    let fixed_timeline = fixed_budget_timeline(&mut fixed, &mut CdrStream::new(config, 7), 8, 25);
+
     assert!(
         adaptive.iterations_skipped() > 0,
         "budget never drained — scenario no longer converges"
     );
-    assert_eq!(adaptive.timeline(), fixed.timeline());
-    assert_eq!(
-        adaptive.partitioner().partitioning(),
-        fixed.partitioner().partitioning()
-    );
+    assert_eq!(adaptive.timeline(), fixed_timeline);
+    assert_eq!(adaptive.partitioner().iteration(), fixed.iteration());
+    assert_eq!(adaptive.partitioner().partitioning(), fixed.partitioning());
 }
 
 /// A non-zero `drain_floor` trades exactness for earlier stops; the run
@@ -200,8 +237,11 @@ fn adaptive_budget_skips_on_a_converged_stream() {
 /// legitimately differ from the fixed-budget one.
 #[test]
 fn drain_floor_runs_stay_consistent() {
-    let base = apg::graph::DynGraph::from(&gen::mesh3d(5, 5, 4));
-    let cfg = AdaptiveConfig::new(3).drain_floor(0.05);
+    let base = DynGraph::from(&gen::mesh3d(5, 5, 4));
+    let cfg = AdaptiveConfig::builder(3)
+        .drain_floor(0.05)
+        .build()
+        .unwrap();
     let p = AdaptivePartitioner::with_strategy(&base, InitialStrategy::Hash, &cfg, 13);
     let mut r = StreamingRunner::new(p).iterations_per_batch(10);
     let mut source = PowerLawGrowth::new(&base, 2, 6, 13);

@@ -132,7 +132,7 @@ fn cdr() -> CdrStream {
 
 fn runner() -> StreamingRunner {
     let graph = DynGraph::with_vertices(SUBSCRIBERS);
-    let cfg = AdaptiveConfig::new(4).parallelism(2);
+    let cfg = AdaptiveConfig::builder(4).parallelism(2).build().unwrap();
     StreamingRunner::new(AdaptivePartitioner::with_strategy(
         &graph,
         InitialStrategy::Hash,
@@ -597,7 +597,7 @@ fn chain_batch(i: usize) -> UpdateBatch {
 
 fn chain_runner() -> StreamingRunner {
     let graph = DynGraph::with_vertices(CHAIN_VERTICES);
-    let cfg = AdaptiveConfig::new(4).parallelism(2);
+    let cfg = AdaptiveConfig::builder(4).parallelism(2).build().unwrap();
     StreamingRunner::new(AdaptivePartitioner::with_strategy(
         &graph,
         InitialStrategy::Hash,
@@ -908,7 +908,7 @@ fn chained_install_allocates_nothing_graph_sized() {
     assert!(graph.num_vertices() >= 50_000 && graph.num_edges() >= 500_000);
     // Every edge sits in two neighbour lists of 4-byte ids.
     let arena_bytes = 2 * graph.num_edges() * std::mem::size_of::<u32>();
-    let cfg = AdaptiveConfig::new(4).parallelism(2);
+    let cfg = AdaptiveConfig::builder(4).parallelism(2).build().unwrap();
     let partitioner = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, SEED);
     drop(graph);
     // Ingest only: the point is a small changed set on a large graph.

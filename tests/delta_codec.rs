@@ -70,7 +70,10 @@ fn base_and_current(
     Vec<usize>,
 ) {
     let graph = DynGraph::with_vertices(24);
-    let cfg = AdaptiveConfig::new(3).parallelism(parallelism);
+    let cfg = AdaptiveConfig::builder(3)
+        .parallelism(parallelism)
+        .build()
+        .unwrap();
     let partitioner = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, seed);
     let mut runner = StreamingRunner::new(partitioner)
         .iterations_per_batch(2)
@@ -293,7 +296,7 @@ proptest! {
         let batches = batches_from_ops(&ops, base_slots, 6);
         let scratch = Scratch::new("decisions");
         let (mut store, _) = CheckpointStore::open(&scratch.0, store_config()).expect("open");
-        let cfg = AdaptiveConfig::new(3).parallelism(2);
+        let cfg = AdaptiveConfig::builder(3).parallelism(2).build().unwrap();
         let partitioner =
             AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, seed);
         let mut runner = StreamingRunner::new(partitioner)
@@ -524,7 +527,7 @@ fn wall_to_wall_churn_falls_back_to_full() {
     let (mut store, _) = CheckpointStore::open(&scratch.0, store_config()).expect("open");
     let n = 64u32;
     let graph = DynGraph::with_vertices(n as usize);
-    let cfg = AdaptiveConfig::new(3).parallelism(1);
+    let cfg = AdaptiveConfig::builder(3).parallelism(1).build().unwrap();
     let partitioner = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 5);
     let mut runner = StreamingRunner::new(partitioner).iterations_per_batch(2);
     let mut rule = ReferenceRule::default();

@@ -12,7 +12,11 @@ fn converge(
     s: f64,
     seed: u64,
 ) -> apg::core::ConvergenceReport {
-    let cfg = AdaptiveConfig::new(9).willingness(s).max_iterations(600);
+    let cfg = AdaptiveConfig::builder(9)
+        .willingness(s)
+        .max_iterations(600)
+        .build()
+        .unwrap();
     let mut p = AdaptivePartitioner::with_strategy(graph, strategy, &cfg, seed);
     p.run_to_convergence()
 }
@@ -59,7 +63,10 @@ fn fig4_initial_strategies_converge_to_similar_quality() {
     let graph = gen::mesh3d(12, 12, 12);
     let mut finals = Vec::new();
     for strategy in InitialStrategy::ALL {
-        let cfg = AdaptiveConfig::new(9).max_iterations(600);
+        let cfg = AdaptiveConfig::builder(9)
+            .max_iterations(600)
+            .build()
+            .unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&graph, strategy, &cfg, 5);
         let initial = p.cut_ratio();
         let report = p.run_to_convergence();
@@ -130,7 +137,10 @@ fn fig6_convergence_grows_sublinearly() {
 #[test]
 fn fig7_cut_halves_with_bounded_imbalance() {
     let graph = gen::mesh3d(14, 14, 14);
-    let cfg = AdaptiveConfig::new(9).max_iterations(400);
+    let cfg = AdaptiveConfig::builder(9)
+        .max_iterations(400)
+        .build()
+        .unwrap();
     let mut p = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 11);
     let initial = p.cut_ratio();
     p.run_to_convergence();
@@ -147,7 +157,10 @@ fn fig7_cut_halves_with_bounded_imbalance() {
 #[test]
 fn fig7b_burst_is_absorbed() {
     let graph = gen::mesh3d(12, 12, 12);
-    let cfg = AdaptiveConfig::new(9).max_iterations(400);
+    let cfg = AdaptiveConfig::builder(9)
+        .max_iterations(400)
+        .build()
+        .unwrap();
     let mut p = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 13);
     p.run_to_convergence();
     let settled = p.cut_edges();

@@ -19,9 +19,11 @@ const VERTICES: usize = 20_000;
 /// returns everything observable about the run.
 fn run_scenario(parallelism: usize) -> (Vec<IterationStats>, Vec<PartitionId>, usize) {
     let g = apg::graph::gen::holme_kim(VERTICES, 6, 0.1, 9);
-    let cfg = AdaptiveConfig::new(8)
+    let cfg = AdaptiveConfig::builder(8)
         .willingness(0.5)
-        .parallelism(parallelism);
+        .parallelism(parallelism)
+        .build()
+        .unwrap();
     let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, SEED);
 
     let mut history = p.run_for(6);
@@ -85,7 +87,10 @@ fn history_is_byte_identical_across_parallelism_1_2_8() {
 fn quality_is_parallelism_independent() {
     let g = apg::graph::gen::holme_kim(8_192, 4, 0.1, 3);
     let run = |parallelism: usize| {
-        let cfg = AdaptiveConfig::new(4).parallelism(parallelism);
+        let cfg = AdaptiveConfig::builder(4)
+            .parallelism(parallelism)
+            .build()
+            .unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Random, &cfg, 11);
         p.run_for(20);
         (p.cut_ratio(), p.partitioning().sizes().to_vec())
@@ -99,7 +104,10 @@ fn quality_is_parallelism_independent() {
 fn tombstone_heavy_graph_stays_deterministic() {
     let run = |parallelism: usize| {
         let g = apg::graph::gen::holme_kim(12_000, 5, 0.1, 4);
-        let cfg = AdaptiveConfig::new(6).parallelism(parallelism);
+        let cfg = AdaptiveConfig::builder(6)
+            .parallelism(parallelism)
+            .build()
+            .unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 13);
         // Kill every 10th vertex, creating tombstones across every shard.
         for v in (0..12_000u32).step_by(10) {

@@ -181,7 +181,7 @@ proptest! {
         seed in 0u64..200,
     ) {
         let g = apg::graph::gen::mesh3d(3, 3, 3);
-        let cfg = AdaptiveConfig::new(3).parallelism(1);
+        let cfg = AdaptiveConfig::builder(3).parallelism(1).build().unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, seed);
         for batch in batches_from_ops(&ops, p.graph().num_vertices(), 7) {
             p.apply_batch(&batch);
@@ -217,7 +217,7 @@ proptest! {
         seed in 0u64..100,
     ) {
         let g = apg::graph::gen::mesh3d(3, 3, 3);
-        let cfg = AdaptiveConfig::new(3).parallelism(1);
+        let cfg = AdaptiveConfig::builder(3).parallelism(1).build().unwrap();
         let mut runner = StreamingRunner::new(
             AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, seed),
         )

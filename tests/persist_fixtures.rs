@@ -83,7 +83,7 @@ fn canonical_log() -> DeltaLog {
 /// nondeterministic field, zeroed so the fixture is byte-stable.
 fn canonical_checkpoint() -> StreamCheckpoint {
     let base = DynGraph::with_vertices(24);
-    let cfg = AdaptiveConfig::new(2).parallelism(1);
+    let cfg = AdaptiveConfig::builder(2).parallelism(1).build().unwrap();
     let p = AdaptivePartitioner::with_strategy(&base, InitialStrategy::Hash, &cfg, 7);
     let mut runner = StreamingRunner::new(p)
         .iterations_per_batch(2)

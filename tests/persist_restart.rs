@@ -21,7 +21,10 @@ use apg::streams::{
 const SEED: u64 = 41;
 
 fn runner(graph: &DynGraph, parallelism: usize) -> StreamingRunner {
-    let cfg = AdaptiveConfig::new(6).parallelism(parallelism);
+    let cfg = AdaptiveConfig::builder(6)
+        .parallelism(parallelism)
+        .build()
+        .unwrap();
     StreamingRunner::new(AdaptivePartitioner::with_strategy(
         graph,
         InitialStrategy::Hash,

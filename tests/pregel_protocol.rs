@@ -35,7 +35,7 @@ fn deferred_migration_never_loses_messages() {
     let graph = gen::mesh3d(8, 8, 8);
     let mut engine = EngineBuilder::new(8)
         .seed(2)
-        .adaptive(AdaptiveConfig::new(8).willingness(1.0))
+        .adaptive(AdaptiveConfig::builder(8).willingness(1.0).build().unwrap())
         .build(&graph, Conservation);
     let reports = engine.run(25);
     let migrated: u64 = reports.iter().map(|r| r.migrations_completed).sum();
@@ -52,14 +52,17 @@ fn engine_and_logical_partitioner_agree_on_quality() {
     let graph = gen::mesh3d(10, 10, 10);
 
     // Logical level (paper §2).
-    let cfg = AdaptiveConfig::new(9).max_iterations(300);
+    let cfg = AdaptiveConfig::builder(9)
+        .max_iterations(300)
+        .build()
+        .unwrap();
     let mut logical = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 3);
     logical.run_to_convergence();
 
     // Distributed level (paper §3) with the same parameters.
     let mut engine = EngineBuilder::new(9)
         .seed(3)
-        .adaptive(AdaptiveConfig::new(9))
+        .adaptive(AdaptiveConfig::builder(9).build().unwrap())
         .cut_every(0)
         .build(&graph, Conservation);
     let mut quiet = 0;
@@ -90,7 +93,7 @@ fn applications_survive_continuous_churn() {
     let graph = gen::mesh3d(6, 6, 6);
     let mut engine = EngineBuilder::new(4)
         .seed(9)
-        .adaptive(AdaptiveConfig::new(4))
+        .adaptive(AdaptiveConfig::builder(4).build().unwrap())
         .build(&graph, PageRank::new(60));
     engine.run(10);
 
@@ -114,7 +117,7 @@ fn components_correct_under_migration_and_mutation() {
     let graph = gen::erdos_renyi(300, 0.01, 4);
     let mut engine = EngineBuilder::new(5)
         .seed(5)
-        .adaptive(AdaptiveConfig::new(5))
+        .adaptive(AdaptiveConfig::builder(5).build().unwrap())
         .build(&graph, ConnectedComponents::new());
     engine.run_until_halt(60);
 
@@ -150,7 +153,7 @@ impl VertexProgram for Gossip {
 #[test]
 fn partition_sizes_respect_capacity_under_growth() {
     let graph = gen::mesh3d(6, 6, 6);
-    let cfg = AdaptiveConfig::new(4).willingness(1.0);
+    let cfg = AdaptiveConfig::builder(4).willingness(1.0).build().unwrap();
     let mut engine = EngineBuilder::new(4)
         .seed(6)
         .adaptive(cfg)

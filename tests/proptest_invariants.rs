@@ -96,7 +96,7 @@ proptest! {
         s in 0.1f64..1.0,
         seed in 0u64..500,
     ) {
-        let cfg = AdaptiveConfig::new(4).willingness(s);
+        let cfg = AdaptiveConfig::builder(4).willingness(s).build().unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, seed);
         p.run_for(iters);
         p.audit(); // cut + sizes + degree mass
@@ -111,7 +111,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let g = gen::mesh3d(4, 4, 4);
-        let cfg = AdaptiveConfig::new(3);
+        let cfg = AdaptiveConfig::builder(3).build().unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Random, &cfg, seed);
         let mut rng_state = seed;
         let mut next = move |m: usize| {
@@ -228,7 +228,7 @@ proptest! {
         seed in 0u64..300,
     ) {
         let g = gen::mesh3d(3, 3, 3);
-        let cfg = AdaptiveConfig::new(3);
+        let cfg = AdaptiveConfig::builder(3).build().unwrap();
         let mut runner = StreamingRunner::new(
             AdaptivePartitioner::with_strategy(&g, InitialStrategy::Random, &cfg, seed),
         )
@@ -295,7 +295,7 @@ mod engine_props {
             let g = gen::mesh3d(3, 3, 3);
             let mut e = EngineBuilder::new(3)
                 .seed(seed)
-                .adaptive(AdaptiveConfig::new(3))
+                .adaptive(AdaptiveConfig::builder(3).build().unwrap())
                 .build(&g, Gossip);
             for (op, a, b) in ops {
                 let slots = e.num_total_slots() as u32;

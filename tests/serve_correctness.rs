@@ -360,7 +360,10 @@ fn serve_timeline(parallelism: usize, mix: QueryMix) -> Vec<ServeStats> {
         ..CdrConfig::default()
     };
     let graph = DynGraph::with_vertices(config.initial_subscribers);
-    let cfg = AdaptiveConfig::new(8).parallelism(parallelism);
+    let cfg = AdaptiveConfig::builder(8)
+        .parallelism(parallelism)
+        .build()
+        .unwrap();
     let mut runner = StreamingRunner::new(AdaptivePartitioner::with_strategy(
         &graph,
         InitialStrategy::Hash,

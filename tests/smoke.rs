@@ -10,7 +10,7 @@ fn prelude_quickstart_runs_end_to_end() {
     // The paper's 64kcube dataset at reduced scale, 9 partitions, defaults
     // from the paper (s = 0.5, capacity = 110% of balanced load).
     let graph = apg::graph::gen::mesh3d(20, 20, 20);
-    let config = AdaptiveConfig::new(9);
+    let config = AdaptiveConfig::builder(9).build().unwrap();
     let mut partitioner =
         AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &config, 42);
     let report = partitioner.run_to_convergence();
@@ -42,7 +42,7 @@ fn prelude_covers_the_cross_crate_surface() {
     }
     let mut engine = EngineBuilder::new(4)
         .seed(1)
-        .adaptive(AdaptiveConfig::new(4))
+        .adaptive(AdaptiveConfig::builder(4).build().unwrap())
         .build(&graph, Noop);
     engine.superstep();
     engine.apply_mutations(MutationBatch::new());

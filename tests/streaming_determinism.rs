@@ -22,7 +22,10 @@ use apg::streams::{
 const SEED: u64 = 23;
 
 fn runner(graph: &DynGraph, parallelism: usize) -> StreamingRunner {
-    let cfg = AdaptiveConfig::new(8).parallelism(parallelism);
+    let cfg = AdaptiveConfig::builder(8)
+        .parallelism(parallelism)
+        .build()
+        .unwrap();
     StreamingRunner::new(AdaptivePartitioner::with_strategy(
         graph,
         InitialStrategy::Hash,
