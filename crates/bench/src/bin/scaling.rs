@@ -4,25 +4,15 @@
 //!
 //! Default (quick) scale already runs the ≥100k-vertex power-law
 //! configuration; `--scale paper` raises it to one million vertices and
-//! `--scale xl` to ten million (single repetition). The
-//! `APG_SCALING_SCALE` environment variable overrides the flag (CI uses
-//! `APG_SCALING_SCALE=tiny` as a smoke cap so the binary cannot rot
-//! without slowing the pipeline; `APG_SCALING_SCALE=xl` opts into the
-//! stress run).
+//! `--scale xl` to ten million (single repetition, the opt-in stress
+//! run). CI passes `--scale tiny` as a smoke cap so the binary cannot rot
+//! without slowing the pipeline.
 
 use apg_bench::experiments::scaling;
 use apg_bench::scale::RunArgs;
-use apg_bench::Scale;
 
 fn main() {
-    let mut args = RunArgs::from_env();
-    if let Some(scale) = std::env::var("APG_SCALING_SCALE")
-        .ok()
-        .as_deref()
-        .and_then(Scale::parse)
-    {
-        args.scale = scale;
-    }
+    let args = RunArgs::from_env();
     let result = scaling::run(args.scale, args.reps(), args.seed);
     scaling::print(&result);
 

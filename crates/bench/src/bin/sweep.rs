@@ -2,23 +2,14 @@
 //! 100k-vertex power-law scenario); writes `BENCH_sweep.json` next to the
 //! working directory.
 //!
-//! `--scale tiny|quick|paper` sizes the run; the `APG_SWEEP_SCALE`
-//! environment variable overrides it (CI uses `APG_SWEEP_SCALE=tiny` as a
+//! `--scale tiny|quick|paper` sizes the run (CI passes `--scale tiny` as a
 //! smoke cap so the binary cannot rot without slowing the pipeline).
 
 use apg_bench::experiments::sweep;
 use apg_bench::scale::RunArgs;
-use apg_bench::Scale;
 
 fn main() {
-    let mut args = RunArgs::from_env();
-    if let Some(scale) = std::env::var("APG_SWEEP_SCALE")
-        .ok()
-        .as_deref()
-        .and_then(Scale::parse)
-    {
-        args.scale = scale;
-    }
+    let args = RunArgs::from_env();
     let result = sweep::run(args.scale, args.seed);
     sweep::print(&result);
 

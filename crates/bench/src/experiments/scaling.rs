@@ -30,8 +30,8 @@ const K: u16 = 8;
 /// Power-law vertex count per scale. `Quick` (the default) already runs the
 /// ≥100k-vertex configuration the scaling claim is about; `Tiny` exists for
 /// tests; `Paper` stresses the million-vertex regime the parallel apply and
-/// sharded recount paths target; `Xl` (gate it behind
-/// `APG_SCALING_SCALE=xl` — one run is minutes of work and gigabytes of
+/// sharded recount paths target; `Xl` (opt in with
+/// `--scale xl` — one run is minutes of work and gigabytes of
 /// graph) pushes to ten million, the slab-adjacency stress regime.
 pub fn vertices(scale: Scale) -> usize {
     match scale {

@@ -15,7 +15,7 @@ pub enum Scale {
     /// The paper's sizes (or their documented substitutes).
     Paper,
     /// Beyond-paper stress sizes (the scaling bench runs 10M vertices).
-    /// Opt-in only — e.g. `APG_SCALING_SCALE=xl` — and single-repetition,
+    /// Opt-in only — `--scale xl` — and single-repetition,
     /// since one run is minutes of work and gigabytes of graph.
     /// Experiments without a dedicated stress configuration treat `Xl`
     /// like [`Scale::Paper`].

@@ -91,15 +91,44 @@ pub struct SweepProfile {
     pub apply_ms: f64,
 }
 
-/// How capacities are maintained as the graph evolves.
-#[derive(Debug, Clone)]
-enum CapacityMode {
-    /// Recomputed every iteration as `factor x` the balanced load of the
-    /// *current* live population — capacities track graph growth, which is
-    /// what lets the heuristic absorb the paper's +10% forest-fire burst.
-    Auto,
-    /// Fixed, caller-supplied limits.
-    Fixed(CapacityModel),
+/// The partitioner's five persisted scalars, declared here once. The live
+/// [`AdaptivePartitioner`] holds the block; a partitioner state, a
+/// checkpoint view and a checkpoint delta (see [`crate::persist`]) each
+/// carry a copy, and [`AdaptivePartitioner::restore`] takes it back whole.
+/// Exactly the fields the determinism contract needs, and none of the
+/// derived accounting (cut, degree mass), which restore recomputes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PartitionerScalars {
+    /// Full configuration, `parallelism` included (results are identical
+    /// at every parallelism level, so restoring it is a wall-clock choice,
+    /// not a correctness one).
+    pub config: AdaptiveConfig,
+    /// RNG seed.
+    pub seed: u64,
+    /// Iterations executed so far (keys the RNG streams and the anneal
+    /// schedule).
+    pub iteration: usize,
+    /// Consecutive migration-free iterations.
+    pub quiet_streak: usize,
+    /// Fixed, caller-supplied capacity limits. `None` is the automatic
+    /// mode: limits recomputed every iteration as `factor x` the balanced
+    /// load of the *current* live population — capacities track graph
+    /// growth, which is what lets the heuristic absorb the paper's +10%
+    /// forest-fire burst.
+    pub fixed_capacities: Option<CapacityModel>,
+}
+
+impl PartitionerScalars {
+    /// The scalars before the first iteration, capacities automatic.
+    fn fresh(config: &AdaptiveConfig, seed: u64) -> Self {
+        PartitionerScalars {
+            config: config.clone(),
+            seed,
+            iteration: 0,
+            quiet_streak: 0,
+            fixed_capacities: None,
+        }
+    }
 }
 
 /// The paper's adaptive partitioner at the logical level (§2).
@@ -176,15 +205,11 @@ enum CapacityMode {
 pub struct AdaptivePartitioner {
     graph: DynGraph,
     partitioning: Partitioning,
-    config: AdaptiveConfig,
-    capacity_mode: CapacityMode,
-    seed: u64,
+    scalars: PartitionerScalars,
     cut: usize,
     /// Per-partition degree mass (edge endpoints), maintained for the
     /// edge-balanced extension and load diagnostics.
     degree_mass: Vec<usize>,
-    iteration: usize,
-    quiet_streak: usize,
     pending: Vec<(VertexId, PartitionId)>,
     /// Which vertex slots the decision sweep still needs to visit (see the
     /// type-level docs) and which have mutated since the last checkpoint.
@@ -242,9 +267,7 @@ impl AdaptivePartitioner {
         Self::from_parts(
             to_dyn(graph),
             partitioning,
-            config.clone(),
-            CapacityMode::Auto,
-            seed,
+            PartitionerScalars::fresh(config, seed),
         )
     }
 
@@ -274,9 +297,7 @@ impl AdaptivePartitioner {
         Self::from_parts(
             to_dyn(graph),
             partitioning,
-            config.clone(),
-            CapacityMode::Auto,
-            seed,
+            PartitionerScalars::fresh(config, seed),
         )
     }
 
@@ -284,19 +305,18 @@ impl AdaptivePartitioner {
     pub fn set_fixed_capacities(&mut self, caps: CapacityModel) {
         assert_eq!(
             caps.num_partitions(),
-            self.config.num_partitions,
+            self.scalars.config.num_partitions,
             "partition count mismatch"
         );
-        self.capacity_mode = CapacityMode::Fixed(caps);
+        self.scalars.fixed_capacities = Some(caps);
     }
 
     fn from_parts(
         graph: DynGraph,
         mut partitioning: Partitioning,
-        config: AdaptiveConfig,
-        capacity_mode: CapacityMode,
-        seed: u64,
+        scalars: PartitionerScalars,
     ) -> Self {
+        let config = &scalars.config;
         partitioning.recount_live(&graph);
         // Construction and restore pay one full-graph recount; shard it so
         // multi-million-vertex start-up does not serially walk every
@@ -319,13 +339,9 @@ impl AdaptivePartitioner {
         AdaptivePartitioner {
             graph,
             partitioning,
-            config,
-            capacity_mode,
-            seed,
+            scalars,
             cut,
             degree_mass,
-            iteration: 0,
-            quiet_streak: 0,
             pending: Vec::new(),
             marks,
             max_live,
@@ -346,7 +362,7 @@ impl AdaptivePartitioner {
 
     /// The configuration in use.
     pub fn config(&self) -> &AdaptiveConfig {
-        &self.config
+        &self.scalars.config
     }
 
     /// Current number of cut edges (maintained incrementally).
@@ -365,12 +381,12 @@ impl AdaptivePartitioner {
 
     /// Iterations executed so far.
     pub fn iteration(&self) -> usize {
-        self.iteration
+        self.scalars.iteration
     }
 
     /// Consecutive migration-free iterations.
     pub fn quiet_streak(&self) -> usize {
-        self.quiet_streak
+        self.scalars.quiet_streak
     }
 
     /// Vertices the next decision sweep will visit (the active set): every
@@ -410,23 +426,23 @@ impl AdaptivePartitioner {
     /// Whether the convergence criterion (no migrations for
     /// `config.convergence_window` iterations) currently holds.
     pub fn is_converged(&self) -> bool {
-        self.quiet_streak >= self.config.convergence_window
+        self.scalars.quiet_streak >= self.scalars.config.convergence_window
     }
 
     /// Current capacity limits (vertex- or degree-mass-denominated,
     /// depending on [`AdaptiveConfig::balance_edges`]).
     pub fn capacities(&self) -> CapacityModel {
-        match &self.capacity_mode {
-            CapacityMode::Fixed(caps) => caps.clone(),
-            CapacityMode::Auto if self.config.balance_edges => CapacityModel::edge_balanced(
+        match &self.scalars.fixed_capacities {
+            Some(caps) => caps.clone(),
+            None if self.scalars.config.balance_edges => CapacityModel::edge_balanced(
                 self.graph.num_edges().max(1),
-                self.config.num_partitions,
-                self.config.capacity_factor,
+                self.scalars.config.num_partitions,
+                self.scalars.config.capacity_factor,
             ),
-            CapacityMode::Auto => CapacityModel::vertex_balanced(
+            None => CapacityModel::vertex_balanced(
                 self.graph.num_live_vertices(),
-                self.config.num_partitions,
-                self.config.capacity_factor,
+                self.scalars.config.num_partitions,
+                self.scalars.config.capacity_factor,
             ),
         }
     }
@@ -484,11 +500,11 @@ impl AdaptivePartitioner {
     fn prepare_iteration(&mut self) -> SweepProfile {
         let caps = self.capacities();
         let (degree_mass, partitioning) = (&self.degree_mass, &self.partitioning);
-        let balance_edges = self.config.balance_edges;
+        let balance_edges = self.scalars.config.balance_edges;
         self.scratch.remaining.clear();
         self.scratch
             .remaining
-            .extend((0..self.config.num_partitions).map(|p| {
+            .extend((0..self.scalars.config.num_partitions).map(|p| {
                 let load = if balance_edges {
                     degree_mass[p as usize]
                 } else {
@@ -498,7 +514,7 @@ impl AdaptivePartitioner {
             }));
         self.scratch
             .quota
-            .rebuild(self.config.quota_rule, &self.scratch.remaining);
+            .rebuild(self.scalars.config.quota_rule, &self.scratch.remaining);
 
         let plan = self.shard_plan();
         let active = self.marks.sweep();
@@ -552,22 +568,22 @@ impl AdaptivePartitioner {
         // `&self` beside them.
         let mut kernels = std::mem::take(&mut self.scratch.kernels);
         if kernels.len() < profile.shards_swept {
-            let (k, count_self) = (self.config.num_partitions, self.config.count_self);
+            let (k, count_self) = (self.config().num_partitions, self.config().count_self);
             kernels.resize_with(profile.shards_swept, || DecisionKernel::new(k, count_self));
         }
         let frozen = &*self;
-        let s = frozen.config.willingness_at(frozen.iteration);
-        let round = frozen.iteration as u64;
+        let s = frozen.config().willingness_at(frozen.iteration());
+        let round = frozen.scalars.iteration as u64;
         let work: Vec<_> = kernels.iter_mut().zip(&frozen.scratch.shards).collect();
 
         let decide_start = Instant::now();
         let outcomes = fanout::map_items(
-            frozen.config.parallelism,
+            frozen.scalars.config.parallelism,
             work,
             |_, (kernel, (_, slots))| {
                 let mut eval = Evaluator {
                     s,
-                    seed: frozen.seed,
+                    seed: frozen.scalars.seed,
                     round,
                     graph: &frozen.graph,
                     partitioning: &frozen.partitioning,
@@ -600,7 +616,7 @@ impl AdaptivePartitioner {
         self.pending.clear();
         for (v, to) in outcomes.iter().flat_map(|o| o.proposals.iter().copied()) {
             let current = self.partitioning.partition_of(v);
-            let units = if self.config.balance_edges {
+            let units = if self.scalars.config.balance_edges {
                 self.graph.degree(v)
             } else {
                 1
@@ -616,11 +632,11 @@ impl AdaptivePartitioner {
     /// migration count, the counters advance and the profile closes.
     fn finish_iteration(&mut self, mut profile: SweepProfile) -> (IterationStats, SweepProfile) {
         let migrations = self.pending.len();
-        self.iteration += 1;
+        self.scalars.iteration += 1;
         if migrations == 0 {
-            self.quiet_streak += 1;
+            self.scalars.quiet_streak += 1;
         } else {
-            self.quiet_streak = 0;
+            self.scalars.quiet_streak = 0;
         }
         profile.active_after = self.marks.sweep().num_active();
         (self.stats_snapshot(migrations), profile)
@@ -645,7 +661,7 @@ impl AdaptivePartitioner {
     /// `apg_core::reference::iterate_serial_apply` keeps alive as the
     /// reference.
     fn apply_pending_sharded(&mut self) {
-        let k = self.config.num_partitions as usize;
+        let k = self.scalars.config.num_partitions as usize;
         let graph = &self.graph;
         let partitioning = &self.partitioning;
         let pending = &self.pending;
@@ -654,7 +670,7 @@ impl AdaptivePartitioner {
             "pending not sorted by vertex id"
         );
         let plan = ShardPlan::with_default_size(pending.len());
-        let outcomes = fanout::map_shards(self.config.parallelism, &plan, |_, migrants| {
+        let outcomes = fanout::map_shards(self.scalars.config.parallelism, &plan, |_, migrants| {
             let mut out = ApplyOutcome {
                 cut_delta: 0,
                 mass_delta: vec![0i64; k],
@@ -735,7 +751,7 @@ impl AdaptivePartitioner {
             self.max_stale = false;
         }
         IterationStats {
-            iteration: self.iteration - 1,
+            iteration: self.scalars.iteration - 1,
             migrations,
             cut_edges: self.cut,
             live_vertices: self.graph.num_live_vertices(),
@@ -753,8 +769,8 @@ impl AdaptivePartitioner {
     /// the skipped iterations; the quiet streak advances exactly as `n`
     /// migration-free [`AdaptivePartitioner::iterate`] calls would have.
     pub(crate) fn charge_quiet_iterations(&mut self, n: usize) {
-        self.iteration += n;
-        self.quiet_streak += n;
+        self.scalars.iteration += n;
+        self.scalars.quiet_streak += n;
     }
 
     /// Runs exactly `n` iterations, returning their stats.
@@ -769,7 +785,7 @@ impl AdaptivePartitioner {
         let initial_cut = self.cut;
         let initial_edges = self.graph.num_edges();
         let mut history = Vec::new();
-        for _ in 0..self.config.max_iterations {
+        for _ in 0..self.scalars.config.max_iterations {
             history.push(self.iterate());
             if self.is_converged() {
                 break;
@@ -779,7 +795,7 @@ impl AdaptivePartitioner {
             history,
             initial_cut,
             initial_edges,
-            self.config.convergence_window,
+            self.scalars.config.convergence_window,
         )
     }
 
@@ -821,7 +837,7 @@ impl AdaptivePartitioner {
         self.partitioning.grow_to(v as usize + 1, p);
         self.marks.born(v as usize);
         self.note_size_gain(p);
-        self.quiet_streak = 0;
+        self.scalars.quiet_streak = 0;
         v
     }
 
@@ -841,7 +857,7 @@ impl AdaptivePartitioner {
             self.degree_mass[self.partitioning.partition_of(v) as usize] += 1;
             self.marks.mutated(u as usize);
             self.marks.mutated(v as usize);
-            self.quiet_streak = 0;
+            self.scalars.quiet_streak = 0;
         }
         added
     }
@@ -859,7 +875,7 @@ impl AdaptivePartitioner {
             self.degree_mass[self.partitioning.partition_of(v) as usize] -= 1;
             self.marks.mutated(u as usize);
             self.marks.mutated(v as usize);
-            self.quiet_streak = 0;
+            self.scalars.quiet_streak = 0;
         }
         removed
     }
@@ -884,19 +900,19 @@ impl AdaptivePartitioner {
         self.partitioning.forget_vertex(v);
         self.note_size_loss(pv);
         self.marks.tombstoned(v as usize);
-        self.quiet_streak = 0;
+        self.scalars.quiet_streak = 0;
         true
     }
 
     fn place_new_vertex(&mut self, v: VertexId) -> PartitionId {
-        let k = self.config.num_partitions;
+        let k = self.scalars.config.num_partitions;
         let caps = self.capacities();
         let least_loaded = || -> PartitionId {
             (0..k)
                 .min_by_key(|&p| self.partitioning.size(p))
                 .expect("k >= 1")
         };
-        match self.config.placement {
+        match self.scalars.config.placement {
             PlacementPolicy::LeastLoaded => least_loaded(),
             PlacementPolicy::HashWithFallback => {
                 let p = (hash_vertex(v) % k as u64) as PartitionId;
@@ -922,40 +938,17 @@ impl AdaptivePartitioner {
     /// accounting (cut, degree mass) is *not* captured: it is a pure
     /// function of graph + assignment and is recomputed on restore.
     pub fn snapshot_state(&self) -> crate::persist::PartitionerState {
-        self.snapshot_state_with_graph(self.graph.clone())
-    }
-
-    /// [`AdaptivePartitioner::snapshot_state`] around a graph copy the
-    /// caller supplies, which must equal the live graph — the checkpoint
-    /// store hands in its already-synced base instead of paying for a
-    /// clone.
-    pub(crate) fn snapshot_state_with_graph(
-        &self,
-        graph: DynGraph,
-    ) -> crate::persist::PartitionerState {
         crate::persist::PartitionerState {
-            graph,
+            graph: self.graph.clone(),
             partitioning: self.partitioning.clone(),
-            config: self.config.clone(),
-            seed: self.seed,
-            iteration: self.iteration,
-            quiet_streak: self.quiet_streak,
-            fixed_capacities: self.fixed_capacities().cloned(),
+            scalars: self.scalars.clone(),
         }
     }
 
-    /// RNG seed.
-    pub(crate) fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The explicit capacity limits, if the automatic tracking was
-    /// overridden.
-    pub(crate) fn fixed_capacities(&self) -> Option<&CapacityModel> {
-        match &self.capacity_mode {
-            CapacityMode::Auto => None,
-            CapacityMode::Fixed(caps) => Some(caps),
-        }
+    /// The persisted scalars: everything [`AdaptivePartitioner::restore`]
+    /// needs besides the graph and the assignment.
+    pub(crate) fn scalars(&self) -> &PartitionerScalars {
+        &self.scalars
     }
 
     /// Rebuilds a partitioner from state captured by
@@ -969,42 +962,14 @@ impl AdaptivePartitioner {
     ///
     /// # Panics
     ///
-    /// Panics if the state is internally inconsistent (assignment not
-    /// covering the graph, partition-count mismatch). Decoded states are
-    /// validated before this is reached; see
-    /// [`crate::persist::PartitionerState`].
+    /// Panics if the state fails the cross-field checks every decoded
+    /// [`PartitionerState`](crate::persist::PartitionerState) has already
+    /// passed (assignment covering the graph, matching partition counts).
     pub fn restore(state: crate::persist::PartitionerState) -> Self {
-        assert_eq!(
-            state.partitioning.num_vertices(),
-            state.graph.num_vertices(),
-            "assignment does not cover the graph"
-        );
-        assert_eq!(
-            state.partitioning.num_partitions(),
-            state.config.num_partitions,
-            "partition count mismatch"
-        );
-        let capacity_mode = match state.fixed_capacities {
-            None => CapacityMode::Auto,
-            Some(caps) => {
-                assert_eq!(
-                    caps.num_partitions(),
-                    state.config.num_partitions,
-                    "capacity table does not match the partition count"
-                );
-                CapacityMode::Fixed(caps)
-            }
-        };
-        let mut p = Self::from_parts(
-            state.graph,
-            state.partitioning,
-            state.config,
-            capacity_mode,
-            state.seed,
-        );
-        p.iteration = state.iteration;
-        p.quiet_streak = state.quiet_streak;
-        p
+        if let Err(violation) = state.validate() {
+            panic!("inconsistent partitioner state: {violation}");
+        }
+        Self::from_parts(state.graph, state.partitioning, state.scalars)
     }
 
     /// Audits internal invariants (incremental cut vs recount, size
@@ -1017,8 +982,8 @@ impl AdaptivePartitioner {
     pub fn audit(&self) {
         let recount = cut_edges(&self.graph, &self.partitioning);
         assert_eq!(self.cut, recount, "incremental cut drifted");
-        let mut sizes = vec![0usize; self.config.num_partitions as usize];
-        let mut mass = vec![0usize; self.config.num_partitions as usize];
+        let mut sizes = vec![0usize; self.scalars.config.num_partitions as usize];
+        let mut mass = vec![0usize; self.scalars.config.num_partitions as usize];
         for v in self.graph.vertices() {
             sizes[self.partitioning.partition_of(v) as usize] += 1;
             mass[self.partitioning.partition_of(v) as usize] += self.graph.degree(v);
@@ -1045,7 +1010,7 @@ impl AdaptivePartitioner {
         // strictly wins). This is precisely what makes skipping inactive
         // vertices indistinguishable from evaluating them.
         self.marks.audit(&self.graph);
-        let mut counts = vec![0u32; self.config.num_partitions as usize];
+        let mut counts = vec![0u32; self.scalars.config.num_partitions as usize];
         for v in self.graph.vertices() {
             if self.marks.sweep().contains(v as usize) {
                 continue;
@@ -1055,7 +1020,7 @@ impl AdaptivePartitioner {
                 counts[self.partitioning.partition_of(w) as usize] += 1;
             }
             let pv = self.partitioning.partition_of(v);
-            let own = counts[pv as usize] + self.config.count_self as u32;
+            let own = counts[pv as usize] + self.scalars.config.count_self as u32;
             for (p, &count) in counts.iter().enumerate() {
                 assert!(
                     p == pv as usize || count <= own,

@@ -1,0 +1,380 @@
+//! Wire codecs for the values persist carries but does not own.
+//!
+//! In: the configuration types, a [`TimelineStats`] entry, and the two
+//! scalar blocks ([`PartitionerScalars`], [`RunnerScalars`]). Out: their
+//! bytes, in the one field order the `APGC` and `APGD` layouts share, and
+//! back — a decoded configuration held to [`AdaptiveConfig::validate`].
+//! In both layouts the partitioner's block and the runner's first two
+//! scalars precede the recorded log and the runner's other three follow
+//! it, so the runner's block is written *around* the container's middle.
+
+use apg_persist::{Decode, DecodeError, Decoder, Encode, Encoder};
+
+use crate::config::{AdaptiveConfig, Anneal, ConfigError, PlacementPolicy, QuotaRule};
+use crate::partitioner::PartitionerScalars;
+use crate::streaming::{RunnerScalars, TimelineStats};
+
+impl Encode for QuotaRule {
+    fn encode(&self, enc: &mut Encoder) {
+        let tag: u8 = match self {
+            QuotaRule::PerSourceSplit => 0,
+            QuotaRule::Unbounded => 1,
+        };
+        tag.encode(enc);
+    }
+}
+
+impl Decode for QuotaRule {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        match u8::decode(dec)? {
+            0 => Ok(QuotaRule::PerSourceSplit),
+            1 => Ok(QuotaRule::Unbounded),
+            _ => Err(DecodeError::Corrupt("unknown QuotaRule tag")),
+        }
+    }
+}
+
+impl Encode for PlacementPolicy {
+    fn encode(&self, enc: &mut Encoder) {
+        let tag: u8 = match self {
+            PlacementPolicy::HashWithFallback => 0,
+            PlacementPolicy::LeastLoaded => 1,
+        };
+        tag.encode(enc);
+    }
+}
+
+impl Decode for PlacementPolicy {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        match u8::decode(dec)? {
+            0 => Ok(PlacementPolicy::HashWithFallback),
+            1 => Ok(PlacementPolicy::LeastLoaded),
+            _ => Err(DecodeError::Corrupt("unknown PlacementPolicy tag")),
+        }
+    }
+}
+
+impl Encode for Anneal {
+    fn encode(&self, enc: &mut Encoder) {
+        self.start.encode(enc);
+        self.end.encode(enc);
+        self.over_iterations.encode(enc);
+    }
+}
+
+impl Decode for Anneal {
+    /// Field-wise only: the endpoint ranges are
+    /// [`AdaptiveConfig::validate`]'s to check, with every other rule.
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Anneal {
+            start: f64::decode(dec)?,
+            end: f64::decode(dec)?,
+            over_iterations: usize::decode(dec)?,
+        })
+    }
+}
+
+impl Encode for AdaptiveConfig {
+    /// Destructures exhaustively, so a field that is not put on the wire
+    /// does not compile.
+    fn encode(&self, enc: &mut Encoder) {
+        let AdaptiveConfig {
+            num_partitions,
+            willingness,
+            capacity_factor,
+            convergence_window,
+            max_iterations,
+            quota_rule,
+            placement,
+            anneal,
+            balance_edges,
+            count_self,
+            parallelism,
+            drain_floor,
+        } = self;
+        num_partitions.encode(enc);
+        willingness.encode(enc);
+        capacity_factor.encode(enc);
+        convergence_window.encode(enc);
+        max_iterations.encode(enc);
+        quota_rule.encode(enc);
+        placement.encode(enc);
+        anneal.encode(enc);
+        balance_edges.encode(enc);
+        count_self.encode(enc);
+        parallelism.encode(enc);
+        drain_floor.encode(enc);
+    }
+}
+
+/// A decoded configuration that [`AdaptiveConfig::validate`] rejects is a
+/// corrupt one: nothing the builder accepts encodes to it.
+impl From<ConfigError> for DecodeError {
+    fn from(violation: ConfigError) -> Self {
+        DecodeError::Corrupt(match violation {
+            ConfigError::ZeroPartitions => "config has zero partitions",
+            ConfigError::WillingnessOutOfRange(_) => "willingness outside [0, 1]",
+            ConfigError::CapacityFactorBelowOne(_) => "capacity factor not finite or below 1.0",
+            ConfigError::ZeroParallelism => "config has zero parallelism",
+            ConfigError::DrainFloorOutOfRange(_) => "drain floor outside [0, 1)",
+            ConfigError::AnnealOutOfRange { .. } => "anneal endpoint outside [0, 1]",
+        })
+    }
+}
+
+impl Decode for AdaptiveConfig {
+    /// Applies the builder's own rule set ([`AdaptiveConfig::validate`]),
+    /// returning its violations as [`DecodeError::Corrupt`].
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let config = AdaptiveConfig {
+            num_partitions: u16::decode(dec)?,
+            willingness: f64::decode(dec)?,
+            capacity_factor: f64::decode(dec)?,
+            convergence_window: usize::decode(dec)?,
+            max_iterations: usize::decode(dec)?,
+            quota_rule: QuotaRule::decode(dec)?,
+            placement: PlacementPolicy::decode(dec)?,
+            anneal: Option::<Anneal>::decode(dec)?,
+            balance_edges: bool::decode(dec)?,
+            count_self: bool::decode(dec)?,
+            parallelism: usize::decode(dec)?,
+            drain_floor: f64::decode(dec)?,
+        };
+        config.validate()?;
+        Ok(config)
+    }
+}
+
+impl Encode for TimelineStats {
+    fn encode(&self, enc: &mut Encoder) {
+        for field in self.deterministic_fields() {
+            field.encode(enc);
+        }
+        // Measurement, not state — persisted for reporting, ignored by
+        // equality exactly as in memory.
+        self.wall_ms.encode(enc);
+    }
+}
+
+impl Decode for TimelineStats {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(TimelineStats {
+            batch: usize::decode(dec)?,
+            deltas: usize::decode(dec)?,
+            vertices_added: usize::decode(dec)?,
+            vertices_removed: usize::decode(dec)?,
+            edges_added: usize::decode(dec)?,
+            edges_removed: usize::decode(dec)?,
+            cut_before: usize::decode(dec)?,
+            cut_after_ingest: usize::decode(dec)?,
+            cut_after: usize::decode(dec)?,
+            migrations: usize::decode(dec)?,
+            iterations: usize::decode(dec)?,
+            live_vertices: usize::decode(dec)?,
+            num_edges: usize::decode(dec)?,
+            wall_ms: f64::decode(dec)?,
+        })
+    }
+}
+
+impl Encode for PartitionerScalars {
+    fn encode(&self, enc: &mut Encoder) {
+        self.config.encode(enc);
+        self.seed.encode(enc);
+        self.iteration.encode(enc);
+        self.quiet_streak.encode(enc);
+        self.fixed_capacities.encode(enc);
+    }
+}
+
+impl Decode for PartitionerScalars {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(PartitionerScalars {
+            config: AdaptiveConfig::decode(dec)?,
+            seed: u64::decode(dec)?,
+            iteration: usize::decode(dec)?,
+            quiet_streak: usize::decode(dec)?,
+            fixed_capacities: Option::decode(dec)?,
+        })
+    }
+}
+
+impl RunnerScalars {
+    /// Encodes the block's two wire runs, `between` writing what the
+    /// container keeps between them (a checkpoint's log; a delta's log
+    /// suffix and timeline slide).
+    pub(super) fn encode_around(&self, enc: &mut Encoder, between: impl FnOnce(&mut Encoder)) {
+        self.iterations_per_batch.encode(enc);
+        self.record.encode(enc);
+        between(enc);
+        self.timeline_window.encode(enc);
+        self.batches_ingested.encode(enc);
+        self.timeline_digest.encode(enc);
+    }
+
+    /// The inverse of [`RunnerScalars::encode_around`].
+    pub(super) fn decode_around<T>(
+        dec: &mut Decoder<'_>,
+        between: impl FnOnce(&mut Decoder<'_>) -> Result<T, DecodeError>,
+    ) -> Result<(Self, T), DecodeError> {
+        let iterations_per_batch = usize::decode(dec)?;
+        let record = bool::decode(dec)?;
+        let middle = between(dec)?;
+        let scalars = RunnerScalars {
+            iterations_per_batch,
+            record,
+            timeline_window: usize::decode(dec)?,
+            batches_ingested: usize::decode(dec)?,
+            timeline_digest: u64::decode(dec)?,
+        };
+        Ok((scalars, middle))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{growth_runner, StreamCheckpoint};
+    use super::*;
+
+    #[test]
+    fn config_decoder_rejects_out_of_range_settings() {
+        let cfg = AdaptiveConfig::builder(3).build().unwrap();
+        // Willingness out of range.
+        let mut bad = cfg.clone();
+        bad.willingness = 7.5;
+        assert!(matches!(
+            AdaptiveConfig::from_bytes(&bad.to_bytes()).unwrap_err(),
+            DecodeError::Corrupt("willingness outside [0, 1]")
+        ));
+        // Drain floor out of range.
+        let mut bad = cfg.clone();
+        bad.drain_floor = 1.5;
+        assert!(matches!(
+            AdaptiveConfig::from_bytes(&bad.to_bytes()).unwrap_err(),
+            DecodeError::Corrupt("drain floor outside [0, 1)")
+        ));
+    }
+
+    /// One rule set, two doors: every setting `build()` rejects is also
+    /// rejected when a checkpoint carrying it is decoded, and every setting
+    /// `build()` accepts survives the checkpoint round trip unchanged — so
+    /// nothing that builds is unrecoverable and nothing that decodes is
+    /// unbuildable.
+    #[test]
+    fn builder_and_decoder_agree_on_every_config_rule() {
+        use ConfigError::*;
+        /// A row's settings, applied to a fresh builder.
+        type Tune = fn(crate::AdaptiveConfigBuilder) -> crate::AdaptiveConfigBuilder;
+
+        let (mut runner, mut source) = growth_runner(1);
+        runner.drive(&mut source, 2);
+        let valid = runner.checkpoint();
+
+        // Puts the setting a violation names into a configuration,
+        // bypassing the builder — the hand-patch a corrupt file amounts to.
+        // Exhaustive: a new `ConfigError` variant must add a row below.
+        fn carry(config: &mut AdaptiveConfig, violation: ConfigError) {
+            match violation {
+                ZeroPartitions => config.num_partitions = 0,
+                WillingnessOutOfRange(s) => config.willingness = s,
+                CapacityFactorBelowOne(c) => config.capacity_factor = c,
+                ZeroParallelism => config.parallelism = 0,
+                DrainFloorOutOfRange(d) => config.drain_floor = d,
+                AnnealOutOfRange { start, end } => {
+                    config.anneal = Some(Anneal {
+                        start,
+                        end,
+                        over_iterations: 10,
+                    })
+                }
+            }
+        }
+
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        let rejected: [(Tune, u16, ConfigError); 14] = [
+            (|b| b, 0, ZeroPartitions),
+            (|b| b.willingness(-0.1), 4, WillingnessOutOfRange(-0.1)),
+            (|b| b.willingness(1.5), 4, WillingnessOutOfRange(1.5)),
+            (|b| b.willingness(f64::NAN), 4, WillingnessOutOfRange(nan)),
+            (|b| b.capacity_factor(0.9), 4, CapacityFactorBelowOne(0.9)),
+            (
+                |b| b.capacity_factor(f64::NAN),
+                4,
+                CapacityFactorBelowOne(nan),
+            ),
+            (
+                |b| b.capacity_factor(f64::INFINITY),
+                4,
+                CapacityFactorBelowOne(inf),
+            ),
+            (|b| b.parallelism(0), 4, ZeroParallelism),
+            (|b| b.drain_floor(1.0), 4, DrainFloorOutOfRange(1.0)),
+            (|b| b.drain_floor(-0.1), 4, DrainFloorOutOfRange(-0.1)),
+            (|b| b.drain_floor(f64::NAN), 4, DrainFloorOutOfRange(nan)),
+            (
+                |b| b.anneal_willingness(1.2, 0.5, 10),
+                4,
+                AnnealOutOfRange {
+                    start: 1.2,
+                    end: 0.5,
+                },
+            ),
+            (
+                |b| b.anneal_willingness(0.5, -0.2, 10),
+                4,
+                AnnealOutOfRange {
+                    start: 0.5,
+                    end: -0.2,
+                },
+            ),
+            (
+                |b| b.anneal_willingness(f64::NAN, 0.5, 10),
+                4,
+                AnnealOutOfRange {
+                    start: nan,
+                    end: 0.5,
+                },
+            ),
+        ];
+        for (tune, k, expected) in rejected {
+            let violation = tune(AdaptiveConfig::builder(k)).build().unwrap_err();
+            // Debug strings, because NaN payloads defeat `==`.
+            assert_eq!(format!("{violation:?}"), format!("{expected:?}"));
+            let mut patched = valid.clone();
+            carry(&mut patched.state.scalars.config, violation);
+            let DecodeError::Corrupt(expected_reason) = DecodeError::from(violation) else {
+                unreachable!("config violations decode as Corrupt");
+            };
+            match StreamCheckpoint::from_bytes(&patched.to_bytes()) {
+                Err(DecodeError::Corrupt(reason)) => assert_eq!(reason, expected_reason),
+                other => panic!("{expected:?} decoded to {other:?}"),
+            }
+        }
+
+        let accepted: [Tune; 9] = [
+            |b| b,
+            |b| b.willingness(0.0),
+            |b| b.willingness(1.0),
+            |b| b.capacity_factor(1.0),
+            |b| b.capacity_factor(f64::MAX),
+            |b| b.parallelism(1).drain_floor(0.999),
+            |b| b.anneal_willingness(0.0, 1.0, 0),
+            |b| b.anneal_willingness(1.0, 0.0, 40),
+            |b| {
+                b.quota_rule(QuotaRule::Unbounded)
+                    .placement(PlacementPolicy::LeastLoaded)
+                    .balance_on_edges(true)
+                    .count_self(true)
+                    .convergence_window(0)
+                    .max_iterations(0)
+            },
+        ];
+        for tune in accepted {
+            let mut ckpt = valid.clone();
+            ckpt.state.scalars.config = tune(AdaptiveConfig::builder(4)).build().unwrap();
+            let back = StreamCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
+            assert_eq!(back, ckpt);
+        }
+    }
+}

@@ -189,6 +189,29 @@ struct ServePhase {
     timeline: Vec<ServeStats>,
 }
 
+/// The runner's five persisted scalars — its settings and its stream
+/// position — declared here once. The live [`StreamingRunner`] holds the
+/// block; a checkpoint, a checkpoint view and a checkpoint delta (see
+/// [`crate::persist`]) each carry a copy, and resume hands it back whole.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunnerScalars {
+    /// Repartitioning iterations charged to every batch.
+    pub iterations_per_batch: usize,
+    /// Whether ingested batches are recorded into the replay log.
+    pub record: bool,
+    /// Retained timeline entries are capped at this many; older entries
+    /// are folded into `timeline_digest` and dropped. `usize::MAX` means
+    /// unbounded (the default — full history in memory and on disk).
+    pub timeline_window: usize,
+    /// Batches ingested over the runner's whole life, eviction-proof: the
+    /// global batch counter `TimelineStats::batch` is stamped from, and
+    /// the stream position the source cursor derives from.
+    pub batches_ingested: usize,
+    /// FNV-1a fold over every evicted timeline entry, in eviction order;
+    /// [`TIMELINE_DIGEST_SEED`] while nothing has been evicted.
+    pub timeline_digest: u64,
+}
+
 /// Drives batched ingestion through an [`AdaptivePartitioner`].
 ///
 /// Construction is builder-style: wrap a partitioner, optionally set the
@@ -199,21 +222,9 @@ struct ServePhase {
 #[derive(Debug, Clone)]
 pub struct StreamingRunner {
     partitioner: AdaptivePartitioner,
-    iterations_per_batch: usize,
-    record: bool,
+    scalars: RunnerScalars,
     log: DeltaLog,
     timeline: Vec<TimelineStats>,
-    /// Retained timeline entries are capped at this many; older entries
-    /// are folded into `timeline_digest` and dropped. `usize::MAX` means
-    /// unbounded (the default — full history in memory and on disk).
-    timeline_window: usize,
-    /// Batches ingested over the runner's whole life, eviction-proof: the
-    /// global batch counter `TimelineStats::batch` is stamped from (and
-    /// the source cursor is derived from).
-    batches_ingested: usize,
-    /// FNV-1a fold over every evicted timeline entry, in eviction order;
-    /// [`TIMELINE_DIGEST_SEED`] while nothing has been evicted.
-    timeline_digest: u64,
     serve: Option<ServePhase>,
     iterations_skipped: usize,
 }
@@ -222,25 +233,21 @@ impl StreamingRunner {
     /// Wraps a partitioner with the default budget of 5 iterations per
     /// batch.
     pub fn new(partitioner: AdaptivePartitioner) -> Self {
-        StreamingRunner {
-            partitioner,
+        let scalars = RunnerScalars {
             iterations_per_batch: 5,
             record: false,
-            log: DeltaLog::new(),
-            timeline: Vec::new(),
             timeline_window: usize::MAX,
             batches_ingested: 0,
             timeline_digest: TIMELINE_DIGEST_SEED,
-            serve: None,
-            iterations_skipped: 0,
-        }
+        };
+        Self::from_checkpoint_parts(partitioner, scalars, DeltaLog::new(), Vec::new())
     }
 
     /// Sets how many repartitioning iterations run after each batch
     /// (0 = ingest only; useful when the caller owns the iteration
     /// schedule).
     pub fn iterations_per_batch(mut self, n: usize) -> Self {
-        self.iterations_per_batch = n;
+        self.scalars.iterations_per_batch = n;
         self
     }
 
@@ -266,7 +273,7 @@ impl StreamingRunner {
     /// latest entry so resume can re-anchor the stream position.
     pub fn timeline_window(mut self, window: usize) -> Self {
         assert!(window > 0, "timeline window must retain at least one entry");
-        self.timeline_window = window;
+        self.scalars.timeline_window = window;
         self.evict_timeline_overflow();
         self.evict_serve_overflow();
         self
@@ -274,12 +281,14 @@ impl StreamingRunner {
 
     /// Folds and drops timeline entries past the window, oldest first.
     fn evict_timeline_overflow(&mut self) {
-        let excess = self.timeline.len().saturating_sub(self.timeline_window);
+        let window = self.scalars.timeline_window;
+        let excess = self.timeline.len().saturating_sub(window);
         if excess == 0 {
             return;
         }
         for stats in self.timeline.drain(..excess) {
-            self.timeline_digest = fold_timeline_digest(self.timeline_digest, &stats);
+            self.scalars.timeline_digest =
+                fold_timeline_digest(self.scalars.timeline_digest, &stats);
         }
     }
 
@@ -287,8 +296,9 @@ impl StreamingRunner {
     /// timeline is outside the checkpoint wire format, so unlike the
     /// ingest timeline there is no digest to fold evicted rounds into.
     fn evict_serve_overflow(&mut self) {
+        let window = self.scalars.timeline_window;
         if let Some(phase) = self.serve.as_mut() {
-            let excess = phase.timeline.len().saturating_sub(self.timeline_window);
+            let excess = phase.timeline.len().saturating_sub(window);
             phase.timeline.drain(..excess);
         }
     }
@@ -296,7 +306,7 @@ impl StreamingRunner {
     /// Enables recording every ingested batch into a [`DeltaLog`], so the
     /// run's exact mutation history can be replayed onto a fresh graph.
     pub fn record_log(mut self, yes: bool) -> Self {
-        self.record = yes;
+        self.scalars.record = yes;
         self
     }
 
@@ -342,25 +352,25 @@ impl StreamingRunner {
         let cut_after_ingest = self.partitioner.cut_edges();
         let mut migrations = 0usize;
         let mut executed = 0usize;
-        while executed < self.iterations_per_batch {
+        while executed < self.scalars.iterations_per_batch {
             if self.budget_drained() {
                 break;
             }
             migrations += self.partitioner.iterate().migrations;
             executed += 1;
         }
-        let skipped = self.iterations_per_batch - executed;
+        let skipped = self.scalars.iterations_per_batch - executed;
         if skipped > 0 {
             self.partitioner.charge_quiet_iterations(skipped);
             self.iterations_skipped += skipped;
         }
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        if self.record {
+        if self.scalars.record {
             self.log.record(batch.clone());
         }
         use apg_graph::Graph;
         let stats = TimelineStats {
-            batch: self.batches_ingested,
+            batch: self.scalars.batches_ingested,
             deltas: batch.len(),
             vertices_added: report.new_vertices.len(),
             vertices_removed: report.vertices_removed,
@@ -370,13 +380,13 @@ impl StreamingRunner {
             cut_after_ingest,
             cut_after: self.partitioner.cut_edges(),
             migrations,
-            iterations: self.iterations_per_batch,
+            iterations: self.scalars.iterations_per_batch,
             live_vertices: self.partitioner.graph().num_live_vertices(),
             num_edges: self.partitioner.graph().num_edges(),
             wall_ms,
         };
         self.timeline.push(stats.clone());
-        self.batches_ingested += 1;
+        self.scalars.batches_ingested += 1;
         self.evict_timeline_overflow();
         self.serve_after_batch(stats.batch as u64);
         stats
@@ -461,15 +471,10 @@ impl StreamingRunner {
         &self.timeline
     }
 
-    /// The timeline retention cap (`usize::MAX` = unbounded).
-    pub fn timeline_window_len(&self) -> usize {
-        self.timeline_window
-    }
-
     /// Batches ingested over the runner's whole life — the stream
     /// position, independent of how many timeline entries are retained.
     pub fn batches_ingested(&self) -> usize {
-        self.batches_ingested
+        self.scalars.batches_ingested
     }
 
     /// The rolling FNV-1a digest over every evicted timeline entry
@@ -480,17 +485,12 @@ impl StreamingRunner {
     ///
     /// [`batches_ingested`]: StreamingRunner::batches_ingested
     pub fn timeline_digest(&self) -> u64 {
-        self.timeline_digest
+        self.scalars.timeline_digest
     }
 
     /// How many timeline entries have been evicted into the digest.
     pub fn timeline_evicted(&self) -> usize {
-        self.batches_ingested - self.timeline.len()
-    }
-
-    /// The per-batch iteration budget currently in effect.
-    pub fn iterations_budget(&self) -> usize {
-        self.iterations_per_batch
+        self.scalars.batches_ingested - self.timeline.len()
     }
 
     /// Total budgeted iterations the adaptive budget skipped (rather than
@@ -502,36 +502,29 @@ impl StreamingRunner {
         self.iterations_skipped
     }
 
-    /// Whether ingested batches are recorded into the replay log.
-    pub fn records_log(&self) -> bool {
-        self.record
+    /// The runner's persisted scalars: iteration budget, recording flag,
+    /// timeline window, stream position and evicted-entry digest.
+    pub fn scalars(&self) -> RunnerScalars {
+        self.scalars
     }
 
-    /// Reassembles a runner from checkpointed parts (resume path; see
+    /// Assembles a runner from its persisted parts: fresh ones
+    /// ([`StreamingRunner::new`]) or checkpointed ones (resume; see
     /// [`crate::persist`]).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_checkpoint_parts(
         partitioner: AdaptivePartitioner,
-        iterations_per_batch: usize,
-        record: bool,
+        scalars: RunnerScalars,
         log: DeltaLog,
         timeline: Vec<TimelineStats>,
-        timeline_window: usize,
-        batches_ingested: usize,
-        timeline_digest: u64,
     ) -> Self {
         StreamingRunner {
             partitioner,
-            iterations_per_batch,
-            record,
+            scalars,
             log,
             timeline,
-            timeline_window,
-            batches_ingested,
-            timeline_digest,
             // The serve phase is deliberately outside the wire format (the
             // workload is an in-process concern); resumed runners re-attach
-            // one via `serve_workload` if they want interleaved serving.
+            // one via `serve_workload`, like new ones attach theirs.
             serve: None,
             // A skip diagnostic, not logical state: the skipped iterations
             // are already charged into the partitioner's counters.

@@ -87,6 +87,21 @@ pub struct GraphDiff {
 }
 
 impl GraphDiff {
+    /// The ascending slots a diff from a `base_n`-slot base to a
+    /// `cur_n`-slot current state visits: the candidates that already
+    /// existed in the base, then every newborn slot. Newborns are the
+    /// contiguous range `base_n..cur_n` above every older slot, so they
+    /// are visited whether or not `candidates` (strictly ascending) lists
+    /// them. Every per-slot record of a delta walks this one sequence.
+    pub fn slots_to_visit(
+        candidates: &[usize],
+        base_n: usize,
+        cur_n: usize,
+    ) -> impl Iterator<Item = usize> + '_ {
+        let old = candidates.partition_point(|&slot| slot < base_n);
+        candidates[..old].iter().copied().chain(base_n..cur_n)
+    }
+
     /// Computes the diff from `base` to `current`, given a sorted,
     /// deduplicated superset of the slots that may have changed
     /// (typically the partitioner's changed-slot record). Slots whose state is in fact
@@ -106,9 +121,12 @@ impl GraphDiff {
             candidates.windows(2).all(|w| w[0] < w[1]),
             "candidate slots not strictly ascending"
         );
+        debug_assert!(
+            candidates.last().is_none_or(|&slot| slot < cur_n),
+            "candidate slot out of range"
+        );
         let mut changed = Vec::new();
         let mut push_if_changed = |slot: usize| {
-            debug_assert!(slot < cur_n, "candidate slot {slot} out of range");
             let cur_alive = current.is_vertex(slot as VertexId);
             let cur_list = current.neighbors(slot as VertexId);
             let (base_alive, base_list): (bool, &[VertexId]) = if slot < base_n {
@@ -152,25 +170,8 @@ impl GraphDiff {
                 removed,
             });
         };
-        let mut newborn = base_n..cur_n;
-        let mut next_newborn = newborn.next();
-        for &slot in candidates {
-            // Merge in any newborn slots the candidate list skipped.
-            while let Some(nb) = next_newborn {
-                if nb >= slot {
-                    break;
-                }
-                push_if_changed(nb);
-                next_newborn = newborn.next();
-            }
-            if next_newborn == Some(slot) {
-                next_newborn = newborn.next();
-            }
+        for slot in Self::slots_to_visit(candidates, base_n, cur_n) {
             push_if_changed(slot);
-        }
-        while let Some(nb) = next_newborn {
-            push_if_changed(nb);
-            next_newborn = newborn.next();
         }
         GraphDiff {
             new_slots: cur_n,

@@ -157,7 +157,9 @@ pub const MAGIC_STORE_MANIFEST: [u8; 4] = *b"APGM";
 
 /// Frames larger than this are rejected as corrupt before allocation: no
 /// real payload (a checkpoint of a graph that fits in memory) approaches
-/// it, but a flipped length byte can claim anything.
+/// it, but a flipped length byte can claim anything. The write path holds
+/// itself to the same limit ([`check_frame_len`]), so the store never
+/// writes a frame it would refuse to read back.
 const MAX_FRAME_BYTES: usize = 1 << 30;
 
 /// Why a store operation failed.
@@ -178,6 +180,13 @@ pub enum StoreError {
     /// Acknowledged-durable data is damaged: a sealed segment, snapshot or
     /// manifest fails its header or checksum checks.
     Corrupt(&'static str),
+    /// A payload handed to [`SegmentStore::append`] or an install exceeds
+    /// the frame limit recovery enforces. Nothing was written: the
+    /// previous root, its chain and the tail are untouched.
+    FrameTooLarge {
+        /// The frame payload's length in bytes.
+        len: usize,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -188,6 +197,10 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::Decode(e) => write!(f, "store payload failed to decode: {e}"),
             StoreError::Corrupt(what) => write!(f, "store corrupt: {what}"),
+            StoreError::FrameTooLarge { len } => write!(
+                f,
+                "store frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
+            ),
         }
     }
 }
@@ -197,7 +210,7 @@ impl std::error::Error for StoreError {
         match self {
             StoreError::Io { source, .. } => Some(source),
             StoreError::Decode(e) => Some(e),
-            StoreError::Corrupt(_) => None,
+            StoreError::Corrupt(_) | StoreError::FrameTooLarge { .. } => None,
         }
     }
 }
@@ -227,6 +240,37 @@ pub struct StoreConfig {
     /// (which garbage-collects the chain). Bounds both recovery replay work
     /// and the disk the chain pins.
     pub max_chain_len: usize,
+}
+
+/// How much of a file one sync must make durable.
+enum SyncScope {
+    /// Contents and metadata: whole files, and directories.
+    All,
+    /// Contents only: a frame appended to a segment whose creation an
+    /// earlier [`SyncScope::All`] already covered.
+    Data,
+}
+
+impl StoreConfig {
+    /// Syncs `file` — unless [`StoreConfig::fsync`] is off, in which case
+    /// the store never syncs anything. Every sync the store issues, of a
+    /// file's data, a whole file or a directory, goes through here.
+    fn sync(
+        &self,
+        file: &File,
+        scope: SyncScope,
+        op: &'static str,
+        path: &Path,
+    ) -> Result<(), StoreError> {
+        if self.fsync {
+            match scope {
+                SyncScope::All => file.sync_all(),
+                SyncScope::Data => file.sync_data(),
+            }
+            .map_err(io_err(op, path))?;
+        }
+        Ok(())
+    }
 }
 
 impl Default for StoreConfig {
@@ -304,6 +348,17 @@ fn write_header(buf: &mut Vec<u8>, magic: [u8; 4]) {
     buf.extend_from_slice(&format::VERSION.to_le_bytes());
 }
 
+/// The write-side twin of [`next_frame`]'s length check, run before a
+/// byte of the frame is written.
+fn check_frame_len(len: usize) -> Result<(), StoreError> {
+    if len > MAX_FRAME_BYTES {
+        return Err(StoreError::FrameTooLarge { len });
+    }
+    Ok(())
+}
+
+/// Frames `payload`, whose length [`check_frame_len`] has admitted (so it
+/// fits the `u32` length field).
 fn frame(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -608,7 +663,9 @@ impl SegmentStore {
                         .map_err(io_err("open segment for repair", &path))?;
                     file.set_len(keep)
                         .map_err(io_err("truncate torn tail", &path))?;
-                    store.sync_file(&file, "fsync repaired segment", &path)?;
+                    store
+                        .config
+                        .sync(&file, SyncScope::All, "fsync repaired segment", &path)?;
                     // Count whole torn frames conservatively: at least one
                     // (the torn frame itself).
                     torn_frames_dropped += 1;
@@ -661,19 +718,10 @@ impl SegmentStore {
         let mut file = File::create(&path).map_err(io_err("create segment", &path))?;
         file.write_all(&header)
             .map_err(io_err("write segment header", &path))?;
-        self.sync_file(&file, "fsync new segment", &path)?;
+        self.config
+            .sync(&file, SyncScope::All, "fsync new segment", &path)?;
         self.sync_dir()?;
         self.active = Some((seq, file, 0));
-        Ok(())
-    }
-
-    /// `fsync`s `file` — unless [`StoreConfig::fsync`] is off, in which
-    /// case the store never syncs anything. Every whole-file and directory
-    /// sync goes through here.
-    fn sync_file(&self, file: &File, op: &'static str, path: &Path) -> Result<(), StoreError> {
-        if self.config.fsync {
-            file.sync_all().map_err(io_err(op, path))?;
-        }
         Ok(())
     }
 
@@ -684,7 +732,8 @@ impl SegmentStore {
             return Ok(());
         }
         let dir = File::open(&self.dir).map_err(io_err("open dir", &self.dir))?;
-        self.sync_file(&dir, "fsync dir", &self.dir)
+        self.config
+            .sync(&dir, SyncScope::All, "fsync dir", &self.dir)
     }
 
     /// Appends one payload frame to the active segment, rotating first if
@@ -695,6 +744,7 @@ impl SegmentStore {
     ///
     /// [`StoreError::Io`] only — appends never read.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), StoreError> {
+        check_frame_len(payload.len())?;
         let rotate = match &self.active {
             Some((_, _, written)) => *written >= self.config.segment_rotate_bytes,
             None => true,
@@ -703,20 +753,23 @@ impl SegmentStore {
             // Seal the old segment with a final sync so rotation never
             // weakens durability ordering.
             if let Some((seq, file, _)) = self.active.take() {
-                self.sync_file(&file, "fsync sealed segment", &self.segment_path(seq))?;
+                self.config.sync(
+                    &file,
+                    SyncScope::All,
+                    "fsync sealed segment",
+                    &self.segment_path(seq),
+                )?;
             }
             self.open_fresh_segment()?;
         }
         let seq = self.active.as_ref().expect("rotation ensured a segment").0;
         let path = self.segment_path(seq);
         let bytes = frame(self.next_frame_seq, payload);
-        let fsync = self.config.fsync;
         let (_, file, written) = self.active.as_mut().expect("rotation ensured a segment");
         file.write_all(&bytes)
             .map_err(io_err("append frame", &path))?;
-        if fsync {
-            file.sync_data().map_err(io_err("fsync append", &path))?;
-        }
+        self.config
+            .sync(file, SyncScope::Data, "fsync append", &path)?;
         // Only an acknowledged frame consumes its sequence number: a failed
         // write must not leave a gap that makes the next `open` reject the
         // intact frames around it.
@@ -768,6 +821,7 @@ impl SegmentStore {
     /// [module docs](self). `frame_payload` is the root file's single
     /// frame verbatim (for a delta, back-link included).
     fn install_root(&mut self, kind: RootKind, frame_payload: &[u8]) -> Result<(), StoreError> {
+        check_frame_len(frame_payload.len())?;
         let seq = self.next_seq;
         self.next_seq += 1;
 
@@ -779,7 +833,8 @@ impl SegmentStore {
         let mut file = File::create(&root_path).map_err(io_err("create root file", &root_path))?;
         file.write_all(&bytes)
             .map_err(io_err("write root file", &root_path))?;
-        self.sync_file(&file, "fsync root file", &root_path)?;
+        self.config
+            .sync(&file, SyncScope::All, "fsync root file", &root_path)?;
 
         // 2+3. Fresh tail segment for appends after this root; creating it
         // ends with the directory sync that makes both names durable. The
@@ -787,8 +842,9 @@ impl SegmentStore {
         let old_active = self.active.take();
         self.open_fresh_segment()?;
         if let Some((old_seq, old_file, _)) = old_active {
-            self.sync_file(
+            self.config.sync(
                 &old_file,
+                SyncScope::All,
                 "fsync sealed segment",
                 &self.segment_path(old_seq),
             )?;
@@ -803,7 +859,8 @@ impl SegmentStore {
         let mut file = File::create(&tmp).map_err(io_err("create manifest tmp", &tmp))?;
         file.write_all(&bytes)
             .map_err(io_err("write manifest tmp", &tmp))?;
-        self.sync_file(&file, "fsync manifest tmp", &tmp)?;
+        self.config
+            .sync(&file, SyncScope::All, "fsync manifest tmp", &tmp)?;
         drop(file);
         fs::rename(&tmp, &manifest).map_err(io_err("rename manifest", &manifest))?;
         self.sync_dir()?;
@@ -1196,6 +1253,35 @@ mod tests {
     }
 
     #[test]
+    fn oversized_payloads_are_refused_before_anything_is_written() {
+        let scratch = Scratch::new("oversized");
+        let (mut store, _) = SegmentStore::open(&scratch.0, no_sync()).unwrap();
+        store.install_snapshot(b"durable").unwrap();
+        store.append(b"first").unwrap();
+        let root = store.snapshot_seq();
+        let files = fs::read_dir(&scratch.0).unwrap().count();
+        // Zeroed and never touched: the check reads only the length.
+        let huge = vec![0u8; MAX_FRAME_BYTES + 1];
+        for refused in [store.install_snapshot(&huge), store.append(&huge)] {
+            assert!(matches!(
+                refused,
+                Err(StoreError::FrameTooLarge { len }) if len == huge.len()
+            ));
+        }
+        drop(huge);
+        check_frame_len(MAX_FRAME_BYTES).expect("the limit itself is admitted");
+        assert_eq!(store.snapshot_seq(), root);
+        assert_eq!(fs::read_dir(&scratch.0).unwrap().count(), files);
+        // The refused append burned no frame number: the tail carries on.
+        store.append(b"second").unwrap();
+        drop(store);
+        let (_, rec) = SegmentStore::open(&scratch.0, no_sync()).unwrap();
+        assert_eq!(rec.snapshot.as_deref(), Some(&b"durable"[..]));
+        assert_eq!(rec.tail, vec![b"first".to_vec(), b"second".to_vec()]);
+        assert_eq!(rec.torn_frames_dropped, 0);
+    }
+
+    #[test]
     fn delta_chain_round_trips() {
         let scratch = Scratch::new("delta-chain");
         let (mut store, _) = SegmentStore::open(&scratch.0, no_sync()).unwrap();
@@ -1337,12 +1423,14 @@ mod tests {
         };
         let decode = StoreError::Decode(DecodeError::Corrupt("demo"));
         let corrupt = StoreError::Corrupt("demo");
-        for e in [&io, &decode, &corrupt] {
+        let too_large = StoreError::FrameTooLarge { len: usize::MAX };
+        for e in [&io, &decode, &corrupt, &too_large] {
             assert!(!e.to_string().is_empty());
         }
         use std::error::Error;
         assert!(io.source().is_some());
         assert!(decode.source().is_some());
         assert!(corrupt.source().is_none());
+        assert!(too_large.source().is_none());
     }
 }

@@ -27,7 +27,6 @@ pub struct EngineBuilder {
     initial: InitialStrategy,
     adaptive: Option<AdaptiveConfig>,
     cut_every: usize,
-    checkpoint_every: usize,
 }
 
 impl EngineBuilder {
@@ -46,7 +45,6 @@ impl EngineBuilder {
             initial: InitialStrategy::Hash,
             adaptive: None,
             cut_every: 1,
-            checkpoint_every: 0,
         }
     }
 
@@ -90,14 +88,6 @@ impl EngineBuilder {
     /// default 1). Cut tracking costs `O(|E|)` per measured superstep.
     pub fn cut_every(mut self, n: usize) -> Self {
         self.cut_every = n;
-        self
-    }
-
-    /// Takes a recovery checkpoint every `n` supersteps (0 = never, the
-    /// default). Crashed workers then restore values from the latest
-    /// checkpoint instead of from zeroed state.
-    pub fn checkpoint_every(mut self, n: usize) -> Self {
-        self.checkpoint_every = n;
         self
     }
 
@@ -158,8 +148,6 @@ impl EngineBuilder {
             num_edges: graph.num_edges(),
             num_live: graph.num_live_vertices(),
             cut_every: self.cut_every,
-            checkpoint_every: self.checkpoint_every,
-            checkpoint: None,
             total_sim_time: 0.0,
         }
     }
@@ -187,26 +175,7 @@ pub struct Engine<P: VertexProgram> {
     num_edges: usize,
     num_live: usize,
     cut_every: usize,
-    checkpoint_every: usize,
-    checkpoint: Option<Checkpoint<P::Value>>,
     total_sim_time: f64,
-}
-
-/// A recovery checkpoint: every live vertex's value at some superstep.
-/// Restoring a crashed worker replays from here instead of from zeroed
-/// state (classic Pregel checkpoint recovery).
-///
-/// **Why this is not `apg_core::StreamCheckpoint`.** Core's checkpoint is
-/// durable *partitioner* state — topology, assignment, RNG position — on
-/// disk, so a killed process resumes a byte-identical history. This is
-/// the simulated engine's in-memory copy of vertex *values* (a
-/// user-program type `V` with no codec), consumed only by the fault
-/// plan's worker crashes; topology and placement are never part of it.
-#[derive(Debug, Clone)]
-pub struct Checkpoint<V> {
-    /// Superstep at which the checkpoint was taken.
-    pub superstep: usize,
-    values: Vec<Option<V>>,
 }
 
 struct WorkerOutput<M> {
@@ -222,22 +191,12 @@ impl<P: VertexProgram> Engine<P> {
         let t = self.superstep;
         let k = self.workers.len();
 
-        // Periodic recovery checkpoint (values only; topology is durable).
-        if self.checkpoint_every > 0 && t.is_multiple_of(self.checkpoint_every) {
-            self.take_checkpoint();
-        }
-
         // Scheduled worker crashes: in-memory values and undelivered
-        // messages are lost; values restore from the latest checkpoint when
-        // one exists, otherwise from zeroed state.
+        // messages are lost; the victim restarts from zeroed state.
         let crashes: Vec<WorkerId> = self.fault_plan.crashes_at(t).map(|e| e.worker).collect();
         for w in crashes {
-            for (&v, state) in self.workers[w as usize].vertices.iter_mut() {
-                state.value = self
-                    .checkpoint
-                    .as_ref()
-                    .and_then(|c| c.values.get(v as usize).cloned().flatten())
-                    .unwrap_or_default();
+            for state in self.workers[w as usize].vertices.values_mut() {
+                state.value = Default::default();
                 state.halted = false;
             }
             self.inboxes[w as usize].clear();
@@ -434,25 +393,6 @@ impl<P: VertexProgram> Engine<P> {
     /// `0..num_total_slots()`.
     pub fn num_total_slots(&self) -> usize {
         self.locations.len()
-    }
-
-    /// Takes a recovery checkpoint of every vertex value now.
-    pub fn take_checkpoint(&mut self) {
-        let mut values: Vec<Option<P::Value>> = vec![None; self.locations.len()];
-        for worker in &self.workers {
-            for (&v, state) in &worker.vertices {
-                values[v as usize] = Some(state.value.clone());
-            }
-        }
-        self.checkpoint = Some(Checkpoint {
-            superstep: self.superstep,
-            values,
-        });
-    }
-
-    /// The latest recovery checkpoint, if any.
-    pub fn checkpoint(&self) -> Option<&Checkpoint<P::Value>> {
-        self.checkpoint.as_ref()
     }
 
     /// Re-activates every vertex. Used by round-based workloads (like the
@@ -1113,7 +1053,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod checkpoint_tests {
+mod crash_tests {
     use super::*;
     use apg_graph::gen;
 
@@ -1125,37 +1065,6 @@ mod checkpoint_tests {
             *ctx.value_mut() += 1 + messages.len() as u64;
             ctx.send_to_neighbors(1);
         }
-    }
-
-    #[test]
-    fn checkpoint_recovery_beats_zeroed_restart() {
-        let g = gen::mesh3d(4, 4, 4);
-        let plan = FaultPlan::crash(8, 0);
-        let run = |checkpoint_every: usize| {
-            let mut e = EngineBuilder::new(2)
-                .seed(1)
-                .fault_plan(plan.clone())
-                .checkpoint_every(checkpoint_every)
-                .build(&g, Accumulate);
-            e.run(12);
-            (0..64u32).map(|v| *e.vertex_value(v).unwrap()).sum::<u64>()
-        };
-        let without = run(0);
-        let with = run(5); // checkpoint at supersteps 0, 5, 10 — crash at 8
-        assert!(
-            with > without,
-            "checkpointed run ({with}) should retain more accumulated state than zeroed restart ({without})"
-        );
-    }
-
-    #[test]
-    fn checkpoint_records_superstep_and_values() {
-        let g = gen::mesh3d(3, 3, 3);
-        let mut e = EngineBuilder::new(2).seed(3).build(&g, Accumulate);
-        e.run(4);
-        e.take_checkpoint();
-        let cp_step = e.checkpoint().unwrap().superstep;
-        assert_eq!(cp_step, 4);
     }
 
     #[test]

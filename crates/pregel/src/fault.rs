@@ -1,11 +1,11 @@
-//! Fault injection: simulated worker crashes with checkpoint recovery.
+//! Fault injection: simulated worker crashes with a zeroed restart.
 //!
 //! Figure 8's caption notes "the sudden drop in throughput and superstep
 //! time is due to a failure in one of the workers that led to the triggering
 //! of recovery mechanism". This module reproduces that artefact: a scheduled
 //! crash wipes the victim worker's in-memory vertex values and in-transit
-//! messages (they are restored from the last checkpoint, i.e. reset to
-//! `Default`), and charges a recovery penalty to simulated time for a few
+//! messages (values restart from `Default`; topology and placement are
+//! untouched), and charges a recovery penalty to simulated time for a few
 //! supersteps.
 
 use crate::worker::WorkerId;

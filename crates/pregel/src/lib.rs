@@ -65,7 +65,7 @@ pub mod program;
 pub mod worker;
 
 pub use cost::{CostModel, SuperstepReport};
-pub use engine::{Checkpoint, Engine, EngineBuilder};
+pub use engine::{Engine, EngineBuilder};
 pub use fault::{FaultEvent, FaultPlan};
 pub use migrate::MigrationController;
 pub use mutation::MutationBatch;

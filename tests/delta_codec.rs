@@ -214,14 +214,20 @@ impl ReferenceRule {
             "floor {floor} exceeds the true snapshot length {full_len}"
         );
         let delta_len = match &self.base {
-            Some(base) if self.chain < MAX_CHAIN_LEN => CheckpointDelta::between(
-                base,
-                &current,
-                &runner.partitioner().changed_slots(),
-                store.store().snapshot_seq().expect("installed before"),
-                store.store().root_digest().expect("installed before"),
-            )
-            .map(|delta| delta.to_bytes().len()),
+            Some(base) if self.chain < MAX_CHAIN_LEN => {
+                let changed = runner.partitioner().changed_slots();
+                let seq = store.store().snapshot_seq().expect("installed before");
+                let digest = store.store().root_digest().expect("installed before");
+                let delta = CheckpointDelta::between(base, &current, &changed, seq, digest);
+                // The live runner's view and its capture's are the same
+                // value, so `install` diffs what this rule diffs.
+                assert_eq!(
+                    CheckpointDelta::between(base, &*runner, &changed, seq, digest),
+                    delta,
+                    "the live view diffed differently from its capture"
+                );
+                delta.map(|delta| delta.to_bytes().len())
+            }
             _ => None,
         };
         let incremental = delta_len.is_some_and(|len| len < full_len);
@@ -449,6 +455,8 @@ proptest! {
     fn tombstones_round_trip_and_cannot_be_reused(
         kill_raw in proptest::collection::vec(0u32..16, 1..6),
         births in 1usize..5,
+        listed_old in 0u32..(1 << 16),
+        listed_newborn in 0u8..16,
     ) {
         let kill: std::collections::BTreeSet<u32> = kill_raw.into_iter().collect();
         let mut base = DynGraph::with_vertices(16);
@@ -470,6 +478,20 @@ proptest! {
         let mut replayed = base.clone();
         diff.apply_to(&mut replayed).expect("tombstone diff applies");
         prop_assert_eq!(&replayed, &current);
+        // Newborn slots are picked up whether or not the candidates list
+        // them: a list naming some newborns and omitting others, after a
+        // partial set of old slots, diffs like the full list wherever it
+        // covers the slots that changed (the killed ones, their
+        // neighbours and the births' target).
+        let touched = |slot: usize| {
+            slot == target as usize
+                || (slot.saturating_sub(1)..=slot + 1).any(|v| kill.contains(&(v as u32)))
+        };
+        let partial: Vec<usize> = (0..16)
+            .filter(|&slot| touched(slot) || listed_old & (1 << slot) != 0)
+            .chain((16..16 + births).filter(|slot| listed_newborn & (1 << (slot - 16)) != 0))
+            .collect();
+        prop_assert_eq!(&GraphDiff::between(&base, &current, &partial), &diff);
         // Resurrecting a tombstone is a typed error, not a panic.
         let victim = *kill.iter().next().unwrap() as usize;
         let mut forged = diff.clone();
