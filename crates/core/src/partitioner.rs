@@ -147,8 +147,11 @@ impl PartitionerScalars {
 /// with a private [`DecisionKernel`], all against the **frozen snapshot**
 /// of the graph and assignment taken at the start of the iteration (the
 /// `&self` borrow guarantees no mutation can interleave). Quota admission
-/// and the actual moves happen afterwards in a single-threaded merge, in
-/// ascending vertex order. Every random draw a vertex consumes — its
+/// happens afterwards in a single-threaded merge, in ascending vertex
+/// order; the admitted moves are then applied on the same sharded fan-out,
+/// each migrant reading a neighbour's post-apply label in `O(1)` from a
+/// slot-indexed target stamp, so an apply costs its neighbour reads and
+/// nothing else. Every random draw a vertex consumes — its
 /// willingness roll, its tie-breaks — comes from a private RNG keyed by
 /// `(seed, vertex, iteration)`, so no draw depends on which other vertices
 /// were evaluated, in what grouping, or on what thread: the migration
@@ -246,7 +249,18 @@ struct IterScratch {
     kernels: Vec<DecisionKernel>,
     /// Quota admission table, rebuilt in place each iteration.
     quota: QuotaTable,
+    /// Slot-indexed migration targets for the apply fan-out: `targets[w]`
+    /// is `w`'s admitted target while `pending` is being applied and
+    /// [`NOT_MIGRATING`] otherwise. Stamped from `pending` before the
+    /// fan-out and cleared from it after, so both cost `O(migrants)`; grows
+    /// with the slot range and never shrinks.
+    targets: Vec<PartitionId>,
 }
+
+/// The [`IterScratch::targets`] entry of a slot that is not migrating. No
+/// partition can carry it: ids stay below `num_partitions`, itself a
+/// [`PartitionId`].
+const NOT_MIGRATING: PartitionId = PartitionId::MAX;
 
 impl AdaptivePartitioner {
     /// Creates a partitioner over a copy of `graph`, initialised with the
@@ -265,7 +279,7 @@ impl AdaptivePartitioner {
         );
         let partitioning = strategy.assign(graph, &caps, seed);
         Self::from_parts(
-            to_dyn(graph),
+            DynGraph::from_graph(graph),
             partitioning,
             PartitionerScalars::fresh(config, seed),
         )
@@ -295,7 +309,7 @@ impl AdaptivePartitioner {
             "partition count mismatch"
         );
         Self::from_parts(
-            to_dyn(graph),
+            DynGraph::from_graph(graph),
             partitioning,
             PartitionerScalars::fresh(config, seed),
         )
@@ -335,6 +349,7 @@ impl AdaptivePartitioner {
             shards: Vec::new(),
             kernels: Vec::new(),
             quota: QuotaTable::new(config.quota_rule, &vec![0; k]),
+            targets: Vec::new(),
         };
         AdaptivePartitioner {
             graph,
@@ -648,20 +663,26 @@ impl AdaptivePartitioner {
     /// most once, so a migrant's cut and degree-mass deltas are pure
     /// functions of the iteration-start labels plus the migration list: a
     /// neighbour's post-apply label is its own migration target if it is
-    /// migrating (`pending` is sorted by vertex id, so membership is a
-    /// binary search), its frozen label otherwise. Shards of the migrant
-    /// list therefore compute independent `{cut delta, degree-mass delta,
-    /// dirty list}` outcomes against the frozen snapshot — each
-    /// migrant–migrant edge is counted by its lower-id endpoint, every
-    /// other edge by its migrant — and the single-threaded merge folds
-    /// them in shard order, then replays the label/size bookkeeping in
-    /// admission order. The resulting state is identical to moving one
-    /// migrant at a time in admission order (dirty-marking is idempotent
-    /// and the deltas are exact) — the loop
+    /// migrating (one read of the slot-indexed `scratch.targets` stamp,
+    /// filled from `pending` for the duration of the fan-out), its frozen
+    /// label otherwise. Shards of the migrant list therefore compute
+    /// independent `{cut delta, degree-mass delta, dirty list}` outcomes
+    /// against the frozen snapshot — each migrant–migrant edge is counted
+    /// by its lower-id endpoint, every other edge by its migrant — and the
+    /// single-threaded merge folds them in shard order, then replays the
+    /// label/size bookkeeping in admission order. The resulting state is
+    /// identical to moving one migrant at a time in admission order
+    /// (dirty-marking is idempotent and the deltas are exact) — the loop
     /// `apg_core::reference::iterate_serial_apply` keeps alive as the
     /// reference.
     fn apply_pending_sharded(&mut self) {
         let k = self.scalars.config.num_partitions as usize;
+        let targets = &mut self.scratch.targets;
+        targets.resize(self.graph.num_vertices(), NOT_MIGRATING);
+        for &(v, to) in &self.pending {
+            targets[v as usize] = to;
+        }
+        let targets = &self.scratch.targets;
         let graph = &self.graph;
         let partitioning = &self.partitioning;
         let pending = &self.pending;
@@ -671,10 +692,11 @@ impl AdaptivePartitioner {
         );
         let plan = ShardPlan::with_default_size(pending.len());
         let outcomes = fanout::map_shards(self.scalars.config.parallelism, &plan, |_, migrants| {
+            let reads = migrants.clone().map(|i| graph.degree(pending[i].0)).sum();
             let mut out = ApplyOutcome {
                 cut_delta: 0,
                 mass_delta: vec![0i64; k],
-                relabelled_neighbours: Vec::new(),
+                relabelled_neighbours: Vec::with_capacity(reads),
             };
             for i in migrants {
                 let (v, to) = pending[i];
@@ -685,13 +707,13 @@ impl AdaptivePartitioner {
                 for &w in graph.neighbors(v) {
                     // The neighbour sees v's label change: it re-enters
                     // the active set.
-                    out.relabelled_neighbours.push(w as usize);
+                    out.relabelled_neighbours.push(w);
                     let old_w = partitioning.partition_of(w);
-                    let (new_w, counts_edge) = match migrant_target(pending, w) {
+                    let (new_w, counts_edge) = match targets[w as usize] {
+                        NOT_MIGRATING => (old_w, true),
                         // A migrant–migrant edge contributes one delta,
                         // owned by the lower-id endpoint.
-                        Some(target) => (target, v < w),
-                        None => (old_w, true),
+                        target => (target, v < w),
                     };
                     if counts_edge {
                         out.cut_delta += (to != new_w) as i64 - (from != old_w) as i64;
@@ -703,6 +725,9 @@ impl AdaptivePartitioner {
             }
             out
         });
+        for &(v, _) in &self.pending {
+            self.scratch.targets[v as usize] = NOT_MIGRATING;
+        }
 
         let mut cut = self.cut as i64;
         for out in &outcomes {
@@ -710,8 +735,8 @@ impl AdaptivePartitioner {
             for (p, delta) in out.mass_delta.iter().enumerate() {
                 self.degree_mass[p] = (self.degree_mass[p] as i64 + delta) as usize;
             }
-            for &slot in &out.relabelled_neighbours {
-                self.marks.neighbour_relabelled(slot);
+            for &w in &out.relabelled_neighbours {
+                self.marks.neighbour_relabelled(w as usize);
             }
         }
         self.cut = cut as usize;
@@ -973,8 +998,8 @@ impl AdaptivePartitioner {
     }
 
     /// Audits internal invariants (incremental cut vs recount, size
-    /// accounting, max-partition tracking, the active-set invariant); used
-    /// by tests and debug assertions.
+    /// accounting, max-partition tracking, the active-set invariant, the
+    /// apply stamp being clear); used by tests and debug assertions.
     ///
     /// # Panics
     ///
@@ -1010,6 +1035,13 @@ impl AdaptivePartitioner {
         // strictly wins). This is precisely what makes skipping inactive
         // vertices indistinguishable from evaluating them.
         self.marks.audit(&self.graph);
+        // Between iterations the apply stamp names no migrant, so a stale
+        // target cannot leak into the next apply.
+        assert!(
+            self.scratch.targets.len() <= self.graph.num_vertices()
+                && self.scratch.targets.iter().all(|&t| t == NOT_MIGRATING),
+            "apply target stamp not cleared"
+        );
         let mut counts = vec![0u32; self.scalars.config.num_partitions as usize];
         for v in self.graph.vertices() {
             if self.marks.sweep().contains(v as usize) {
@@ -1078,17 +1110,7 @@ struct ShardOutcome {
 struct ApplyOutcome {
     cut_delta: i64,
     mass_delta: Vec<i64>,
-    relabelled_neighbours: Vec<usize>,
-}
-
-/// Looks up `w`'s admitted migration target, if any. `pending` is sorted
-/// ascending by vertex id (admission order), so membership is a binary
-/// search.
-fn migrant_target(pending: &[(VertexId, PartitionId)], w: VertexId) -> Option<PartitionId> {
-    pending
-        .binary_search_by_key(&w, |&(v, _)| v)
-        .ok()
-        .map(|i| pending[i].1)
+    relabelled_neighbours: Vec<VertexId>,
 }
 
 /// One shard's view of the decide phase: the frozen iteration-start
@@ -1152,27 +1174,6 @@ impl Evaluator<'_> {
 /// Milliseconds elapsed since `start`.
 fn ms_since(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
-}
-
-/// Copies any [`Graph`] into a [`DynGraph`], degree prepass first: every
-/// adjacency span is preallocated at its exact final size, so the edge
-/// replay fills spans in place without a single relocation. All `n` slots
-/// come out live, matching the historical behaviour of this conversion
-/// (sources with tombstones resurrect them as isolated vertices).
-fn to_dyn<G: Graph>(graph: &G) -> DynGraph {
-    let mut degrees = vec![0usize; graph.num_vertices()];
-    for v in graph.vertices() {
-        degrees[v as usize] = graph.degree(v);
-    }
-    let mut d = DynGraph::with_degree_capacities(&degrees);
-    for v in graph.vertices() {
-        for &w in graph.neighbors(v) {
-            if w > v {
-                d.add_edge(v, w);
-            }
-        }
-    }
-    d
 }
 
 // Reference drivers for the equivalence suites — a child module so they
@@ -1365,6 +1366,32 @@ mod tests {
         let p2 = AdaptivePartitioner::from_partitioning(&g, assignment.clone(), &cfg, 2);
         assert_eq!(p2.partitioning(), &assignment);
         assert_eq!(p2.cut_edges(), cut_edges(&g, &assignment));
+    }
+
+    #[test]
+    fn tombstones_in_the_source_stay_tombstones() {
+        // A 6-vertex path with vertex 2 removed: 5 live vertices, and the
+        // partitioner's graph is its input — the dead id stays dead,
+        // inactive and uncounted.
+        let mut g = DynGraph::with_vertices(6);
+        for v in 0..5 {
+            g.add_edge(v, v + 1);
+        }
+        g.remove_vertex(2);
+        let cfg = AdaptiveConfig::builder(2).build().unwrap();
+        let built = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 3);
+        let assignment = built.partitioning().clone();
+        let resumed = AdaptivePartitioner::from_partitioning(&g, assignment, &cfg, 3);
+        for mut p in [built, resumed] {
+            assert_eq!(p.graph(), &g);
+            assert_eq!(p.graph().num_live_vertices(), 5);
+            assert!(!p.graph().is_vertex(2) && !p.is_active(2));
+            assert_eq!(p.partitioning().sizes().iter().sum::<usize>(), 5);
+            p.audit();
+            p.run_for(4);
+            p.audit();
+            assert!(!p.graph().is_vertex(2));
+        }
     }
 
     #[test]

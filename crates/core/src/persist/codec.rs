@@ -150,15 +150,19 @@ impl Encode for TimelineStats {
         for field in self.deterministic_fields() {
             field.encode(enc);
         }
-        // Measurement, not state — persisted for reporting, ignored by
-        // equality exactly as in memory.
-        self.wall_ms.encode(enc);
+        // `wall_ms` keeps its v4 position but not its value: a clock
+        // reading must not reach durable bytes, or chain digests (and,
+        // through their varints, lengths) would differ run to run.
+        0.0f64.encode(enc);
     }
 }
 
 impl Decode for TimelineStats {
+    /// The `wall_ms` position must hold the `0.0` every encoder writes
+    /// there: anything else would decode to a value that re-encodes to
+    /// different bytes.
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(TimelineStats {
+        let stats = TimelineStats {
             batch: usize::decode(dec)?,
             deltas: usize::decode(dec)?,
             vertices_added: usize::decode(dec)?,
@@ -173,7 +177,11 @@ impl Decode for TimelineStats {
             live_vertices: usize::decode(dec)?,
             num_edges: usize::decode(dec)?,
             wall_ms: f64::decode(dec)?,
-        })
+        };
+        if stats.wall_ms.to_bits() != 0 {
+            return Err(DecodeError::Corrupt("timeline entry carries a wall-clock"));
+        }
+        Ok(stats)
     }
 }
 
@@ -253,6 +261,33 @@ mod tests {
             AdaptiveConfig::from_bytes(&bad.to_bytes()).unwrap_err(),
             DecodeError::Corrupt("drain floor outside [0, 1)")
         ));
+    }
+
+    /// A clock reading never reaches the bytes: whatever `wall_ms` a live
+    /// entry holds, its position is written as `0.0` — and only that
+    /// decodes, so every accepted entry re-encodes to the bytes it came from.
+    #[test]
+    fn timeline_entries_persist_no_wall_clock() {
+        let (mut runner, mut source) = growth_runner(1);
+        runner.drive(&mut source, 1);
+        let mut timed = runner.timeline()[0].clone();
+        timed.wall_ms = 12.5;
+        let mut untimed = timed.clone();
+        untimed.wall_ms = 0.0;
+        let bytes = timed.to_bytes();
+        assert_eq!(bytes, untimed.to_bytes());
+        let back = TimelineStats::from_bytes(&bytes).unwrap();
+        assert_eq!(back.wall_ms.to_bits(), 0);
+        assert_eq!(back, timed, "equality ignores the wall-clock");
+        for bit in [0u8, 63] {
+            let mut forged = bytes.clone();
+            let wall_byte = forged.len() - 8 + bit as usize / 8;
+            forged[wall_byte] ^= 1 << (bit % 8);
+            assert!(matches!(
+                TimelineStats::from_bytes(&forged).unwrap_err(),
+                DecodeError::Corrupt("timeline entry carries a wall-clock")
+            ));
+        }
     }
 
     /// One rule set, two doors: every setting `build()` rejects is also

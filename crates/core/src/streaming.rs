@@ -102,7 +102,8 @@ pub struct TimelineStats {
     /// Edges after the batch.
     pub num_edges: usize,
     /// Wall-clock for ingest + iterations, milliseconds. Measurement, not
-    /// state: ignored by `==`.
+    /// state: ignored by `==` and never persisted (a checkpoint stores
+    /// `0.0` in its place, so a resumed timeline reads zero here).
     pub wall_ms: f64,
 }
 

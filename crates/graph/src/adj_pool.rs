@@ -69,9 +69,9 @@ impl AdjPool {
 
     /// A pool of `degrees.len()` empty slots whose spans are preallocated
     /// back-to-back with exactly the given capacities — the bulk
-    /// constructor for callers that know every degree up front (CSR
-    /// freezes, snapshot decodes after a degree prepass). Filling slot `v`
-    /// up to `degrees[v]` entries never relocates.
+    /// constructor for callers that know every degree up front
+    /// (`DynGraph::from_graph`'s degree prepass). An [`AdjPool::replace`]
+    /// of slot `v` with up to `degrees[v]` entries never relocates.
     pub fn with_capacities(degrees: &[usize]) -> Self {
         let total: usize = degrees.iter().sum();
         let mut spans = Vec::with_capacity(degrees.len());
@@ -133,22 +133,6 @@ impl AdjPool {
         self.arena[start] = value;
         self.spans[slot].len += 1;
         true
-    }
-
-    /// Appends `value` to `slot`'s list without relocating.
-    ///
-    /// Bulk-fill fast path for spans sized by [`AdjPool::with_capacities`]:
-    /// the caller promises `value` exceeds the current last entry and the
-    /// span has room (both debug-asserted).
-    pub fn push_within_cap(&mut self, slot: usize, value: VertexId) {
-        let span = self.spans[slot];
-        debug_assert!(span.len < span.cap, "span for slot {slot} is full");
-        debug_assert!(
-            span.len == 0 || self.arena[span.offset + span.len as usize - 1] < value,
-            "bulk fill must append in ascending order"
-        );
-        self.arena[span.offset + span.len as usize] = value;
-        self.spans[slot].len += 1;
     }
 
     /// Removes `value` from `slot`'s sorted list, shifting the tail left so
@@ -328,12 +312,8 @@ mod tests {
         let degrees = [3usize, 0, 2];
         let mut pool = AdjPool::with_capacities(&degrees);
         let before = pool.arena_len();
-        for v in [10, 20, 30] {
-            pool.push_within_cap(0, v);
-        }
-        for v in [7, 9] {
-            pool.push_within_cap(2, v);
-        }
+        pool.replace(0, &[10, 20, 30]);
+        pool.replace(2, &[7, 9]);
         assert_eq!(pool.arena_len(), before, "bulk fill must not grow");
         assert_eq!(pool.garbage(), 0);
         assert_eq!(pool.neighbors(0), &[10, 20, 30]);
@@ -485,10 +465,8 @@ mod tests {
         churned.insert_sorted(1, 7);
 
         let mut fresh = AdjPool::with_capacities(&[50, 1]);
-        for v in (1..100u32).step_by(2) {
-            fresh.push_within_cap(0, v);
-        }
-        fresh.push_within_cap(1, 7);
+        fresh.replace(0, &(1..100u32).step_by(2).collect::<Vec<_>>());
+        fresh.replace(1, &[7]);
 
         assert_eq!(churned, fresh);
         churned.compact();

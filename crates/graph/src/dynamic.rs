@@ -84,18 +84,28 @@ impl DynGraph {
         }
     }
 
-    /// Creates a graph of `degrees.len()` live, isolated vertices whose
-    /// adjacency spans are preallocated with exactly the given capacities.
+    /// Copies any [`Graph`] into a `DynGraph`: same slots, same liveness,
+    /// same neighbour lists, so the copy of a `DynGraph` equals its source.
     ///
-    /// The bulk-construction fast path: a caller that knows every degree up
-    /// front (a degree prepass over a source graph) can then add each edge
-    /// once without a single span relocation.
-    pub fn with_degree_capacities(degrees: &[usize]) -> Self {
+    /// The bulk constructor: a degree prepass carves exact-fit spans back
+    /// to back in slot order, then each list is one slice copy — no
+    /// search, shift or relocation per edge. It relies on the list
+    /// contract stated on [`Graph`] and takes the live and edge counts
+    /// from the source.
+    pub fn from_graph<G: Graph>(g: &G) -> Self {
+        let n = g.num_vertices();
+        let degrees: Vec<usize> = (0..n as VertexId).map(|v| g.degree(v)).collect();
+        let mut adj = AdjPool::with_capacities(&degrees);
+        let mut alive = Vec::with_capacity(n);
+        for v in 0..n as VertexId {
+            adj.replace(v as usize, g.neighbors(v));
+            alive.push(g.is_vertex(v));
+        }
         DynGraph {
-            adj: AdjPool::with_capacities(degrees),
-            alive: vec![true; degrees.len()],
-            num_live: degrees.len(),
-            num_edges: 0,
+            adj,
+            alive,
+            num_live: g.num_live_vertices(),
+            num_edges: g.num_edges(),
         }
     }
 
@@ -303,20 +313,7 @@ impl DynGraph {
 
 impl From<&CsrGraph> for DynGraph {
     fn from(g: &CsrGraph) -> Self {
-        let n = g.num_vertices();
-        let degrees: Vec<usize> = (0..n as VertexId).map(|v| g.degree(v)).collect();
-        let mut adj = AdjPool::with_capacities(&degrees);
-        for v in 0..n as VertexId {
-            for &w in g.neighbors(v) {
-                adj.push_within_cap(v as usize, w);
-            }
-        }
-        DynGraph {
-            adj,
-            alive: vec![true; n],
-            num_live: n,
-            num_edges: g.num_edges(),
-        }
+        DynGraph::from_graph(g)
     }
 }
 
@@ -496,20 +493,5 @@ mod tests {
         assert_eq!(churned, fresh);
         fresh.remove_vertex(3);
         assert_ne!(churned, fresh);
-    }
-
-    #[test]
-    fn degree_capacities_prealloc_matches_incremental_build() {
-        let mut incremental = DynGraph::with_vertices(4);
-        incremental.add_edge(0, 1);
-        incremental.add_edge(0, 2);
-        incremental.add_edge(2, 3);
-
-        let mut bulk = DynGraph::with_degree_capacities(&[2, 1, 2, 1]);
-        bulk.add_edge(0, 1);
-        bulk.add_edge(0, 2);
-        bulk.add_edge(2, 3);
-        assert_eq!(bulk, incremental);
-        assert_eq!(bulk.degree(0), 2);
     }
 }

@@ -22,6 +22,17 @@ pub type EdgeList = Vec<(VertexId, VertexId)>;
 /// Vertices are identified by dense ids `0..num_vertices()`. A dynamic graph
 /// may contain *removed* ids inside this range; [`Graph::is_vertex`]
 /// distinguishes live vertices from tombstones.
+///
+/// # The list contract
+///
+/// Every implementation lends neighbour lists that are **strictly
+/// ascending** (sorted, duplicate-free), **loop-free** (`v` is never in
+/// `neighbors(v)`) and **symmetric** (`w` is in `neighbors(v)` iff `v` is
+/// in `neighbors(w)`), and a tombstone lends the **empty slice**, so no
+/// live list names one. [`Graph::num_edges`] is half the sum of the list
+/// lengths. Consumers rely on this without re-checking:
+/// [`crate::DynGraph::from_graph`] copies the lists slice by slice and
+/// takes the counts as given, and membership tests binary-search.
 pub trait Graph {
     /// Total number of vertex slots, i.e. the exclusive upper bound on ids.
     ///
@@ -38,7 +49,8 @@ pub trait Graph {
     /// Whether `v` is a live vertex.
     fn is_vertex(&self, v: VertexId) -> bool;
 
-    /// Neighbours of `v` in ascending order.
+    /// Neighbours of `v` in strictly ascending order; empty for a
+    /// tombstone (see the list contract on [`Graph`]).
     ///
     /// # Panics
     ///

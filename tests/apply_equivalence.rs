@@ -22,10 +22,11 @@
 use proptest::prelude::*;
 
 use apg::core::{
-    reference, AdaptiveConfig, AdaptivePartitioner, IterationStats, StreamingRunner, TimelineStats,
+    reference, AdaptiveConfig, AdaptivePartitioner, IterationStats, QuotaRule, StreamingRunner,
+    TimelineStats,
 };
 use apg::graph::{gen, CsrGraph, DynGraph, Graph, UpdateBatch};
-use apg::partition::InitialStrategy;
+use apg::partition::{InitialStrategy, Partitioning};
 use apg::streams::{CdrConfig, CdrStream, PowerLawGrowth, StreamSource};
 
 /// Random simple graph as an edge list over `n` vertices.
@@ -98,6 +99,11 @@ fn run_scenario(
         history.extend(run_for(&mut p, 2));
     }
     history.extend(run_for(&mut p, 3));
+    observe(&p, history)
+}
+
+/// Audits `p` and captures everything the apply phase can influence.
+fn observe(p: &AdaptivePartitioner, history: Vec<IterationStats>) -> Observed {
     p.audit();
     let active = (0..p.graph().num_vertices() as u32)
         .filter(|&v| p.is_active(v))
@@ -109,6 +115,23 @@ fn run_scenario(
         degree_mass: p.degree_mass().to_vec(),
         active,
     }
+}
+
+/// Asserts `scenario` observes the same thing under the serial reference
+/// driver and under the sharded apply at parallelism 1, 2 and 8; returns
+/// that observation.
+fn assert_sharded_equals_serial<T: PartialEq + std::fmt::Debug>(
+    scenario: impl Fn(usize, Iterate) -> T,
+) -> T {
+    let serial = scenario(1, |p| reference::iterate_serial_apply(p).0);
+    for parallelism in [1usize, 2, 8] {
+        assert_eq!(
+            scenario(parallelism, AdaptivePartitioner::iterate),
+            serial,
+            "sharded apply diverged at parallelism {parallelism}"
+        );
+    }
+    serial
 }
 
 /// The fixed-budget oracle: pulls `batches` batches from `source` into a
@@ -203,6 +226,105 @@ proptest! {
         prop_assert_eq!(adaptive.partitioner().partitioning(), fixed.partitioning());
         adaptive.partitioner().audit();
     }
+}
+
+/// A clique spread evenly over the partitions with unbounded quotas: every
+/// vertex sees one neighbour fewer at home than anywhere else, so in the
+/// first iteration **all** of them migrate. Each migrant's neighbours are
+/// then all migrants and every edge is a migrant–migrant edge, counted
+/// once, by its lower-id endpoint, through a target-stamp read. The
+/// hash-initialised clique beside it mixes migrants with stayers.
+#[test]
+fn a_clique_of_migrants_applies_like_the_serial_loop() {
+    const N: usize = 64;
+    const K: u16 = 8;
+    let edges: Vec<(u32, u32)> = (0..N as u32)
+        .flat_map(|u| (u + 1..N as u32).map(move |v| (u, v)))
+        .collect();
+    let clique = CsrGraph::from_edges(N, &edges);
+    let config = |parallelism: usize| {
+        AdaptiveConfig::builder(K)
+            .willingness(1.0)
+            .quota_rule(QuotaRule::Unbounded)
+            .parallelism(parallelism)
+            .build()
+            .unwrap()
+    };
+    let run = |mut p: AdaptivePartitioner, iterate: Iterate| {
+        let history = (0..6).map(|_| iterate(&mut p)).collect();
+        observe(&p, history)
+    };
+
+    let round_robin = Partitioning::from_assignment((0..N).map(|v| v as u16 % K).collect(), K);
+    let even = assert_sharded_equals_serial(|parallelism, iterate| {
+        let cfg = config(parallelism);
+        let p = AdaptivePartitioner::from_partitioning(&clique, round_robin.clone(), &cfg, 5);
+        run(p, iterate)
+    });
+    assert_eq!(
+        even.history[0].migrations, N,
+        "some vertex stayed: not every edge was migrant–migrant"
+    );
+
+    let hashed = assert_sharded_equals_serial(|parallelism, iterate| {
+        let cfg = config(parallelism);
+        let p = AdaptivePartitioner::with_strategy(&clique, InitialStrategy::Hash, &cfg, 5);
+        run(p, iterate)
+    });
+    assert!(
+        hashed.history[0].migrations > 0,
+        "the hashed clique was quiet"
+    );
+}
+
+/// The slot range grows between two applies: newborn vertices, each wired
+/// into one partition, migrate on the next iterations, so both a migrant
+/// and a migrant's neighbour index the target stamp past the length it had
+/// during the previous apply.
+#[test]
+fn the_apply_follows_the_slot_range_as_it_grows() {
+    const BASE: usize = 6 * 6 * 6;
+    let mesh = gen::mesh3d(6, 6, 6);
+    let (grown, newborn_moves) = assert_sharded_equals_serial(|parallelism, iterate| {
+        let cfg = AdaptiveConfig::builder(4)
+            .willingness(1.0)
+            .capacity_factor(2.0)
+            .parallelism(parallelism)
+            .build()
+            .unwrap();
+        let mut p = AdaptivePartitioner::with_strategy(&mesh, InitialStrategy::Hash, &cfg, 19);
+        let mut history: Vec<_> = (0..4).map(|_| iterate(&mut p)).collect();
+        let mut newborn_moves = 0;
+        for round in 0..3u16 {
+            let mut batch = UpdateBatch::new();
+            for newborn in 0..24u16 {
+                let home = (newborn + round) % 4;
+                let anchors = (0..BASE as u32)
+                    .filter(|&v| p.partitioning().partition_of(v) == home)
+                    .take(3)
+                    .collect();
+                batch.add_vertex(anchors);
+            }
+            let born = p.apply_batch(&batch).new_vertices;
+            p.audit();
+            let placed: Vec<_> = born
+                .iter()
+                .map(|&v| p.partitioning().partition_of(v))
+                .collect();
+            history.extend((0..2).map(|_| iterate(&mut p)));
+            newborn_moves += born
+                .iter()
+                .zip(placed)
+                .filter(|&(&v, at)| p.partitioning().partition_of(v) != at)
+                .count();
+        }
+        (observe(&p, history), newborn_moves)
+    });
+    assert_eq!(grown.assignment.len(), BASE + 3 * 24);
+    assert!(
+        newborn_moves >= 24,
+        "only {newborn_moves} newborn migrations: the grown slots were barely applied"
+    );
 }
 
 /// A converged stream where the adaptive budget provably skips: the

@@ -588,3 +588,93 @@ fn wall_to_wall_churn_falls_back_to_full() {
     drop(store);
     assert_recovery_equals_live(&scratch.0, &runner);
 }
+
+/// Every file of a store directory, by name, with its bytes.
+fn store_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("read store directory")
+        .map(|entry| {
+            let entry = entry.expect("directory entry");
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(entry.path()).expect("read store file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Durable bytes are a function of the data: two runs of one seed at one
+/// parallelism leave **byte-identical store directories** — every
+/// `snap-` / `dsnap-` / `seg-` file and the manifest — after every
+/// install and at the end, although no two runs read the same clock. CDR
+/// churn (births, removals, edge flips), an append per batch, an install
+/// every other batch, short chains and small segments, so full roots,
+/// chained deltas, rotated segments and a write-ahead tail all occur.
+#[test]
+fn two_runs_of_one_seed_leave_byte_identical_stores() {
+    use apg::streams::{CdrConfig, CdrStream, StreamSource};
+    const BATCHES: usize = 15;
+    let cdr = CdrConfig {
+        initial_subscribers: 2_000,
+        ..CdrConfig::default()
+    };
+    let config = StoreConfig {
+        segment_rotate_bytes: 4 << 10,
+        ..store_config()
+    };
+    let run = |parallelism: usize, tag: &str| {
+        let scratch = Scratch::new(tag);
+        let (mut store, _) = CheckpointStore::open(&scratch.0, config.clone()).expect("open");
+        let graph = DynGraph::with_vertices(cdr.initial_subscribers);
+        let cfg = AdaptiveConfig::builder(4)
+            .parallelism(parallelism)
+            .build()
+            .unwrap();
+        let partitioner =
+            AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 29);
+        let mut runner = StreamingRunner::new(partitioner)
+            .iterations_per_batch(3)
+            .timeline_window(6);
+        let mut source = CdrStream::new(cdr, 29);
+        let mut history = Vec::new();
+        for step in 0..BATCHES {
+            let batch = source.next_batch().expect("the stream outlasts the run");
+            runner.ingest(&batch);
+            store.append(&batch).expect("append");
+            if step % 2 == 0 {
+                store.install(&mut runner).expect("install");
+                history.push(store_files(&scratch.0));
+            }
+        }
+        history.push(store_files(&scratch.0));
+        history
+    };
+    for parallelism in [1usize, 2, 8] {
+        let first = run(parallelism, "identical-a");
+        let second = run(parallelism, "identical-b");
+        for kind in ["snap-", "dsnap-", "seg-", "MANIFEST"] {
+            assert!(
+                first
+                    .iter()
+                    .flatten()
+                    .any(|(name, _)| name.starts_with(kind)),
+                "run never wrote a {kind} file"
+            );
+        }
+        for (step, (a, b)) in first.iter().zip(&second).enumerate() {
+            let names = |files: &[(String, Vec<u8>)]| -> Vec<String> {
+                files.iter().map(|(name, _)| name.clone()).collect()
+            };
+            assert_eq!(names(a), names(b), "file sets differ at listing {step}");
+            for ((name, bytes_a), (_, bytes_b)) in a.iter().zip(b) {
+                assert!(
+                    bytes_a == bytes_b,
+                    "{name} differs between two runs at parallelism {parallelism} \
+                     (listing {step}, {} vs {} bytes)",
+                    bytes_a.len(),
+                    bytes_b.len()
+                );
+            }
+        }
+    }
+}

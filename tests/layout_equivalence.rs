@@ -192,6 +192,78 @@ proptest! {
     }
 }
 
+/// The graph the bulk copy must reproduce, built the slow way: one
+/// `add_edge` per edge onto `n` live slots, then the source's removals.
+fn replayed<G: Graph>(g: &G) -> DynGraph {
+    let n = g.num_vertices() as VertexId;
+    let mut replay = DynGraph::with_vertices(n as usize);
+    for v in 0..n {
+        for &w in g.neighbors(v) {
+            if w > v {
+                assert!(
+                    replay.add_edge(v, w),
+                    "source lists edge {{{v}, {w}}} twice"
+                );
+            }
+        }
+    }
+    for v in (0..n).filter(|&v| !g.is_vertex(v)) {
+        replay.remove_vertex(v);
+    }
+    replay
+}
+
+/// Asserts `DynGraph::from_graph(g)` is the replayed graph, count for
+/// count, and freezes to `frozen`, the source's own CSR.
+fn assert_copy_equals_replay<G: Graph>(g: &G, frozen: &CsrGraph) {
+    let copy = DynGraph::from_graph(g);
+    assert_eq!(copy, replayed(g));
+    assert_eq!(copy.num_live_vertices(), g.num_live_vertices());
+    assert_eq!(copy.num_edges(), g.num_edges());
+    assert_eq!(&copy.to_csr(), frozen);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The bulk copy of a fuzzed `CsrGraph` (duplicate and loop edges in
+    /// the input list, isolated vertices) equals the per-edge replay and
+    /// freezes back to the same CSR.
+    #[test]
+    fn bulk_copy_of_a_csr_equals_the_edge_replay(
+        n in 1usize..40,
+        edges in proptest::collection::vec((0u32..40, 0u32..40), 0..160),
+    ) {
+        let edges: Vec<_> = edges
+            .into_iter()
+            .map(|(u, v)| (u % n as u32, v % n as u32))
+            .collect();
+        let csr = CsrGraph::from_edges(n, &edges);
+        assert_copy_equals_replay(&csr, &csr);
+        prop_assert_eq!(DynGraph::from(&csr), DynGraph::from_graph(&csr));
+    }
+
+    /// The bulk copy of a churned `DynGraph` — tombstones, newborn slots,
+    /// spans relocated past each other, optionally compacted — equals the
+    /// source itself and the per-edge replay plus the source's removals.
+    #[test]
+    fn bulk_copy_of_a_churned_graph_equals_the_edge_replay(
+        ops in proptest::collection::vec((0u8..5, 0u32..48, 0u32..48), 1..220),
+        base in 1usize..12,
+        compact in 0u8..2,
+    ) {
+        let mut churned = DynGraph::with_vertices(base);
+        for batch in batches_from_ops(&ops, base, 11) {
+            batch.apply(&mut churned);
+        }
+        if compact == 1 {
+            churned.compact_adjacency();
+        }
+        assert_copy_equals_replay(&churned, &churned.to_csr());
+        prop_assert_eq!(&DynGraph::from_graph(&churned), &churned);
+    }
+}
+
 /// The degree-prepass CSR import produces exactly the CSR's adjacency and
 /// round-trips back to an identical CSR.
 #[test]
