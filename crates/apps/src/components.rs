@@ -66,8 +66,8 @@ impl VertexProgram for ConnectedComponents {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apg_graph::{algo, gen, CsrGraph, Graph};
-    use apg_pregel::{EngineBuilder, MutationBatch};
+    use apg_graph::{algo, gen, CsrGraph, Graph, UpdateBatch};
+    use apg_pregel::EngineBuilder;
 
     fn label<P: VertexProgram<Value = CcLabel>>(
         e: &apg_pregel::Engine<P>,
@@ -133,9 +133,9 @@ mod tests {
         let mut e = EngineBuilder::new(2).build(&g, ConnectedComponents::new());
         e.run_until_halt(20);
         assert_eq!(label(&e, 5), 3);
-        let mut batch = MutationBatch::new();
+        let mut batch = UpdateBatch::new();
         batch.add_edge(2, 3);
-        e.apply_mutations(batch);
+        e.apply_batch(&batch);
         e.run_until_halt(20);
         for v in 0..6 {
             assert_eq!(label(&e, v), 0, "vertex {v} not merged");
@@ -147,9 +147,9 @@ mod tests {
         let g = CsrGraph::from_edges(3, &[(0, 1)]);
         let mut e = EngineBuilder::new(2).build(&g, ConnectedComponents::new());
         e.run_until_halt(10);
-        let mut batch = MutationBatch::new();
+        let mut batch = UpdateBatch::new();
         batch.add_vertex(vec![1, 2]); // bridges both components
-        e.apply_mutations(batch);
+        e.apply_batch(&batch);
         e.run_until_halt(10);
         for v in 0..4 {
             assert_eq!(label(&e, v), 0, "vertex {v} not merged");

@@ -9,8 +9,8 @@
 
 use apg_apps::HeartSim;
 use apg_core::AdaptiveConfig;
-use apg_graph::{gen, DynGraph, Graph};
-use apg_pregel::{CostModel, Engine, EngineBuilder, MutationBatch};
+use apg_graph::{gen, DynGraph, Graph, UpdateBatch};
+use apg_pregel::{CostModel, Engine, EngineBuilder};
 
 use crate::Scale;
 
@@ -66,15 +66,13 @@ pub fn run(scale: Scale, seed: u64) -> Fig7Result {
         Scale::Tiny => (60, 80),
     };
     let mesh = gen::mesh3d(side, side, side);
-    let shadow = DynGraph::from(&mesh);
-    let vertices_before = shadow.num_live_vertices();
-    let edges_before = shadow.num_edges();
+    let vertices_before = mesh.num_live_vertices();
+    let edges_before = mesh.num_edges();
 
     // Static-hash baseline engine: same program, no adaptive algorithm.
     let mut static_engine = EngineBuilder::new(WORKERS)
         .seed(seed)
         .cost_model(CostModel::heartsim())
-        .cut_every(0)
         .build(&mesh, HeartSim::new());
     let baseline_a = mean_time(&mut static_engine, 5);
 
@@ -88,10 +86,9 @@ pub fn run(scale: Scale, seed: u64) -> Fig7Result {
 
     // Phase b: the paper's "huge increase in load" — inject the burst into
     // both engines and re-baseline on the grown graph.
-    let batch = burst_batch(&shadow, seed ^ 0xF1FE);
-    let batch_static = batch.clone();
-    engine.apply_mutations(batch);
-    static_engine.apply_mutations(batch_static);
+    let batch = burst_batch(engine.graph(), seed ^ 0xF1FE);
+    engine.apply_batch(&batch);
+    static_engine.apply_batch(&batch);
     let baseline_b = mean_time(&mut static_engine, 5);
     let phase_b = run_phase(&mut engine, baseline_b, cap_b);
 
@@ -105,15 +102,12 @@ pub fn run(scale: Scale, seed: u64) -> Fig7Result {
     }
 }
 
-/// Builds the +10% forest-fire burst as a mutation batch via the shared
-/// delta model. The base graph is borrowed, not advanced; engine vertex
-/// ids and the batch's ids stay aligned because both allocate
-/// sequentially.
-pub fn burst_batch(base: &DynGraph, seed: u64) -> MutationBatch {
+/// Builds the +10% forest-fire burst as an update batch. The base graph
+/// is borrowed, not advanced; engine vertex ids and the batch's ids stay
+/// aligned because both allocate sequentially.
+pub fn burst_batch(base: &DynGraph, seed: u64) -> UpdateBatch {
     let burst = base.num_live_vertices() / 10;
-    let batch =
-        apg_streams::forest_fire_delta(base, &apg_streams::ForestFireConfig::burst(burst, seed));
-    MutationBatch::from(batch)
+    apg_streams::forest_fire_delta(base, &apg_streams::ForestFireConfig::burst(burst, seed))
 }
 
 fn run_phase(engine: &mut Engine<HeartSim>, baseline: f64, cap: usize) -> Vec<Fig7Point> {
@@ -123,7 +117,7 @@ fn run_phase(engine: &mut Engine<HeartSim>, baseline: f64, cap: usize) -> Vec<Fi
         let r = engine.superstep();
         points.push(Fig7Point {
             superstep: r.superstep,
-            cut_edges: r.cut_edges.unwrap_or_else(|| engine.cut_edges()),
+            cut_edges: engine.cut_edges(),
             migrations: r.migrations_completed,
             time_norm: r.sim_time / baseline,
         });

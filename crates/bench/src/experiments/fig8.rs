@@ -10,7 +10,7 @@
 use apg_apps::TunkRank;
 use apg_core::AdaptiveConfig;
 use apg_graph::DynGraph;
-use apg_pregel::{CostModel, Engine, EngineBuilder, FaultPlan, MutationBatch};
+use apg_pregel::{CostModel, Engine, EngineBuilder, FaultPlan};
 use apg_streams::{TwitterConfig, TwitterStream};
 
 use crate::Scale;
@@ -69,13 +69,11 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Fig8Point> {
         .cost_model(CostModel::lan_10gbe())
         .fault_plan(plan())
         .adaptive(AdaptiveConfig::builder(WORKERS).build().unwrap())
-        .cut_every(0)
         .build(&initial, program);
     let mut hash: Engine<TunkRank> = EngineBuilder::new(WORKERS)
         .seed(seed)
         .cost_model(CostModel::lan_10gbe())
         .fault_plan(plan())
-        .cut_every(0)
         .build(&initial, program);
 
     let mut points = Vec::with_capacity(num_windows);
@@ -98,7 +96,9 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Fig8Point> {
         };
         let batch = stream.window(hour, effective_secs);
 
-        let mut mutation = batch_to_mutations(&batch, adaptive.num_total_slots());
+        // User indices beyond the engines' current slots become new
+        // vertices (ids align because both sides allocate sequentially).
+        let mut mutation = batch.to_update_batch(adaptive.num_total_slots());
         for &(a, b) in &batch.edges {
             let key = ((a as u32).min(b as u32), (a as u32).max(b as u32));
             last_seen.insert(key, w);
@@ -117,8 +117,8 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Fig8Point> {
         for (a, b) in expired {
             mutation.remove_edge(a, b);
         }
-        adaptive.apply_mutations(mutation.clone());
-        hash.apply_mutations(mutation);
+        adaptive.apply_batch(&mutation);
+        hash.apply_batch(&mutation);
 
         let ra = adaptive.run(SUPERSTEPS_PER_WINDOW);
         let rh = hash.run(SUPERSTEPS_PER_WINDOW);
@@ -158,16 +158,6 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Fig8Point> {
         }
     }
     points
-}
-
-/// Converts a mention batch into engine mutations via the shared delta
-/// model; user indices beyond the engine's current slots become new
-/// vertices (ids align because both sides allocate sequentially).
-pub fn batch_to_mutations(
-    batch: &apg_streams::MentionBatch,
-    current_slots: usize,
-) -> MutationBatch {
-    MutationBatch::from(batch.to_update_batch(current_slots))
 }
 
 /// Prints the three series of Figure 8.

@@ -8,7 +8,7 @@
 use apg_apps::MaxClique;
 use apg_core::{mean_and_sem, AdaptiveConfig, Summary};
 use apg_graph::DynGraph;
-use apg_pregel::{CostModel, Engine, EngineBuilder, MutationBatch};
+use apg_pregel::{CostModel, Engine, EngineBuilder};
 use apg_streams::{CdrConfig, CdrStream, StreamSource};
 
 use crate::Scale;
@@ -53,12 +53,10 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Fig9Week> {
         .seed(seed)
         .cost_model(CostModel::lan_10gbe())
         .adaptive(AdaptiveConfig::builder(WORKERS).build().unwrap())
-        .cut_every(0)
         .build(&initial, MaxClique::new());
     let mut static_engine: Engine<MaxClique> = EngineBuilder::new(WORKERS)
         .seed(seed)
         .cost_model(CostModel::lan_10gbe())
-        .cut_every(0)
         .build(&initial, MaxClique::new());
 
     let mut weeks = Vec::with_capacity(WEEKS);
@@ -76,9 +74,8 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Fig9Week> {
         // pre-delta-model series; week-end cut ratios are unaffected.
         for _ in 0..batches_per_week {
             let batch = stream.next_batch().expect("CDR stream is open-ended");
-            let m = MutationBatch::from(batch);
-            dynamic.apply_mutations(m.clone());
-            static_engine.apply_mutations(m);
+            dynamic.apply_batch(&batch);
+            static_engine.apply_batch(&batch);
 
             dyn_times.push(clique_round(&mut dynamic));
             stat_times.push(clique_round(&mut static_engine));

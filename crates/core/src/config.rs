@@ -2,7 +2,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use apg_partition::PartitionId;
+use apg_graph::VertexId;
+use apg_partition::{initial::hash_vertex, CapacityModel, PartitionId, Partitioning};
+
+/// The evaluation's capacity factor (paper §4): the default of
+/// [`AdaptiveConfig::capacity_factor`], and what an engine without an
+/// adaptive configuration balances newborn vertices against.
+pub const DEFAULT_CAPACITY_FACTOR: f64 = 1.10;
 
 /// How per-iteration migration budgets are derived (paper §2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -26,6 +32,36 @@ pub enum PlacementPolicy {
     HashWithFallback,
     /// Always the least-loaded partition.
     LeastLoaded,
+}
+
+impl PlacementPolicy {
+    /// The partition the newborn vertex `v` starts in, given the sizes in
+    /// `partitioning` and the limits in `caps` — the one statement of the
+    /// rule, shared by the logical-level partitioner and the BSP engine.
+    pub fn place(
+        self,
+        v: VertexId,
+        partitioning: &Partitioning,
+        caps: &CapacityModel,
+    ) -> PartitionId {
+        let k = partitioning.num_partitions();
+        let least_loaded = || {
+            (0..k)
+                .min_by_key(|&p| partitioning.size(p))
+                .expect("k >= 1")
+        };
+        match self {
+            PlacementPolicy::LeastLoaded => least_loaded(),
+            PlacementPolicy::HashWithFallback => {
+                let p = (hash_vertex(v) % k as u64) as PartitionId;
+                if caps.remaining(p, partitioning.size(p)) > 0 {
+                    p
+                } else {
+                    least_loaded()
+                }
+            }
+        }
+    }
 }
 
 /// A linear schedule for the willingness to move: start high to migrate
@@ -336,7 +372,7 @@ impl AdaptiveConfig {
             config: AdaptiveConfig {
                 num_partitions: k,
                 willingness: 0.5,
-                capacity_factor: 1.10,
+                capacity_factor: DEFAULT_CAPACITY_FACTOR,
                 convergence_window: 30,
                 max_iterations: 1000,
                 quota_rule: QuotaRule::PerSourceSplit,

@@ -56,6 +56,7 @@ pub mod streaming;
 pub use candidates::{DecisionKernel, MigrationDecision};
 pub use config::{
     AdaptiveConfig, AdaptiveConfigBuilder, Anneal, ConfigError, PlacementPolicy, QuotaRule,
+    DEFAULT_CAPACITY_FACTOR,
 };
 // Test support, not API: the naive drivers the equivalence suites use.
 #[doc(hidden)]

@@ -16,12 +16,11 @@ use apg_exec::{fanout, vertex_rng, ShardPlan};
 use apg_graph::delta::DeltaTarget;
 use apg_graph::{ApplyReport, DynGraph, Graph, UpdateBatch, VertexId};
 use apg_partition::{
-    cut_edges, cut_edges_sharded, initial::hash_vertex, CapacityModel, InitialStrategy,
-    PartitionId, Partitioning,
+    cut_edges, cut_edges_sharded, CapacityModel, InitialStrategy, PartitionId, Partitioning,
 };
 
 use crate::candidates::{DecisionKernel, MigrationDecision};
-use crate::config::{AdaptiveConfig, PlacementPolicy};
+use crate::config::AdaptiveConfig;
 use crate::marks::SlotMarks;
 use crate::quota::QuotaTable;
 use crate::runner::ConvergenceReport;
@@ -220,11 +219,6 @@ pub struct AdaptivePartitioner {
     /// else. Not persisted: restore starts from the conservative saturated
     /// record.
     marks: SlotMarks,
-    /// Largest partition size, tracked incrementally; `max_stale` flags
-    /// that the current maximum may have shrunk (the argmax partition lost
-    /// a vertex) and must be recomputed on next read.
-    max_live: usize,
-    max_stale: bool,
     /// Reusable per-iteration scratch; see [`IterScratch`].
     scratch: IterScratch,
 }
@@ -342,7 +336,6 @@ impl AdaptivePartitioner {
             degree_mass[partitioning.partition_of(v) as usize] += graph.degree(v);
         }
         let marks = SlotMarks::saturated(&graph);
-        let max_live = partitioning.sizes().iter().copied().max().unwrap_or(0);
         let k = config.num_partitions as usize;
         let scratch = IterScratch {
             remaining: Vec::with_capacity(k),
@@ -359,8 +352,6 @@ impl AdaptivePartitioner {
             degree_mass,
             pending: Vec::new(),
             marks,
-            max_live,
-            max_stale: false,
             scratch,
         }
     }
@@ -748,40 +739,17 @@ impl AdaptivePartitioner {
             }
             self.partitioning.move_vertex(v, to);
             self.marks.mutated(v as usize);
-            self.note_size_gain(to);
-            self.note_size_loss(from);
         }
     }
 
-    /// Partition `p` gained a vertex: its new size may be the new maximum.
-    fn note_size_gain(&mut self, p: PartitionId) {
-        let size = self.partitioning.size(p);
-        if size > self.max_live {
-            self.max_live = size;
-        }
-    }
-
-    /// Partition `p` lost a vertex: if it held the maximum, the maximum
-    /// may have shrunk — flag it for lazy recomputation instead of paying
-    /// an `O(k)` rescan on every move.
-    fn note_size_loss(&mut self, p: PartitionId) {
-        if self.partitioning.size(p) + 1 == self.max_live {
-            self.max_stale = true;
-        }
-    }
-
-    fn stats_snapshot(&mut self, migrations: usize) -> IterationStats {
-        if self.max_stale {
-            self.max_live = self.partitioning.sizes().iter().copied().max().unwrap_or(0);
-            self.max_stale = false;
-        }
+    fn stats_snapshot(&self, migrations: usize) -> IterationStats {
         IterationStats {
             iteration: self.scalars.iteration - 1,
             migrations,
             cut_edges: self.cut,
             live_vertices: self.graph.num_live_vertices(),
             num_edges: self.graph.num_edges(),
-            max_partition: self.max_live,
+            max_partition: self.partitioning.sizes().iter().copied().max().unwrap_or(0),
         }
     }
 
@@ -836,13 +804,14 @@ impl AdaptivePartitioner {
     /// a bare [`DynGraph`] (the application loop is literally shared, via
     /// [`DeltaTarget`]), while the incremental accounting is maintained
     /// across every delta and new vertices are placed by the configured
-    /// [`PlacementPolicy`].
+    /// [`PlacementPolicy`](crate::PlacementPolicy).
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> ApplyReport {
         batch.apply_to(self)
     }
 
     /// Streams in a new vertex with the given neighbours, placing it
-    /// according to the configured [`PlacementPolicy`]. Returns its id.
+    /// according to the configured [`PlacementPolicy`](crate::PlacementPolicy).
+    /// Returns its id.
     ///
     /// Edges to tombstoned or unknown endpoints are ignored (the stream may
     /// race with removals, as in the paper's CDR scenario).
@@ -858,10 +827,10 @@ impl AdaptivePartitioner {
     /// new vertex starts active (it owes a first evaluation).
     fn insert_vertex(&mut self) -> VertexId {
         let v = self.graph.add_vertex();
-        let p = self.place_new_vertex(v);
+        let placement = self.scalars.config.placement;
+        let p = placement.place(v, &self.partitioning, &self.capacities());
         self.partitioning.grow_to(v as usize + 1, p);
         self.marks.born(v as usize);
-        self.note_size_gain(p);
         self.scalars.quiet_streak = 0;
         v
     }
@@ -923,31 +892,9 @@ impl AdaptivePartitioner {
         self.degree_mass[pv as usize] -= self.graph.degree(v);
         self.graph.remove_vertex(v);
         self.partitioning.forget_vertex(v);
-        self.note_size_loss(pv);
         self.marks.tombstoned(v as usize);
         self.scalars.quiet_streak = 0;
         true
-    }
-
-    fn place_new_vertex(&mut self, v: VertexId) -> PartitionId {
-        let k = self.scalars.config.num_partitions;
-        let caps = self.capacities();
-        let least_loaded = || -> PartitionId {
-            (0..k)
-                .min_by_key(|&p| self.partitioning.size(p))
-                .expect("k >= 1")
-        };
-        match self.scalars.config.placement {
-            PlacementPolicy::LeastLoaded => least_loaded(),
-            PlacementPolicy::HashWithFallback => {
-                let p = (hash_vertex(v) % k as u64) as PartitionId;
-                if caps.remaining(p, self.partitioning.size(p)) > 0 {
-                    p
-                } else {
-                    least_loaded()
-                }
-            }
-        }
     }
 
     /// Captures the partitioner's complete logical state for persistence:
@@ -1019,15 +966,6 @@ impl AdaptivePartitioner {
             "size accounting drifted"
         );
         assert_eq!(mass, self.degree_mass, "degree-mass accounting drifted");
-        let true_max = sizes.iter().copied().max().unwrap_or(0);
-        if self.max_stale {
-            assert!(
-                self.max_live >= true_max,
-                "stale max-partition tracking fell below the true maximum"
-            );
-        } else {
-            assert_eq!(self.max_live, true_max, "max-partition tracking drifted");
-        }
         // Active-set exactness invariant: every *inactive* live vertex must
         // provably decide Stay — no partition may outweigh its current one
         // among its neighbours (ties resolve to Stay deterministically, so

@@ -75,6 +75,4 @@ fn apply_move(p: &mut AdaptivePartitioner, v: VertexId, to: PartitionId) {
     p.degree_mass[from as usize] -= deg;
     p.degree_mass[to as usize] += deg;
     p.partitioning.move_vertex(v, to);
-    p.note_size_gain(to);
-    p.note_size_loss(from);
 }

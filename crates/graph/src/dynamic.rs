@@ -297,6 +297,33 @@ impl DynGraph {
             .filter_map(|(&alive, slot)| alive.then_some(slot as VertexId))
     }
 
+    /// Audits the structural invariants: every list sorted, free of
+    /// self-loops and symmetric over live endpoints, tombstones holding no
+    /// adjacency, and the live and edge counts matching a recount.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an invariant is violated.
+    pub fn audit(&self) {
+        let mut endpoints = 0usize;
+        for v in 0..self.num_vertices() as VertexId {
+            let list = self.adj.neighbors(v as usize);
+            assert!(
+                self.is_vertex(v) || list.is_empty(),
+                "tombstone {v} has edges"
+            );
+            assert!(list.windows(2).all(|w| w[0] < w[1]), "unsorted list at {v}");
+            for &w in list {
+                assert!(w != v && self.is_vertex(w), "bad edge {v} -> {w}");
+                assert!(self.has_edge(w, v), "asymmetric edge {v} -> {w}");
+            }
+            endpoints += list.len();
+        }
+        assert_eq!(endpoints, 2 * self.num_edges, "edge count drifted");
+        let live = self.alive.iter().filter(|&&a| a).count();
+        assert_eq!(live, self.num_live, "live count drifted");
+    }
+
     /// Returns every undirected edge once, with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         (0..self.adj.num_slots()).flat_map(move |u| {
@@ -461,6 +488,18 @@ mod tests {
         assert_eq!(g.neighbors(0), &[1, 2, 5, 7, 9]);
         g.remove_edge(0, 5);
         assert_eq!(g.neighbors(0), &[1, 2, 7, 9]);
+        g.audit();
+    }
+
+    #[test]
+    #[should_panic(expected = "edge count drifted")]
+    fn audit_catches_a_drifted_edge_count() {
+        let mut g = DynGraph::with_vertices(3);
+        g.add_edge(0, 1);
+        g.remove_vertex(2);
+        g.audit();
+        g.num_edges += 1;
+        g.audit();
     }
 
     #[test]

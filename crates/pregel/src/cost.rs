@@ -104,8 +104,6 @@ pub struct SuperstepReport {
     pub migrations_started: u64,
     /// Vertex states physically moved at the end of this superstep.
     pub migrations_completed: u64,
-    /// Cut edges at the end of this superstep (if tracking is enabled).
-    pub cut_edges: Option<usize>,
     /// Live vertices at the end of this superstep.
     pub live_vertices: usize,
     /// Edges at the end of this superstep.
@@ -117,19 +115,6 @@ pub struct SuperstepReport {
     pub worker_times: Vec<f64>,
     /// Simulated wall time of this superstep under the engine's [`CostModel`].
     pub sim_time: f64,
-}
-
-impl SuperstepReport {
-    /// Cut ratio, when cut tracking is enabled.
-    pub fn cut_ratio(&self) -> Option<f64> {
-        self.cut_edges.map(|c| {
-            if self.num_edges == 0 {
-                0.0
-            } else {
-                c as f64 / self.num_edges as f64
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -156,26 +141,5 @@ mod tests {
         let m = CostModel::lan_10gbe();
         let c = WorkerCounters::default();
         assert!(m.worker_time(&c, 10) > m.worker_time(&c, 0));
-    }
-
-    #[test]
-    fn cut_ratio_handles_empty() {
-        let r = SuperstepReport {
-            superstep: 0,
-            active_vertices: 0,
-            compute_units: 0,
-            messages_local: 0,
-            messages_remote: 0,
-            messages_dropped: 0,
-            migrations_started: 0,
-            migrations_completed: 0,
-            cut_edges: Some(0),
-            live_vertices: 0,
-            num_edges: 0,
-            partition_sizes: vec![],
-            worker_times: vec![],
-            sim_time: 0.0,
-        };
-        assert_eq!(r.cut_ratio(), Some(0.0));
     }
 }

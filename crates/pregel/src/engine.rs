@@ -1,19 +1,23 @@
-//! The BSP engine: superstep orchestration, message routing, deferred
-//! migration and mutation application.
+//! The BSP engine: superstep orchestration, message routing and deferred
+//! migration — the protocol of paper §3, and nothing else.
+//!
+//! The state the protocol runs over is the workspace's own. Topology is one
+//! [`DynGraph`]; the logical routing table is one [`Partitioning`] (sizes
+//! count live vertices; a removed vertex keeps a stale label, and liveness
+//! is the graph's to answer). What the engine adds is `state_at`, the
+//! *physical* table that lags routing by one superstep for in-flight
+//! vertices, and the per-worker application state it indexes.
 
 use std::collections::HashSet;
 
-use apg_core::AdaptiveConfig;
+use apg_core::{AdaptiveConfig, PlacementPolicy, DEFAULT_CAPACITY_FACTOR};
 use apg_graph::delta::DeltaTarget;
-use apg_graph::{Graph, UpdateBatch, VertexId};
-use apg_partition::{
-    initial::hash_vertex, CapacityModel, InitialStrategy, PartitionId, Partitioning,
-};
+use apg_graph::{DynGraph, Graph, UpdateBatch, VertexId};
+use apg_partition::{CapacityModel, InitialStrategy, PartitionId, Partitioning};
 
 use crate::cost::{CostModel, SuperstepReport};
 use crate::fault::FaultPlan;
 use crate::migrate::{InFlight, MigrationController};
-use crate::mutation::MutationBatch;
 use crate::program::{Aggregates, Context, VertexProgram};
 use crate::worker::{VertexState, WorkerCounters, WorkerId, WorkerState};
 
@@ -26,7 +30,6 @@ pub struct EngineBuilder {
     fault_plan: FaultPlan,
     initial: InitialStrategy,
     adaptive: Option<AdaptiveConfig>,
-    cut_every: usize,
 }
 
 impl EngineBuilder {
@@ -44,7 +47,6 @@ impl EngineBuilder {
             fault_plan: FaultPlan::none(),
             initial: InitialStrategy::Hash,
             adaptive: None,
-            cut_every: 1,
         }
     }
 
@@ -73,7 +75,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables the background adaptive partitioning algorithm.
+    /// Enables the background adaptive partitioning algorithm. The
+    /// configuration's capacity factor and placement policy also govern
+    /// where streamed-in vertices start.
     ///
     /// # Panics
     ///
@@ -84,17 +88,14 @@ impl EngineBuilder {
         self
     }
 
-    /// Computes cut edges every `n` supersteps (0 = never, 1 = always;
-    /// default 1). Cut tracking costs `O(|E|)` per measured superstep.
-    pub fn cut_every(mut self, n: usize) -> Self {
-        self.cut_every = n;
-        self
-    }
-
     /// Builds an engine over `graph` running `program`, partitioned by the
     /// configured initial strategy.
     pub fn build<G: Graph, P: VertexProgram>(self, graph: &G, program: P) -> Engine<P> {
-        let caps = CapacityModel::vertex_balanced(graph.num_live_vertices(), self.k, 1.10);
+        let caps = CapacityModel::vertex_balanced(
+            graph.num_live_vertices(),
+            self.k,
+            DEFAULT_CAPACITY_FACTOR,
+        );
         let partitioning = self.initial.assign(graph, &caps, self.seed);
         self.build_with_partitioning(graph, program, &partitioning)
     }
@@ -118,26 +119,23 @@ impl EngineBuilder {
             "coverage mismatch"
         );
         let k = self.k as usize;
+        let graph = DynGraph::from_graph(graph);
+        let mut routing = partitioning.clone();
+        routing.recount_live(&graph);
         let mut workers: Vec<WorkerState<P::Value>> = (0..k).map(|_| WorkerState::new()).collect();
-        let mut locations = vec![WorkerId::MAX; graph.num_vertices()];
-        let mut logical_sizes = vec![0usize; k];
         for v in graph.vertices() {
-            let w = partitioning.partition_of(v);
-            locations[v as usize] = w;
-            logical_sizes[w as usize] += 1;
-            workers[w as usize]
-                .vertices
-                .insert(v, VertexState::new(graph.neighbors(v).to_vec()));
+            let w = routing.partition_of(v) as usize;
+            workers[w].vertices.insert(v, VertexState::default());
         }
         let controller = self
             .adaptive
             .map(|cfg| MigrationController::new(cfg, self.seed ^ 0xADA0_0517));
         Engine {
             program,
+            graph,
+            state_at: routing.as_slice().to_vec(),
+            routing,
             workers,
-            locations: locations.clone(),
-            state_at: locations,
-            logical_sizes,
             inboxes: (0..k).map(|_| Vec::new()).collect(),
             controller,
             in_flight_set: HashSet::new(),
@@ -145,9 +143,6 @@ impl EngineBuilder {
             fault_plan: self.fault_plan,
             agg: Aggregates::new(),
             superstep: 0,
-            num_edges: graph.num_edges(),
-            num_live: graph.num_live_vertices(),
-            cut_every: self.cut_every,
             total_sim_time: 0.0,
         }
     }
@@ -156,14 +151,14 @@ impl EngineBuilder {
 /// The Pregel-like engine. See the crate docs for the model.
 pub struct Engine<P: VertexProgram> {
     program: P,
-    workers: Vec<WorkerState<P::Value>>,
+    /// Topology, shared read-only by every worker during a superstep.
+    graph: DynGraph,
     /// Routing table: vertex -> logical worker (updated at decision time).
-    locations: Vec<WorkerId>,
-    /// Physical table: vertex -> worker holding its state (lags `locations`
-    /// by one superstep for in-flight vertices).
+    routing: Partitioning,
+    /// Physical table: vertex -> worker holding its state (lags `routing`
+    /// by one superstep for in-flight vertices; stale for removed ones).
     state_at: Vec<WorkerId>,
-    /// Logical partition sizes (follow `locations`).
-    logical_sizes: Vec<usize>,
+    workers: Vec<WorkerState<P::Value>>,
     /// Messages awaiting delivery at the next superstep, per worker.
     inboxes: Vec<Vec<(VertexId, P::Message)>>,
     controller: Option<MigrationController>,
@@ -172,9 +167,6 @@ pub struct Engine<P: VertexProgram> {
     fault_plan: FaultPlan,
     agg: Aggregates,
     superstep: usize,
-    num_edges: usize,
-    num_live: usize,
-    cut_every: usize,
     total_sim_time: f64,
 }
 
@@ -183,6 +175,18 @@ struct WorkerOutput<M> {
     counters: WorkerCounters,
     agg: Aggregates,
     decided: Vec<InFlight>,
+}
+
+/// What every worker reads, and none writes, during one superstep.
+struct SuperstepView<'a, P> {
+    program: &'a P,
+    graph: &'a DynGraph,
+    routing: &'a Partitioning,
+    in_flight: &'a HashSet<VertexId>,
+    controller: Option<&'a MigrationController>,
+    caps: &'a CapacityModel,
+    agg_prev: &'a Aggregates,
+    superstep: usize,
 }
 
 impl<P: VertexProgram> Engine<P> {
@@ -196,8 +200,7 @@ impl<P: VertexProgram> Engine<P> {
         let crashes: Vec<WorkerId> = self.fault_plan.crashes_at(t).map(|e| e.worker).collect();
         for w in crashes {
             for state in self.workers[w as usize].vertices.values_mut() {
-                state.value = Default::default();
-                state.halted = false;
+                *state = VertexState::default();
             }
             self.inboxes[w as usize].clear();
         }
@@ -213,14 +216,16 @@ impl<P: VertexProgram> Engine<P> {
 
         let inboxes: Vec<Vec<(VertexId, P::Message)>> =
             self.inboxes.iter_mut().map(std::mem::take).collect();
-
-        let program = &self.program;
-        let locations = &self.locations;
-        let in_flight = &self.in_flight_set;
-        let agg_prev = &self.agg;
-        let controller = self.controller.as_ref();
-        let num_live = self.num_live;
-        let caps_ref = &caps;
+        let view = SuperstepView {
+            program: &self.program,
+            graph: &self.graph,
+            routing: &self.routing,
+            in_flight: &self.in_flight_set,
+            controller: self.controller.as_ref(),
+            caps: &caps,
+            agg_prev: &self.agg,
+            superstep: t,
+        };
 
         // Worker fan-out over the shared execution layer: one scoped thread
         // per worker, outputs returned in worker order (same primitive the
@@ -229,20 +234,7 @@ impl<P: VertexProgram> Engine<P> {
         let items: Vec<_> = self.workers.iter_mut().zip(inboxes).collect();
         let outputs: Vec<WorkerOutput<P::Message>> =
             apg_exec::map_items(k, items, |w, (worker, inbox)| {
-                run_worker(
-                    program,
-                    w as WorkerId,
-                    worker,
-                    inbox,
-                    locations,
-                    in_flight,
-                    controller,
-                    caps_ref,
-                    agg_prev,
-                    t,
-                    num_live,
-                    k,
-                )
+                run_worker(&view, w as WorkerId, worker, inbox)
             });
 
         // ---- merge phase (single-threaded, at the barrier) ----
@@ -271,9 +263,7 @@ impl<P: VertexProgram> Engine<P> {
         let mut mig_traffic = vec![0u64; k];
         let moved = if let Some(ctrl) = &mut self.controller {
             for m in &decided_all {
-                self.locations[m.vertex as usize] = m.to;
-                self.logical_sizes[m.from as usize] -= 1;
-                self.logical_sizes[m.to as usize] += 1;
+                self.routing.move_vertex(m.vertex, m.to);
             }
             ctrl.publish(decided_all.clone())
         } else {
@@ -305,12 +295,6 @@ impl<P: VertexProgram> Engine<P> {
             self.cost_model.superstep_overhead + worker_max + self.fault_plan.penalty_at(t);
         self.total_sim_time += sim_time;
 
-        let cut_edges = if self.cut_every > 0 && t.is_multiple_of(self.cut_every) {
-            Some(self.cut_edges())
-        } else {
-            None
-        };
-
         self.superstep += 1;
         SuperstepReport {
             superstep: t,
@@ -321,10 +305,9 @@ impl<P: VertexProgram> Engine<P> {
             messages_dropped: counters_total.messages_dropped,
             migrations_started,
             migrations_completed,
-            cut_edges,
-            live_vertices: self.num_live,
-            num_edges: self.num_edges,
-            partition_sizes: self.logical_sizes.clone(),
+            live_vertices: self.graph.num_live_vertices(),
+            num_edges: self.graph.num_edges(),
+            partition_sizes: self.routing.sizes().to_vec(),
             worker_times,
             sim_time,
         }
@@ -350,17 +333,8 @@ impl<P: VertexProgram> Engine<P> {
         reports
     }
 
-    /// Applies a mutation batch at the superstep boundary; returns the ids
-    /// assigned to the batch's new vertices.
-    ///
-    /// Delegates to [`Engine::apply_batch`] — the engine speaks the shared
-    /// delta model directly.
-    pub fn apply_mutations(&mut self, batch: MutationBatch) -> Vec<VertexId> {
-        self.apply_batch(batch.as_update_batch())
-    }
-
-    /// Applies an [`UpdateBatch`] at the superstep boundary — the canonical
-    /// ingestion path, sharing the literal application loop
+    /// Applies an [`UpdateBatch`] at the superstep boundary — the one way
+    /// topology changes, sharing the literal application loop
     /// ([`UpdateBatch::apply_to`]) with the logical-level
     /// `AdaptivePartitioner::apply_batch` and bare-graph
     /// [`UpdateBatch::apply`]. Returns the ids assigned to the batch's new
@@ -384,15 +358,20 @@ impl<P: VertexProgram> Engine<P> {
         self.superstep
     }
 
+    /// The topology every worker computes over.
+    pub fn graph(&self) -> &DynGraph {
+        &self.graph
+    }
+
     /// Live vertices.
     pub fn num_live_vertices(&self) -> usize {
-        self.num_live
+        self.graph.num_live_vertices()
     }
 
     /// Total vertex-id slots ever allocated (live + tombstoned); ids are
     /// `0..num_total_slots()`.
     pub fn num_total_slots(&self) -> usize {
-        self.locations.len()
+        self.graph.num_vertices()
     }
 
     /// Re-activates every vertex. Used by round-based workloads (like the
@@ -408,7 +387,7 @@ impl<P: VertexProgram> Engine<P> {
 
     /// Undirected edges.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.graph.num_edges()
     }
 
     /// Total simulated time so far.
@@ -419,260 +398,144 @@ impl<P: VertexProgram> Engine<P> {
     /// Current value of a vertex, if it exists.
     pub fn vertex_value(&self, v: VertexId) -> Option<&P::Value> {
         let w = *self.state_at.get(v as usize)?;
-        if w == WorkerId::MAX {
-            return None;
-        }
         self.workers[w as usize].vertices.get(&v).map(|s| &s.value)
     }
 
-    /// The logical partition assignment as a [`Partitioning`].
-    pub fn partitioning(&self) -> Partitioning {
-        let k = self.workers.len() as PartitionId;
-        let assignment: Vec<PartitionId> = self
-            .locations
-            .iter()
-            .map(|&w| if w == WorkerId::MAX { 0 } else { w })
-            .collect();
-        Partitioning::from_assignment(assignment, k)
+    /// The logical partition assignment (the routing table). Sizes count
+    /// live vertices; a removed vertex's entry is stale.
+    pub fn partitioning(&self) -> &Partitioning {
+        &self.routing
     }
 
     /// Counts edges whose endpoints live on different workers (by the
     /// routing table, i.e. the logical partitioning).
     pub fn cut_edges(&self) -> usize {
-        let mut cut = 0usize;
-        for worker in &self.workers {
-            for (&v, state) in &worker.vertices {
-                let lv = self.locations[v as usize];
-                for &n in &state.neighbors {
-                    if n > v && self.locations[n as usize] != lv {
-                        cut += 1;
-                    }
-                }
-            }
-        }
-        cut
+        apg_partition::cut_edges(&self.graph, &self.routing)
     }
 
     /// Current cut ratio.
     pub fn cut_ratio(&self) -> f64 {
-        if self.num_edges == 0 {
-            0.0
-        } else {
-            self.cut_edges() as f64 / self.num_edges as f64
-        }
+        apg_partition::cut_ratio(&self.graph, &self.routing)
     }
 
-    /// Audits internal invariants (logical sizes, physical placement,
-    /// adjacency symmetry, edge count).
+    /// Audits internal invariants: every live vertex is hosted by exactly
+    /// the worker `state_at` names, the routing table's sizes count the
+    /// live vertices, and the graph passes its own [`DynGraph::audit`].
     ///
     /// # Panics
     ///
     /// Panics when an invariant is violated.
     pub fn audit(&self) {
-        let mut sizes = vec![0usize; self.workers.len()];
-        let mut live = 0usize;
-        let mut endpoint_count = 0usize;
+        let mut hosted = 0usize;
         for (w, worker) in self.workers.iter().enumerate() {
-            for (&v, state) in &worker.vertices {
+            for &v in worker.vertices.keys() {
+                assert!(self.graph.is_vertex(v), "hosted vertex {v} is dead");
                 assert_eq!(
                     self.state_at[v as usize] as usize, w,
                     "state_at drifted for {v}"
                 );
-                let lv = self.locations[v as usize];
-                assert_ne!(lv, WorkerId::MAX, "hosted vertex {v} marked dead");
-                sizes[lv as usize] += 1;
-                live += 1;
-                endpoint_count += state.neighbors.len();
-                for &n in &state.neighbors {
-                    let nw = self.state_at[n as usize];
-                    assert_ne!(nw, WorkerId::MAX, "edge to dead vertex {n}");
-                    let nstate = self.workers[nw as usize]
-                        .vertices
-                        .get(&n)
-                        .expect("neighbor state");
-                    assert!(
-                        nstate.neighbors.binary_search(&v).is_ok(),
-                        "asymmetric edge {v} -> {n}"
-                    );
-                }
+                hosted += 1;
             }
         }
-        assert_eq!(live, self.num_live, "live count drifted");
-        assert_eq!(endpoint_count, 2 * self.num_edges, "edge count drifted");
-        assert_eq!(sizes, self.logical_sizes, "logical sizes drifted");
+        assert_eq!(hosted, self.num_live_vertices(), "live vertex unhosted");
+        let mut recount = self.routing.clone();
+        recount.recount_live(&self.graph);
+        assert_eq!(recount, self.routing, "logical sizes drifted");
+        self.graph.audit();
     }
 
     // ---- internals -------------------------------------------------------
 
+    fn adaptive_config(&self) -> Option<&AdaptiveConfig> {
+        self.controller.as_ref().map(|c| c.config())
+    }
+
     fn capacities(&self) -> CapacityModel {
-        let factor = self
-            .controller
-            .as_ref()
-            .map(|c| c.config().capacity_factor)
-            .unwrap_or(1.10);
         CapacityModel::vertex_balanced(
-            self.num_live.max(1),
+            self.num_live_vertices().max(1),
             self.workers.len() as PartitionId,
-            factor,
+            self.adaptive_config()
+                .map_or(DEFAULT_CAPACITY_FACTOR, |c| c.capacity_factor),
         )
     }
 
-    fn place_vertex(&self, v: VertexId, caps: &CapacityModel) -> WorkerId {
-        let k = self.workers.len() as u64;
-        let hashed = (hash_vertex(v) % k) as WorkerId;
-        if caps.remaining(hashed, self.logical_sizes[hashed as usize]) > 0 {
-            hashed
-        } else {
-            (0..self.workers.len() as WorkerId)
-                .min_by_key(|&w| self.logical_sizes[w as usize])
-                .expect("k >= 1")
-        }
-    }
-
-    fn is_live(&self, v: VertexId) -> bool {
-        self.locations
-            .get(v as usize)
-            .is_some_and(|&w| w != WorkerId::MAX)
-    }
-
-    // Why the `*_internal` routines do not reuse core's `add_edge` & co.:
-    // adjacency here lives in per-worker `VertexState` maps beside each
-    // vertex's value and halt flag (a mutation finds the hosting worker
-    // and wakes the vertex), whereas core mutates one shared `DynGraph`
-    // and maintains cut, degree mass and sweep/checkpoint marks the engine
-    // does not have. What must not drift — which deltas are accepted and
-    // how they are reported — is shared via `DeltaTarget`.
-    fn add_edge_internal(&mut self, u: VertexId, v: VertexId) -> bool {
-        if u == v || !self.is_live(u) || !self.is_live(v) {
-            return false;
-        }
-        let wu = self.state_at[u as usize] as usize;
-        {
-            let su = self.workers[wu].vertices.get_mut(&u).expect("state for u");
-            match su.neighbors.binary_search(&v) {
-                Ok(_) => return false,
-                Err(pos) => su.neighbors.insert(pos, v),
-            }
-            su.halted = false;
-        }
-        let wv = self.state_at[v as usize] as usize;
-        let sv = self.workers[wv].vertices.get_mut(&v).expect("state for v");
-        let pos = sv.neighbors.binary_search(&u).unwrap_err();
-        sv.neighbors.insert(pos, u);
-        sv.halted = false;
-        self.num_edges += 1;
-        true
-    }
-
-    fn remove_edge_internal(&mut self, u: VertexId, v: VertexId) -> bool {
-        if u == v || !self.is_live(u) || !self.is_live(v) {
-            return false;
-        }
-        let wu = self.state_at[u as usize] as usize;
-        {
-            let su = self.workers[wu].vertices.get_mut(&u).expect("state for u");
-            match su.neighbors.binary_search(&v) {
-                Ok(pos) => {
-                    su.neighbors.remove(pos);
-                }
-                Err(_) => return false,
-            }
-            su.halted = false;
-        }
-        let wv = self.state_at[v as usize] as usize;
-        let sv = self.workers[wv].vertices.get_mut(&v).expect("state for v");
-        let pos = sv.neighbors.binary_search(&u).expect("asymmetric edge");
-        sv.neighbors.remove(pos);
-        sv.halted = false;
-        self.num_edges -= 1;
-        true
-    }
-
-    fn remove_vertex_internal(&mut self, v: VertexId) -> bool {
-        if !self.is_live(v) {
-            return false;
-        }
+    /// A topology change touched `v`: it owes a computation.
+    fn wake(&mut self, v: VertexId) {
         let w = self.state_at[v as usize] as usize;
-        let state = self.workers[w].vertices.remove(&v).expect("state for v");
-        for &n in &state.neighbors {
-            let wn = self.state_at[n as usize] as usize;
-            let sn = self.workers[wn]
-                .vertices
-                .get_mut(&n)
-                .expect("neighbor state");
-            if let Ok(pos) = sn.neighbors.binary_search(&v) {
-                sn.neighbors.remove(pos);
-            }
-            sn.halted = false;
-        }
-        self.num_edges -= state.neighbors.len();
-        let logical = self.locations[v as usize];
-        self.logical_sizes[logical as usize] -= 1;
-        self.locations[v as usize] = WorkerId::MAX;
-        self.state_at[v as usize] = WorkerId::MAX;
-        self.num_live -= 1;
-        self.in_flight_set.remove(&v);
-        if let Some(ctrl) = &mut self.controller {
-            ctrl.forget(v);
-        }
-        true
+        let state = self.workers[w].vertices.get_mut(&v);
+        state.expect("live vertex is hosted").halted = false;
     }
 }
 
 /// The engine as a delta target: [`UpdateBatch::apply_to`]'s single shared
-/// application loop drives these hooks, so the engine's mutation semantics
-/// cannot drift from a bare graph's or the logical-level partitioner's.
-/// New vertices are placed by hash-with-capacity-fallback against the
-/// engine's live population at the moment of insertion.
+/// application loop drives these hooks, and each is the graph's own
+/// operation followed by waking the endpoints on their hosting workers —
+/// so the engine's mutation semantics are a bare graph's by construction.
+/// A new vertex is placed by the adaptive configuration's
+/// [`PlacementPolicy`] (hash with fallback without one) against the live
+/// population at the moment of insertion.
 impl<P: VertexProgram> DeltaTarget for Engine<P> {
     fn delta_add_vertex(&mut self) -> VertexId {
         let caps = self.capacities();
-        let v = self.locations.len() as VertexId;
-        let w = self.place_vertex(v, &caps);
-        self.locations.push(w);
+        let placement = self
+            .adaptive_config()
+            .map_or(PlacementPolicy::HashWithFallback, |c| c.placement);
+        let v = self.graph.add_vertex();
+        let w = placement.place(v, &self.routing, &caps);
+        self.routing.grow_to(v as usize + 1, w);
         self.state_at.push(w);
-        self.logical_sizes[w as usize] += 1;
-        self.num_live += 1;
         self.workers[w as usize]
             .vertices
-            .insert(v, VertexState::new(Vec::new()));
+            .insert(v, VertexState::default());
         v
     }
 
     fn delta_add_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        self.add_edge_internal(u, v)
+        let added = self.graph.add_edge(u, v);
+        if added {
+            self.wake(u);
+            self.wake(v);
+        }
+        added
     }
 
     fn delta_remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        self.remove_edge_internal(u, v)
+        let removed = self.graph.remove_edge(u, v);
+        if removed {
+            self.wake(u);
+            self.wake(v);
+        }
+        removed
     }
 
     fn delta_remove_vertex(&mut self, v: VertexId) -> Option<usize> {
-        if !self.is_live(v) {
+        if !self.graph.is_vertex(v) {
             return None;
         }
+        let degree = self.graph.degree(v);
+        for i in 0..degree {
+            self.wake(self.graph.neighbors(v)[i]);
+        }
+        self.graph.remove_vertex(v);
+        self.routing.forget_vertex(v);
         let w = self.state_at[v as usize] as usize;
-        let degree = self.workers[w].vertices[&v].neighbors.len();
-        self.remove_vertex_internal(v);
+        self.workers[w].vertices.remove(&v);
+        self.in_flight_set.remove(&v);
+        if let Some(ctrl) = &mut self.controller {
+            ctrl.forget(v);
+        }
         Some(degree)
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_worker<P: VertexProgram>(
-    program: &P,
+    view: &SuperstepView<'_, P>,
     worker_id: WorkerId,
     worker: &mut WorkerState<P::Value>,
     mut inbox: Vec<(VertexId, P::Message)>,
-    locations: &[WorkerId],
-    in_flight: &HashSet<VertexId>,
-    controller: Option<&MigrationController>,
-    caps: &CapacityModel,
-    agg_prev: &Aggregates,
-    superstep: usize,
-    num_live: usize,
-    k: usize,
 ) -> WorkerOutput<P::Message> {
+    let program = view.program;
+    let k = view.routing.num_partitions() as usize;
     inbox.sort_by_key(|&(v, _)| v);
     let (ids, msgs): (Vec<VertexId>, Vec<P::Message>) = inbox.into_iter().unzip();
 
@@ -699,17 +562,16 @@ fn run_worker<P: VertexProgram>(
         counters.compute_units += 1;
         let mut ctx = Context {
             vertex: v,
-            superstep,
+            superstep: view.superstep,
             home: worker_id,
             value: &mut state.value,
-            neighbors: &state.neighbors,
             halted: &mut state.halted,
             outboxes: &mut outboxes,
-            locations,
+            graph: view.graph,
+            routing: view.routing,
             counters: &mut counters,
-            agg_prev,
+            agg_prev: view.agg_prev,
             agg_next: &mut agg_next,
-            num_vertices: num_live,
         };
         program.compute(&mut ctx, vertex_msgs);
     }
@@ -717,22 +579,19 @@ fn run_worker<P: VertexProgram>(
 
     // Background partitioning pass (the Partitioning API of Figure 2).
     let mut decided = Vec::new();
-    if let Some(ctrl) = controller {
+    if let Some(ctrl) = view.controller {
         let mut kernel = ctrl.kernel();
-        let mut quota = ctrl.quotas(caps);
-        let mut rng = ctrl.worker_rng(worker_id, superstep);
-        for (&v, state) in worker.vertices.iter() {
-            if in_flight.contains(&v) {
+        let mut quota = ctrl.quotas(view.caps);
+        let mut rng = ctrl.worker_rng(worker_id, view.superstep);
+        for &v in worker.vertices.keys() {
+            if view.in_flight.contains(&v) {
                 continue; // already migrating (Figure 3's dashed state)
             }
-            if let Some(to) = ctrl.evaluate_vertex(
-                &mut kernel,
-                &mut quota,
-                &mut rng,
-                worker_id,
-                state.neighbors.iter(),
-                locations,
-            ) {
+            let neighbors = view.graph.neighbors(v);
+            let neighbor_parts = neighbors.iter().map(|&w| view.routing.partition_of(w));
+            if let Some(to) =
+                ctrl.evaluate_vertex(&mut kernel, &mut quota, &mut rng, worker_id, neighbor_parts)
+            {
                 decided.push(InFlight {
                     vertex: v,
                     from: worker_id,
@@ -875,8 +734,8 @@ mod tests {
             .seed(5)
             .adaptive(AdaptiveConfig::builder(8).build().unwrap())
             .build(&g, TokenConservation);
-        let first = e.superstep();
-        let initial_cut = first.cut_edges.unwrap();
+        e.superstep();
+        let initial_cut = e.cut_edges();
         e.run(60);
         let final_cut = e.cut_edges();
         assert!(
@@ -897,20 +756,9 @@ mod tests {
         // Values accumulate degree per superstep (starting at superstep 1),
         // so after 10 supersteps each vertex holds 9 * degree, proving no
         // state was lost while its owner changed.
-        let p = e.partitioning();
-        let moved_vertices: Vec<VertexId> = (0..125u32)
-            .filter(|&v| p.partition_of(v) != e.locations[v as usize].min(4))
-            .collect();
-        let _ = moved_vertices;
         for v in 0..125u32 {
-            let degree = match e.vertex_value(v) {
-                Some(_) => {
-                    let w = e.state_at[v as usize] as usize;
-                    e.workers[w].vertices[&v].neighbors.len() as u64
-                }
-                None => panic!("vertex {v} lost"),
-            };
-            assert_eq!(e.vertex_value(v), Some(&(9 * degree)));
+            let degree = e.graph().degree(v) as u64;
+            assert_eq!(e.vertex_value(v), Some(&(9 * degree)), "vertex {v}");
         }
     }
 
@@ -941,7 +789,7 @@ mod tests {
             .adaptive(adaptive_cfg(4))
             .build(&g, Gossip);
         e.run(5);
-        let mut batch = MutationBatch::new();
+        let mut batch = UpdateBatch::new();
         let a = batch.add_vertex(vec![0, 1, 2]);
         let b = batch.add_vertex(vec![5]);
         batch.connect_new(a, b);
@@ -949,7 +797,7 @@ mod tests {
         batch.remove_edge(0, 1);
         batch.remove_vertex(30);
         let before_live = e.num_live_vertices();
-        let new_ids = e.apply_mutations(batch);
+        let new_ids = e.apply_batch(&batch);
         assert_eq!(new_ids.len(), 2);
         assert_eq!(e.num_live_vertices(), before_live + 2 - 1);
         e.audit();
@@ -968,13 +816,93 @@ mod tests {
         // Remove whatever is currently in flight.
         let flying: Vec<VertexId> = e.in_flight_set.iter().copied().collect();
         assert!(!flying.is_empty(), "need in-flight vertices for this test");
-        let mut batch = MutationBatch::new();
+        let mut batch = UpdateBatch::new();
         for v in flying.iter().take(3) {
             batch.remove_vertex(*v);
         }
-        e.apply_mutations(batch);
+        e.apply_batch(&batch);
         e.run(3);
         e.audit();
+    }
+
+    #[test]
+    fn partitioning_counts_only_live_vertices() {
+        let g = gen::mesh3d(4, 4, 4);
+        let mut e = EngineBuilder::new(4)
+            .seed(13)
+            .adaptive(adaptive_cfg(4))
+            .build(&g, Gossip);
+        e.superstep();
+        // Two vertices in flight and three settled ones: wherever it was
+        // routed, a tombstone must not be counted anywhere.
+        let mut doomed: Vec<VertexId> = e.in_flight_set.iter().copied().take(2).collect();
+        assert_eq!(doomed.len(), 2, "need in-flight vertices for this test");
+        let settled = (0..64).filter(|v| !e.in_flight_set.contains(v));
+        doomed.extend(settled.take(3));
+        let mut batch = UpdateBatch::new();
+        for &v in &doomed {
+            batch.remove_vertex(v);
+        }
+        e.apply_batch(&batch);
+        let report = e.superstep();
+        assert_eq!(e.num_live_vertices(), 64 - 5);
+        assert_eq!(e.partitioning().sizes(), report.partition_sizes);
+        assert_eq!(e.partitioning().sizes().iter().sum::<usize>(), 59);
+        e.audit();
+    }
+
+    #[test]
+    fn tombstoned_neighbours_are_ignored() {
+        // Vertex 1's only neighbour sits on the other worker, then dies:
+        // isolated, 1 has nothing to follow and stays where it is.
+        let mut g = DynGraph::with_vertices(2);
+        g.add_edge(0, 1);
+        let mut routing = Partitioning::new(2, 2);
+        routing.assign_all(&[0, 1]);
+        let mut e = EngineBuilder::new(2)
+            .adaptive(adaptive_cfg(2))
+            .build_with_partitioning(&g, Gossip, &routing);
+        let mut batch = UpdateBatch::new();
+        batch.remove_vertex(0);
+        e.apply_batch(&batch);
+        let reports = e.run(4);
+        assert!(reports.iter().all(|r| r.migrations_started == 0));
+        assert_eq!(e.partitioning().partition_of(1), 1);
+        e.audit();
+    }
+
+    #[test]
+    fn least_loaded_placement_is_honoured() {
+        use apg_core::PlacementPolicy;
+        let g = gen::mesh3d(4, 4, 4);
+        let cfg = AdaptiveConfig::builder(4)
+            .placement(PlacementPolicy::LeastLoaded)
+            .build()
+            .unwrap();
+        let mut e = EngineBuilder::new(4)
+            .seed(2)
+            .adaptive(cfg)
+            .build(&g, Gossip);
+        // A burst of isolated newborns fills the partitions smallest first.
+        let mut sizes = e.partitioning().sizes().to_vec();
+        let mut batch = UpdateBatch::new();
+        for _ in 0..12 {
+            batch.add_vertex(vec![]);
+        }
+        for v in e.apply_batch(&batch) {
+            let smallest = (0..4).min_by_key(|&p| sizes[p]).unwrap();
+            assert_eq!(e.partitioning().partition_of(v) as usize, smallest);
+            sizes[smallest] += 1;
+        }
+        assert_eq!(e.partitioning().sizes(), sizes);
+        e.audit();
+    }
+
+    #[test]
+    fn cut_ratio_handles_empty() {
+        let e = EngineBuilder::new(2).build(&DynGraph::with_vertices(4), Gossip);
+        assert_eq!(e.cut_edges(), 0);
+        assert_eq!(e.cut_ratio(), 0.0);
     }
 
     #[test]

@@ -8,9 +8,16 @@
 //! departures from classic Pregel, both taken from the paper, are
 //! supported: computation can run continuously after the graph is loaded,
 //! and vertices/edges can be injected or removed from a stream between
-//! supersteps ([`MutationBatch`], a thin wrapper over the workspace-wide
-//! [`apg_graph::UpdateBatch`] delta model — any `StreamSource` batch feeds
-//! the engine directly via [`Engine::apply_batch`]).
+//! supersteps ([`Engine::apply_batch`] takes the workspace-wide
+//! [`apg_graph::UpdateBatch`], so any `StreamSource` batch feeds the engine
+//! as it is).
+//!
+//! This is the same system as the logical-level partitioner, not a second
+//! one: the engine's topology is an [`apg_graph::DynGraph`] and its routing
+//! table an [`apg_partition::Partitioning`] ([`Engine::graph`],
+//! [`Engine::partitioning`]); the decision kernel, quota table and
+//! placement rule are `apg-core`'s. What this crate owns is the BSP
+//! protocol around them.
 //!
 //! The implementation pitfalls of §3 are reproduced faithfully:
 //!
@@ -60,7 +67,6 @@ pub mod cost;
 pub mod engine;
 pub mod fault;
 pub mod migrate;
-pub mod mutation;
 pub mod program;
 pub mod worker;
 
@@ -68,6 +74,5 @@ pub use cost::{CostModel, SuperstepReport};
 pub use engine::{Engine, EngineBuilder};
 pub use fault::{FaultEvent, FaultPlan};
 pub use migrate::MigrationController;
-pub use mutation::MutationBatch;
 pub use program::{Aggregates, Context, VertexProgram};
 pub use worker::WorkerId;

@@ -107,25 +107,22 @@ impl MigrationController {
         DecisionKernel::new(self.config.num_partitions, self.config.count_self)
     }
 
-    /// Evaluates one vertex's migration inside a worker thread.
+    /// Evaluates one vertex's migration inside a worker thread, given the
+    /// workers its neighbours are routed to.
     ///
     /// Returns the destination if the vertex decides to migrate *and* its
     /// quota row admits the move.
-    pub fn evaluate_vertex<'n>(
+    pub fn evaluate_vertex(
         &self,
         kernel: &mut DecisionKernel,
         quota_row: &mut QuotaTable,
         rng: &mut StdRng,
         current: WorkerId,
-        neighbor_locations: impl Iterator<Item = &'n VertexId>,
-        locations: &[WorkerId],
+        neighbor_parts: impl Iterator<Item = WorkerId>,
     ) -> Option<WorkerId> {
         if self.config.willingness < 1.0 && !rng.gen_bool(self.config.willingness) {
             return None;
         }
-        let neighbor_parts = neighbor_locations
-            .map(|&w| locations[w as usize])
-            .filter(|&w| w != WorkerId::MAX);
         match kernel.decide(current, neighbor_parts, rng) {
             MigrationDecision::Stay => None,
             MigrationDecision::Migrate(to) => {
@@ -199,29 +196,19 @@ mod tests {
         let mut quota = ctrl.quotas(&caps);
         let mut kernel = c.kernel();
         let mut rng = c.worker_rng(0, 0);
-        let locations = vec![0 as WorkerId, 0, 0, 0];
-        // Vertex at worker 0, all neighbours at worker 1... but locations
-        // say worker 0; craft neighbours at worker 1 via a location table.
-        let locations_remote = vec![1 as WorkerId, 1, 1, 1];
-        let neighbors: Vec<VertexId> = vec![1, 2, 3];
+        // A vertex at worker 0 whose three neighbours are all at worker 1.
+        let neighbor_parts: [WorkerId; 3] = [1, 1, 1];
         // Quota from 0 -> 1 is C_rem(1)/(k-1) = 2/1 = 2: two admits, then deny.
         let mut admitted = 0;
         for _ in 0..5 {
-            if c.evaluate_vertex(
-                &mut kernel,
-                &mut quota,
-                &mut rng,
-                0,
-                neighbors.iter(),
-                &locations_remote,
-            )
-            .is_some()
+            let parts = neighbor_parts.into_iter();
+            if c.evaluate_vertex(&mut kernel, &mut quota, &mut rng, 0, parts)
+                .is_some()
             {
                 admitted += 1;
             }
         }
         assert_eq!(admitted, 2);
-        let _ = locations;
     }
 
     #[test]
@@ -234,28 +221,5 @@ mod tests {
         assert_ne!(a, d);
         let a2: u64 = c.worker_rng(0, 0).gen();
         assert_eq!(a, a2, "same (worker, superstep) must reproduce");
-    }
-
-    #[test]
-    fn tombstoned_neighbours_are_ignored() {
-        let c = controller(2);
-        let mut kernel = c.kernel();
-        let mut rng = c.worker_rng(0, 1);
-        let caps = CapacityModel::vertex_balanced(2, 2, 2.0);
-        let mut ctrl = controller(2);
-        ctrl.refresh_predictions(&[1, 1]);
-        let mut quota = ctrl.quotas(&caps);
-        let locations = vec![WorkerId::MAX, 0];
-        let neighbors: Vec<VertexId> = vec![0];
-        // The only neighbour is tombstoned -> isolated -> stays.
-        let dec = c.evaluate_vertex(
-            &mut kernel,
-            &mut quota,
-            &mut rng,
-            0,
-            neighbors.iter(),
-            &locations,
-        );
-        assert_eq!(dec, None);
     }
 }

@@ -2,7 +2,8 @@
 
 use std::collections::HashMap;
 
-use apg_graph::VertexId;
+use apg_graph::{DynGraph, Graph, VertexId};
+use apg_partition::Partitioning;
 
 use crate::worker::{WorkerCounters, WorkerId};
 
@@ -83,22 +84,22 @@ impl Aggregates {
 
 /// Per-vertex view handed to [`VertexProgram::compute`].
 ///
-/// The context routes messages through the engine's location table, which is
+/// The context routes messages through the engine's routing table, which is
 /// how migrated vertices keep receiving their mail (paper §3): senders always
 /// consult the freshest location published at the last superstep boundary.
+/// Neighbours and liveness are read from the engine's graph.
 pub struct Context<'a, 'b, V, M> {
     pub(crate) vertex: VertexId,
     pub(crate) superstep: usize,
     pub(crate) home: WorkerId,
     pub(crate) value: &'a mut V,
-    pub(crate) neighbors: &'a [VertexId],
     pub(crate) halted: &'a mut bool,
     pub(crate) outboxes: &'a mut Vec<Vec<(VertexId, M)>>,
-    pub(crate) locations: &'b [WorkerId],
+    pub(crate) graph: &'b DynGraph,
+    pub(crate) routing: &'b Partitioning,
     pub(crate) counters: &'a mut WorkerCounters,
     pub(crate) agg_prev: &'b Aggregates,
     pub(crate) agg_next: &'a mut Aggregates,
-    pub(crate) num_vertices: usize,
 }
 
 impl<V, M> Context<'_, '_, V, M> {
@@ -114,17 +115,17 @@ impl<V, M> Context<'_, '_, V, M> {
 
     /// Number of live vertices in the whole graph at this superstep.
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.graph.num_live_vertices()
     }
 
     /// This vertex's neighbours (undirected adjacency), ascending.
     pub fn neighbors(&self) -> &[VertexId] {
-        self.neighbors
+        self.graph.neighbors(self.vertex)
     }
 
     /// Degree of this vertex.
     pub fn degree(&self) -> usize {
-        self.neighbors.len()
+        self.graph.degree(self.vertex)
     }
 
     /// Immutable access to the vertex value.
@@ -139,16 +140,15 @@ impl<V, M> Context<'_, '_, V, M> {
 
     /// Sends a message for delivery at the next superstep.
     ///
-    /// Messages to removed vertices are dropped, matching Pregel semantics
-    /// for dangling edges after mutations.
+    /// Messages to removed vertices (whose routing entry is stale) and to
+    /// ids never allocated are dropped and counted, matching Pregel
+    /// semantics for dangling edges after mutations.
     pub fn send(&mut self, to: VertexId, msg: M) {
-        let dest = match self.locations.get(to as usize) {
-            Some(&w) if w != WorkerId::MAX => w,
-            _ => {
-                self.counters.messages_dropped += 1;
-                return;
-            }
-        };
+        if !self.graph.is_vertex(to) {
+            self.counters.messages_dropped += 1;
+            return;
+        }
+        let dest = self.routing.partition_of(to);
         if dest == self.home {
             self.counters.messages_local += 1;
         } else {
@@ -162,8 +162,8 @@ impl<V, M> Context<'_, '_, V, M> {
     where
         M: Clone,
     {
-        for i in 0..self.neighbors.len() {
-            let w = self.neighbors[i];
+        let graph = self.graph;
+        for &w in graph.neighbors(self.vertex) {
             self.send(w, msg.clone());
         }
     }
@@ -216,7 +216,11 @@ mod tests {
         let mut value = 0u32;
         let mut halted = false;
         let mut outboxes: Vec<Vec<(VertexId, u8)>> = vec![Vec::new(), Vec::new()];
-        let locations = vec![0 as WorkerId, 1, WorkerId::MAX];
+        let mut graph = DynGraph::with_vertices(3);
+        graph.add_edge(0, 1);
+        graph.remove_vertex(2);
+        let mut routing = Partitioning::new(3, 2);
+        routing.assign_all(&[0, 1, 1]);
         let mut counters = WorkerCounters::default();
         let agg_prev = Aggregates::new();
         let mut agg_next = Aggregates::new();
@@ -226,23 +230,24 @@ mod tests {
                 superstep: 3,
                 home: 0,
                 value: &mut value,
-                neighbors: &[1, 2],
                 halted: &mut halted,
                 outboxes: &mut outboxes,
-                locations: &locations,
+                graph: &graph,
+                routing: &routing,
                 counters: &mut counters,
                 agg_prev: &agg_prev,
                 agg_next: &mut agg_next,
-                num_vertices: 3,
             };
             ctx.send(0, 1); // local
             ctx.send(1, 2); // remote
-            ctx.send(2, 3); // tombstone -> dropped
+            ctx.send(2, 3); // tombstone with a stale label -> dropped
+            ctx.send(3, 4); // never allocated -> dropped
+            assert_eq!(ctx.neighbors(), &[1]);
             ctx.vote_to_halt();
         }
         assert_eq!(counters.messages_local, 1);
         assert_eq!(counters.messages_remote, 1);
-        assert_eq!(counters.messages_dropped, 1);
+        assert_eq!(counters.messages_dropped, 2);
         assert_eq!(outboxes[0], vec![(0, 1)]);
         assert_eq!(outboxes[1], vec![(1, 2)]);
         assert!(halted);

@@ -1,5 +1,6 @@
-//! Worker-local state: the vertices a worker hosts and its per-superstep
-//! traffic counters.
+//! Worker-local state: the application state of the vertices a worker
+//! hosts, and its per-superstep traffic counters. Topology is not here —
+//! the engine keeps one `DynGraph` for every worker to read.
 
 use std::collections::BTreeMap;
 
@@ -9,27 +10,15 @@ use apg_graph::VertexId;
 /// partition, the usual Pregel deployment).
 pub type WorkerId = u16;
 
-/// A vertex's complete state, owned by exactly one worker and transferred
-/// wholesale when the vertex migrates.
-#[derive(Debug, Clone)]
+/// A vertex's application state, owned by exactly one worker and transferred
+/// wholesale when the vertex migrates. A fresh vertex holds the default
+/// value and is awake.
+#[derive(Debug, Clone, Default)]
 pub struct VertexState<V> {
     /// Application value.
     pub value: V,
-    /// Undirected adjacency, sorted ascending.
-    pub neighbors: Vec<VertexId>,
     /// Whether the vertex has voted to halt.
     pub halted: bool,
-}
-
-impl<V: Default> VertexState<V> {
-    /// Fresh state with the given adjacency.
-    pub fn new(neighbors: Vec<VertexId>) -> Self {
-        VertexState {
-            value: V::default(),
-            neighbors,
-            halted: false,
-        }
-    }
 }
 
 /// Traffic and compute counters for one worker in one superstep — the raw
@@ -109,17 +98,16 @@ mod tests {
 
     #[test]
     fn vertex_state_defaults() {
-        let s: VertexState<u32> = VertexState::new(vec![1, 2]);
+        let s: VertexState<u32> = VertexState::default();
         assert_eq!(s.value, 0);
         assert!(!s.halted);
-        assert_eq!(s.neighbors, vec![1, 2]);
     }
 
     #[test]
     fn worker_state_len() {
         let mut w: WorkerState<u8> = WorkerState::new();
         assert!(w.is_empty());
-        w.vertices.insert(3, VertexState::new(vec![]));
+        w.vertices.insert(3, VertexState::default());
         assert_eq!(w.len(), 1);
     }
 }

@@ -9,13 +9,12 @@
 
 use apg::apps::HeartSim;
 use apg::core::AdaptiveConfig;
-use apg::graph::{gen, DynGraph, Graph};
-use apg::pregel::{CostModel, EngineBuilder, MutationBatch};
+use apg::graph::{gen, Graph};
+use apg::pregel::{CostModel, EngineBuilder};
 use apg::streams::{forest_fire_delta, ForestFireConfig};
 
 fn main() {
     let mesh = gen::mesh3d(16, 16, 16);
-    let shadow = DynGraph::from(&mesh);
     println!(
         "heart mesh: {} cells, {} gap junctions",
         mesh.num_vertices(),
@@ -33,25 +32,25 @@ fn main() {
         "{:>6} {:>10} {:>12} {:>12}",
         "step", "cuts", "migrations", "sim time"
     );
-    let mut last_cut = 0;
     for step in 0..60 {
         let r = engine.superstep();
-        last_cut = r.cut_edges.unwrap_or(last_cut);
         if step % 10 == 0 {
             println!(
                 "{:>6} {:>10} {:>12} {:>12.0}",
-                step, last_cut, r.migrations_completed, r.sim_time
+                step,
+                engine.cut_edges(),
+                r.migrations_completed,
+                r.sim_time
             );
         }
     }
 
     println!("\nphase (b): +10% forest-fire burst");
-    // The burst is computed as an UpdateBatch against a shadow copy and
-    // fed to the engine through the shared delta model — ids align because
-    // engine and shadow allocate slots identically.
-    let burst = shadow.num_live_vertices() / 10;
-    let batch = forest_fire_delta(&shadow, &ForestFireConfig::burst(burst, 99));
-    let new_ids = engine.apply_mutations(MutationBatch::from(batch));
+    // The burst is computed as an UpdateBatch against the engine's own
+    // graph and fed back through the shared delta model.
+    let burst = engine.num_live_vertices() / 10;
+    let batch = forest_fire_delta(engine.graph(), &ForestFireConfig::burst(burst, 99));
+    let new_ids = engine.apply_batch(&batch);
     println!(
         "injected {} new cells; graph now {} vertices / {} edges",
         new_ids.len(),
@@ -65,12 +64,11 @@ fn main() {
     );
     for step in 0..40 {
         let r = engine.superstep();
-        last_cut = r.cut_edges.unwrap_or(last_cut);
         if step % 10 == 0 {
             println!(
                 "{:>6} {:>10} {:>12} {:>12.0}",
                 60 + step,
-                last_cut,
+                engine.cut_edges(),
                 r.migrations_completed,
                 r.sim_time
             );

@@ -5,8 +5,8 @@
 //! Ingestion goes through the canonical path: the CDR generator is a
 //! `StreamSource` emitting one `UpdateBatch` per buffered call batch
 //! (joiners open each week, departures close it), and both engines consume
-//! the same batches via `MutationBatch::from` — no hand-rolled mutation
-//! loops.
+//! the same batches through `Engine::apply_batch` — no hand-rolled
+//! mutation loops.
 //!
 //! ```text
 //! cargo run --release --example cdr_cliques
@@ -15,7 +15,7 @@
 use apg::apps::{maxclique::global_max_clique, MaxClique};
 use apg::core::AdaptiveConfig;
 use apg::graph::DynGraph;
-use apg::pregel::{CostModel, Engine, EngineBuilder, MutationBatch};
+use apg::pregel::{CostModel, Engine, EngineBuilder};
 use apg::streams::{CdrConfig, CdrStream, StreamSource};
 
 fn clique_round(engine: &mut Engine<MaxClique>) -> f64 {
@@ -35,12 +35,10 @@ fn main() {
         .seed(11)
         .cost_model(CostModel::lan_10gbe())
         .adaptive(AdaptiveConfig::builder(5).build().unwrap())
-        .cut_every(0)
         .build(&initial, MaxClique::new());
     let mut fixed = EngineBuilder::new(5)
         .seed(11)
         .cost_model(CostModel::lan_10gbe())
-        .cut_every(0)
         .build(&initial, MaxClique::new());
 
     for week in 1..=2 {
@@ -55,9 +53,8 @@ fn main() {
             departed += batch.num_vertex_removals();
             calls += batch.num_edge_additions();
 
-            let mutation = MutationBatch::from(batch);
-            dynamic.apply_mutations(mutation.clone());
-            fixed.apply_mutations(mutation);
+            dynamic.apply_batch(&batch);
+            fixed.apply_batch(&batch);
             dyn_time += clique_round(&mut dynamic);
             fix_time += clique_round(&mut fixed);
         }

@@ -5,7 +5,7 @@
 //!
 //! Ingestion goes through the canonical path: the Twitter generator is a
 //! `StreamSource` emitting `UpdateBatch`es, each batch feeds both Pregel
-//! engines (via `MutationBatch::from`) *and* a logical-level
+//! engines (`Engine::apply_batch`) *and* a logical-level
 //! `StreamingRunner`, whose per-batch `TimelineStats` show the cut being
 //! absorbed as the stream lands.
 //!
@@ -17,7 +17,7 @@ use apg::apps::TunkRank;
 use apg::core::{AdaptiveConfig, AdaptivePartitioner, StreamingRunner};
 use apg::graph::DynGraph;
 use apg::partition::InitialStrategy;
-use apg::pregel::{CostModel, EngineBuilder, MutationBatch};
+use apg::pregel::{CostModel, EngineBuilder};
 use apg::streams::{StreamSource, TwitterConfig, TwitterStream};
 
 fn main() {
@@ -34,12 +34,10 @@ fn main() {
         .seed(7)
         .cost_model(CostModel::lan_10gbe())
         .adaptive(AdaptiveConfig::builder(9).build().unwrap())
-        .cut_every(0)
         .build(&initial, program);
     let mut hash = EngineBuilder::new(9)
         .seed(7)
         .cost_model(CostModel::lan_10gbe())
-        .cut_every(0)
         .build(&initial, program);
     let mut runner = StreamingRunner::new(AdaptivePartitioner::with_strategy(
         &initial,
@@ -58,9 +56,8 @@ fn main() {
         let batch = stream.next_batch().expect("stream is open-ended");
 
         // One batch, three consumers — same deltas everywhere.
-        let mutation = MutationBatch::from(batch.clone());
-        adaptive.apply_mutations(mutation.clone());
-        hash.apply_mutations(mutation);
+        adaptive.apply_batch(&batch);
+        hash.apply_batch(&batch);
         let timeline = runner.ingest(&batch);
 
         let ra = adaptive.run(3);

@@ -96,5 +96,5 @@ pub mod prelude {
 
     // ── Pregel-like engine ─────────────────────────────────────────────
     /// The BSP engine with the paper's partitioning API extension.
-    pub use apg_pregel::{Context, CostModel, Engine, EngineBuilder, MutationBatch, VertexProgram};
+    pub use apg_pregel::{Context, CostModel, Engine, EngineBuilder, VertexProgram};
 }

@@ -10,7 +10,6 @@ use apg::core::{AdaptiveConfig, AdaptivePartitioner, PartitionerState, Streaming
 use apg::graph::{DeltaLog, DynGraph, Graph, UpdateBatch};
 use apg::partition::{cut_edges, InitialStrategy};
 use apg::persist::{Decode, Encode};
-use apg::pregel::MutationBatch;
 
 /// Turns a fuzzed op-stream into one `UpdateBatch`, tracking the slot
 /// count a consumer graph would have (dangling ids are legal — they
@@ -136,10 +135,9 @@ proptest! {
         prop_assert_eq!(ra, rb);
     }
 
-    /// `UpdateBatch::extend` (the path `MutationBatch::extend` wraps)
-    /// offsets appended placeholders so that applying `a.extend(b)` equals
-    /// applying `a` then `b` — the contract checkpoint tails rely on when
-    /// segments get merged.
+    /// `UpdateBatch::extend` offsets appended placeholders so that applying
+    /// `a.extend(b)` equals applying `a` then `b` — the contract checkpoint
+    /// tails rely on when segments get merged.
     #[test]
     fn extend_equals_sequential_application(
         ops_a in proptest::collection::vec((0u8..5, 0u32..30, 0u32..30), 0..40),
@@ -155,10 +153,6 @@ proptest! {
 
         let mut merged_batch = a.clone();
         merged_batch.extend(b.clone());
-        // Mirror through the pregel wrapper so its extend stays pinned too.
-        let mut mutation: MutationBatch = a.into();
-        mutation.extend(b.into());
-        prop_assert_eq!(mutation.as_update_batch(), &merged_batch);
 
         let mut merged = DynGraph::with_vertices(base);
         let report = merged_batch.apply(&mut merged);

@@ -45,6 +45,6 @@ fn prelude_covers_the_cross_crate_surface() {
         .adaptive(AdaptiveConfig::builder(4).build().unwrap())
         .build(&graph, Noop);
     engine.superstep();
-    engine.apply_mutations(MutationBatch::new());
+    engine.apply_batch(&UpdateBatch::new());
     engine.audit();
 }
