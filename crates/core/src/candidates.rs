@@ -9,6 +9,40 @@
 //! The kernel is shared verbatim between the logical-level partitioner in
 //! this crate and the distributed Pregel integration in `apg-pregel`, so
 //! the two realisations cannot drift apart.
+//!
+//! # The tally
+//!
+//! One evaluation is the whole per-iteration cost of a vertex, so the
+//! kernel pays for the neighbour labels it reads and nothing else: two
+//! walks of them, at every `k`.
+//!
+//! The first walk tallies with no data-dependent branch:
+//! `c = counts[p] + 1; counts[p] = c; best = best.max(c)`. Counts only
+//! grow, so the largest value ever *written* is the largest count at the
+//! end of the walk — the running maximum **is** the best count, with no
+//! list of touched labels to keep or scan. *Stay* is then one more read
+//! (`counts[current] == best`, which an isolated vertex satisfies with
+//! zeros).
+//!
+//! The second walk returns the histogram to all zeros. For a vertex that
+//! stays it does only that, branch-free. A vertex that migrates recovers
+//! its candidates on the way: each label's count is read and zeroed in one
+//! step, so the first occurrence of a label sees its full count and every
+//! later one sees zero.
+//!
+//! Nothing scans the `k`-length histogram and nothing selects a different
+//! path for small or large `k`: cost is `O(degree)`.
+//!
+//! # Tie order is a contract
+//!
+//! Candidates are the best-count partitions **in order of first
+//! occurrence** among the neighbour labels, and a tie among several draws
+//! one `rng.gen_range(0..candidates.len())` — a unique best draws nothing.
+//! Which partition a given draw selects is therefore a function of the
+//! neighbour order, and every recorded history depends on it.
+//! `apg_core::reference::decide_touched_list` states the same rule with an
+//! explicit touched list; `tests/kernel_equivalence.rs` holds this kernel
+//! to it, decision for decision and draw for draw.
 
 use rand::Rng;
 
@@ -25,9 +59,12 @@ pub enum MigrationDecision {
 
 /// Reusable candidate-selection state.
 ///
-/// Holds `O(k)` scratch space so evaluating a vertex costs
-/// `O(degree + |candidates|)` with no allocation, the property that makes
-/// the heuristic "efficiently computed" at scale (paper §2).
+/// Holds a `k`-length label histogram (all zeros between calls) and a
+/// candidate buffer, so evaluating a vertex costs `O(degree)` — two walks
+/// of its neighbour labels — with no allocation and no `O(k)` step, the
+/// property that makes the heuristic "efficiently computed" at scale
+/// (paper §2). See the [module docs](self) for the tally and the tie-order
+/// contract.
 ///
 /// # Example
 ///
@@ -44,7 +81,6 @@ pub enum MigrationDecision {
 #[derive(Debug, Clone)]
 pub struct DecisionKernel {
     counts: Vec<u32>,
-    touched: Vec<PartitionId>,
     candidates: Vec<PartitionId>,
     count_self: bool,
 }
@@ -63,7 +99,6 @@ impl DecisionKernel {
         assert!(k > 0, "need at least one partition");
         DecisionKernel {
             counts: vec![0; k as usize],
-            touched: Vec::with_capacity(k as usize),
             candidates: Vec::with_capacity(k as usize),
             count_self,
         }
@@ -72,10 +107,12 @@ impl DecisionKernel {
     /// Evaluates the greedy heuristic for one vertex.
     ///
     /// `neighbor_partitions` yields the current partition of each neighbour
-    /// (duplicates expected — one entry per neighbour). Ties among the
-    /// highest-count partitions are broken uniformly at random, except that
+    /// (duplicates expected — one entry per neighbour); it is walked
+    /// twice, so it must be cheap to clone (a mapped `slice::Iter` is).
+    /// Ties among the highest-count partitions are broken uniformly at
+    /// random over the candidates in first-occurrence order, except that
     /// the current partition always wins ties ("preferentially choose to
-    /// stay").
+    /// stay") and then nothing is drawn.
     pub fn decide<R: Rng, I>(
         &mut self,
         current: PartitionId,
@@ -83,37 +120,39 @@ impl DecisionKernel {
         rng: &mut R,
     ) -> MigrationDecision
     where
-        I: Iterator<Item = PartitionId>,
+        I: Iterator<Item = PartitionId> + Clone,
     {
-        // Count neighbours per partition using a touched-list so clearing is
-        // O(|touched|), not O(k).
-        for p in neighbor_partitions {
-            if self.counts[p as usize] == 0 {
-                self.touched.push(p);
-            }
-            self.counts[p as usize] += 1;
+        let counts = self.counts.as_mut_slice();
+        // Counts only grow, so the largest value written is the best count.
+        let mut best = 0u32;
+        for p in neighbor_partitions.clone() {
+            let c = counts[p as usize] + 1;
+            counts[p as usize] = c;
+            best = best.max(c);
         }
         if self.count_self {
-            if self.counts[current as usize] == 0 {
-                self.touched.push(current);
-            }
-            self.counts[current as usize] += 1;
+            let c = counts[current as usize] + 1;
+            counts[current as usize] = c;
+            best = best.max(c);
         }
 
-        let mut best = 0u32;
-        for &p in &self.touched {
-            best = best.max(self.counts[p as usize]);
-        }
-        let decision = if best == 0 {
-            // Isolated vertex: cand(v, t) degenerates to the current
-            // partition (v ∈ Γ(v, t)).
-            MigrationDecision::Stay
-        } else if self.counts[current as usize] == best {
+        // An isolated vertex has `best == 0 == counts[current]`: cand(v, t)
+        // degenerates to the current partition (v ∈ Γ(v, t)).
+        let decision = if counts[current as usize] == best {
+            for p in neighbor_partitions {
+                counts[p as usize] = 0;
+            }
             MigrationDecision::Stay
         } else {
+            // Read-and-zero: a label's first occurrence sees its full count,
+            // later ones see zero, so candidates come out de-duplicated and
+            // in first-occurrence order. `current` is not among them, so the
+            // self-count (tallied last) needs no place in that order.
             self.candidates.clear();
-            for &p in &self.touched {
-                if self.counts[p as usize] == best {
+            for p in neighbor_partitions {
+                let c = counts[p as usize];
+                counts[p as usize] = 0;
+                if c == best {
                     self.candidates.push(p);
                 }
             }
@@ -124,11 +163,7 @@ impl DecisionKernel {
             };
             MigrationDecision::Migrate(pick)
         };
-
-        for &p in &self.touched {
-            self.counts[p as usize] = 0;
-        }
-        self.touched.clear();
+        counts[current as usize] = 0;
         decision
     }
 }

@@ -236,10 +236,11 @@ struct IterScratch {
     /// sweeps this iteration (trimmed to each shard's dirtied region).
     shards: Vec<(usize, std::ops::Range<usize>)>,
     /// One reusable [`DecisionKernel`] per scheduled shard: the k-length
-    /// label histogram every vertex evaluation fills, hoisted here so its
-    /// O(k) buffers survive across iterations instead of being reallocated
-    /// per shard per round. Kernel state is self-clearing between
-    /// `decide` calls, so reuse cannot leak counts across vertices.
+    /// label histogram every vertex evaluation tallies into, hoisted here
+    /// so its O(k) buffers survive across iterations instead of being
+    /// reallocated per shard per round. Every `decide` call walks its
+    /// neighbour labels a second time to zero what it tallied, so reuse
+    /// cannot leak counts across vertices.
     kernels: Vec<DecisionKernel>,
     /// Quota admission table, rebuilt in place each iteration.
     quota: QuotaTable,
@@ -255,6 +256,15 @@ struct IterScratch {
 /// partition can carry it: ids stay below `num_partitions`, itself a
 /// [`PartitionId`].
 const NOT_MIGRATING: PartitionId = PartitionId::MAX;
+
+/// Active-vertex count below which the active-set sweep stays on the calling
+/// thread. `fanout::map_items` spawns its scoped threads per call — 80-110 µs
+/// for two on the 2-vCPU reference box — while an active vertex costs
+/// ~0.2-0.4 µs to evaluate, so below a few hundred vertices the whole sweep
+/// is cheaper than the spawn that would halve it (the tail of a refinement
+/// job: ~145 quota-blocked vertices, 0.11-0.28 ms fanned out against
+/// 0.03-0.06 ms inline).
+const INLINE_SWEEP_BELOW: usize = 512;
 
 impl AdaptivePartitioner {
     /// Creates a partitioner over a copy of `graph`, initialised with the
@@ -543,7 +553,14 @@ impl AdaptivePartitioner {
         self.marks
             .sweep()
             .collect_dirty_shards(&mut self.scratch.shards);
-        self.decide(profile, |frozen, slots, eval| {
+        // A sweep cheaper than the spawn runs inline; the fan-out returns
+        // the same outcomes at any thread count, so histories cannot tell.
+        let threads = if profile.active_before < INLINE_SWEEP_BELOW {
+            1
+        } else {
+            self.scalars.config.parallelism
+        };
+        self.decide(profile, threads, |frozen, slots, eval| {
             for slot in frozen.marks.sweep().iter_in(slots) {
                 let v = slot as VertexId;
                 debug_assert!(frozen.graph.is_vertex(v), "tombstone {v} in active set");
@@ -553,14 +570,20 @@ impl AdaptivePartitioner {
     }
 
     /// Decide phase: fans the work list in `scratch.shards` over up to
-    /// [`AdaptiveConfig::parallelism`] threads; `sweep_shard` evaluates
+    /// `threads` threads (the caller knows how many vertices it is about
+    /// to visit, so the caller sizes the fan-out); `sweep_shard` evaluates
     /// the vertices it chooses to visit within one slot range. Shards
     /// propose migrations against the frozen graph + assignment. Every
     /// vertex draws from its own (seed, vertex, iteration) RNG, so visiting
     /// a subset draws exactly what a full sweep would have drawn for each
     /// visited vertex. Read-only, embarrassingly parallel; proposals come
     /// back in shard order = vertex order.
-    fn decide<F>(&mut self, profile: &mut SweepProfile, sweep_shard: F) -> Vec<ShardOutcome>
+    fn decide<F>(
+        &mut self,
+        profile: &mut SweepProfile,
+        threads: usize,
+        sweep_shard: F,
+    ) -> Vec<ShardOutcome>
     where
         F: Fn(&Self, std::ops::Range<usize>, &mut Evaluator<'_>) + Sync,
     {
@@ -583,23 +606,19 @@ impl AdaptivePartitioner {
         let work: Vec<_> = kernels.iter_mut().zip(&frozen.scratch.shards).collect();
 
         let decide_start = Instant::now();
-        let outcomes = fanout::map_items(
-            frozen.scalars.config.parallelism,
-            work,
-            |_, (kernel, (_, slots))| {
-                let mut eval = Evaluator {
-                    s,
-                    seed: frozen.scalars.seed,
-                    round,
-                    graph: &frozen.graph,
-                    partitioning: &frozen.partitioning,
-                    kernel,
-                    out: ShardOutcome::default(),
-                };
-                sweep_shard(frozen, slots.clone(), &mut eval);
-                eval.out
-            },
-        );
+        let outcomes = fanout::map_items(threads, work, |_, (kernel, (_, slots))| {
+            let mut eval = Evaluator {
+                s,
+                seed: frozen.scalars.seed,
+                round,
+                graph: &frozen.graph,
+                partitioning: &frozen.partitioning,
+                kernel,
+                out: ShardOutcome::default(),
+            };
+            sweep_shard(frozen, slots.clone(), &mut eval);
+            eval.out
+        });
         profile.decide_ms = ms_since(decide_start);
         self.scratch.kernels = kernels;
         outcomes
@@ -1075,15 +1094,15 @@ impl Evaluator<'_> {
     /// unchanged neighbourhood the vertex would decide Stay on every future
     /// iteration too.
     ///
-    /// `neighbors(v)` is walked exactly **once**: the kernel's label
-    /// histogram is both the candidate tally and the interior-vertex
-    /// early-out (a vertex whose neighbours all share its label makes its
-    /// own partition the unique best, so the kernel returns Stay — without
-    /// a random draw — and the vertex retires). Draw-for-draw identical to
-    /// the old two-pass shape, which pre-scanned the neighbours for a
-    /// differing label before tallying: the kernel only consumes randomness
-    /// when several *foreign* partitions tie for best, which an interior
-    /// vertex cannot produce.
+    /// There is no pre-scan for an interior vertex: the kernel's tally is
+    /// also the early-out. A vertex whose neighbours all share its label
+    /// makes its own partition the unique best, so the kernel returns Stay
+    /// — without a random draw — and the vertex retires. The kernel only
+    /// consumes randomness when several *foreign* partitions tie for best,
+    /// which an interior vertex cannot produce. Each evaluation reads
+    /// `neighbors(v)` and the labels behind it twice (tally, then
+    /// zero-and-collect; see [`DecisionKernel`]) and nothing else, so a
+    /// sweep costs its neighbour reads.
     #[inline]
     fn evaluate(&mut self, v: VertexId) {
         self.out.visited += 1;
@@ -1264,6 +1283,39 @@ mod tests {
         };
         let sequential = run(1);
         assert_eq!(sequential, run(3));
+        assert_eq!(sequential, run(8));
+    }
+
+    #[test]
+    fn inline_sweeps_keep_the_history() {
+        // A run that starts with every vertex active (fanned out) and ends
+        // with a handful spread over both shards (swept inline): the switch
+        // is a wall-clock choice, never a history one.
+        let g = gen::mesh3d(20, 20, 20);
+        let run = |threads: usize| {
+            let cfg = AdaptiveConfig::builder(4)
+                .parallelism(threads)
+                .build()
+                .unwrap();
+            let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 17);
+            let (mut fanned_out, mut inline) = (0, 0);
+            let history: Vec<_> = (0..120)
+                .map(|_| {
+                    let (stats, profile) = p.iterate_profiled();
+                    if profile.active_before >= INLINE_SWEEP_BELOW {
+                        fanned_out += 1;
+                    } else if profile.shards_swept > 1 {
+                        inline += 1;
+                    }
+                    stats
+                })
+                .collect();
+            assert!(fanned_out > 0 && inline > 0, "{fanned_out} / {inline}");
+            p.audit();
+            (history, p.partitioning().clone())
+        };
+        let sequential = run(1);
+        assert_eq!(sequential, run(2));
         assert_eq!(sequential, run(8));
     }
 

@@ -14,13 +14,23 @@
 //!   in admission order, each through `apply_move`.
 //!
 //! Both must produce histories byte-identical to production's
-//! (`tests/active_set_sweep.rs`, `tests/apply_equivalence.rs`). Nothing
-//! here is reachable from a production call path or from a configuration.
+//! (`tests/active_set_sweep.rs`, `tests/apply_equivalence.rs`).
+//!
+//! [`decide_touched_list`] is the same idea one level down: the decision
+//! kernel as it was before [`DecisionKernel`](crate::DecisionKernel)
+//! stopped keeping a touched list, which `tests/kernel_equivalence.rs`
+//! holds the production kernel to, decision for decision and draw for draw.
+//!
+//! Nothing here is reachable from a production call path or from a
+//! configuration.
+
+use rand::Rng;
 
 use apg_graph::{Graph, VertexId};
 use apg_partition::PartitionId;
 
 use super::{AdaptivePartitioner, IterationStats, SweepProfile};
+use crate::MigrationDecision;
 
 /// One iteration with the exhaustive decision sweep: every live vertex is
 /// evaluated, active or not. Because randomness is keyed per
@@ -31,7 +41,7 @@ pub fn iterate_exhaustive(p: &mut AdaptivePartitioner) -> (IterationStats, Sweep
         |p, profile| {
             let plan = p.shard_plan();
             p.scratch.shards.extend(plan.ranges().enumerate());
-            p.decide(profile, |frozen, slots, eval| {
+            p.decide(profile, p.config().parallelism, |frozen, slots, eval| {
                 for v in frozen.graph.live_in(slots) {
                     eval.evaluate(v);
                 }
@@ -75,4 +85,60 @@ fn apply_move(p: &mut AdaptivePartitioner, v: VertexId, to: PartitionId) {
     p.degree_mass[from as usize] -= deg;
     p.degree_mass[to as usize] += deg;
     p.partitioning.move_vertex(v, to);
+}
+
+/// The greedy rule with an explicit touched list: labels are recorded in
+/// order of first occurrence (`current` last, when `count_self` adds it),
+/// the best count is a scan over them, and the candidates are the touched
+/// labels at that count, in that order. Allocates its `k`-length histogram
+/// per call — an oracle, not a kernel.
+pub fn decide_touched_list<R: Rng, I>(
+    k: PartitionId,
+    count_self: bool,
+    current: PartitionId,
+    neighbor_partitions: I,
+    rng: &mut R,
+) -> MigrationDecision
+where
+    I: Iterator<Item = PartitionId>,
+{
+    let mut counts = vec![0u32; k as usize];
+    let mut touched: Vec<PartitionId> = Vec::new();
+    for p in neighbor_partitions {
+        if counts[p as usize] == 0 {
+            touched.push(p);
+        }
+        counts[p as usize] += 1;
+    }
+    if count_self {
+        if counts[current as usize] == 0 {
+            touched.push(current);
+        }
+        counts[current as usize] += 1;
+    }
+
+    let mut best = 0u32;
+    for &p in &touched {
+        best = best.max(counts[p as usize]);
+    }
+    if best == 0 {
+        // Isolated vertex: cand(v, t) degenerates to the current
+        // partition (v ∈ Γ(v, t)).
+        MigrationDecision::Stay
+    } else if counts[current as usize] == best {
+        MigrationDecision::Stay
+    } else {
+        let mut candidates = Vec::new();
+        for &p in &touched {
+            if counts[p as usize] == best {
+                candidates.push(p);
+            }
+        }
+        let pick = if candidates.len() == 1 {
+            candidates[0]
+        } else {
+            candidates[rng.gen_range(0..candidates.len())]
+        };
+        MigrationDecision::Migrate(pick)
+    }
 }

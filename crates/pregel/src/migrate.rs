@@ -118,7 +118,7 @@ impl MigrationController {
         quota_row: &mut QuotaTable,
         rng: &mut StdRng,
         current: WorkerId,
-        neighbor_parts: impl Iterator<Item = WorkerId>,
+        neighbor_parts: impl Iterator<Item = WorkerId> + Clone,
     ) -> Option<WorkerId> {
         if self.config.willingness < 1.0 && !rng.gen_bool(self.config.willingness) {
             return None;
