@@ -9,19 +9,5 @@ fn main() {
     let args = RunArgs::from_env();
     let result = persist::run(args.scale, args.reps(), args.seed);
     persist::print(&result);
-    assert!(
-        result.all_resumes_match(),
-        "a resumed checkpoint diverged from its live runner"
-    );
-    assert!(
-        result.recovery_ok(),
-        "durability contract violated: a cold file-backed recovery \
-         diverged or the bounded window failed to cap checkpoint growth"
-    );
-
-    let path = "BENCH_persist.json";
-    match std::fs::write(path, persist::to_json(&result)) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    apg_bench::write_report("BENCH_persist.json", &persist::to_json(&result));
 }

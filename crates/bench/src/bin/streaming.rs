@@ -9,10 +9,5 @@ fn main() {
     let args = RunArgs::from_env();
     let result = streaming::run(args.scale, args.reps(), args.seed);
     streaming::print(&result);
-
-    let path = "BENCH_streaming.json";
-    match std::fs::write(path, streaming::to_json(&result)) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    apg_bench::write_report("BENCH_streaming.json", &streaming::to_json(&result));
 }

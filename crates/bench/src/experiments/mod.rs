@@ -1,4 +1,8 @@
-//! One module per table/figure of the paper's evaluation.
+//! One module per experiment. `table1` and `fig1`…`fig9` reproduce the
+//! paper's evaluation (§4); `scaling`, `sweep`, `streaming`, `serve` and
+//! `persist` are perf experiments of this implementation. They measure
+//! and do not check: every contract they exercise is owned by a suite
+//! under `tests/`.
 
 pub mod fig1;
 pub mod fig4;
@@ -44,17 +48,6 @@ pub fn headline_graphs(scale: Scale, seed: u64) -> Vec<(&'static str, CsrGraph)>
             ),
         ],
     }
-}
-
-/// FNV-1a fold over a stream of fields — the fingerprint the scaling and
-/// streaming benches use to witness the determinism contract.
-pub fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for v in values {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Formats a float with a fixed number of decimals, right-aligned.

@@ -8,9 +8,10 @@
 //! runner at each cadence (which empties the write-ahead tail), exactly
 //! the operating loop the README walkthrough documents. Reported per
 //! cadence: ingest wall-clock (overhead vs the
-//! no-checkpoint baseline), serialised checkpoint size, encode / decode /
-//! resume costs, and a resume-equivalence check (the decoded checkpoint's
-//! resumed timeline must equal the live runner's).
+//! no-checkpoint baseline), serialised checkpoint size, and encode /
+//! decode / resume costs. That a resumed or cold-recovered runner equals
+//! the live one is `tests/persist_restart.rs`', `tests/delta_codec.rs`'
+//! and `tests/crash_injection.rs`' to check, not this bench's.
 //!
 //! The `persist` binary prints the table and writes `BENCH_persist.json`.
 
@@ -64,13 +65,11 @@ pub struct PersistRow {
     pub decode_ms: f64,
     /// Resuming a runner from it (tail replay included), milliseconds.
     pub resume_ms: f64,
-    /// Whether the resumed runner's timeline equals the live one's.
-    pub resume_matches: bool,
 }
 
 /// One file-backed cadence measurement: the same stream written through
 /// [`CheckpointStore`] — fsync'd write-ahead appends plus atomic
-/// (incremental where possible) snapshot installs — then recovered cold
+/// (incremental where possible) snapshot installs — then reopened cold
 /// from disk by replaying base + delta chain + tail.
 #[derive(Debug, Clone)]
 pub struct DurableRow {
@@ -99,8 +98,6 @@ pub struct DurableRow {
     pub live_bytes: u64,
     /// Batches the cold recovery landed on (snapshot + replayed tail).
     pub recovered_batches: usize,
-    /// Whether the cold-recovered runner matches the live one exactly.
-    pub recovery_matches: bool,
 }
 
 /// Full experiment output.
@@ -125,34 +122,6 @@ pub struct PersistResult {
     pub rows: Vec<PersistRow>,
     /// One row per file-backed (fsync'd) cadence.
     pub durable_rows: Vec<DurableRow>,
-    /// Whether a bounded `timeline_window` held the checkpoint's growth
-    /// strictly below the unbounded run's at the same stream position
-    /// (the O(window) vs O(stream) contract).
-    pub window_growth_ok: bool,
-    /// Whether a cold recovery through the delta chain reproduced the live
-    /// runner exactly — timeline, digest, graph, partitioning — at
-    /// parallelism 1, 2, and 8, with at least one genuinely incremental
-    /// install in every run. CI greps for this flag in the JSON.
-    pub incremental_equals_full: bool,
-}
-
-impl PersistResult {
-    /// Whether every cadence's resumed runner matched the live runner.
-    pub fn all_resumes_match(&self) -> bool {
-        self.rows.iter().all(|r| r.resume_matches)
-    }
-
-    /// The durability contract this benchmark doubles as a check for: every
-    /// in-memory resume AND every cold file-backed recovery reproduced the
-    /// live runner, and the bounded window kept checkpoint growth flat.
-    /// CI greps for this flag in the JSON.
-    pub fn recovery_ok(&self) -> bool {
-        self.all_resumes_match()
-            && !self.durable_rows.is_empty()
-            && self.durable_rows.iter().all(|r| r.recovery_matches)
-            && self.window_growth_ok
-            && self.incremental_equals_full
-    }
 }
 
 fn batches_for(scale: Scale) -> usize {
@@ -170,7 +139,7 @@ fn run_once(
     batches: usize,
     snapshot_every: Option<usize>,
     seed: u64,
-) -> (f64, Option<StreamCheckpoint>, StreamingRunner) {
+) -> (f64, Option<StreamCheckpoint>) {
     let config = CdrConfig {
         initial_subscribers: subscribers,
         ..CdrConfig::default()
@@ -198,7 +167,7 @@ fn run_once(
         }
     }
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    (wall_ms, ckpt, runner)
+    (wall_ms, ckpt)
 }
 
 /// Rotation threshold for the file-backed rows: small enough that every
@@ -232,7 +201,6 @@ struct DurableOnce {
     live_bytes: u64,
     incremental_installs: usize,
     delta_bytes_ratio: f64,
-    runner: StreamingRunner,
 }
 
 /// Drives the stream once through a file-backed [`CheckpointStore`] with
@@ -244,7 +212,6 @@ fn run_durable_once(
     subscribers: usize,
     batches: usize,
     every: usize,
-    parallelism: Option<usize>,
     seed: u64,
 ) -> DurableOnce {
     let _ = std::fs::remove_dir_all(dir);
@@ -258,11 +225,7 @@ fn run_durable_once(
         ..StoreConfig::default()
     };
     let graph = DynGraph::with_vertices(subscribers);
-    let mut cfg = AdaptiveConfig::builder(K);
-    if let Some(p) = parallelism {
-        cfg = cfg.parallelism(p);
-    }
-    let cfg = cfg.build().unwrap();
+    let cfg = AdaptiveConfig::builder(K).build().unwrap();
     let partitioner = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, seed);
     let mut runner = StreamingRunner::new(partitioner).iterations_per_batch(ITERS_PER_BATCH);
     let mut source = CdrStream::new(config, seed);
@@ -316,12 +279,11 @@ fn run_durable_once(
         // Median, not mean: the first chained installs land while the
         // partitioner is still converging (near-total churn), and the
         // ratio the row should advertise is the steady-state one.
-        delta_bytes_ratio: median(&delta_ratios),
-        runner,
+        delta_bytes_ratio: median_or_zero(&delta_ratios),
     }
 }
 
-/// Runs the file-backed cadence sweep and cold-recovery checks.
+/// Runs the file-backed cadence sweep, reopening each store cold.
 fn run_durable(subscribers: usize, batches: usize, reps: usize, seed: u64) -> Vec<DurableRow> {
     let mut rows = Vec::new();
     for every in [8usize, 4, 2, 1] {
@@ -334,27 +296,19 @@ fn run_durable(subscribers: usize, batches: usize, reps: usize, seed: u64) -> Ve
         let mut samples = Vec::with_capacity(reps);
         let mut last: Option<DurableOnce> = None;
         for _ in 0..reps {
-            let once = run_durable_once(&scratch.0, subscribers, batches, every, None, seed);
+            let once = run_durable_once(&scratch.0, subscribers, batches, every, seed);
             samples.push(once.wall_ms);
             last = Some(once);
         }
         let last = last.expect("reps >= 1");
 
         // Cold recovery: reopen the directory as a crashed process would —
-        // replaying snapshot + delta chain + tail — and check the
-        // recovered state replays to exactly the live run.
+        // replaying snapshot + delta chain + tail — and count where it
+        // landed.
         let (_store, recovered) =
             CheckpointStore::open(&scratch.0, store_config).expect("reopen scratch store");
         let checkpoint = recovered.checkpoint.expect("a snapshot was installed");
-        let resumed = StreamingRunner::resume(checkpoint);
-        let recovered_batches = resumed.batches_ingested();
-        let live = &last.runner;
-        let recovery_matches = recovered.torn_frames_dropped == 0
-            && recovered_batches == batches
-            && resumed.timeline() == live.timeline()
-            && resumed.timeline_digest() == live.timeline_digest()
-            && resumed.partitioner().graph() == live.partitioner().graph()
-            && resumed.partitioner().partitioning() == live.partitioner().partitioning();
+        let recovered_batches = StreamingRunner::resume(checkpoint).batches_ingested();
 
         rows.push(DurableRow {
             snapshot_every: every,
@@ -366,108 +320,18 @@ fn run_durable(subscribers: usize, batches: usize, reps: usize, seed: u64) -> Ve
             append_ms_mean: last.append_ms_mean,
             live_bytes: last.live_bytes,
             recovered_batches,
-            recovery_matches,
         });
     }
     rows
 }
 
-/// Checks the incremental-install contract at parallelism 1, 2 and 8:
-/// drive a CDR stream through a delta-chaining [`CheckpointStore`], kill
-/// it cold, and require the base-plus-chain recovery to reproduce the
-/// live runner exactly — with at least one genuinely incremental install,
-/// so the check can never pass vacuously on the full-snapshot path.
-fn check_incremental_equals_full(subscribers: usize, batches: usize, seed: u64) -> bool {
-    // Install every 2 batches: the first install is full, the rest chain
-    // as deltas (the default `max_chain_len` of 8 is not reached). The
-    // store only chains a delta when it is smaller than the full snapshot,
-    // so the check needs a graph large enough that per-batch churn is a
-    // small fraction of the state — the Tiny subscriber count churns
-    // wall-to-wall and would never leave the full-snapshot path.
-    let every = 2;
-    let subscribers = subscribers.max(2_000);
-    let batches = batches.clamp(6, 12);
-    [1usize, 2, 8].into_iter().all(|parallelism| {
-        let scratch = ScratchDir::new(&format!("ieq-p{parallelism}"));
-        let once = run_durable_once(
-            &scratch.0,
-            subscribers,
-            batches,
-            every,
-            Some(parallelism),
-            seed,
-        );
-        if once.incremental_installs == 0 {
-            return false;
-        }
-        let store_config = StoreConfig {
-            segment_rotate_bytes: SEGMENT_ROTATE_BYTES,
-            fsync: true,
-            ..StoreConfig::default()
-        };
-        let (_store, recovered) =
-            CheckpointStore::open(&scratch.0, store_config).expect("reopen scratch store");
-        let resumed = StreamingRunner::resume(recovered.checkpoint.expect("installed"));
-        let live = &once.runner;
-        resumed.batches_ingested() == batches
-            && resumed.timeline() == live.timeline()
-            && resumed.timeline_digest() == live.timeline_digest()
-            && resumed.partitioner().graph() == live.partitioner().graph()
-            && resumed.partitioner().partitioning() == live.partitioner().partitioning()
-    })
-}
-
-/// Checks the O(window) size contract: at the same stream position a
-/// window-bounded checkpoint must be strictly smaller than the unbounded
-/// one, and the saving must widen as the stream (and with it the evicted
-/// prefix) grows.
-fn check_window_growth(subscribers: usize, batches: usize, seed: u64) -> bool {
-    let window = 2usize;
-    let short = batches / 2;
-    let size_at = |window: usize, upto: usize| -> usize {
-        let config = CdrConfig {
-            initial_subscribers: subscribers,
-            ..CdrConfig::default()
-        };
-        let graph = DynGraph::with_vertices(subscribers);
-        let cfg = AdaptiveConfig::builder(K).build().unwrap();
-        let partitioner =
-            AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, seed);
-        let mut runner = StreamingRunner::new(partitioner)
-            .iterations_per_batch(ITERS_PER_BATCH)
-            .timeline_window(window);
-        let mut source = CdrStream::new(config, seed);
-        for _ in 0..upto {
-            let batch = source.next_batch().expect("CDR stream is open-ended");
-            runner.ingest(&batch);
-        }
-        runner.checkpoint().to_bytes().len()
-    };
-    let win_short = size_at(window, short);
-    let win_long = size_at(window, batches);
-    let unb_short = size_at(usize::MAX, short);
-    let unb_long = size_at(usize::MAX, batches);
-    // Graph bytes cancel between same-position pairs, so the comparisons
-    // isolate the timeline term: bounded is smaller, and grows slower.
-    win_short < unb_short
-        && win_long < unb_long
-        && (unb_long - win_long) > (unb_short - win_short)
-        && (win_long.saturating_sub(win_short)) < (unb_long - unb_short)
-}
-
 /// Median of a sample set; 0 when empty (the baseline row has no paired
-/// deltas).
-fn median(xs: &[f64]) -> f64 {
+/// deltas, a run without an incremental install no delta ratios).
+fn median_or_zero(xs: &[f64]) -> f64 {
     if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    let mid = sorted.len() / 2;
-    if sorted.len() % 2 == 1 {
-        sorted[mid]
+        0.0
     } else {
-        (sorted[mid - 1] + sorted[mid]) / 2.0
+        WallStats::from_samples(xs).median
     }
 }
 
@@ -482,7 +346,7 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> PersistResult {
     for snapshot_every in cadences {
         let mut samples = Vec::with_capacity(reps);
         let mut paired_deltas = Vec::with_capacity(reps);
-        let mut last: Option<(Option<StreamCheckpoint>, StreamingRunner)> = None;
+        let mut last: Option<StreamCheckpoint> = None;
         for _ in 0..reps {
             // Each cadence rep is paired with its own baseline rep run
             // back-to-back, so the overhead delta sees the same machine
@@ -490,24 +354,23 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> PersistResult {
             // measured minutes earlier reported *negative* overhead
             // whenever the host warmed up in between.
             if snapshot_every.is_some() {
-                let (base_ms, _, _) = run_once(subscribers, batches, None, seed);
-                let (ms, ckpt, runner) = run_once(subscribers, batches, snapshot_every, seed);
+                let (base_ms, _) = run_once(subscribers, batches, None, seed);
+                let (ms, ckpt) = run_once(subscribers, batches, snapshot_every, seed);
                 if base_ms > 0.0 {
                     paired_deltas.push(100.0 * (ms - base_ms) / base_ms);
                 }
                 samples.push(ms);
-                last = Some((ckpt, runner));
+                last = ckpt;
             } else {
-                let (ms, ckpt, runner) = run_once(subscribers, batches, None, seed);
+                let (ms, ckpt) = run_once(subscribers, batches, None, seed);
                 samples.push(ms);
-                last = Some((ckpt, runner));
+                last = ckpt;
             }
         }
         let wall = WallStats::from_samples(&samples);
-        let overhead_pct = median(&paired_deltas);
+        let overhead_pct = median_or_zero(&paired_deltas);
 
-        let (ckpt, runner) = last.expect("reps >= 1");
-        let row = match ckpt {
+        let row = match last {
             None => PersistRow {
                 snapshot_every,
                 batches,
@@ -519,7 +382,6 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> PersistResult {
                 encode_ms: 0.0,
                 decode_ms: 0.0,
                 resume_ms: 0.0,
-                resume_matches: true,
             },
             Some(ckpt) => {
                 let every = snapshot_every.expect("checkpoint implies cadence");
@@ -530,7 +392,7 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> PersistResult {
                 let decoded = StreamCheckpoint::from_bytes(&bytes).expect("self-written bytes");
                 let decode_ms = t.elapsed().as_secs_f64() * 1e3;
                 let t = Instant::now();
-                let resumed = StreamingRunner::resume(decoded);
+                std::hint::black_box(StreamingRunner::resume(decoded));
                 let resume_ms = t.elapsed().as_secs_f64() * 1e3;
                 PersistRow {
                     snapshot_every,
@@ -543,10 +405,6 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> PersistResult {
                     encode_ms,
                     decode_ms,
                     resume_ms,
-                    resume_matches: resumed.timeline() == runner.timeline()
-                        && resumed.partitioner().graph() == runner.partitioner().graph()
-                        && resumed.partitioner().partitioning()
-                            == runner.partitioner().partitioning(),
                 }
             }
         };
@@ -554,8 +412,6 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> PersistResult {
     }
 
     let durable_rows = run_durable(subscribers, batches, reps, seed);
-    let window_growth_ok = check_window_growth(subscribers, batches, seed);
-    let incremental_equals_full = check_incremental_equals_full(subscribers, batches, seed);
 
     PersistResult {
         scale: scale.name(),
@@ -567,8 +423,6 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> PersistResult {
         segment_rotate_bytes: SEGMENT_ROTATE_BYTES,
         rows,
         durable_rows,
-        window_growth_ok,
-        incremental_equals_full,
     }
 }
 
@@ -592,14 +446,6 @@ pub fn to_json(result: &PersistResult) -> String {
         "  \"fsync\": {}, \"segment_rotate_bytes\": {},\n",
         result.fsync, result.segment_rotate_bytes
     ));
-    out.push_str(&format!(
-        "  \"all_resumes_match\": {}, \"window_growth_ok\": {}, \
-         \"incremental_equals_full\": {}, \"recovery_ok\": {},\n",
-        result.all_resumes_match(),
-        result.window_growth_ok,
-        result.incremental_equals_full,
-        result.recovery_ok()
-    ));
     out.push_str("  \"rows\": [\n");
     for (i, row) in result.rows.iter().enumerate() {
         let cadence = match row.snapshot_every {
@@ -611,7 +457,7 @@ pub fn to_json(result: &PersistResult) -> String {
              \"wall_ms\": {{\"mean\": {:.3}, \"min\": {:.3}, \"median\": {:.3}}}, \
              \"overhead_pct\": {:.2}, \"checkpoint_bytes\": {}, \
              \"tail_batches\": {}, \"encode_ms\": {:.3}, \"decode_ms\": {:.3}, \
-             \"resume_ms\": {:.3}, \"resume_matches\": {}}}{}\n",
+             \"resume_ms\": {:.3}}}{}\n",
             cadence,
             row.snapshots,
             row.wall_ms.mean,
@@ -623,7 +469,6 @@ pub fn to_json(result: &PersistResult) -> String {
             row.encode_ms,
             row.decode_ms,
             row.resume_ms,
-            row.resume_matches,
             if i + 1 < result.rows.len() { "," } else { "" },
         ));
     }
@@ -635,8 +480,7 @@ pub fn to_json(result: &PersistResult) -> String {
              \"incremental_installs\": {}, \"delta_bytes_ratio\": {:.4}, \
              \"wall_ms\": {{\"mean\": {:.3}, \"min\": {:.3}, \"median\": {:.3}}}, \
              \"install_ms_mean\": {:.3}, \"append_ms_mean\": {:.3}, \
-             \"live_bytes\": {}, \"recovered_batches\": {}, \
-             \"recovery_matches\": {}}}{}\n",
+             \"live_bytes\": {}, \"recovered_batches\": {}}}{}\n",
             row.snapshot_every,
             row.installs,
             row.incremental_installs,
@@ -648,7 +492,6 @@ pub fn to_json(result: &PersistResult) -> String {
             row.append_ms_mean,
             row.live_bytes,
             row.recovered_batches,
-            row.recovery_matches,
             if i + 1 < result.durable_rows.len() {
                 ","
             } else {
@@ -667,7 +510,7 @@ pub fn print(result: &PersistResult) {
         result.subscribers, result.batches, result.reps
     );
     println!(
-        "{:>14} {:>10} {:>11} {:>9} {:>11} {:>10} {:>10} {:>10} {:>7}",
+        "{:>14} {:>10} {:>11} {:>9} {:>11} {:>10} {:>10} {:>10}",
         "cadence",
         "snapshots",
         "median ms",
@@ -675,8 +518,7 @@ pub fn print(result: &PersistResult) {
         "ckpt bytes",
         "encode ms",
         "decode ms",
-        "resume ms",
-        "match"
+        "resume ms"
     );
     for row in &result.rows {
         let cadence = match row.snapshot_every {
@@ -684,7 +526,7 @@ pub fn print(result: &PersistResult) {
             Some(n) => format!("every {n}"),
         };
         println!(
-            "{:>14} {:>10} {:>11.1} {:>9.2} {:>11} {:>10.3} {:>10.3} {:>10.3} {:>7}",
+            "{:>14} {:>10} {:>11.1} {:>9.2} {:>11} {:>10.3} {:>10.3} {:>10.3}",
             cadence,
             row.snapshots,
             row.wall_ms.median,
@@ -693,7 +535,6 @@ pub fn print(result: &PersistResult) {
             row.encode_ms,
             row.decode_ms,
             row.resume_ms,
-            row.resume_matches,
         );
     }
     println!(
@@ -701,7 +542,7 @@ pub fn print(result: &PersistResult) {
         result.segment_rotate_bytes >> 10
     );
     println!(
-        "{:>14} {:>9} {:>6} {:>7} {:>11} {:>11} {:>11} {:>11} {:>10} {:>7}",
+        "{:>14} {:>9} {:>6} {:>7} {:>11} {:>11} {:>11} {:>11} {:>10}",
         "cadence",
         "installs",
         "incr",
@@ -710,12 +551,11 @@ pub fn print(result: &PersistResult) {
         "install ms",
         "append ms",
         "live bytes",
-        "recovered",
-        "match"
+        "recovered"
     );
     for row in &result.durable_rows {
         println!(
-            "{:>14} {:>9} {:>6} {:>7.3} {:>11.1} {:>11.3} {:>11.3} {:>11} {:>10} {:>7}",
+            "{:>14} {:>9} {:>6} {:>7.3} {:>11.1} {:>11.3} {:>11.3} {:>11} {:>10}",
             format!("every {}", row.snapshot_every),
             row.installs,
             row.incremental_installs,
@@ -725,12 +565,8 @@ pub fn print(result: &PersistResult) {
             row.append_ms_mean,
             row.live_bytes,
             row.recovered_batches,
-            row.recovery_matches,
         );
     }
-    println!("window_growth_ok={}", result.window_growth_ok);
-    println!("incremental_equals_full={}", result.incremental_equals_full);
-    println!("recovery_ok={}", result.recovery_ok());
 }
 
 #[cfg(test)]
@@ -738,10 +574,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_sweep_runs_and_resumes_match() {
+    fn tiny_sweep_measures_every_cadence() {
         let result = run(Scale::Tiny, 1, 5);
         assert_eq!(result.rows.len(), 4);
-        assert!(result.all_resumes_match());
         assert!(
             result.rows[0].checkpoint_bytes == 0,
             "baseline writes nothing"
@@ -760,21 +595,8 @@ mod tests {
         }
         assert_eq!(result.durable_rows.len(), 4);
         for row in &result.durable_rows {
-            assert!(row.recovery_matches, "cold recovery diverged");
-            assert_eq!(row.recovered_batches, result.batches);
             assert!(row.live_bytes > 0);
             assert!(row.installs >= 1);
-            assert!(
-                row.incremental_installs < row.installs,
-                "the first install can never be incremental"
-            );
-            if row.incremental_installs > 0 {
-                assert!(
-                    row.delta_bytes_ratio > 0.0 && row.delta_bytes_ratio < 1.0,
-                    "deltas must be strictly smaller than full snapshots, got ratio {}",
-                    row.delta_bytes_ratio
-                );
-            }
         }
         assert!(
             result
@@ -783,18 +605,14 @@ mod tests {
                 .any(|r| r.incremental_installs > 0),
             "at least one cadence must exercise the delta chain"
         );
-        assert!(result.window_growth_ok, "O(window) size contract broken");
-        assert!(
-            result.incremental_equals_full,
-            "delta-chain recovery diverged from the full-snapshot path"
-        );
-        assert!(result.recovery_ok());
         let json = to_json(&result);
         assert!(json.contains("\"experiment\": \"checkpoint-overhead\""));
-        assert!(json.contains("\"all_resumes_match\": true"));
-        assert!(json.contains("\"incremental_equals_full\": true"));
         assert!(json.contains("\"delta_bytes_ratio\""));
-        assert!(json.contains("\"recovery_ok\": true"));
         assert!(json.contains("\"durable_rows\""));
+        assert_eq!(
+            json.matches('{').count(),
+            json.matches('}').count(),
+            "unbalanced JSON:\n{json}"
+        );
     }
 }

@@ -5,18 +5,17 @@
 //! forest-fire burst), the adaptive partitioner runs a fixed iteration
 //! budget at 1, 2, 4 and 8 decision-sweep threads. Reported per
 //! configuration: wall-clock (min / median / mean over repetitions, so
-//! warm-up outliers don't skew the curve), the cut-ratio trajectory, and a
-//! fingerprint of the full [`IterationStats`] history — which must be
-//! identical across thread counts, the determinism contract of the sharded
-//! sweep.
+//! warm-up outliers don't skew the curve), the apply-phase share, and the
+//! cut-ratio trajectory. That the history is identical at every thread
+//! count is `tests/parallel_determinism.rs`'s to check, not this bench's.
 //!
 //! The `scaling` binary prints the table and writes `BENCH_scaling.json`.
 
 use std::time::Instant;
 
-use apg_core::{reference, AdaptiveConfig, AdaptivePartitioner, IterationStats, SweepProfile};
-use apg_graph::{gen, CsrGraph, DynGraph, Graph, UpdateBatch, VertexId};
-use apg_partition::{cut_edges, cut_edges_sharded, InitialStrategy};
+use apg_core::{AdaptiveConfig, AdaptivePartitioner, IterationStats};
+use apg_graph::{gen, CsrGraph, DynGraph, Graph, UpdateBatch};
+use apg_partition::{cut_edges_sharded, InitialStrategy};
 use apg_streams::{forest_fire_delta, ForestFireConfig};
 
 use crate::Scale;
@@ -64,7 +63,8 @@ pub struct WallStats {
 }
 
 impl WallStats {
-    /// Summarises repetition samples (shared with the streaming bench).
+    /// Summarises repetition samples (shared with the streaming and
+    /// persist benches).
     pub fn from_samples(samples_ms: &[f64]) -> WallStats {
         assert!(!samples_ms.is_empty());
         let mut sorted = samples_ms.to_vec();
@@ -99,13 +99,10 @@ pub struct ScalingRow {
     ///
     /// [`SweepProfile::apply_ms`]: apg_core::SweepProfile::apply_ms
     pub apply_ms: WallStats,
-    /// Cut ratio after each iteration (identical across thread counts).
+    /// Cut ratio after each iteration.
     pub cut_trajectory: Vec<f64>,
-    /// Total migrations over the run (identical across thread counts).
+    /// Total migrations over the run.
     pub total_migrations: usize,
-    /// FNV fingerprint of the full `IterationStats` history; equal
-    /// fingerprints across thread counts witness the determinism contract.
-    pub fingerprint: u64,
 }
 
 /// Timing of one full-graph cut recount (`cut_edges_sharded`) at one
@@ -136,56 +133,8 @@ pub struct ScalingResult {
     pub threads_available: usize,
     /// One row per (scenario, thread count).
     pub rows: Vec<ScalingRow>,
-    /// Sharded cut-recount timing, one row per thread count; every
-    /// recount's result is checked against the serial `cut_edges`.
+    /// Sharded cut-recount timing, one row per thread count.
     pub recount: Vec<RecountRow>,
-    /// Whether the sharded apply reproduced the serial `apply_move`
-    /// timeline exactly (histories compared per scenario) — the
-    /// equivalence contract of the parallel apply path.
-    pub apply_parallel_equals_serial: bool,
-    /// Whether the slab-backed `DynGraph` matched a boxed-per-vertex
-    /// reference adjacency slot-for-slot after replaying identical churn
-    /// (growth burst, deletions, compaction) — the layout-invariance
-    /// contract of the `AdjPool` memory layout.
-    pub layout_equals_reference: bool,
-}
-
-impl ScalingResult {
-    /// Whether every scenario's history fingerprint agrees across thread
-    /// counts — the determinism contract of the sharded sweep. The scenario
-    /// set is derived from the rows themselves, so a rename in [`run`]
-    /// cannot make the check vacuous.
-    pub fn deterministic_across_threads(&self) -> bool {
-        let mut scenarios: Vec<&str> = self.rows.iter().map(|r| r.scenario).collect();
-        scenarios.sort_unstable();
-        scenarios.dedup();
-        for scenario in scenarios {
-            let mut prints = self
-                .rows
-                .iter()
-                .filter(|r| r.scenario == scenario)
-                .map(|r| r.fingerprint);
-            if let Some(first) = prints.next() {
-                if prints.any(|p| p != first) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-}
-
-fn fingerprint(history: &[IterationStats]) -> u64 {
-    super::fnv1a(history.iter().flat_map(|s| {
-        [
-            s.iteration as u64,
-            s.migrations as u64,
-            s.cut_edges as u64,
-            s.live_vertices as u64,
-            s.num_edges as u64,
-            s.max_partition as u64,
-        ]
-    }))
 }
 
 fn config(threads: usize) -> AdaptiveConfig {
@@ -199,67 +148,47 @@ fn config(threads: usize) -> AdaptiveConfig {
 /// the apply-phase share summed over the run's iterations.
 type Measured = (Vec<IterationStats>, f64, f64);
 
-/// One profiled iteration: production's `iterate_profiled` for the
-/// measured rows, the serial-apply reference driver
-/// (`apg_core::reference::iterate_serial_apply`) for the equivalence arm.
-type Iterate = fn(&mut AdaptivePartitioner) -> (IterationStats, SweepProfile);
-
 /// Profiled `run_for`: drives `iters` iterations, accumulating the
 /// apply-phase wall-clock alongside the history.
 fn run_profiled(
     p: &mut AdaptivePartitioner,
     iters: usize,
-    iterate: Iterate,
     apply_ms: &mut f64,
 ) -> Vec<IterationStats> {
     (0..iters)
         .map(|_| {
-            let (stats, profile) = iterate(p);
+            let (stats, profile) = p.iterate_profiled();
             *apply_ms += profile.apply_ms;
             stats
         })
         .collect()
 }
 
-/// Static power-law refinement: `iters` iterations from a hash assignment.
-fn run_powerlaw(
-    graph: &CsrGraph,
-    _burst: &UpdateBatch,
-    threads: usize,
-    iterate: Iterate,
-    seed: u64,
-    iters: usize,
-) -> Measured {
-    let cfg = config(threads);
-    let mut p = AdaptivePartitioner::with_strategy(graph, InitialStrategy::Hash, &cfg, seed);
-    let mut apply_ms = 0.0;
-    let start = Instant::now();
-    let history = run_profiled(&mut p, iters, iterate, &mut apply_ms);
-    (history, start.elapsed().as_secs_f64() * 1e3, apply_ms)
-}
-
-/// Dynamic absorption: refine briefly, replay the precomputed +10%
-/// forest-fire burst through the shared delta model
+/// One scenario run of `iters` iterations from a hash assignment. Without
+/// a burst that is static power-law refinement. With one it is dynamic
+/// absorption: refine for a third of the budget, replay the precomputed
+/// +10% forest-fire burst through the shared delta model
 /// (`AdaptivePartitioner::apply_batch`), keep iterating. The timed window
 /// covers the sweeps and the batch replay — the scenario work — but not
 /// the burst *generation*, which is identical serial work at every thread
 /// count and would only dilute the measured scaling.
-fn run_burst(
+fn run_scenario(
     graph: &CsrGraph,
-    burst: &UpdateBatch,
+    burst: Option<&UpdateBatch>,
     threads: usize,
-    iterate: Iterate,
     seed: u64,
     iters: usize,
 ) -> Measured {
-    let warm = iters / 3;
+    let warm = if burst.is_some() { iters / 3 } else { iters };
     let cfg = config(threads);
     let mut p = AdaptivePartitioner::with_strategy(graph, InitialStrategy::Hash, &cfg, seed);
     let mut apply_ms = 0.0;
     let start = Instant::now();
-    let mut history = run_profiled(&mut p, warm, iterate, &mut apply_ms);
-    p.apply_batch(burst);
-    history.extend(run_profiled(&mut p, iters - warm, iterate, &mut apply_ms));
+    let mut history = run_profiled(&mut p, warm, &mut apply_ms);
+    if let Some(burst) = burst {
+        p.apply_batch(burst);
+        history.extend(run_profiled(&mut p, iters - warm, &mut apply_ms));
+    }
     (history, start.elapsed().as_secs_f64() * 1e3, apply_ms)
 }
 
@@ -272,135 +201,6 @@ fn burst_update_batch(graph: &CsrGraph, seed: u64) -> UpdateBatch {
     forest_fire_delta(&shadow, &ForestFireConfig::burst(burst, seed ^ 0xF1FE))
 }
 
-/// The pre-slab adjacency shape — one boxed, sorted `Vec` per vertex —
-/// kept alive here as the reference the slab layout is checked against.
-/// Implements [`apg_graph::DeltaTarget`] with exactly `DynGraph`'s
-/// documented mutation semantics (sorted lists, tombstones strip
-/// adjacency, ids never reused, self-loops/dead endpoints/duplicates
-/// rejected), so replaying one batch into both must yield identical
-/// per-slot lists.
-struct BoxedAdjacency {
-    adj: Vec<Vec<VertexId>>,
-    alive: Vec<bool>,
-    num_edges: usize,
-}
-
-impl BoxedAdjacency {
-    fn from_csr(g: &CsrGraph) -> Self {
-        let n = g.num_vertices();
-        BoxedAdjacency {
-            adj: (0..n as VertexId)
-                .map(|v| g.neighbors(v).to_vec())
-                .collect(),
-            alive: vec![true; n],
-            num_edges: g.num_edges(),
-        }
-    }
-
-    fn is_live(&self, v: VertexId) -> bool {
-        (v as usize) < self.alive.len() && self.alive[v as usize]
-    }
-}
-
-impl apg_graph::delta::DeltaTarget for BoxedAdjacency {
-    fn delta_add_vertex(&mut self) -> VertexId {
-        self.adj.push(Vec::new());
-        self.alive.push(true);
-        (self.adj.len() - 1) as VertexId
-    }
-
-    fn delta_add_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if u == v || !self.is_live(u) || !self.is_live(v) {
-            return false;
-        }
-        match self.adj[u as usize].binary_search(&v) {
-            Ok(_) => return false,
-            Err(pos) => self.adj[u as usize].insert(pos, v),
-        }
-        let pos = self.adj[v as usize].binary_search(&u).unwrap_err();
-        self.adj[v as usize].insert(pos, u);
-        self.num_edges += 1;
-        true
-    }
-
-    fn delta_remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if u == v || !self.is_live(u) || !self.is_live(v) {
-            return false;
-        }
-        match self.adj[u as usize].binary_search(&v) {
-            Ok(pos) => self.adj[u as usize].remove(pos),
-            Err(_) => return false,
-        };
-        let pos = self.adj[v as usize]
-            .binary_search(&u)
-            .expect("asymmetric adjacency");
-        self.adj[v as usize].remove(pos);
-        self.num_edges -= 1;
-        true
-    }
-
-    fn delta_remove_vertex(&mut self, v: VertexId) -> Option<usize> {
-        if !self.is_live(v) {
-            return None;
-        }
-        let neighbors = std::mem::take(&mut self.adj[v as usize]);
-        for &w in &neighbors {
-            let list = &mut self.adj[w as usize];
-            if let Ok(pos) = list.binary_search(&v) {
-                list.remove(pos);
-            }
-        }
-        self.num_edges -= neighbors.len();
-        self.alive[v as usize] = false;
-        Some(neighbors.len())
-    }
-}
-
-/// Replays identical churn — a forest-fire growth burst, then a deletion
-/// wave heavy enough to trigger arena compaction — into the slab-backed
-/// [`DynGraph`] and into [`BoxedAdjacency`], then compares every slot:
-/// liveness, neighbour list, and edge count. Runs at a fixed small size
-/// (the contract is about layout correctness, not scale), so an `xl`
-/// invocation doesn't pay for it twice.
-fn layout_equals_reference(seed: u64) -> bool {
-    let base = gen::holme_kim(10_000, 8, 0.1, seed ^ 0x51AB);
-    let mut slab = DynGraph::from(&base);
-    let mut boxed = BoxedAdjacency::from_csr(&base);
-
-    let replay = |batch: &UpdateBatch, slab: &mut DynGraph, boxed: &mut BoxedAdjacency| {
-        batch.apply_to(slab);
-        batch.apply_to(boxed);
-    };
-    replay(&burst_update_batch(&base, seed), &mut slab, &mut boxed);
-
-    // Deletion wave: tombstone a spread of vertices (freeing their spans)
-    // and strip edges off others, then add fresh vertices into the holes'
-    // id space — tombstoned ids must stay retired.
-    let mut churn = UpdateBatch::new();
-    for v in (0..base.num_vertices() as VertexId).step_by(3) {
-        churn.remove_vertex(v);
-    }
-    for v in (1..base.num_vertices() as VertexId).step_by(5) {
-        if let Some(&w) = base.neighbors(v).first() {
-            churn.remove_edge(v, w);
-        }
-    }
-    let a = churn.add_vertex(vec![1, 4]);
-    let b = churn.add_vertex(vec![7]);
-    churn.connect_new(a, b);
-    replay(&churn, &mut slab, &mut boxed);
-
-    // Compaction is layout-only; comparing after forcing one proves it.
-    slab.compact_adjacency();
-
-    slab.num_vertices() == boxed.adj.len()
-        && slab.num_edges() == boxed.num_edges
-        && (0..slab.num_vertices() as VertexId).all(|v| {
-            slab.is_vertex(v) == boxed.is_live(v)
-                && slab.neighbors(v) == boxed.adj[v as usize].as_slice()
-        })
-}
-
 /// Runs the full sweep.
 pub fn run(scale: Scale, reps: usize, seed: u64) -> ScalingResult {
     let n = vertices(scale);
@@ -410,21 +210,14 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> ScalingResult {
     let burst = burst_update_batch(&graph, seed);
     let reps = reps.max(1);
 
-    type Scenario = fn(&CsrGraph, &UpdateBatch, usize, Iterate, u64, usize) -> Measured;
-    let scenarios: [(&'static str, Scenario); 2] =
-        [("powerlaw", run_powerlaw), ("forest-fire-burst", run_burst)];
-
-    let production: Iterate = AdaptivePartitioner::iterate_profiled;
-    let serial: Iterate = reference::iterate_serial_apply;
     let mut rows = Vec::new();
-    let mut apply_parallel_equals_serial = true;
-    for (name, scenario) in scenarios {
+    for (name, burst) in [("powerlaw", None), ("forest-fire-burst", Some(&burst))] {
         for &threads in &THREADS {
             let mut samples = Vec::with_capacity(reps);
             let mut apply_samples = Vec::with_capacity(reps);
             let mut history = Vec::new();
             for _ in 0..reps {
-                let (h, ms, apply) = scenario(&graph, &burst, threads, production, seed, iters);
+                let (h, ms, apply) = run_scenario(&graph, burst, threads, seed, iters);
                 samples.push(ms);
                 apply_samples.push(apply);
                 history = h;
@@ -436,35 +229,21 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> ScalingResult {
                 apply_ms: WallStats::from_samples(&apply_samples),
                 cut_trajectory: history.iter().map(|s| s.cut_ratio()).collect(),
                 total_migrations: history.iter().map(|s| s.migrations).sum(),
-                fingerprint: fingerprint(&history),
             });
         }
-        // Equivalence arm: one serial-apply run at the widest fan-out must
-        // reproduce the parallel rows' history bit-for-bit.
-        let widest = *THREADS.last().expect("THREADS is non-empty");
-        let (serial_history, _, _) = scenario(&graph, &burst, widest, serial, seed, iters);
-        let serial_print = fingerprint(&serial_history);
-        apply_parallel_equals_serial &= rows
-            .iter()
-            .filter(|r| r.scenario == name)
-            .all(|r| r.fingerprint == serial_print);
     }
 
     // Sharded recount timing: the one-shot cost `from_parts`/restore pays.
-    // Every timed recount is also checked against the serial count, so a
-    // wrong-but-fast recount cannot post a good number.
     let assignment =
         AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &config(1), seed);
     let partitioning = assignment.partitioning().clone();
-    let serial_cut = cut_edges(&graph, &partitioning);
     let mut recount = Vec::new();
     for &threads in &THREADS {
         let mut samples = Vec::with_capacity(reps);
         for _ in 0..reps {
             let start = Instant::now();
-            let sharded = cut_edges_sharded(&graph, &partitioning, threads);
+            std::hint::black_box(cut_edges_sharded(&graph, &partitioning, threads));
             samples.push(start.elapsed().as_secs_f64() * 1e3);
-            assert_eq!(sharded, serial_cut, "sharded recount diverged");
         }
         recount.push(RecountRow {
             threads,
@@ -481,8 +260,6 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> ScalingResult {
         threads_available: apg_exec::available_parallelism(),
         rows,
         recount,
-        apply_parallel_equals_serial,
-        layout_equals_reference: layout_equals_reference(seed),
     }
 }
 
@@ -501,18 +278,6 @@ pub fn to_json(result: &ScalingResult) -> String {
         "  \"scale\": \"{}\", \"reps\": {}, \"iterations\": {}, \"threads_available\": {},\n",
         result.scale, result.reps, result.iterations, result.threads_available
     ));
-    out.push_str(&format!(
-        "  \"deterministic_across_threads\": {},\n",
-        result.deterministic_across_threads()
-    ));
-    out.push_str(&format!(
-        "  \"apply_parallel_equals_serial\": {},\n",
-        result.apply_parallel_equals_serial
-    ));
-    out.push_str(&format!(
-        "  \"layout_equals_reference\": {},\n",
-        result.layout_equals_reference
-    ));
     out.push_str("  \"rows\": [\n");
     for (i, row) in result.rows.iter().enumerate() {
         let trajectory = row
@@ -525,8 +290,7 @@ pub fn to_json(result: &ScalingResult) -> String {
             "    {{\"scenario\": \"{}\", \"threads\": {}, \
              \"wall_ms\": {{\"mean\": {:.3}, \"min\": {:.3}, \"median\": {:.3}}}, \
              \"apply_ms\": {{\"mean\": {:.3}, \"min\": {:.3}, \"median\": {:.3}}}, \
-             \"total_migrations\": {}, \"history_fingerprint\": \"{:016x}\", \
-             \"cut_trajectory\": [{}]}}{}\n",
+             \"total_migrations\": {}, \"cut_trajectory\": [{}]}}{}\n",
             row.scenario,
             row.threads,
             row.wall_ms.mean,
@@ -536,7 +300,6 @@ pub fn to_json(result: &ScalingResult) -> String {
             row.apply_ms.min,
             row.apply_ms.median,
             row.total_migrations,
-            row.fingerprint,
             trajectory,
             if i + 1 < result.rows.len() { "," } else { "" },
         ));
@@ -605,30 +368,6 @@ pub fn print(result: &ScalingResult) {
             recount_base / row.wall_ms.min.max(1e-3),
         );
     }
-    println!(
-        "history identical across thread counts: {}",
-        if result.deterministic_across_threads() {
-            "yes (determinism contract holds)"
-        } else {
-            "NO — INVESTIGATE"
-        }
-    );
-    println!(
-        "parallel apply matches serial apply: {}",
-        if result.apply_parallel_equals_serial {
-            "yes (equivalence contract holds)"
-        } else {
-            "NO — INVESTIGATE"
-        }
-    );
-    println!(
-        "slab adjacency matches boxed reference: {}",
-        if result.layout_equals_reference {
-            "yes (layout contract holds)"
-        } else {
-            "NO — INVESTIGATE"
-        }
-    );
 }
 
 #[cfg(test)]
@@ -636,28 +375,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histories_identical_across_thread_counts() {
+    fn every_cell_runs_and_the_sweep_does_work() {
         let result = run(Scale::Tiny, 1, 5);
         assert_eq!(result.rows.len(), 2 * THREADS.len());
-        assert!(result.deterministic_across_threads());
-        assert!(
-            result.apply_parallel_equals_serial,
-            "sharded apply diverged from the serial apply"
-        );
         assert_eq!(result.recount.len(), THREADS.len());
-        // The trajectories, not just the fingerprints, must agree.
-        for scenario in ["powerlaw", "forest-fire-burst"] {
-            let rows: Vec<_> = result
-                .rows
-                .iter()
-                .filter(|r| r.scenario == scenario)
-                .collect();
-            for r in &rows[1..] {
-                assert_eq!(r.cut_trajectory, rows[0].cut_trajectory, "{scenario}");
-                assert_eq!(r.total_migrations, rows[0].total_migrations);
-            }
+        for row in &result.rows {
+            assert_eq!(row.cut_trajectory.len(), result.iterations);
             // The sweep must actually do something worth timing.
-            assert!(rows[0].total_migrations > 0);
+            assert!(row.total_migrations > 0, "{} was quiet", row.scenario);
         }
     }
 
@@ -671,9 +396,6 @@ mod tests {
             json.matches('}').count(),
             "unbalanced JSON:\n{json}"
         );
-        assert!(json.contains("\"deterministic_across_threads\": true"));
-        assert!(json.contains("\"apply_parallel_equals_serial\": true"));
-        assert!(json.contains("\"layout_equals_reference\": true"));
         assert!(json.contains("\"scale\": \"tiny\""));
         assert!(json.contains("\"threads_available\""));
         assert_eq!(json.matches("\"apply_ms\"").count(), result.rows.len());

@@ -17,16 +17,16 @@
 //! Because query generation reads only `(graph, seed, round)` — never the
 //! assignment — all three arms answer the *identical* queries; the only
 //! thing that moves is how many traversal hops stay inside the anchor's
-//! partition. The sweep covers query mix × churn rate, and one scenario is
-//! re-served at parallelism 1/2/8 to witness that the serve timeline is
-//! byte-identical at any thread count.
+//! partition. The sweep covers query mix × churn rate. That the serve
+//! timeline is byte-identical at any thread count is
+//! `tests/serve_correctness.rs`'s to check, not this bench's.
 //!
 //! The `serve` binary prints the table and writes `BENCH_serve.json`.
 
 use apg_core::{AdaptiveConfig, AdaptivePartitioner, StreamingRunner};
 use apg_graph::{DynGraph, Graph};
 use apg_partition::{InitialStrategy, PartitionId, Partitioning};
-use apg_serve::{QueryMix, QueryWorkload, ServeStats};
+use apg_serve::{QueryMix, QueryWorkload};
 use apg_streams::{CdrConfig, CdrStream};
 
 use crate::Scale;
@@ -207,9 +207,6 @@ pub struct ServeResult {
     pub batches: usize,
     /// One entry per query-mix × churn combination.
     pub scenarios: Vec<ScenarioResult>,
-    /// Whether the witness scenario produced byte-identical serve
-    /// timelines at parallelism 1, 2 and 8 — the determinism contract.
-    pub parallelism_invariant: bool,
 }
 
 impl ServeResult {
@@ -222,22 +219,14 @@ impl ServeResult {
     }
 }
 
-/// Runs one arm over one scenario, returning the per-round timeline and
-/// the aggregate.
-fn run_arm(
-    arm: Arm,
-    cdr: CdrConfig,
-    mix: QueryMix,
-    scale: Scale,
-    seed: u64,
-    parallelism: usize,
-) -> (Vec<ServeStats>, ArmResult) {
+/// Runs one arm over one scenario, returning its aggregate.
+fn run_arm(arm: Arm, cdr: CdrConfig, mix: QueryMix, scale: Scale, seed: u64) -> ArmResult {
     let graph = DynGraph::with_vertices(cdr.initial_subscribers);
     // Bounded convergence run for the adaptive warm-up; the non-adapting
     // arms share the config so all three place streamed-in vertices the
     // same way.
     let config = AdaptiveConfig::builder(K)
-        .parallelism(parallelism)
+        .parallelism(apg_exec::available_parallelism().min(8))
         .max_iterations(120)
         .build()
         .expect("static bench configuration is valid");
@@ -276,10 +265,10 @@ fn run_arm(
     let consumed = runner.drive(&mut stream, batches(scale));
     assert_eq!(consumed, batches(scale), "CDR streams never end");
 
-    let timeline = runner.serve_timeline().to_vec();
-    let partitioner = runner.into_partitioner();
+    let timeline = runner.serve_timeline();
+    let partitioner = runner.partitioner();
     let edges = partitioner.graph().num_edges();
-    let aggregate = ArmResult {
+    ArmResult {
         partitioner: arm.label(),
         rounds: timeline.len(),
         queries: timeline.iter().map(|s| s.queries).sum(),
@@ -291,12 +280,10 @@ fn run_arm(
         } else {
             partitioner.cut_edges() as f64 / edges as f64
         },
-    };
-    (timeline, aggregate)
+    }
 }
 
-/// Runs the full sweep: query mix × churn × arm, plus the parallelism
-/// witness on the community-biased / paper-churn scenario.
+/// Runs the full sweep: query mix × churn × arm.
 pub fn run(scale: Scale, seed: u64) -> ServeResult {
     let base = CdrConfig {
         initial_subscribers: subscribers(scale),
@@ -314,28 +301,11 @@ pub fn run(scale: Scale, seed: u64) -> ServeResult {
             let cdr = churn.apply(base);
             let arms = Arm::ALL
                 .iter()
-                .map(|&arm| run_arm(arm, cdr, mix, scale, seed, config_parallelism()).1)
+                .map(|&arm| run_arm(arm, cdr, mix, scale, seed))
                 .collect();
             scenarios.push(ScenarioResult { mix, churn, arms });
         }
     }
-
-    // Determinism witness: the adaptive arm of one scenario, re-served at
-    // parallelism 1/2/8 — all three timelines must be byte-identical
-    // (ServeStats equality already ignores wall-clock).
-    let witness = |threads: usize| {
-        run_arm(
-            Arm::Adaptive,
-            base,
-            QueryMix::CommunityBiased,
-            scale,
-            seed,
-            threads,
-        )
-        .0
-    };
-    let t1 = witness(1);
-    let parallelism_invariant = t1 == witness(2) && t1 == witness(8);
 
     ServeResult {
         scale: scale.name(),
@@ -344,14 +314,7 @@ pub fn run(scale: Scale, seed: u64) -> ServeResult {
         queries_per_round: queries_per_round(scale),
         batches: batches(scale),
         scenarios,
-        parallelism_invariant,
     }
-}
-
-/// Decision-sweep/serve thread count for the main sweep (the witness
-/// re-runs pin 1/2/8 explicitly).
-fn config_parallelism() -> usize {
-    apg_exec::available_parallelism().min(8)
 }
 
 /// Serialises the result as JSON (hand-rolled: the vendored `serde`
@@ -371,10 +334,6 @@ pub fn to_json(result: &ServeResult) -> String {
     out.push_str(&format!(
         "  \"queries_per_round\": {}, \"khop_depth\": {KHOP_DEPTH}, \"k\": {K},\n",
         result.queries_per_round
-    ));
-    out.push_str(&format!(
-        "  \"serve_timelines_parallelism_invariant\": {},\n",
-        result.parallelism_invariant
     ));
     out.push_str(&format!(
         "  \"adaptive_beats_hash\": {},\n",
@@ -444,18 +403,13 @@ pub fn print(result: &ServeResult) {
         }
     }
     println!(
-        "adaptive beats hash in {}/{} scenarios; serve timelines parallelism-invariant: {}",
+        "adaptive beats hash in {}/{} scenarios",
         result
             .scenarios
             .iter()
             .filter(|s| s.adaptive_advantage_pts() > 0.0)
             .count(),
         result.scenarios.len(),
-        if result.parallelism_invariant {
-            "yes (determinism contract holds)"
-        } else {
-            "NO — INVESTIGATE"
-        }
     );
 }
 
@@ -464,13 +418,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn adaptive_beats_hash_and_serving_is_deterministic() {
+    fn adaptive_beats_hash() {
         let result = run(Scale::Tiny, 42);
         assert_eq!(result.scenarios.len(), 6);
-        assert!(
-            result.parallelism_invariant,
-            "serve timeline diverged across parallelism levels"
-        );
         assert!(
             result.adaptive_beats_hash(),
             "adaptive never beat the hash baseline on local hops"
@@ -510,6 +460,5 @@ mod tests {
             json.matches('}').count(),
             "unbalanced JSON:\n{json}"
         );
-        assert!(json.contains("\"serve_timelines_parallelism_invariant\": true"));
     }
 }

@@ -5,9 +5,9 @@
 //! [`StreamingRunner`] layer buys. The three dynamic scenarios — CDR weeks,
 //! Twitter windows, a forest-fire burst — are each swept over batch sizes
 //! (finer batching = fresher partitioning but more repartitioning rounds;
-//! coarser batching = bigger cut spikes per batch), with the per-batch
-//! [`TimelineStats`] fingerprinted to witness the determinism contract:
-//! the timeline is identical at every `parallelism` level.
+//! coarser batching = bigger cut spikes per batch). That the timeline is
+//! identical at every `parallelism` level is
+//! `tests/streaming_determinism.rs`'s to check, not this bench's.
 //!
 //! The `streaming` binary prints the table and writes
 //! `BENCH_streaming.json`.
@@ -94,12 +94,6 @@ pub struct StreamingRow {
     pub final_edges: usize,
     /// Wall-clock over ingest + iterations, summarised over repetitions.
     pub wall_ms: WallStats,
-    /// FNV fingerprint of the timeline's deterministic fields; equal
-    /// fingerprints across parallelism levels witness the determinism
-    /// contract.
-    pub fingerprint: u64,
-    /// Whether a `parallelism = 1` re-run produced the identical timeline.
-    pub deterministic_vs_single_thread: bool,
 }
 
 /// Full experiment output.
@@ -119,21 +113,6 @@ pub struct StreamingResult {
     pub threads: usize,
     /// One row per (scenario, batch-size knob).
     pub rows: Vec<StreamingRow>,
-}
-
-impl StreamingResult {
-    /// Whether every row's timeline matched its single-threaded re-run.
-    pub fn deterministic_across_threads(&self) -> bool {
-        self.rows.iter().all(|r| r.deterministic_vs_single_thread)
-    }
-}
-
-fn fingerprint(timeline: &[TimelineStats]) -> u64 {
-    super::fnv1a(
-        timeline
-            .iter()
-            .flat_map(|s| s.deterministic_fields().map(|f| f as u64)),
-    )
 }
 
 /// A scenario cell: how to build the source and the base graph, and how
@@ -222,8 +201,7 @@ fn run_cell(cell: &Cell, threads: usize, seed: u64) -> (Vec<TimelineStats>, f64)
     (runner.timeline().to_vec(), wall_ms)
 }
 
-/// Runs the full sweep at the host's available parallelism, re-checking
-/// every cell single-threaded for the determinism contract.
+/// Runs the full sweep at the host's available parallelism.
 pub fn run(scale: Scale, reps: usize, seed: u64) -> StreamingResult {
     let threads = apg_exec::available_parallelism();
     let reps = reps.max(1);
@@ -236,7 +214,6 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> StreamingResult {
             samples.push(ms);
             timeline = t;
         }
-        let (single, _) = run_cell(&cell, 1, seed);
         let last = timeline.last().expect("at least one batch");
         rows.push(StreamingRow {
             scenario: cell.scenario,
@@ -254,8 +231,6 @@ pub fn run(scale: Scale, reps: usize, seed: u64) -> StreamingResult {
             final_vertices: last.live_vertices,
             final_edges: last.num_edges,
             wall_ms: WallStats::from_samples(&samples),
-            fingerprint: fingerprint(&timeline),
-            deterministic_vs_single_thread: single == timeline,
         });
     }
     StreamingResult {
@@ -283,10 +258,6 @@ pub fn to_json(result: &StreamingResult) -> String {
         "  \"reps\": {}, \"iterations_per_batch\": {}, \"k\": {}, \"threads\": {},\n",
         result.reps, result.iterations_per_batch, result.k, result.threads
     ));
-    out.push_str(&format!(
-        "  \"deterministic_across_threads\": {},\n",
-        result.deterministic_across_threads()
-    ));
     out.push_str("  \"rows\": [\n");
     for (i, row) in result.rows.iter().enumerate() {
         out.push_str(&format!(
@@ -294,8 +265,7 @@ pub fn to_json(result: &StreamingResult) -> String {
              \"deltas\": {}, \"mean_batch_deltas\": {:.1}, \
              \"final_cut_ratio\": {:.6}, \"peak_ingest_cut_ratio\": {:.6}, \
              \"migrations\": {}, \"final_vertices\": {}, \"final_edges\": {}, \
-             \"wall_ms\": {{\"mean\": {:.3}, \"min\": {:.3}, \"median\": {:.3}}}, \
-             \"timeline_fingerprint\": \"{:016x}\", \"deterministic_vs_single_thread\": {}}}{}\n",
+             \"wall_ms\": {{\"mean\": {:.3}, \"min\": {:.3}, \"median\": {:.3}}}}}{}\n",
             row.scenario,
             row.knob,
             row.batches,
@@ -309,8 +279,6 @@ pub fn to_json(result: &StreamingResult) -> String {
             row.wall_ms.mean,
             row.wall_ms.min,
             row.wall_ms.median,
-            row.fingerprint,
-            row.deterministic_vs_single_thread,
             if i + 1 < result.rows.len() { "," } else { "" },
         ));
     }
@@ -348,14 +316,6 @@ pub fn print(result: &StreamingResult) {
             row.wall_ms.median,
         );
     }
-    println!(
-        "timeline identical across thread counts: {}",
-        if result.deterministic_across_threads() {
-            "yes (determinism contract holds)"
-        } else {
-            "NO — INVESTIGATE"
-        }
-    );
 }
 
 #[cfg(test)]
@@ -363,10 +323,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_covers_all_scenarios_and_is_deterministic() {
+    fn sweep_covers_all_scenarios() {
         let result = run(Scale::Tiny, 1, 5);
         assert_eq!(result.rows.len(), 9);
-        assert!(result.deterministic_across_threads());
         for scenario in ["cdr", "twitter", "forest-fire"] {
             let rows: Vec<_> = result
                 .rows
@@ -402,6 +361,5 @@ mod tests {
             json.matches('}').count(),
             "unbalanced JSON:\n{json}"
         );
-        assert!(json.contains("\"deterministic_across_threads\": true"));
     }
 }

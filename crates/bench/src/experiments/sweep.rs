@@ -4,8 +4,8 @@
 //! ≥100k-vertex power-law graph the adaptive partitioner runs the same
 //! scenario twice — once with the active-set sweep (production's
 //! `iterate_profiled`) and once under the exhaustive reference driver
-//! (`apg_core::reference::iterate_exhaustive`, identical results by
-//! construction) — through three phases:
+//! (`apg_core::reference::iterate_exhaustive`), the measured baseline —
+//! through three phases:
 //!
 //! 1. **refine**: a fixed iteration budget from a hash assignment, long
 //!    enough to go quiet (time-to-quiet is reported);
@@ -17,8 +17,8 @@
 //!    the dirtied region, not the graph.
 //!
 //! Per phase and mode: decide / merge / apply wall-clock and visited-slot
-//! counts. The cut trajectories of the two modes must be identical — the
-//! exactness contract — and the JSON records that the check ran.
+//! counts. That both modes produce identical histories is
+//! `tests/active_set_sweep.rs`'s to check, not this bench's.
 //!
 //! The `sweep` binary prints the table and writes `BENCH_sweep.json`.
 
@@ -136,9 +136,6 @@ pub struct ModeResult {
     pub quiet_at: Option<usize>,
     /// Active vertices when the refine budget ended.
     pub active_after_refine: usize,
-    /// Cut-edge count after every iteration of every phase, in order —
-    /// must be identical across modes (the exactness contract).
-    pub cut_trajectory: Vec<usize>,
 }
 
 /// Full experiment output.
@@ -190,13 +187,6 @@ impl SweepResult {
         let full = self.mode("exhaustive").churn.per_unit_ms();
         full / active.max(1e-3)
     }
-
-    /// Whether both modes produced byte-identical cut trajectories — the
-    /// exactness contract of the active-set sweep.
-    pub fn identical_trajectories(&self) -> bool {
-        let first = &self.modes[0].cut_trajectory;
-        self.modes.iter().all(|m| &m.cut_trajectory == first)
-    }
 }
 
 /// One profiled iteration under a sweep mode's driver.
@@ -214,7 +204,6 @@ fn run_mode(
     (mode, iterate): (&'static str, Iterate),
 ) -> ModeResult {
     let mut p = AdaptivePartitioner::with_strategy(graph, InitialStrategy::Hash, cfg, seed);
-    let mut trajectory = Vec::new();
 
     let mut refine = PhaseCost::default();
     let mut quiet_at = None;
@@ -230,7 +219,6 @@ fn run_mode(
         if stats.migrations == 0 && quiet_at.is_none() {
             quiet_at = Some(i);
         }
-        trajectory.push(stats.cut_edges);
     }
     refine.finish(refine_iters, refine_iters);
     let active_after_refine = p.num_active_vertices();
@@ -244,7 +232,6 @@ fn run_mode(
             &profile,
             stats.migrations,
         );
-        trajectory.push(stats.cut_edges);
     }
     converged.finish(CONVERGED_ITERS, CONVERGED_ITERS);
 
@@ -258,7 +245,6 @@ fn run_mode(
             let (stats, profile) = iterate(&mut p);
             wall += start.elapsed().as_secs_f64() * 1e3;
             churn_cost.absorb(0.0, &profile, stats.migrations);
-            trajectory.push(stats.cut_edges);
         }
         churn_cost.total_ms += wall;
     }
@@ -272,7 +258,6 @@ fn run_mode(
         churn: churn_cost,
         quiet_at,
         active_after_refine,
-        cut_trajectory: trajectory,
     }
 }
 
@@ -347,10 +332,6 @@ pub fn to_json(result: &SweepResult) -> String {
         result.refine_iterations, result.churn_batches, result.churn_batch_size, result.parallelism
     ));
     out.push_str(&format!(
-        "  \"identical_cut_trajectories\": {},\n",
-        result.identical_trajectories()
-    ));
-    out.push_str(&format!(
         "  \"converged_speedup\": {:.1}, \"churn_speedup\": {:.1},\n",
         result.converged_speedup(),
         result.churn_speedup()
@@ -412,14 +393,9 @@ pub fn print(result: &SweepResult) {
         );
     }
     println!(
-        "converged-phase speedup: {:.1}x, churn speedup: {:.1}x, identical cut trajectories: {}",
+        "converged-phase speedup: {:.1}x, churn speedup: {:.1}x",
         result.converged_speedup(),
         result.churn_speedup(),
-        if result.identical_trajectories() {
-            "yes (exactness contract holds)"
-        } else {
-            "NO — INVESTIGATE"
-        }
     );
 }
 
@@ -428,19 +404,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn modes_agree_and_active_set_wins() {
+    fn active_set_decays_and_visits_less() {
         let result = run(Scale::Tiny, 11);
         assert_eq!(result.modes.len(), 2);
-        assert!(
-            result.identical_trajectories(),
-            "active-set sweep diverged from the exhaustive sweep"
-        );
-        // Both modes go quiet at the same iteration (same histories), and
-        // the active set has decayed well below the live population.
-        assert_eq!(
-            result.mode("active-set").quiet_at,
-            result.mode("exhaustive").quiet_at
-        );
+        // The active set has decayed well below the live population.
         let active = result.mode("active-set");
         assert!(
             active.active_after_refine < result.vertices / 4,
@@ -466,7 +433,6 @@ mod tests {
             json.matches('}').count(),
             "unbalanced JSON:\n{json}"
         );
-        assert!(json.contains("\"identical_cut_trajectories\": true"));
         assert!(json.contains("\"scale\": \"tiny\""));
         assert!(json.contains("\"threads_available\""));
     }

@@ -19,3 +19,13 @@ pub mod experiments;
 pub mod scale;
 
 pub use scale::Scale;
+
+/// Writes a perf experiment's JSON report to `path` and says so. A report
+/// that cannot be written is a failed run, so this exits non-zero.
+pub fn write_report(path: &str, json: &str) {
+    if let Err(e) = std::fs::write(path, json) {
+        eprintln!("could not write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {path}");
+}

@@ -12,9 +12,11 @@
 
 use proptest::prelude::*;
 
-use apg::core::{reference, AdaptiveConfig, AdaptivePartitioner, IterationStats};
-use apg::graph::{gen, CsrGraph, Graph};
+use apg::core::{reference, AdaptiveConfig, AdaptivePartitioner, IterationStats, SweepProfile};
+use apg::exec::DEFAULT_SHARD_SIZE;
+use apg::graph::{gen, CsrGraph, DynGraph, Graph};
 use apg::partition::InitialStrategy;
+use apg::streams::{PowerLawGrowth, StreamSource};
 
 /// Random simple graph as an edge list over `n` vertices.
 fn arb_graph(max_n: usize) -> impl Strategy<Value = CsrGraph> {
@@ -148,4 +150,49 @@ proptest! {
         }
         p.audit();
     }
+}
+
+/// The fuzzed graphs above all fit in one shard. A power law spanning four
+/// shards, refined from hash until quiet and then grown by `PowerLawGrowth`
+/// batches, makes the active sweep schedule several shards, each trimmed
+/// to its active region — and must still equal the exhaustive sweep.
+#[test]
+fn multi_shard_sweep_equals_exhaustive_sweep_under_growth() {
+    let graph = gen::holme_kim(3 * DEFAULT_SHARD_SIZE + 500, 8, 0.1, 17);
+    let shadow = DynGraph::from(&graph);
+    let mut source = PowerLawGrowth::new(&shadow, 4, 32, 17);
+    let batches: Vec<_> = (0..4)
+        .map(|_| source.next_batch().expect("growth streams never end"))
+        .collect();
+    // Counting itself makes a vertex sticky, so the refine goes quiet and
+    // the few vertices still active leave the work list's ranges trimmed.
+    let cfg = AdaptiveConfig::builder(4)
+        .count_self(true)
+        .parallelism(2)
+        .build()
+        .unwrap();
+    let run = |iterate: fn(&mut AdaptivePartitioner) -> (IterationStats, SweepProfile)| {
+        let mut p = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 17);
+        let mut steps: Vec<_> = (0..30).map(|_| iterate(&mut p)).collect();
+        for batch in &batches {
+            p.apply_batch(batch);
+            steps.extend((0..3).map(|_| iterate(&mut p)));
+        }
+        p.audit();
+        let (history, profiles): (Vec<_>, Vec<_>) = steps.into_iter().unzip();
+        let observed = (history, p.partitioning().as_slice().to_vec(), p.cut_edges());
+        (observed, profiles)
+    };
+    let (active, profiles) = run(AdaptivePartitioner::iterate_profiled);
+    let (exhaustive, _) = run(reference::iterate_exhaustive);
+    assert_eq!(active.0, exhaustive.0, "histories diverged");
+    assert_eq!(active.1, exhaustive.1, "assignments diverged");
+    assert_eq!(active.2, exhaustive.2, "cut counts diverged");
+    // Every swept shard but the last is full width, so fewer slots than
+    // all-but-one full shards means some range was trimmed.
+    assert!(
+        profiles.iter().any(|p| p.shards_swept >= 2
+            && p.slots_scheduled < (p.shards_swept - 1) * DEFAULT_SHARD_SIZE),
+        "no sweep scheduled trimmed ranges in two or more shards"
+    );
 }

@@ -277,6 +277,32 @@ fn a_clique_of_migrants_applies_like_the_serial_loop() {
     );
 }
 
+/// More migrants in one iteration than one apply shard holds: with
+/// unbounded quotas and willingness 1 a hash start on a 12k-vertex power
+/// law moves most of its vertices at once, so the merge folds several
+/// shards' cut deltas, degree-mass deltas and dirty lists — which no
+/// fuzzed graph above is large enough to do.
+#[test]
+fn a_multi_shard_apply_merges_like_the_serial_loop() {
+    let graph = gen::holme_kim(12_000, 8, 0.1, 23);
+    let observed = assert_sharded_equals_serial(|parallelism, iterate| {
+        let cfg = AdaptiveConfig::builder(8)
+            .willingness(1.0)
+            .quota_rule(QuotaRule::Unbounded)
+            .parallelism(parallelism)
+            .build()
+            .unwrap();
+        let mut p = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 23);
+        let history = (0..4).map(|_| iterate(&mut p)).collect();
+        observe(&p, history)
+    });
+    let widest = observed.history.iter().map(|s| s.migrations).max();
+    assert!(
+        widest > Some(apg::exec::DEFAULT_SHARD_SIZE),
+        "at most {widest:?} migrants in one iteration: the apply never spanned two shards"
+    );
+}
+
 /// The slot range grows between two applies: newborn vertices, each wired
 /// into one partition, migrate on the next iterations, so both a migrant
 /// and a migrant's neighbour index the target stamp past the length it had

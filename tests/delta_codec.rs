@@ -609,7 +609,8 @@ fn store_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
 /// install and at the end, although no two runs read the same clock. CDR
 /// churn (births, removals, edge flips), an append per batch, an install
 /// every other batch, short chains and small segments, so full roots,
-/// chained deltas, rotated segments and a write-ahead tail all occur.
+/// chained deltas, rotated segments and a write-ahead tail all occur. Each
+/// run's store, reopened cold, recovers to its live runner.
 #[test]
 fn two_runs_of_one_seed_leave_byte_identical_stores() {
     use apg::streams::{CdrConfig, CdrStream, StreamSource};
@@ -647,6 +648,9 @@ fn two_runs_of_one_seed_leave_byte_identical_stores() {
             }
         }
         history.push(store_files(&scratch.0));
+        // Cold recovery through the delta chain is the live run.
+        drop(store);
+        assert_recovery_equals_live(&scratch.0, &runner);
         history
     };
     for parallelism in [1usize, 2, 8] {
@@ -661,6 +665,11 @@ fn two_runs_of_one_seed_leave_byte_identical_stores() {
                 "run never wrote a {kind} file"
             );
         }
+        let last = first.last().expect("at least the final listing");
+        assert!(
+            last.iter().any(|(name, _)| name.starts_with("dsnap-")),
+            "the recovered root has no delta chain to replay"
+        );
         for (step, (a, b)) in first.iter().zip(&second).enumerate() {
             let names = |files: &[(String, Vec<u8>)]| -> Vec<String> {
                 files.iter().map(|(name, _)| name.clone()).collect()
