@@ -1,9 +1,14 @@
 //! Configuration of the adaptive partitioner.
+//!
+//! Ten fields, each one a setting some caller actually varies. Where a
+//! newborn vertex starts and when a batch's iteration budget stops are
+//! rules, not settings: [`crate::place_new_vertex`] hashes with a
+//! least-loaded fallback, and [`crate::StreamingRunner::ingest`] stops
+//! once the active set is empty.
 
 use serde::{Deserialize, Serialize};
 
-use apg_graph::VertexId;
-use apg_partition::{initial::hash_vertex, CapacityModel, PartitionId, Partitioning};
+use apg_partition::PartitionId;
 
 /// The evaluation's capacity factor (paper §4): the default of
 /// [`AdaptiveConfig::capacity_factor`], and what an engine without an
@@ -20,48 +25,6 @@ pub enum QuotaRule {
     /// No quota at all — used by the ablation benches to demonstrate the
     /// node-densification failure mode the quotas exist to prevent.
     Unbounded,
-}
-
-/// Where newly streamed-in vertices are placed before the iterative process
-/// adapts them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlacementPolicy {
-    /// `H(v) mod k`, falling back to the least-loaded partition when the
-    /// hashed target is full — the lightweight default of the paper's
-    /// Pregel-like system.
-    HashWithFallback,
-    /// Always the least-loaded partition.
-    LeastLoaded,
-}
-
-impl PlacementPolicy {
-    /// The partition the newborn vertex `v` starts in, given the sizes in
-    /// `partitioning` and the limits in `caps` — the one statement of the
-    /// rule, shared by the logical-level partitioner and the BSP engine.
-    pub fn place(
-        self,
-        v: VertexId,
-        partitioning: &Partitioning,
-        caps: &CapacityModel,
-    ) -> PartitionId {
-        let k = partitioning.num_partitions();
-        let least_loaded = || {
-            (0..k)
-                .min_by_key(|&p| partitioning.size(p))
-                .expect("k >= 1")
-        };
-        match self {
-            PlacementPolicy::LeastLoaded => least_loaded(),
-            PlacementPolicy::HashWithFallback => {
-                let p = (hash_vertex(v) % k as u64) as PartitionId;
-                if caps.remaining(p, partitioning.size(p)) > 0 {
-                    p
-                } else {
-                    least_loaded()
-                }
-            }
-        }
-    }
 }
 
 /// A linear schedule for the willingness to move: start high to migrate
@@ -109,10 +72,6 @@ pub enum ConfigError {
     CapacityFactorBelowOne(f64),
     /// `parallelism == 0`: the decision sweep needs at least one thread.
     ZeroParallelism,
-    /// Drain floor outside `[0, 1)` (carries the offending fraction).
-    /// `1.0` is rejected because a batch whose active set never dips below
-    /// the whole graph would skip every iteration; NaN lands here too.
-    DrainFloorOutOfRange(f64),
     /// An annealing endpoint outside `[0, 1]`.
     AnnealOutOfRange {
         /// Willingness at iteration 0.
@@ -136,9 +95,6 @@ impl std::fmt::Display for ConfigError {
                 )
             }
             ConfigError::ZeroParallelism => write!(f, "need at least one decision-sweep thread"),
-            ConfigError::DrainFloorOutOfRange(d) => {
-                write!(f, "drain floor {d} outside [0, 1)")
-            }
             ConfigError::AnnealOutOfRange { start, end } => {
                 write!(f, "anneal endpoints ({start}, {end}) outside [0, 1]")
             }
@@ -218,12 +174,6 @@ impl AdaptiveConfigBuilder {
         self
     }
 
-    /// Sets the placement policy for streamed-in vertices.
-    pub fn placement(mut self, placement: PlacementPolicy) -> Self {
-        self.config.placement = placement;
-        self
-    }
-
     /// Sets whether a vertex counts itself when scoring its own partition.
     pub fn count_self(mut self, yes: bool) -> Self {
         self.config.count_self = yes;
@@ -240,15 +190,6 @@ impl AdaptiveConfigBuilder {
     /// build). Results are identical at any value for a fixed seed.
     pub fn parallelism(mut self, threads: usize) -> Self {
         self.config.parallelism = threads;
-        self
-    }
-
-    /// Sets the adaptive-budget drain floor (validated to `[0, 1)` at
-    /// build); see [`AdaptiveConfig::drain_floor`]. `0.0` (the default)
-    /// stops a batch's iterations only once the active set is fully
-    /// drained, which is provably history-preserving.
-    pub fn drain_floor(mut self, fraction: f64) -> Self {
-        self.config.drain_floor = fraction;
         self
     }
 
@@ -314,8 +255,6 @@ pub struct AdaptiveConfig {
     pub max_iterations: usize,
     /// Migration budget rule.
     pub quota_rule: QuotaRule,
-    /// Placement of newly inserted vertices.
-    pub placement: PlacementPolicy,
     /// Optional annealing schedule overriding the constant willingness.
     pub anneal: Option<Anneal>,
     /// Balance partitions on edge endpoints (degree mass) instead of vertex
@@ -338,28 +277,6 @@ pub struct AdaptiveConfig {
     /// migration history is **identical at every parallelism level** — this
     /// knob trades wall-clock only, never results.
     pub parallelism: usize,
-    /// Adaptive per-batch iteration budget floor for
-    /// [`crate::StreamingRunner`], as a fraction of the live vertex count
-    /// in `[0, 1)`.
-    ///
-    /// After each batch the runner charges the full
-    /// `iterations_per_batch` budget, but stops *executing* iterations
-    /// early once the active set has drained to (or below)
-    /// `drain_floor x live vertices` — the remaining iterations are
-    /// *skipped*, not run. With the default `0.0` the cutoff is an empty
-    /// active set, where every skipped iteration is provably a no-op
-    /// (every inactive vertex decides *Stay*; the active-set exactness
-    /// invariant), so the recorded [`crate::TimelineStats`] are
-    /// byte-identical to a fixed-budget run. A positive floor trades that
-    /// guarantee for earlier cutoffs: the last few stragglers of a batch
-    /// are left to the next batch's budget, which can perturb the
-    /// timeline.
-    ///
-    /// Skipped iterations still advance the iteration counter — the
-    /// counter keys the per-vertex RNG streams, so skipping must
-    /// fast-forward it for future draws to stay aligned with a
-    /// fixed-budget run.
-    pub drain_floor: f64,
 }
 
 impl AdaptiveConfig {
@@ -376,21 +293,19 @@ impl AdaptiveConfig {
                 convergence_window: 30,
                 max_iterations: 1000,
                 quota_rule: QuotaRule::PerSourceSplit,
-                placement: PlacementPolicy::HashWithFallback,
                 anneal: None,
                 balance_edges: false,
                 count_self: false,
                 parallelism: apg_exec::available_parallelism(),
-                drain_floor: 0.0,
             },
         }
     }
 
     /// Checks every rule a configuration must satisfy, in a fixed order
-    /// (partitions, willingness, capacity, parallelism, drain floor,
-    /// anneal), and returns the first violation. `s = 0` is allowed: the
-    /// paper notes it "causes no migration whatsoever", which experiments
-    /// use. NaN fails every range it is tested against.
+    /// (partitions, willingness, capacity, parallelism, anneal), and
+    /// returns the first violation. `s = 0` is allowed: the paper notes it
+    /// "causes no migration whatsoever", which experiments use. NaN fails
+    /// every range it is tested against.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let unit = 0.0..=1.0;
         if self.num_partitions == 0 {
@@ -404,9 +319,6 @@ impl AdaptiveConfig {
         }
         if self.parallelism == 0 {
             return Err(ConfigError::ZeroParallelism);
-        }
-        if !(0.0..1.0).contains(&self.drain_floor) {
-            return Err(ConfigError::DrainFloorOutOfRange(self.drain_floor));
         }
         match self.anneal {
             Some(Anneal { start, end, .. }) if !unit.contains(&start) || !unit.contains(&end) => {
@@ -453,12 +365,10 @@ mod tests {
             .convergence_window(5)
             .max_iterations(10)
             .quota_rule(QuotaRule::Unbounded)
-            .placement(PlacementPolicy::LeastLoaded)
             .count_self(true)
             .build()
             .unwrap();
         assert_eq!(c.max_iterations, 10);
-        assert_eq!(c.placement, PlacementPolicy::LeastLoaded);
         assert!(c.count_self);
     }
 
@@ -487,16 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_floor_defaults_to_fully_drained() {
-        assert_eq!(defaults(4).drain_floor, 0.0);
-        let c = AdaptiveConfig::builder(4)
-            .drain_floor(0.25)
-            .build()
-            .unwrap();
-        assert!((c.drain_floor - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn builder_accepts_the_blessed_chain() {
         let c = AdaptiveConfig::builder(8)
             .capacity_slack(0.1)
@@ -505,7 +405,6 @@ mod tests {
             .convergence_window(10)
             .max_iterations(200)
             .quota_rule(QuotaRule::Unbounded)
-            .placement(PlacementPolicy::LeastLoaded)
             .count_self(true)
             .balance_on_edges(true)
             .anneal_willingness(0.9, 0.2, 40)
@@ -560,18 +459,6 @@ mod tests {
             AdaptiveConfig::builder(4).parallelism(0).build(),
             Err(ZeroParallelism)
         );
-        assert_eq!(
-            AdaptiveConfig::builder(4).drain_floor(1.0).build(),
-            Err(DrainFloorOutOfRange(1.0))
-        );
-        assert_eq!(
-            AdaptiveConfig::builder(4).drain_floor(-0.1).build(),
-            Err(DrainFloorOutOfRange(-0.1))
-        );
-        assert!(matches!(
-            AdaptiveConfig::builder(4).drain_floor(f64::NAN).build(),
-            Err(DrainFloorOutOfRange(d)) if d.is_nan()
-        ));
         assert_eq!(
             AdaptiveConfig::builder(4)
                 .anneal_willingness(0.5, 1.2, 10)

@@ -55,13 +55,12 @@ pub mod streaming;
 
 pub use candidates::{DecisionKernel, MigrationDecision};
 pub use config::{
-    AdaptiveConfig, AdaptiveConfigBuilder, Anneal, ConfigError, PlacementPolicy, QuotaRule,
-    DEFAULT_CAPACITY_FACTOR,
+    AdaptiveConfig, AdaptiveConfigBuilder, Anneal, ConfigError, QuotaRule, DEFAULT_CAPACITY_FACTOR,
 };
 // Test support, not API: the naive drivers the equivalence suites use.
 #[doc(hidden)]
 pub use partitioner::reference;
-pub use partitioner::{AdaptivePartitioner, IterationStats, SweepProfile};
+pub use partitioner::{place_new_vertex, AdaptivePartitioner, IterationStats, SweepProfile};
 pub use persist::{
     CheckpointDelta, CheckpointStore, CheckpointView, InstallReport, PartitionerState,
     RecoveredCheckpoint, StreamCheckpoint,

@@ -16,7 +16,8 @@ use apg_exec::{fanout, vertex_rng, ShardPlan};
 use apg_graph::delta::DeltaTarget;
 use apg_graph::{ApplyReport, DynGraph, Graph, UpdateBatch, VertexId};
 use apg_partition::{
-    cut_edges, cut_edges_sharded, CapacityModel, InitialStrategy, PartitionId, Partitioning,
+    cut_edges, cut_edges_sharded, initial::hash_vertex, CapacityModel, InitialStrategy,
+    PartitionId, Partitioning,
 };
 
 use crate::candidates::{DecisionKernel, MigrationDecision};
@@ -128,6 +129,20 @@ impl PartitionerScalars {
             fixed_capacities: None,
         }
     }
+}
+
+/// The partition the newborn vertex `v` starts in: `H(v) mod k`, the
+/// lightweight placement of the paper's Pregel-like system, or the
+/// least-loaded partition (lowest id on ties) when the hashed one has no
+/// room left. `loads` must count in `caps`'s units — vertices, or degree
+/// mass when balancing edges. The one statement of the rule, shared by the
+/// logical-level partitioner and the BSP engine.
+pub fn place_new_vertex(v: VertexId, loads: &[usize], caps: &CapacityModel) -> PartitionId {
+    let hashed = (hash_vertex(v) % loads.len() as u64) as PartitionId;
+    if caps.remaining(hashed, loads[usize::from(hashed)]) > 0 {
+        return hashed;
+    }
+    (0..loads.len()).min_by_key(|&p| loads[p]).expect("k >= 1") as PartitionId
 }
 
 /// The paper's adaptive partitioner at the logical level (§2).
@@ -468,6 +483,16 @@ impl AdaptivePartitioner {
         &self.degree_mass
     }
 
+    /// Per-partition load in the units of [`capacities`](Self::capacities):
+    /// degree mass when balancing edges, live vertex counts otherwise.
+    pub fn loads(&self) -> &[usize] {
+        if self.scalars.config.balance_edges {
+            &self.degree_mass
+        } else {
+            self.partitioning.sizes()
+        }
+    }
+
     /// Runs one iteration of the algorithm and reports its metrics.
     ///
     /// All migration decisions observe the assignment as it stood at the
@@ -515,22 +540,18 @@ impl AdaptivePartitioner {
     /// opens the iteration's profile.
     fn prepare_iteration(&mut self) -> SweepProfile {
         let caps = self.capacities();
-        let (degree_mass, partitioning) = (&self.degree_mass, &self.partitioning);
-        let balance_edges = self.scalars.config.balance_edges;
-        self.scratch.remaining.clear();
-        self.scratch
-            .remaining
-            .extend((0..self.scalars.config.num_partitions).map(|p| {
-                let load = if balance_edges {
-                    degree_mass[p as usize]
-                } else {
-                    partitioning.size(p)
-                };
-                caps.remaining(p, load)
-            }));
+        let mut remaining = std::mem::take(&mut self.scratch.remaining);
+        remaining.clear();
+        remaining.extend(
+            self.loads()
+                .iter()
+                .enumerate()
+                .map(|(p, &load)| caps.remaining(p as PartitionId, load)),
+        );
         self.scratch
             .quota
-            .rebuild(self.scalars.config.quota_rule, &self.scratch.remaining);
+            .rebuild(self.scalars.config.quota_rule, &remaining);
+        self.scratch.remaining = remaining;
 
         let plan = self.shard_plan();
         let active = self.marks.sweep();
@@ -822,15 +843,14 @@ impl AdaptivePartitioner {
     /// graph and [`ApplyReport`] are identical to [`UpdateBatch::apply`] on
     /// a bare [`DynGraph`] (the application loop is literally shared, via
     /// [`DeltaTarget`]), while the incremental accounting is maintained
-    /// across every delta and new vertices are placed by the configured
-    /// [`PlacementPolicy`](crate::PlacementPolicy).
+    /// across every delta and new vertices are placed by
+    /// [`place_new_vertex`].
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> ApplyReport {
         batch.apply_to(self)
     }
 
-    /// Streams in a new vertex with the given neighbours, placing it
-    /// according to the configured [`PlacementPolicy`](crate::PlacementPolicy).
-    /// Returns its id.
+    /// Streams in a new vertex with the given neighbours, placing it by
+    /// [`place_new_vertex`]. Returns its id.
     ///
     /// Edges to tombstoned or unknown endpoints are ignored (the stream may
     /// race with removals, as in the paper's CDR scenario).
@@ -846,8 +866,7 @@ impl AdaptivePartitioner {
     /// new vertex starts active (it owes a first evaluation).
     fn insert_vertex(&mut self) -> VertexId {
         let v = self.graph.add_vertex();
-        let placement = self.scalars.config.placement;
-        let p = placement.place(v, &self.partitioning, &self.capacities());
+        let p = place_new_vertex(v, self.loads(), &self.capacities());
         self.partitioning.grow_to(v as usize + 1, p);
         self.marks.born(v as usize);
         self.scalars.quiet_streak = 0;
@@ -1356,6 +1375,37 @@ mod tests {
         let p2 = AdaptivePartitioner::from_partitioning(&g, assignment.clone(), &cfg, 2);
         assert_eq!(p2.partitioning(), &assignment);
         assert_eq!(p2.cut_edges(), cut_edges(&g, &assignment));
+    }
+
+    #[test]
+    fn newborns_are_placed_against_edge_capacity_when_balancing_edges() {
+        // Every edge sits inside the partition the next id hashes to: it
+        // holds all the degree mass (over its edge capacity) but only 4 of
+        // the 10 vertices (under a vertex capacity). Placement must compare
+        // like with like and send the newborn to the other partition.
+        const N: usize = 10;
+        let hashed = (hash_vertex(N as VertexId) % 2) as PartitionId;
+        let mut g = DynGraph::with_vertices(N);
+        for (u, v) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
+            g.add_edge(u, v);
+        }
+        let labels = (0..N).map(|v| if v < 4 { hashed } else { 1 - hashed });
+        let partitioning = Partitioning::from_assignment(labels.collect(), 2);
+        let cfg = AdaptiveConfig::builder(2)
+            .willingness(0.0)
+            .balance_on_edges(true)
+            .build()
+            .unwrap();
+        let mut p = AdaptivePartitioner::from_partitioning(&g, partitioning, &cfg, 1);
+        assert_eq!(p.loads(), p.degree_mass());
+        assert_eq!(
+            p.capacities().remaining(hashed, p.loads()[hashed as usize]),
+            0
+        );
+        let v = p.add_vertex_with_edges(&[]);
+        assert_eq!(v as usize, N);
+        assert_eq!(p.partitioning().partition_of(v), 1 - hashed);
+        p.audit();
     }
 
     #[test]

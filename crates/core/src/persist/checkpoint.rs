@@ -103,25 +103,12 @@ pub struct StreamCheckpoint {
     pub state: PartitionerState,
     /// The runner's settings and stream position at the snapshot boundary.
     pub runner: RunnerScalars,
-    /// The runner's recorded replay log at the snapshot boundary (empty
-    /// unless recording was enabled).
-    pub log: DeltaLog,
     /// The retained timeline suffix up to the snapshot boundary (the whole
     /// timeline when the window is unbounded).
     pub timeline: Vec<TimelineStats>,
     /// Batches ingested after the snapshot — the write-ahead segment that
     /// resume replays.
     pub tail: DeltaLog,
-}
-
-/// The runner's scalars read through the checkpoint: `ckpt.batches_ingested`
-/// is `ckpt.runner.batches_ingested`.
-impl std::ops::Deref for StreamCheckpoint {
-    type Target = RunnerScalars;
-
-    fn deref(&self) -> &RunnerScalars {
-        &self.runner
-    }
 }
 
 impl StreamCheckpoint {
@@ -141,7 +128,7 @@ impl StreamCheckpoint {
     /// a bounded timeline window, `timeline.len()` only counts the
     /// retained suffix and would silently reposition the source too early.
     pub fn cursor(&self) -> SourceCursor {
-        SourceCursor::at((self.batches_ingested + self.tail.len()) as u64)
+        SourceCursor::at((self.runner.batches_ingested + self.tail.len()) as u64)
     }
 
     /// Serialises as a framed, versioned checkpoint file (`APGC` magic).
@@ -164,28 +151,29 @@ impl StreamCheckpoint {
     /// [`CheckpointDelta::apply`](super::CheckpointDelta::apply)): the
     /// timeline-window bookkeeping and the partitioner-state cross-checks.
     pub(crate) fn validate(&self) -> Result<(), DecodeError> {
-        if self.timeline_window == 0 {
+        let runner = &self.runner;
+        if runner.timeline_window == 0 {
             return Err(DecodeError::Corrupt("timeline window is zero"));
         }
-        if self.timeline.len() > self.batches_ingested {
+        if self.timeline.len() > runner.batches_ingested {
             return Err(DecodeError::Corrupt(
                 "timeline longer than the batches-ingested counter",
             ));
         }
-        if self.timeline.len() > self.timeline_window {
+        if self.timeline.len() > runner.timeline_window {
             return Err(DecodeError::Corrupt("timeline overflows its window"));
         }
-        let evicted = self.batches_ingested - self.timeline.len();
+        let evicted = runner.batches_ingested - self.timeline.len();
         if evicted > 0 {
             // The runner evicts only on window overflow, so once anything
             // has been evicted the retained suffix fills the window
             // exactly; a shorter suffix is unreachable from a real runner.
-            if self.timeline.len() != self.timeline_window {
+            if self.timeline.len() != runner.timeline_window {
                 return Err(DecodeError::Corrupt(
                     "timeline shorter than both its window and the ingest counter",
                 ));
             }
-        } else if self.timeline_digest != TIMELINE_DIGEST_SEED {
+        } else if runner.timeline_digest != TIMELINE_DIGEST_SEED {
             // Nothing was evicted: the digest must still be the seed.
             return Err(DecodeError::Corrupt(
                 "timeline digest diverged with no evicted entries",
@@ -203,7 +191,7 @@ impl StreamCheckpoint {
 impl Encode for StreamCheckpoint {
     fn encode(&self, enc: &mut Encoder) {
         self.state.encode(enc);
-        self.runner.encode_around(enc, |enc| self.log.encode(enc));
+        self.runner.encode(enc);
         self.timeline.encode(enc);
         self.tail.encode(enc);
     }
@@ -212,7 +200,7 @@ impl Encode for StreamCheckpoint {
 impl Decode for StreamCheckpoint {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let state = PartitionerState::decode(dec)?;
-        let (runner, log) = RunnerScalars::decode_around(dec, DeltaLog::decode)?;
+        let runner = RunnerScalars::decode(dec)?;
         // The capacity clamp: a flipped length byte must not force a
         // multi-GB allocation (every shape invariant is re-checked by
         // `validate` below).
@@ -225,7 +213,6 @@ impl Decode for StreamCheckpoint {
         let checkpoint = StreamCheckpoint {
             state,
             runner,
-            log,
             timeline,
             tail,
         };
@@ -246,7 +233,6 @@ pub struct CheckpointView<'a> {
     pub(super) partitioning: &'a Partitioning,
     pub(super) partitioner: PartitionerScalars,
     pub(super) runner: RunnerScalars,
-    pub(super) log: &'a DeltaLog,
     pub(super) timeline: &'a [TimelineStats],
     pub(super) tail: &'a [UpdateBatch],
 }
@@ -258,7 +244,6 @@ impl<'a> From<&'a StreamCheckpoint> for CheckpointView<'a> {
             partitioning: &ckpt.state.partitioning,
             partitioner: ckpt.state.scalars.clone(),
             runner: ckpt.runner,
-            log: &ckpt.log,
             timeline: &ckpt.timeline,
             tail: ckpt.tail.batches(),
         }
@@ -275,7 +260,6 @@ impl<'a> From<&'a StreamingRunner> for CheckpointView<'a> {
             partitioning: partitioner.partitioning(),
             partitioner: partitioner.scalars().clone(),
             runner: runner.scalars(),
-            log: runner.log(),
             timeline: runner.timeline(),
             tail: &[],
         }
@@ -294,7 +278,6 @@ impl StreamingRunner {
         StreamCheckpoint {
             state: self.partitioner().snapshot_state(),
             runner: self.scalars(),
-            log: self.log().clone(),
             timeline: self.timeline().to_vec(),
             tail: DeltaLog::new(),
         }
@@ -314,14 +297,12 @@ impl StreamingRunner {
         let StreamCheckpoint {
             state,
             runner,
-            log,
             timeline,
             tail,
         } = checkpoint;
         let mut runner = StreamingRunner::from_checkpoint_parts(
             AdaptivePartitioner::restore(state),
             runner,
-            log,
             timeline,
         );
         // Restore saturates the changed-slot set (its base is unknown in
@@ -370,7 +351,6 @@ mod tests {
         let mut resumed =
             StreamingRunner::resume(StreamCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap());
         assert_eq!(resumed.timeline(), runner.timeline());
-        assert_eq!(resumed.log(), runner.log());
         assert_eq!(resumed.partitioner().graph(), runner.partitioner().graph());
         assert_eq!(
             resumed.partitioner().partitioning(),

@@ -4,13 +4,11 @@
 //! scalar blocks ([`PartitionerScalars`], [`RunnerScalars`]). Out: their
 //! bytes, in the one field order the `APGC` and `APGD` layouts share, and
 //! back — a decoded configuration held to [`AdaptiveConfig::validate`].
-//! In both layouts the partitioner's block and the runner's first two
-//! scalars precede the recorded log and the runner's other three follow
-//! it, so the runner's block is written *around* the container's middle.
+//! Each block is one contiguous run of bytes in both layouts.
 
 use apg_persist::{Decode, DecodeError, Decoder, Encode, Encoder};
 
-use crate::config::{AdaptiveConfig, Anneal, ConfigError, PlacementPolicy, QuotaRule};
+use crate::config::{AdaptiveConfig, Anneal, ConfigError, QuotaRule};
 use crate::partitioner::PartitionerScalars;
 use crate::streaming::{RunnerScalars, TimelineStats};
 
@@ -30,26 +28,6 @@ impl Decode for QuotaRule {
             0 => Ok(QuotaRule::PerSourceSplit),
             1 => Ok(QuotaRule::Unbounded),
             _ => Err(DecodeError::Corrupt("unknown QuotaRule tag")),
-        }
-    }
-}
-
-impl Encode for PlacementPolicy {
-    fn encode(&self, enc: &mut Encoder) {
-        let tag: u8 = match self {
-            PlacementPolicy::HashWithFallback => 0,
-            PlacementPolicy::LeastLoaded => 1,
-        };
-        tag.encode(enc);
-    }
-}
-
-impl Decode for PlacementPolicy {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(dec)? {
-            0 => Ok(PlacementPolicy::HashWithFallback),
-            1 => Ok(PlacementPolicy::LeastLoaded),
-            _ => Err(DecodeError::Corrupt("unknown PlacementPolicy tag")),
         }
     }
 }
@@ -85,12 +63,10 @@ impl Encode for AdaptiveConfig {
             convergence_window,
             max_iterations,
             quota_rule,
-            placement,
             anneal,
             balance_edges,
             count_self,
             parallelism,
-            drain_floor,
         } = self;
         num_partitions.encode(enc);
         willingness.encode(enc);
@@ -98,12 +74,10 @@ impl Encode for AdaptiveConfig {
         convergence_window.encode(enc);
         max_iterations.encode(enc);
         quota_rule.encode(enc);
-        placement.encode(enc);
         anneal.encode(enc);
         balance_edges.encode(enc);
         count_self.encode(enc);
         parallelism.encode(enc);
-        drain_floor.encode(enc);
     }
 }
 
@@ -116,7 +90,6 @@ impl From<ConfigError> for DecodeError {
             ConfigError::WillingnessOutOfRange(_) => "willingness outside [0, 1]",
             ConfigError::CapacityFactorBelowOne(_) => "capacity factor not finite or below 1.0",
             ConfigError::ZeroParallelism => "config has zero parallelism",
-            ConfigError::DrainFloorOutOfRange(_) => "drain floor outside [0, 1)",
             ConfigError::AnnealOutOfRange { .. } => "anneal endpoint outside [0, 1]",
         })
     }
@@ -133,12 +106,10 @@ impl Decode for AdaptiveConfig {
             convergence_window: usize::decode(dec)?,
             max_iterations: usize::decode(dec)?,
             quota_rule: QuotaRule::decode(dec)?,
-            placement: PlacementPolicy::decode(dec)?,
             anneal: Option::<Anneal>::decode(dec)?,
             balance_edges: bool::decode(dec)?,
             count_self: bool::decode(dec)?,
             parallelism: usize::decode(dec)?,
-            drain_floor: f64::decode(dec)?,
         };
         config.validate()?;
         Ok(config)
@@ -150,7 +121,7 @@ impl Encode for TimelineStats {
         for field in self.deterministic_fields() {
             field.encode(enc);
         }
-        // `wall_ms` keeps its v4 position but not its value: a clock
+        // `wall_ms` keeps its position but not its value: a clock
         // reading must not reach durable bytes, or chain digests (and,
         // through their varints, lengths) would differ run to run.
         0.0f64.encode(enc);
@@ -207,35 +178,23 @@ impl Decode for PartitionerScalars {
     }
 }
 
-impl RunnerScalars {
-    /// Encodes the block's two wire runs, `between` writing what the
-    /// container keeps between them (a checkpoint's log; a delta's log
-    /// suffix and timeline slide).
-    pub(super) fn encode_around(&self, enc: &mut Encoder, between: impl FnOnce(&mut Encoder)) {
+impl Encode for RunnerScalars {
+    fn encode(&self, enc: &mut Encoder) {
         self.iterations_per_batch.encode(enc);
-        self.record.encode(enc);
-        between(enc);
         self.timeline_window.encode(enc);
         self.batches_ingested.encode(enc);
         self.timeline_digest.encode(enc);
     }
+}
 
-    /// The inverse of [`RunnerScalars::encode_around`].
-    pub(super) fn decode_around<T>(
-        dec: &mut Decoder<'_>,
-        between: impl FnOnce(&mut Decoder<'_>) -> Result<T, DecodeError>,
-    ) -> Result<(Self, T), DecodeError> {
-        let iterations_per_batch = usize::decode(dec)?;
-        let record = bool::decode(dec)?;
-        let middle = between(dec)?;
-        let scalars = RunnerScalars {
-            iterations_per_batch,
-            record,
+impl Decode for RunnerScalars {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(RunnerScalars {
+            iterations_per_batch: usize::decode(dec)?,
             timeline_window: usize::decode(dec)?,
             batches_ingested: usize::decode(dec)?,
             timeline_digest: u64::decode(dec)?,
-        };
-        Ok((scalars, middle))
+        })
     }
 }
 
@@ -248,18 +207,11 @@ mod tests {
     fn config_decoder_rejects_out_of_range_settings() {
         let cfg = AdaptiveConfig::builder(3).build().unwrap();
         // Willingness out of range.
-        let mut bad = cfg.clone();
+        let mut bad = cfg;
         bad.willingness = 7.5;
         assert!(matches!(
             AdaptiveConfig::from_bytes(&bad.to_bytes()).unwrap_err(),
             DecodeError::Corrupt("willingness outside [0, 1]")
-        ));
-        // Drain floor out of range.
-        let mut bad = cfg.clone();
-        bad.drain_floor = 1.5;
-        assert!(matches!(
-            AdaptiveConfig::from_bytes(&bad.to_bytes()).unwrap_err(),
-            DecodeError::Corrupt("drain floor outside [0, 1)")
         ));
     }
 
@@ -314,7 +266,6 @@ mod tests {
                 WillingnessOutOfRange(s) => config.willingness = s,
                 CapacityFactorBelowOne(c) => config.capacity_factor = c,
                 ZeroParallelism => config.parallelism = 0,
-                DrainFloorOutOfRange(d) => config.drain_floor = d,
                 AnnealOutOfRange { start, end } => {
                     config.anneal = Some(Anneal {
                         start,
@@ -327,7 +278,7 @@ mod tests {
 
         let nan = f64::NAN;
         let inf = f64::INFINITY;
-        let rejected: [(Tune, u16, ConfigError); 14] = [
+        let rejected: [(Tune, u16, ConfigError); 11] = [
             (|b| b, 0, ZeroPartitions),
             (|b| b.willingness(-0.1), 4, WillingnessOutOfRange(-0.1)),
             (|b| b.willingness(1.5), 4, WillingnessOutOfRange(1.5)),
@@ -344,9 +295,6 @@ mod tests {
                 CapacityFactorBelowOne(inf),
             ),
             (|b| b.parallelism(0), 4, ZeroParallelism),
-            (|b| b.drain_floor(1.0), 4, DrainFloorOutOfRange(1.0)),
-            (|b| b.drain_floor(-0.1), 4, DrainFloorOutOfRange(-0.1)),
-            (|b| b.drain_floor(f64::NAN), 4, DrainFloorOutOfRange(nan)),
             (
                 |b| b.anneal_willingness(1.2, 0.5, 10),
                 4,
@@ -393,12 +341,11 @@ mod tests {
             |b| b.willingness(1.0),
             |b| b.capacity_factor(1.0),
             |b| b.capacity_factor(f64::MAX),
-            |b| b.parallelism(1).drain_floor(0.999),
+            |b| b.parallelism(1),
             |b| b.anneal_willingness(0.0, 1.0, 0),
             |b| b.anneal_willingness(1.0, 0.0, 40),
             |b| {
                 b.quota_rule(QuotaRule::Unbounded)
-                    .placement(PlacementPolicy::LeastLoaded)
                     .balance_on_edges(true)
                     .count_self(true)
                     .convergence_window(0)

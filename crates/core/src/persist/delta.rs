@@ -22,9 +22,9 @@ use crate::streaming::{fold_timeline_digest, RunnerScalars, TimelineStats};
 /// [`SegmentStore`](apg_persist::store::SegmentStore) records file-to-file
 /// — and carries exactly what moved since: the [`GraphDiff`] over the
 /// mutation-tracked changed slots, label records for re-assigned slots,
-/// the recorded-log suffix, and the timeline window's slide (dropped-entry
-/// count + new entries). The two scalar blocks and the `O(k)` size table
-/// ride along in full — they are a rounding error next to the graph.
+/// and the timeline window's slide (dropped-entry count + new entries).
+/// The two scalar blocks and the `O(k)` size table ride along in full —
+/// they are a rounding error next to the graph.
 /// Applying a delta to its base ([`CheckpointDelta::apply`]) reproduces
 /// the newer checkpoint **byte-identically**, which is what lets a
 /// recovery replay base-plus-chain and land exactly where a full snapshot
@@ -58,11 +58,6 @@ pub struct CheckpointDelta {
     /// for the eviction gap, and taken on faith otherwise (entries born
     /// *and* evicted between the two checkpoints exist in neither).
     pub runner: RunnerScalars,
-    /// Length the base's recorded log must have — the suffix below chains
-    /// at exactly this offset.
-    pub base_log_len: usize,
-    /// Recorded-log batches appended since the base.
-    pub log_suffix: DeltaLog,
     /// How many of the base's retained timeline entries the window slid
     /// past (dropped from the front).
     pub timeline_dropped: usize,
@@ -84,10 +79,10 @@ impl CheckpointDelta {
     /// nothing `O(graph)` is read or copied.
     ///
     /// Returns `None` when `current` is not reachable from `base` by
-    /// append-only growth — the recorded log is not an extension of the
-    /// base's, the timeline's retained base suffix was rewritten, or the
-    /// slot space shrank. Callers fall back to a full snapshot install;
-    /// `None` is a policy signal, not an error.
+    /// append-only growth — the timeline's retained base suffix was
+    /// rewritten, or the slot space or the batch counter shrank. Callers
+    /// fall back to a full snapshot install; `None` is a policy signal, not
+    /// an error.
     pub fn between<'a>(
         base: &StreamCheckpoint,
         current: impl Into<CheckpointView<'a>>,
@@ -98,23 +93,18 @@ impl CheckpointDelta {
         let current: CheckpointView<'a> = current.into();
         let base_n = base.state.graph.num_vertices();
         let cur_n = current.graph.num_vertices();
-        if cur_n < base_n || current.runner.batches_ingested < base.batches_ingested {
-            return None;
-        }
-        // The recorded log only ever appends; anything else (a toggled
-        // `record`) breaks the chain.
-        if !current.log.batches().starts_with(base.log.batches()) {
+        let base_ingested = base.runner.batches_ingested;
+        if cur_n < base_n || current.runner.batches_ingested < base_ingested {
             return None;
         }
         // The timeline slides forward: entries the window still retains
         // from the base must reappear verbatim at the front of `current`.
-        let base_evicted = base.batches_ingested - base.timeline.len();
+        let base_evicted = base_ingested - base.timeline.len();
         let cur_evicted = current.runner.batches_ingested - current.timeline.len();
         if cur_evicted < base_evicted {
             return None;
         }
-        let keep = base
-            .batches_ingested
+        let keep = base_ingested
             .saturating_sub(cur_evicted)
             .min(base.timeline.len());
         let dropped = base.timeline.len() - keep;
@@ -138,8 +128,6 @@ impl CheckpointDelta {
             sizes: current.partitioning.sizes().to_vec(),
             partitioner: current.partitioner,
             runner: current.runner,
-            base_log_len: base.log.len(),
-            log_suffix: DeltaLog::from(current.log.batches()[base.log.len()..].to_vec()),
             timeline_dropped: dropped,
             timeline_new: current.timeline[keep..].to_vec(),
             tail: DeltaLog::from(current.tail.to_vec()),
@@ -147,13 +135,13 @@ impl CheckpointDelta {
     }
 
     /// Turns `base` into the checkpoint this delta encodes. The base is
-    /// consumed and patched in place — graph slots, log and timeline are
+    /// consumed and patched in place — graph slots and timeline are
     /// edited, never cloned — so replaying a chain costs one base plus the
     /// changes, however many links it has.
     ///
     /// Every invariant is validated before the result escapes: the graph
-    /// diff against the base graph, label/size consistency, log chaining,
-    /// the timeline slide and its digest, and finally the full
+    /// diff against the base graph, label/size consistency, the timeline
+    /// slide and its digest, and finally the full
     /// `StreamCheckpoint::validate` pass — a delta applied to the wrong
     /// base, or a corrupted one, yields a typed error, never a panic or a
     /// silently divergent checkpoint.
@@ -165,7 +153,6 @@ impl CheckpointDelta {
         let StreamCheckpoint {
             state: base_state,
             runner: base_runner,
-            mut log,
             mut timeline,
             ..
         } = base;
@@ -191,15 +178,6 @@ impl CheckpointDelta {
         }
         let partitioning = Partitioning::from_labels_and_live_sizes(assignment, self.sizes.clone())
             .map_err(DecodeError::Corrupt)?;
-        // Log: the suffix chains at exactly the base's recorded length.
-        if self.base_log_len != log.len() {
-            return Err(DecodeError::Corrupt(
-                "delta log suffix does not chain to the base log",
-            ));
-        }
-        for batch in self.log_suffix.batches() {
-            log.record(batch.clone());
-        }
         // Timeline: slide the base window, then append the new entries.
         if self.timeline_dropped > timeline.len() {
             return Err(DecodeError::Corrupt(
@@ -247,7 +225,6 @@ impl CheckpointDelta {
                 scalars: self.partitioner.clone(),
             },
             runner: self.runner,
-            log,
             timeline,
             tail: self.tail.clone(),
         };
@@ -284,12 +261,9 @@ impl Encode for CheckpointDelta {
         }
         self.sizes.encode(enc);
         self.partitioner.encode(enc);
-        self.runner.encode_around(enc, |enc| {
-            self.base_log_len.encode(enc);
-            self.log_suffix.encode(enc);
-            self.timeline_dropped.encode(enc);
-            self.timeline_new.encode(enc);
-        });
+        self.runner.encode(enc);
+        self.timeline_dropped.encode(enc);
+        self.timeline_new.encode(enc);
         self.tail.encode(enc);
     }
 }
@@ -318,15 +292,6 @@ impl Decode for CheckpointDelta {
         }
         let sizes = Vec::decode(dec)?;
         let partitioner = PartitionerScalars::decode(dec)?;
-        let (runner, (base_log_len, log_suffix, timeline_dropped, timeline_new)) =
-            RunnerScalars::decode_around(dec, |dec| {
-                Ok((
-                    usize::decode(dec)?,
-                    DeltaLog::decode(dec)?,
-                    usize::decode(dec)?,
-                    Vec::decode(dec)?,
-                ))
-            })?;
         Ok(CheckpointDelta {
             base_seq,
             base_digest,
@@ -334,11 +299,9 @@ impl Decode for CheckpointDelta {
             labels,
             sizes,
             partitioner,
-            runner,
-            base_log_len,
-            log_suffix,
-            timeline_dropped,
-            timeline_new,
+            runner: RunnerScalars::decode(dec)?,
+            timeline_dropped: usize::decode(dec)?,
+            timeline_new: Vec::decode(dec)?,
             tail: DeltaLog::decode(dec)?,
         })
     }

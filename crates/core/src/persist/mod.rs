@@ -8,7 +8,7 @@
 //!
 //! * a **snapshot** — the full logical state of a [`StreamingRunner`] at
 //!   some batch boundary ([`PartitionerState`] + the runner's
-//!   [`RunnerScalars`] + the timeline and recorded log so far), and
+//!   [`RunnerScalars`] + the timeline so far), and
 //! * a **tail** — the [`DeltaLog`] of batches ingested *after* the
 //!   snapshot was taken (the write-ahead segment).
 //!
@@ -98,9 +98,11 @@
 //! One file per value on the path from a live runner to a durable root
 //! (view → delta → install): `codec` (wire codecs), `checkpoint`
 //! ([`StreamCheckpoint`], [`CheckpointView`], capture and resume), `delta`
-//! ([`CheckpointDelta`]) and `store` ([`CheckpointStore`]). The ten
+//! ([`CheckpointDelta`]) and `store` ([`CheckpointStore`]). The nine
 //! persisted scalars are declared once, in [`PartitionerScalars`] and
-//! [`RunnerScalars`]; every container holds the two blocks by value.
+//! [`RunnerScalars`]; every container holds the two blocks by value, each
+//! written as one contiguous run of bytes. The batches themselves are
+//! durable once, in the tail: no container keeps a second replay log.
 
 mod checkpoint;
 mod codec;
@@ -114,7 +116,7 @@ pub use delta::CheckpointDelta;
 pub use store::{CheckpointStore, InstallReport, RecoveredCheckpoint};
 
 /// The runner the in-file tests share: power-law growth from 200 isolated
-/// vertices, two iterations per batch, log recorded.
+/// vertices, two iterations per batch.
 #[cfg(test)]
 fn growth_runner(parallelism: usize) -> (crate::StreamingRunner, apg_streams::PowerLawGrowth) {
     use apg_partition::InitialStrategy;
@@ -124,9 +126,7 @@ fn growth_runner(parallelism: usize) -> (crate::StreamingRunner, apg_streams::Po
         .build()
         .unwrap();
     let p = crate::AdaptivePartitioner::with_strategy(&base, InitialStrategy::Hash, &cfg, 11);
-    let runner = crate::StreamingRunner::new(p)
-        .iterations_per_batch(2)
-        .record_log(true);
+    let runner = crate::StreamingRunner::new(p).iterations_per_batch(2);
     let source = apg_streams::PowerLawGrowth::new(&base, 3, 40, 11);
     (runner, source)
 }

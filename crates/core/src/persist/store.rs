@@ -243,8 +243,8 @@ impl CheckpointStore {
     /// After a successful commit: the held base becomes the state just
     /// made durable, and the runner's changed-slot tracking is drained. A
     /// delta's base is patched in place — the diff's slots copied from the
-    /// live graph, assignment, log and timeline taken afresh, the scalar
-    /// blocks moved over from the delta.
+    /// live graph, assignment and timeline taken afresh, the scalar blocks
+    /// moved over from the delta.
     fn advance(&mut self, plan: Plan, runner: &mut StreamingRunner) {
         match plan {
             Plan::Full { checkpoint, .. } => self.base = Some(checkpoint),
@@ -261,7 +261,6 @@ impl CheckpointStore {
                 base.state.partitioning = partitioner.partitioning().clone();
                 base.state.scalars = delta.partitioner;
                 base.runner = delta.runner;
-                base.log = runner.log().clone();
                 base.timeline = runner.timeline().to_vec();
             }
         }
@@ -341,7 +340,6 @@ mod tests {
         assert_eq!(recovered.torn_frames_dropped, 0);
         let resumed = StreamingRunner::resume(recovered.checkpoint.unwrap());
         assert_eq!(resumed.timeline(), runner.timeline());
-        assert_eq!(resumed.log(), runner.log());
         assert_eq!(resumed.partitioner().graph(), runner.partitioner().graph());
         assert_eq!(
             resumed.partitioner().partitioning(),

@@ -1,6 +1,6 @@
-//! Reference iteration drivers: what the equivalence suites and the
-//! `sweep`/`scaling` benches compare [`AdaptivePartitioner::iterate`]
-//! against.
+//! Reference iteration drivers: what the equivalence suites compare
+//! [`AdaptivePartitioner::iterate`] against. The `sweep` bench also times
+//! [`iterate_exhaustive`], as a measured baseline only: it checks nothing.
 //!
 //! Each driver composes the same phases as
 //! [`AdaptivePartitioner::iterate_profiled`] and swaps **exactly one** for

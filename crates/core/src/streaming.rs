@@ -11,17 +11,20 @@
 //! per batch.
 //!
 //! The budget is *adaptive*: each batch is charged the full
-//! `iterations_per_batch`, but once the active set drains below the
-//! configured floor ([`AdaptiveConfig::drain_floor`]) the remaining
+//! `iterations_per_batch`, but once the active set is empty the remaining
 //! iterations are skipped and fast-forwarded instead of executed — budget
-//! goes where the batch landed. At the default floor of `0.0` (stop only
-//! when fully drained) every skipped iteration is provably a no-op, so the
-//! recorded timeline is byte-identical to a fixed-budget run — which needs
-//! no mode here to compare against: it is `apply_batch` plus
+//! goes where the batch landed. Every skipped iteration is provably a
+//! no-op, so the recorded timeline is byte-identical to a fixed-budget run
+//! — which needs no mode here to compare against: it is `apply_batch` plus
 //! `iterations_per_batch` calls of `iterate` on a bare
 //! [`AdaptivePartitioner`], the oracle the tests use.
 //!
-//! [`AdaptiveConfig::drain_floor`]: crate::AdaptiveConfig::drain_floor
+//! The runner keeps no copy of the batches it ingests: the durable history
+//! of batches is the store's write-ahead segments. A caller that wants an
+//! in-memory replay log records into its own [`DeltaLog`] beside
+//! [`StreamingRunner::ingest`].
+//!
+//! [`DeltaLog`]: apg_graph::DeltaLog
 //!
 //! # Determinism
 //!
@@ -60,7 +63,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use apg_graph::{ApplyReport, DeltaLog, UpdateBatch};
+use apg_graph::{ApplyReport, UpdateBatch};
 use apg_serve::{QueryRouter, QueryWorkload, ServeStats};
 use apg_streams::StreamSource;
 
@@ -190,7 +193,7 @@ struct ServePhase {
     timeline: Vec<ServeStats>,
 }
 
-/// The runner's five persisted scalars — its settings and its stream
+/// The runner's four persisted scalars — its settings and its stream
 /// position — declared here once. The live [`StreamingRunner`] holds the
 /// block; a checkpoint, a checkpoint view and a checkpoint delta (see
 /// [`crate::persist`]) each carry a copy, and resume hands it back whole.
@@ -198,8 +201,6 @@ struct ServePhase {
 pub struct RunnerScalars {
     /// Repartitioning iterations charged to every batch.
     pub iterations_per_batch: usize,
-    /// Whether ingested batches are recorded into the replay log.
-    pub record: bool,
     /// Retained timeline entries are capped at this many; older entries
     /// are folded into `timeline_digest` and dropped. `usize::MAX` means
     /// unbounded (the default — full history in memory and on disk).
@@ -216,7 +217,7 @@ pub struct RunnerScalars {
 /// Drives batched ingestion through an [`AdaptivePartitioner`].
 ///
 /// Construction is builder-style: wrap a partitioner, optionally set the
-/// per-batch iteration budget, delta recording, and an interleaved
+/// per-batch iteration budget, the timeline window, and an interleaved
 /// [serve phase](StreamingRunner::serve_workload), then feed batches with
 /// [`StreamingRunner::ingest`] or pull a whole stream with
 /// [`StreamingRunner::drive`].
@@ -224,7 +225,6 @@ pub struct RunnerScalars {
 pub struct StreamingRunner {
     partitioner: AdaptivePartitioner,
     scalars: RunnerScalars,
-    log: DeltaLog,
     timeline: Vec<TimelineStats>,
     serve: Option<ServePhase>,
     iterations_skipped: usize,
@@ -236,12 +236,11 @@ impl StreamingRunner {
     pub fn new(partitioner: AdaptivePartitioner) -> Self {
         let scalars = RunnerScalars {
             iterations_per_batch: 5,
-            record: false,
             timeline_window: usize::MAX,
             batches_ingested: 0,
             timeline_digest: TIMELINE_DIGEST_SEED,
         };
-        Self::from_checkpoint_parts(partitioner, scalars, DeltaLog::new(), Vec::new())
+        Self::from_checkpoint_parts(partitioner, scalars, Vec::new())
     }
 
     /// Sets how many repartitioning iterations run after each batch
@@ -304,13 +303,6 @@ impl StreamingRunner {
         }
     }
 
-    /// Enables recording every ingested batch into a [`DeltaLog`], so the
-    /// run's exact mutation history can be replayed onto a fresh graph.
-    pub fn record_log(mut self, yes: bool) -> Self {
-        self.scalars.record = yes;
-        self
-    }
-
     /// Attaches an interleaved serving phase: after each batch's
     /// repartitioning iterations, one round of `workload` is served
     /// read-only against the fresh `(graph, partitioning)` snapshot (round
@@ -340,12 +332,12 @@ impl StreamingRunner {
     /// + returns the batch's [`TimelineStats`].
     ///
     /// The recorded `iterations` field is the *charged* budget
-    /// (`iterations_per_batch`), not the executed count: iterations the
-    /// adaptive budget skips are fast-forwarded through the partitioner's
-    /// counters (see [`AdaptiveConfig::drain_floor`]), so at the default
-    /// floor the stats are identical whether they ran or not.
-    ///
-    /// [`AdaptiveConfig::drain_floor`]: crate::AdaptiveConfig::drain_floor
+    /// (`iterations_per_batch`), not the executed count: once the active
+    /// set is empty the remaining iterations are skipped — each would have
+    /// been a no-op, since every inactive vertex decides *Stay* — and
+    /// fast-forwarded through the partitioner's counters, which key the
+    /// per-vertex RNG streams. The stats are identical whether they ran or
+    /// not.
     pub fn ingest(&mut self, batch: &UpdateBatch) -> TimelineStats {
         let cut_before = self.partitioner.cut_edges();
         let start = Instant::now();
@@ -354,7 +346,7 @@ impl StreamingRunner {
         let mut migrations = 0usize;
         let mut executed = 0usize;
         while executed < self.scalars.iterations_per_batch {
-            if self.budget_drained() {
+            if self.partitioner.num_active_vertices() == 0 {
                 break;
             }
             migrations += self.partitioner.iterate().migrations;
@@ -366,9 +358,6 @@ impl StreamingRunner {
             self.iterations_skipped += skipped;
         }
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        if self.scalars.record {
-            self.log.record(batch.clone());
-        }
         use apg_graph::Graph;
         let stats = TimelineStats {
             batch: self.scalars.batches_ingested,
@@ -391,16 +380,6 @@ impl StreamingRunner {
         self.evict_timeline_overflow();
         self.serve_after_batch(stats.batch as u64);
         stats
-    }
-
-    /// Whether the adaptive budget should stop executing this batch's
-    /// remaining iterations: the active set has drained to (or below) the
-    /// configured floor.
-    fn budget_drained(&self) -> bool {
-        use apg_graph::Graph;
-        let live = self.partitioner.graph().num_live_vertices();
-        let floor = (self.partitioner.config().drain_floor * live as f64) as usize;
-        self.partitioner.num_active_vertices() <= floor
     }
 
     /// Serves one workload round against the post-batch snapshot (no-op
@@ -503,8 +482,8 @@ impl StreamingRunner {
         self.iterations_skipped
     }
 
-    /// The runner's persisted scalars: iteration budget, recording flag,
-    /// timeline window, stream position and evicted-entry digest.
+    /// The runner's persisted scalars: iteration budget, timeline window,
+    /// stream position and evicted-entry digest.
     pub fn scalars(&self) -> RunnerScalars {
         self.scalars
     }
@@ -515,13 +494,11 @@ impl StreamingRunner {
     pub(crate) fn from_checkpoint_parts(
         partitioner: AdaptivePartitioner,
         scalars: RunnerScalars,
-        log: DeltaLog,
         timeline: Vec<TimelineStats>,
     ) -> Self {
         StreamingRunner {
             partitioner,
             scalars,
-            log,
             timeline,
             // The serve phase is deliberately outside the wire format (the
             // workload is an in-process concern); resumed runners re-attach
@@ -531,12 +508,6 @@ impl StreamingRunner {
             // are already charged into the partitioner's counters.
             iterations_skipped: 0,
         }
-    }
-
-    /// The recorded delta log (empty unless
-    /// [`StreamingRunner::record_log`] enabled recording).
-    pub fn log(&self) -> &DeltaLog {
-        &self.log
     }
 
     /// The wrapped partitioner.
@@ -550,7 +521,7 @@ impl StreamingRunner {
         &mut self.partitioner
     }
 
-    /// Unwraps the partitioner, discarding the timeline and log.
+    /// Unwraps the partitioner, discarding the timeline.
     pub fn into_partitioner(self) -> AdaptivePartitioner {
         self.partitioner
     }
@@ -602,18 +573,22 @@ mod tests {
     }
 
     #[test]
-    fn recorded_log_replays_to_identical_graph() {
+    fn a_caller_kept_log_replays_to_identical_graph() {
         let config = TwitterConfig {
             initial_users: 300,
             ..TwitterConfig::default()
         };
         let mut stream = TwitterStream::new(config, 5).with_clock(19.0, 900.0);
         let base = DynGraph::with_vertices(config.initial_users);
-        let mut r = runner(&base, 3, 1, 5).record_log(true);
-        r.drive(&mut stream, 6);
-        assert_eq!(r.log().len(), 6);
+        let mut r = runner(&base, 3, 1, 5);
+        let mut log = apg_graph::DeltaLog::new();
+        for _ in 0..6 {
+            let batch = apg_streams::StreamSource::next_batch(&mut stream).unwrap();
+            r.ingest(&batch);
+            log.record(batch);
+        }
         let mut fresh = base.clone();
-        r.log().replay(&mut fresh);
+        log.replay(&mut fresh);
         assert_eq!(&fresh, r.partitioner().graph());
     }
 

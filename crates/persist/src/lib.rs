@@ -471,8 +471,8 @@ pub mod format {
     /// Current format revision, shared by every container. Bump on any
     /// byte-level change and regenerate the golden fixtures.
     ///
-    /// v2: `AdaptiveConfig` gained the persisted `drain_floor` field
-    /// (adaptive per-batch iteration budget).
+    /// v2: `AdaptiveConfig` gained a persisted drain-floor fraction
+    /// (adaptive per-batch iteration budget; gone again in v5).
     ///
     /// v3: `StreamCheckpoint` bounds its timeline — it carries a rolling
     /// `TimelineStats` suffix plus `timeline_window`, `batches_ingested`
@@ -486,7 +486,15 @@ pub mod format {
     /// and tombstones, per-vertex label records, bookkeeping deltas and
     /// the timeline-window suffix. The store grows digest-chained
     /// `dsnap-<seq>.bin` files alongside full snapshots.
-    pub const VERSION: u16 = 4;
+    ///
+    /// v5: settings no caller varied leave the wire. `AdaptiveConfig`
+    /// drops its placement-policy tag and drain-floor fraction; the
+    /// runner's scalar block drops its `record` flag and is written
+    /// contiguously; `StreamCheckpoint` drops its recorded replay `log`,
+    /// and `CheckpointDelta` the base log length and the log suffix (the
+    /// write-ahead tail is the one durable batch history). `APGC` is 11
+    /// bytes shorter, `APGD` 12.
+    pub const VERSION: u16 = 5;
 
     /// Magic for a [`DynGraph`](../../apg_graph/struct.DynGraph.html)
     /// snapshot.

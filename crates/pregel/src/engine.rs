@@ -10,7 +10,7 @@
 
 use std::collections::HashSet;
 
-use apg_core::{AdaptiveConfig, PlacementPolicy, DEFAULT_CAPACITY_FACTOR};
+use apg_core::{place_new_vertex, AdaptiveConfig, DEFAULT_CAPACITY_FACTOR};
 use apg_graph::delta::DeltaTarget;
 use apg_graph::{DynGraph, Graph, UpdateBatch, VertexId};
 use apg_partition::{CapacityModel, InitialStrategy, PartitionId, Partitioning};
@@ -76,8 +76,8 @@ impl EngineBuilder {
     }
 
     /// Enables the background adaptive partitioning algorithm. The
-    /// configuration's capacity factor and placement policy also govern
-    /// where streamed-in vertices start.
+    /// configuration's capacity factor also governs where streamed-in
+    /// vertices start.
     ///
     /// # Panics
     ///
@@ -471,17 +471,14 @@ impl<P: VertexProgram> Engine<P> {
 /// application loop drives these hooks, and each is the graph's own
 /// operation followed by waking the endpoints on their hosting workers —
 /// so the engine's mutation semantics are a bare graph's by construction.
-/// A new vertex is placed by the adaptive configuration's
-/// [`PlacementPolicy`] (hash with fallback without one) against the live
-/// population at the moment of insertion.
+/// A new vertex is placed by [`place_new_vertex`] against the routing
+/// table's live vertex counts at the moment of insertion — the units the
+/// engine's capacities count in.
 impl<P: VertexProgram> DeltaTarget for Engine<P> {
     fn delta_add_vertex(&mut self) -> VertexId {
         let caps = self.capacities();
-        let placement = self
-            .adaptive_config()
-            .map_or(PlacementPolicy::HashWithFallback, |c| c.placement);
         let v = self.graph.add_vertex();
-        let w = placement.place(v, &self.routing, &caps);
+        let w = place_new_vertex(v, self.routing.sizes(), &caps);
         self.routing.grow_to(v as usize + 1, w);
         self.state_at.push(w);
         self.workers[w as usize]
@@ -868,33 +865,6 @@ mod tests {
         let reports = e.run(4);
         assert!(reports.iter().all(|r| r.migrations_started == 0));
         assert_eq!(e.partitioning().partition_of(1), 1);
-        e.audit();
-    }
-
-    #[test]
-    fn least_loaded_placement_is_honoured() {
-        use apg_core::PlacementPolicy;
-        let g = gen::mesh3d(4, 4, 4);
-        let cfg = AdaptiveConfig::builder(4)
-            .placement(PlacementPolicy::LeastLoaded)
-            .build()
-            .unwrap();
-        let mut e = EngineBuilder::new(4)
-            .seed(2)
-            .adaptive(cfg)
-            .build(&g, Gossip);
-        // A burst of isolated newborns fills the partitions smallest first.
-        let mut sizes = e.partitioning().sizes().to_vec();
-        let mut batch = UpdateBatch::new();
-        for _ in 0..12 {
-            batch.add_vertex(vec![]);
-        }
-        for v in e.apply_batch(&batch) {
-            let smallest = (0..4).min_by_key(|&p| sizes[p]).unwrap();
-            assert_eq!(e.partitioning().partition_of(v) as usize, smallest);
-            sizes[smallest] += 1;
-        }
-        assert_eq!(e.partitioning().sizes(), sizes);
         e.audit();
     }
 

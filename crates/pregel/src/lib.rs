@@ -16,8 +16,8 @@
 //! one: the engine's topology is an [`apg_graph::DynGraph`] and its routing
 //! table an [`apg_partition::Partitioning`] ([`Engine::graph`],
 //! [`Engine::partitioning`]); the decision kernel, quota table and
-//! placement rule are `apg-core`'s. What this crate owns is the BSP
-//! protocol around them.
+//! newborn placement ([`apg_core::place_new_vertex`]) are `apg-core`'s.
+//! What this crate owns is the BSP protocol around them.
 //!
 //! The implementation pitfalls of §3 are reproduced faithfully:
 //!

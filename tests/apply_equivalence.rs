@@ -14,8 +14,8 @@
 //! the pending migration set is committed.
 //!
 //! The same file pins the adaptive iteration budget: skipping provably
-//! no-op iterations (empty active set, default `drain_floor` of zero) must
-//! never change the recorded `TimelineStats` relative to a fixed budget —
+//! no-op iterations (the active set is empty) must never change the
+//! recorded `TimelineStats` relative to a fixed budget —
 //! the oracle being a bare `AdaptivePartitioner` that applies each batch
 //! and then executes every budgeted iteration.
 
@@ -205,10 +205,10 @@ proptest! {
     }
 
     /// The adaptive budget records exactly the fixed budget's timeline on
-    /// growth streams, whether or not any iterations were skippable: with
-    /// the default `drain_floor` of zero, only provably no-op iterations
-    /// are skipped, and the skipped iterations are still charged to the
-    /// budget and the RNG iteration counter.
+    /// growth streams, whether or not any iterations were skippable: only
+    /// provably no-op iterations (empty active set) are skipped, and the
+    /// skipped iterations are still charged to the budget and the RNG
+    /// iteration counter.
     #[test]
     fn adaptive_budget_never_changes_the_timeline(seed in 0u64..200) {
         let base = DynGraph::from(&gen::mesh3d(4, 4, 3));
@@ -378,22 +378,4 @@ fn adaptive_budget_skips_on_a_converged_stream() {
     assert_eq!(adaptive.timeline(), fixed_timeline);
     assert_eq!(adaptive.partitioner().iteration(), fixed.iteration());
     assert_eq!(adaptive.partitioner().partitioning(), fixed.partitioning());
-}
-
-/// A non-zero `drain_floor` trades exactness for earlier stops; the run
-/// must still be self-consistent (audit) even though its timeline may
-/// legitimately differ from the fixed-budget one.
-#[test]
-fn drain_floor_runs_stay_consistent() {
-    let base = DynGraph::from(&gen::mesh3d(5, 5, 4));
-    let cfg = AdaptiveConfig::builder(3)
-        .drain_floor(0.05)
-        .build()
-        .unwrap();
-    let p = AdaptivePartitioner::with_strategy(&base, InitialStrategy::Hash, &cfg, 13);
-    let mut r = StreamingRunner::new(p).iterations_per_batch(10);
-    let mut source = PowerLawGrowth::new(&base, 2, 6, 13);
-    r.drive(&mut source, 5);
-    r.partitioner().audit();
-    assert_eq!(r.timeline().len(), 5);
 }

@@ -783,7 +783,7 @@ fn bounded_window_resume_repositions_by_batches_ingested() {
         assert_eq!(r.drive(&mut s, CKPT_AT), CKPT_AT);
         let ckpt = r.checkpoint();
         assert_eq!(ckpt.timeline.len(), WINDOW, "suffix must be window-sized");
-        assert_eq!(ckpt.batches_ingested, CKPT_AT);
+        assert_eq!(ckpt.runner.batches_ingested, CKPT_AT);
         // The satellite bugfix pin: with timeline.len() == 3 and a stream
         // position of 6, a cursor derived from the suffix length would
         // silently rewind the source by three batches.
@@ -991,15 +991,28 @@ fn assert_total_decode(which: usize, bytes: &[u8], context: &str) -> bool {
     }
 }
 
-const FIXTURES: [&str; 3] = ["graph_v4.apgg", "log_v4.apgl", "checkpoint_v4.apgc"];
+/// The committed name of a fixture at the current format version.
+fn fixture_name(stem: &str, ext: &str) -> String {
+    format!("{stem}_v{}.{ext}", format::VERSION)
+}
+
+/// The three golden fixtures, in decoder order (`assert_total_decode`'s
+/// `which`).
+fn fixtures() -> [String; 3] {
+    [
+        fixture_name("graph", "apgg"),
+        fixture_name("log", "apgl"),
+        fixture_name("checkpoint", "apgc"),
+    ]
+}
 
 /// Exhaustive single-byte corruption: every offset, three masks, every
 /// fixture, decoded by every decoder (cross-decoding covers the
 /// wrong-magic paths).
 #[test]
 fn decoder_survives_every_single_byte_corruption() {
-    for name in FIXTURES {
-        let golden = fixture_bytes(name);
+    for name in fixtures() {
+        let golden = fixture_bytes(&name);
         for off in 0..golden.len() {
             for mask in [0x01u8, 0x80, 0xff] {
                 let mut bytes = golden.clone();
@@ -1033,7 +1046,8 @@ proptest! {
         cut in 0usize..4096,
         truncate in 0u8..2,
     ) {
-        let golden = fixture_bytes(FIXTURES[which]);
+        let name = &fixtures()[which];
+        let golden = fixture_bytes(name);
         let mut bytes = golden.clone();
         for &(off, mask) in &flips {
             let at = off % bytes.len();
@@ -1048,7 +1062,7 @@ proptest! {
             let decoded = assert_total_decode(
                 decoder,
                 &bytes,
-                &format!("fuzz {} flips={flips:?}", FIXTURES[which]),
+                &format!("fuzz {name} flips={flips:?}"),
             );
             // An actually-mutated artefact may still decode (a flip in a
             // don't-care f64 bit pattern, say) — canonical re-encoding was
@@ -1067,7 +1081,7 @@ proptest! {
         which in 0usize..3,
         off in 0usize..4096,
     ) {
-        let mut bytes = fixture_bytes(FIXTURES[which]);
+        let mut bytes = fixture_bytes(&fixtures()[which]);
         // A 10-byte varint encoding u64::MAX, spliced mid-payload (past
         // the 6-byte header) — wherever it lands, decode must reject it
         // without reserving u64::MAX elements.
@@ -1087,7 +1101,7 @@ proptest! {
 /// the recovery path.
 #[test]
 fn corruption_errors_are_typed_and_displayable() {
-    let golden = fixture_bytes("checkpoint_v4.apgc");
+    let golden = fixture_bytes(&fixture_name("checkpoint", "apgc"));
     let mut wrong_version = golden.clone();
     wrong_version[4..6].copy_from_slice(&(format::VERSION + 7).to_le_bytes());
     let errors = [

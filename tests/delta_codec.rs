@@ -62,7 +62,6 @@ fn base_and_current(
     split: usize,
     parallelism: usize,
     window: Option<usize>,
-    record: bool,
     seed: u64,
 ) -> (
     apg::core::StreamCheckpoint,
@@ -75,9 +74,7 @@ fn base_and_current(
         .build()
         .unwrap();
     let partitioner = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, seed);
-    let mut runner = StreamingRunner::new(partitioner)
-        .iterations_per_batch(2)
-        .record_log(record);
+    let mut runner = StreamingRunner::new(partitioner).iterations_per_batch(2);
     if let Some(w) = window {
         runner = runner.timeline_window(w);
     }
@@ -263,7 +260,6 @@ fn assert_recovery_equals_live(dir: &std::path::Path, live: &StreamingRunner) {
     assert_eq!(resumed.timeline(), live.timeline());
     assert_eq!(resumed.timeline_digest(), live.timeline_digest());
     assert_eq!(resumed.batches_ingested(), live.batches_ingested());
-    assert_eq!(resumed.log(), live.log());
     assert_eq!(resumed.partitioner().graph(), live.partitioner().graph());
     assert_eq!(
         resumed.partitioner().partitioning(),
@@ -288,7 +284,6 @@ proptest! {
         cadence in 1usize..4,
         ballast in 0u32..3,
         window in 0usize..4, // 0 = unbounded
-        record in 0u8..2,
         seed in 0u64..200,
     ) {
         // A ring of extra vertices raises the byte floor (one byte per
@@ -305,9 +300,7 @@ proptest! {
         let cfg = AdaptiveConfig::builder(3).parallelism(2).build().unwrap();
         let partitioner =
             AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, seed);
-        let mut runner = StreamingRunner::new(partitioner)
-            .iterations_per_batch(2)
-            .record_log(record == 1);
+        let mut runner = StreamingRunner::new(partitioner).iterations_per_batch(2);
         if window > 0 {
             runner = runner.timeline_window(window);
         }
@@ -368,14 +361,13 @@ proptest! {
     }
 
     /// Fuzzed churn, fuzzed split point, bounded and unbounded timeline
-    /// windows, with and without log recording: the delta always
-    /// reproduces the full snapshot byte-identically.
+    /// windows: the delta always reproduces the full snapshot
+    /// byte-identically.
     #[test]
     fn delta_equals_full_over_fuzzed_churn(
         ops in proptest::collection::vec((0u8..5, 0u32..96, 0u32..96), 4..80),
         split_frac in 0usize..100,
         window in 0usize..5, // 0 = unbounded
-        record in 0u8..2,
         seed in 0u64..500,
     ) {
         let batches = batches_from_ops(&ops, 24, 6);
@@ -385,7 +377,7 @@ proptest! {
         let split = 1 + split_frac * (batches.len() - 1) / 100;
         let window = if window == 0 { None } else { Some(window) };
         let (base, current, changed) =
-            base_and_current(&batches, split, 1, window, record == 1, seed);
+            base_and_current(&batches, split, 1, window, seed);
         assert_delta_equals_full(&base, &current, &changed);
     }
 
@@ -403,7 +395,7 @@ proptest! {
         let split = batches.len() / 2;
         for parallelism in [1usize, 2, 8] {
             let (base, current, changed) =
-                base_and_current(&batches, split, parallelism, None, false, seed);
+                base_and_current(&batches, split, parallelism, None, seed);
             assert_delta_equals_full(&base, &current, &changed);
         }
     }
@@ -513,7 +505,7 @@ fn empty_delta_is_identity() {
     let ops: Vec<(u8, u32, u32)> = (0..12).map(|i| (1u8, i, i + 3)).collect();
     let batches = batches_from_ops(&ops, 24, 4);
     let split = batches.len();
-    let (base, current, changed) = base_and_current(&batches, split, 1, None, false, 11);
+    let (base, current, changed) = base_and_current(&batches, split, 1, None, 11);
     assert!(changed.is_empty(), "no mutations after the base");
     let delta = CheckpointDelta::between(&base, &current, &changed, 1, 2).expect("empty delta");
     assert!(delta.graph.is_empty());
@@ -529,11 +521,11 @@ fn delta_rejects_the_wrong_base() {
     let batches = batches_from_ops(&ops, 24, 4);
     let split = batches.len() / 2;
     assert!(split >= 2, "need room for a one-batch-earlier wrong base");
-    let (base, current, changed) = base_and_current(&batches, split, 1, None, false, 3);
+    let (base, current, changed) = base_and_current(&batches, split, 1, None, 3);
     let delta = CheckpointDelta::between(&base, &current, &changed, 1, 2).expect("delta");
     // A base one batch short of the real one: its timeline cannot chain
     // densely into the delta's suffix, so validation must fire.
-    let (wrong_base, _, _) = base_and_current(&batches, split - 1, 1, None, false, 3);
+    let (wrong_base, _, _) = base_and_current(&batches, split - 1, 1, None, 3);
     assert!(delta.apply(wrong_base).is_err());
 }
 

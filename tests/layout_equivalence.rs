@@ -319,10 +319,11 @@ fn burst_and_deletion_wave_match_reference() {
 /// The slab rework is layout-only: the persisted snapshot format must not
 /// move as a side effect of an in-memory layout change. Bumping this
 /// constant requires re-blessing the golden fixtures (see
-/// `persist_fixtures.rs`) — v4 is the incremental-snapshot format
-/// (delta-encoded checkpoints + chained delta-snapshot files; an
-/// *intentional* bump, re-blessed with it).
+/// `persist_fixtures.rs`) — v5 is the format without the settings no caller
+/// varied (placement policy, drain floor, the runner's `record` flag) and
+/// without the checkpoint's recorded replay log; an *intentional* bump,
+/// re-blessed with it.
 #[test]
 fn wire_format_version_unchanged() {
-    assert_eq!(apg::persist::format::VERSION, 4);
+    assert_eq!(apg::persist::format::VERSION, 5);
 }

@@ -9,14 +9,17 @@
 //! future version, truncation, trailing bytes) is pinned against the same
 //! files.
 //!
-//! Regenerating after an *intentional* format change (which must bump
-//! `apg::persist::format::VERSION`):
+//! Fixture names carry the format version (`graph_v{VERSION}.apgg`, see
+//! [`fixture_name`]), so after an *intentional* format change — which must
+//! bump `apg::persist::format::VERSION` — regenerating is
 //!
 //! ```text
 //! APG_BLESS=1 cargo test --test persist_fixtures
 //! ```
 //!
-//! then commit the rewritten fixtures alongside the version bump.
+//! then `git rm` the previous version's fixtures (a stale one fails
+//! `fixture_directory_holds_only_current_version_files`) and commit the
+//! new ones alongside the version bump.
 
 use std::path::PathBuf;
 
@@ -27,15 +30,18 @@ use apg::persist::format::{MAGIC_CHECKPOINT, MAGIC_GRAPH, MAGIC_LOG, VERSION};
 use apg::persist::DecodeError;
 use apg::streams::{PowerLawGrowth, StreamSource};
 
-fn fixture_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
+fn fixture_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+}
+
+/// The committed name of a fixture at the current format version.
+fn fixture_name(stem: &str, ext: &str) -> String {
+    format!("{stem}_v{VERSION}.{ext}")
 }
 
 /// Loads a fixture, regenerating it first when `APG_BLESS=1`.
 fn fixture(name: &str, canonical_bytes: &[u8]) -> Vec<u8> {
-    let path = fixture_path(name);
+    let path = fixture_dir().join(name);
     if std::env::var_os("APG_BLESS").is_some_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, canonical_bytes).unwrap();
@@ -85,9 +91,7 @@ fn canonical_checkpoint() -> StreamCheckpoint {
     let base = DynGraph::with_vertices(24);
     let cfg = AdaptiveConfig::builder(2).parallelism(1).build().unwrap();
     let p = AdaptivePartitioner::with_strategy(&base, InitialStrategy::Hash, &cfg, 7);
-    let mut runner = StreamingRunner::new(p)
-        .iterations_per_batch(2)
-        .record_log(true);
+    let mut runner = StreamingRunner::new(p).iterations_per_batch(2);
     let mut source = PowerLawGrowth::new(&base, 2, 6, 7);
     runner.drive(&mut source, 2);
     let mut ckpt = runner.checkpoint();
@@ -104,7 +108,7 @@ fn canonical_checkpoint() -> StreamCheckpoint {
 fn graph_fixture_is_pinned() {
     let g = canonical_graph();
     let bytes = g.to_snapshot_bytes();
-    let golden = fixture("graph_v4.apgg", &bytes);
+    let golden = fixture(&fixture_name("graph", "apgg"), &bytes);
     assert_eq!(
         bytes, golden,
         "graph snapshot encoding drifted from the committed fixture; if \
@@ -121,7 +125,7 @@ fn graph_fixture_is_pinned() {
 fn log_fixture_is_pinned() {
     let log = canonical_log();
     let bytes = log.to_segment_bytes();
-    let golden = fixture("log_v4.apgl", &bytes);
+    let golden = fixture(&fixture_name("log", "apgl"), &bytes);
     assert_eq!(
         bytes, golden,
         "delta-log encoding drifted from the committed fixture; if \
@@ -141,7 +145,7 @@ fn log_fixture_is_pinned() {
 fn checkpoint_fixture_is_pinned() {
     let ckpt = canonical_checkpoint();
     let bytes = ckpt.to_bytes();
-    let golden = fixture("checkpoint_v4.apgc", &bytes);
+    let golden = fixture(&fixture_name("checkpoint", "apgc"), &bytes);
     assert_eq!(
         bytes, golden,
         "checkpoint encoding drifted from the committed fixture; if \
@@ -157,7 +161,10 @@ fn checkpoint_fixture_is_pinned() {
 
 #[test]
 fn fixtures_reject_wrong_magic() {
-    let graph = fixture("graph_v4.apgg", &canonical_graph().to_snapshot_bytes());
+    let graph = fixture(
+        &fixture_name("graph", "apgg"),
+        &canonical_graph().to_snapshot_bytes(),
+    );
     // A graph file is not a log, a log is not a checkpoint, and so on.
     assert!(matches!(
         DeltaLog::from_segment_bytes(&graph).unwrap_err(),
@@ -182,96 +189,106 @@ fn fixtures_reject_wrong_magic() {
     ));
 }
 
+/// Decodes bytes that must not decode, returning the error.
+type Reject = fn(&[u8]) -> DecodeError;
+
+/// Every committed fixture with its canonical bytes and its decoder.
+fn fixtures() -> [(String, Vec<u8>, Reject); 3] {
+    [
+        (
+            fixture_name("graph", "apgg"),
+            canonical_graph().to_snapshot_bytes(),
+            |b| DynGraph::from_snapshot_bytes(b).unwrap_err(),
+        ),
+        (
+            fixture_name("log", "apgl"),
+            canonical_log().to_segment_bytes(),
+            |b| DeltaLog::from_segment_bytes(b).unwrap_err(),
+        ),
+        (
+            fixture_name("checkpoint", "apgc"),
+            canonical_checkpoint().to_bytes(),
+            |b| StreamCheckpoint::from_bytes(b).unwrap_err(),
+        ),
+    ]
+}
+
+/// The fixture's bytes with the header's version (offsets 4–5) patched.
+fn with_version(golden: &[u8], version: u16) -> Vec<u8> {
+    let mut patched = golden.to_vec();
+    patched[4..6].copy_from_slice(&version.to_le_bytes());
+    patched
+}
+
 #[test]
 fn fixtures_reject_future_and_zero_versions() {
-    for (name, canonical) in [
-        ("graph_v4.apgg", canonical_graph().to_snapshot_bytes()),
-        ("log_v4.apgl", canonical_log().to_segment_bytes()),
-        ("checkpoint_v4.apgc", canonical_checkpoint().to_bytes()),
-    ] {
-        let golden = fixture(name, &canonical);
-        let mut future = golden.clone();
-        future[4..6].copy_from_slice(&(VERSION + 1).to_le_bytes());
-        let err = match name {
-            "graph_v4.apgg" => DynGraph::from_snapshot_bytes(&future).unwrap_err(),
-            "log_v4.apgl" => DeltaLog::from_segment_bytes(&future).unwrap_err(),
-            _ => StreamCheckpoint::from_bytes(&future).unwrap_err(),
-        };
+    for (name, canonical, decode_err) in fixtures() {
+        let golden = fixture(&name, &canonical);
         assert_eq!(
-            err,
+            decode_err(&with_version(&golden, VERSION + 1)),
             DecodeError::UnsupportedVersion {
                 found: VERSION + 1,
                 supported: VERSION
             },
             "{name}"
         );
-
-        let mut zero = golden.clone();
-        zero[4..6].copy_from_slice(&0u16.to_le_bytes());
-        let err = match name {
-            "graph_v4.apgg" => DynGraph::from_snapshot_bytes(&zero).unwrap_err(),
-            "log_v4.apgl" => DeltaLog::from_segment_bytes(&zero).unwrap_err(),
-            _ => StreamCheckpoint::from_bytes(&zero).unwrap_err(),
-        };
         assert!(
-            matches!(err, DecodeError::UnsupportedVersion { found: 0, .. }),
-            "{name}"
-        );
-
-        // Stale formats are rejected too: the payload decoders are not
-        // version-aware, so v1 bytes must not be fed to v2 decoders.
-        let mut stale = golden.clone();
-        stale[4..6].copy_from_slice(&(VERSION - 1).to_le_bytes());
-        let err = match name {
-            "graph_v4.apgg" => DynGraph::from_snapshot_bytes(&stale).unwrap_err(),
-            "log_v4.apgl" => DeltaLog::from_segment_bytes(&stale).unwrap_err(),
-            _ => StreamCheckpoint::from_bytes(&stale).unwrap_err(),
-        };
-        assert_eq!(
-            err,
-            DecodeError::UnsupportedVersion {
-                found: VERSION - 1,
-                supported: VERSION
-            },
+            matches!(
+                decode_err(&with_version(&golden, 0)),
+                DecodeError::UnsupportedVersion { found: 0, .. }
+            ),
             "{name}"
         );
     }
 }
 
-/// A v4 build must refuse v3 containers with a typed version error (the
-/// payload decoders are not version-aware — v3 had no delta-snapshot
-/// chaining — so feeding them stale bytes would misparse, not fail
-/// cleanly). The header is all a reader consults before refusing, so the
-/// committed v4 fixtures with their version bytes (offsets 4–5) patched to
-/// 3 pin the rejection for all three containers.
+/// A build refuses every older container with a typed version error —
+/// the version this format retired included. The payload decoders are not
+/// version-aware, so feeding them stale bytes would misparse, not fail
+/// cleanly. The header is all a reader consults before refusing, so the
+/// committed fixtures with their version bytes patched pin the rejection
+/// for all three containers at every version in `1..VERSION`.
 #[test]
-fn stale_v3_fixtures_are_rejected() {
-    for (name, canonical) in [
-        ("graph_v4.apgg", canonical_graph().to_snapshot_bytes()),
-        ("log_v4.apgl", canonical_log().to_segment_bytes()),
-        ("checkpoint_v4.apgc", canonical_checkpoint().to_bytes()),
-    ] {
-        let mut stale = fixture(name, &canonical);
-        stale[4..6].copy_from_slice(&3u16.to_le_bytes());
-        let err = match name {
-            "graph_v4.apgg" => DynGraph::from_snapshot_bytes(&stale).unwrap_err(),
-            "log_v4.apgl" => DeltaLog::from_segment_bytes(&stale).unwrap_err(),
-            _ => StreamCheckpoint::from_bytes(&stale).unwrap_err(),
-        };
-        assert_eq!(
-            err,
-            DecodeError::UnsupportedVersion {
-                found: 3,
-                supported: VERSION
-            },
-            "{name}"
-        );
+fn stale_version_fixtures_are_rejected() {
+    for (name, canonical, decode_err) in fixtures() {
+        let golden = fixture(&name, &canonical);
+        for stale in 1..VERSION {
+            assert_eq!(
+                decode_err(&with_version(&golden, stale)),
+                DecodeError::UnsupportedVersion {
+                    found: stale,
+                    supported: VERSION
+                },
+                "{name} patched to v{stale}"
+            );
+        }
     }
+}
+
+/// The fixture directory holds the current version's three files and
+/// nothing else: a format bump that re-blesses but forgets to delete the
+/// previous version's fixtures fails here.
+#[test]
+fn fixture_directory_holds_only_current_version_files() {
+    let mut found: Vec<String> = std::fs::read_dir(fixture_dir())
+        .expect("fixture directory")
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    found.sort();
+    let mut expected: Vec<String> = fixtures().into_iter().map(|(name, ..)| name).collect();
+    expected.sort();
+    assert_eq!(
+        found, expected,
+        "stale or unexpected fixtures; `git rm` the previous version's files"
+    );
 }
 
 #[test]
 fn fixtures_reject_truncation_at_every_boundary() {
-    let golden = fixture("checkpoint_v4.apgc", &canonical_checkpoint().to_bytes());
+    let golden = fixture(
+        &fixture_name("checkpoint", "apgc"),
+        &canonical_checkpoint().to_bytes(),
+    );
     // Every prefix must fail loudly — EOF or a corruption diagnosis, never
     // a panic and never a silently-partial value.
     for cut in 0..golden.len() {

@@ -32,7 +32,6 @@ fn runner(graph: &DynGraph, parallelism: usize) -> StreamingRunner {
         SEED,
     ))
     .iterations_per_batch(3)
-    .record_log(true)
 }
 
 /// Runs `total` batches uninterrupted; then reruns with a kill at
@@ -112,7 +111,6 @@ fn check_kill_and_resume<S, F>(
         resumed.partitioner().cut_edges(),
         reference.partitioner().cut_edges()
     );
-    assert_eq!(resumed.log(), reference.log(), "replay logs diverged");
     resumed.partitioner().audit();
 
     // The run must have been busy enough to prove something.
