@@ -24,11 +24,19 @@
 //! (`counts[current] == best`, which an isolated vertex satisfies with
 //! zeros).
 //!
-//! The second walk returns the histogram to all zeros. For a vertex that
-//! stays it does only that, branch-free. A vertex that migrates recovers
-//! its candidates on the way: each label's count is read and zeroed in one
-//! step, so the first occurrence of a label sees its full count and every
-//! later one sees zero.
+//! The second walk returns the histogram to all zeros, reading each count
+//! as it clears it, so the first occurrence of a label sees its full count
+//! and every later one sees zero. A vertex that stays takes the largest
+//! *foreign* count on the way, branch-free, and reports its **stay
+//! margin** — home count (plus itself, under `count_self`) minus the best
+//! foreign count, saturated to a `u8`
+//! ([`DecisionKernel::stay_margin`]). The partitioner keeps it for a
+//! retired vertex: a neighbourhood event can shrink the margin by at most
+//! a known amount, so the vertex needs no new walk until the sum of those
+//! amounts exceeds it. A vertex that migrates recovers its candidates on
+//! the same walk; the partitioner keeps
+//! them for a proposer that quota refuses, whose next evaluation is then a
+//! draw over that list and no walk at all (`pick_candidate`).
 //!
 //! Nothing scans the `k`-length histogram and nothing selects a different
 //! path for small or large `k`: cost is `O(degree)`.
@@ -42,7 +50,7 @@
 //! neighbour order, and every recorded history depends on it.
 //! `apg_core::reference::decide_touched_list` states the same rule with an
 //! explicit touched list; `tests/kernel_equivalence.rs` holds this kernel
-//! to it, decision for decision and draw for draw.
+//! to it, decision for decision, draw for draw and margin for margin.
 
 use rand::Rng;
 
@@ -59,9 +67,10 @@ pub enum MigrationDecision {
 
 /// Reusable candidate-selection state.
 ///
-/// Holds a `k`-length label histogram (all zeros between calls) and a
-/// candidate buffer, so evaluating a vertex costs `O(degree)` — two walks
-/// of its neighbour labels — with no allocation and no `O(k)` step, the
+/// Holds a `k`-length label histogram (all zeros between calls), a
+/// candidate buffer and the last stay margin, so evaluating a vertex costs
+/// `O(degree)` — two walks of its neighbour labels — with no allocation
+/// and no `O(k)` step, the
 /// property that makes the heuristic "efficiently computed" at scale
 /// (paper §2). See the [module docs](self) for the tally and the tie-order
 /// contract.
@@ -82,6 +91,7 @@ pub enum MigrationDecision {
 pub struct DecisionKernel {
     counts: Vec<u32>,
     candidates: Vec<PartitionId>,
+    margin: u8,
     count_self: bool,
 }
 
@@ -100,6 +110,7 @@ impl DecisionKernel {
         DecisionKernel {
             counts: vec![0; k as usize],
             candidates: Vec::with_capacity(k as usize),
+            margin: 0,
             count_self,
         }
     }
@@ -138,10 +149,16 @@ impl DecisionKernel {
 
         // An isolated vertex has `best == 0 == counts[current]`: cand(v, t)
         // degenerates to the current partition (v ∈ Γ(v, t)).
-        let decision = if counts[current as usize] == best {
+        let home = std::mem::take(&mut counts[current as usize]);
+        if home == best {
+            // Read-and-zero, home already zeroed: the largest count taken
+            // is the best foreign one. `home` is the best, so the margin is
+            // never negative.
+            let mut foreign = 0u32;
             for p in neighbor_partitions {
-                counts[p as usize] = 0;
+                foreign = foreign.max(std::mem::take(&mut counts[p as usize]));
             }
+            self.margin = (home - foreign).min(u32::from(u8::MAX)) as u8;
             MigrationDecision::Stay
         } else {
             // Read-and-zero: a label's first occurrence sees its full count,
@@ -150,21 +167,45 @@ impl DecisionKernel {
             // self-count (tallied last) needs no place in that order.
             self.candidates.clear();
             for p in neighbor_partitions {
-                let c = counts[p as usize];
-                counts[p as usize] = 0;
+                let c = std::mem::take(&mut counts[p as usize]);
                 if c == best {
                     self.candidates.push(p);
                 }
             }
-            let pick = if self.candidates.len() == 1 {
-                self.candidates[0]
-            } else {
-                self.candidates[rng.gen_range(0..self.candidates.len())]
-            };
-            MigrationDecision::Migrate(pick)
-        };
-        counts[current as usize] = 0;
-        decision
+            MigrationDecision::Migrate(pick_candidate(&self.candidates, rng))
+        }
+    }
+
+    /// The stay margin of the last [`decide`](Self::decide) that returned
+    /// *Stay*: home count (plus the vertex itself under `count_self`) minus
+    /// the best foreign count, saturated at `u8::MAX`. A saturated value
+    /// is a lower bound on the true margin, which is all its users need.
+    pub fn stay_margin(&self) -> u8 {
+        self.margin
+    }
+
+    /// The candidates of the last [`decide`](Self::decide) that returned
+    /// *Migrate*: the best-count foreign partitions in order of first
+    /// occurrence — the list the decision drew from.
+    pub(crate) fn candidates(&self) -> &[PartitionId] {
+        &self.candidates
+    }
+}
+
+/// The tie-break over a migrating vertex's candidates: the only one when
+/// there is one (no draw), otherwise one `gen_range` over the list. The
+/// kernel and the partitioner's candidate memo both pick through here, so
+/// a memo draws exactly what a fresh walk would.
+///
+/// # Panics
+///
+/// Panics if `candidates` is empty.
+#[inline]
+pub(crate) fn pick_candidate<R: Rng>(candidates: &[PartitionId], rng: &mut R) -> PartitionId {
+    if candidates.len() == 1 {
+        candidates[0]
+    } else {
+        candidates[rng.gen_range(0..candidates.len())]
     }
 }
 
@@ -231,6 +272,44 @@ mod tests {
         assert_eq!(
             with.decide(0, [1].into_iter(), &mut rng()),
             MigrationDecision::Stay
+        );
+    }
+
+    #[test]
+    fn stay_margin_is_home_minus_best_foreign() {
+        let mut k = DecisionKernel::new(4, false);
+        // Home 4, foreign 2 and 1.
+        let d = k.decide(0, [0, 1, 0, 2, 1, 0, 0].into_iter(), &mut rng());
+        assert_eq!((d, k.stay_margin()), (MigrationDecision::Stay, 2));
+        // A tie with home stays on a zero margin.
+        assert_eq!(
+            k.decide(3, [3, 2, 2, 3].into_iter(), &mut rng()),
+            MigrationDecision::Stay
+        );
+        assert_eq!(k.stay_margin(), 0);
+        // The self-count is part of home; an isolated vertex has it alone.
+        let mut with = DecisionKernel::new(2, true);
+        assert_eq!(
+            with.decide(1, std::iter::empty(), &mut rng()),
+            MigrationDecision::Stay
+        );
+        assert_eq!(with.stay_margin(), 1);
+        // Saturation keeps a lower bound.
+        let d = with.decide(0, std::iter::repeat_n(0, 400), &mut rng());
+        assert_eq!((d, with.stay_margin()), (MigrationDecision::Stay, u8::MAX));
+    }
+
+    #[test]
+    fn candidates_are_the_tied_labels_in_first_occurrence_order() {
+        let mut k = DecisionKernel::new(5, false);
+        let d = k.decide(0, [3, 1, 4, 1, 3, 0, 4].into_iter(), &mut rng());
+        assert!(matches!(d, MigrationDecision::Migrate(_)));
+        assert_eq!(k.candidates(), &[3, 1, 4]);
+        // The same draw picks the same candidate through the shared rule.
+        let fresh = k.decide(0, [3, 1, 4, 1, 3, 0, 4].into_iter(), &mut rng());
+        assert_eq!(
+            fresh,
+            MigrationDecision::Migrate(pick_candidate(&[3, 1, 4], &mut rng()))
         );
     }
 

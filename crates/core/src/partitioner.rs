@@ -9,6 +9,7 @@
 
 use std::time::Instant;
 
+use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -20,9 +21,9 @@ use apg_partition::{
     PartitionId, Partitioning,
 };
 
-use crate::candidates::{DecisionKernel, MigrationDecision};
+use crate::candidates::{pick_candidate, DecisionKernel, MigrationDecision};
 use crate::config::AdaptiveConfig;
-use crate::marks::SlotMarks;
+use crate::marks::{Relabels, Relation, SlotMarks, RELABEL_SLOT_LIMIT};
 use crate::quota::QuotaTable;
 use crate::runner::ConvergenceReport;
 
@@ -77,6 +78,12 @@ pub struct SweepProfile {
     pub shards_swept: usize,
     /// Total shards in the iteration's plan.
     pub num_shards: usize,
+    /// Neighbour labels the decision kernel read: the degree of every
+    /// vertex it walked. Deterministic — identical at every parallelism.
+    pub labels_read: usize,
+    /// Evaluations answered from a refused proposer's candidate memo, with
+    /// no neighbour read. Deterministic — identical at every parallelism.
+    pub memo_hits: usize,
     /// Total slots inside the scheduled shard ranges. Each scheduled
     /// shard is trimmed to its dirtied region
     /// (first..=last active slot), so this measures the slot footprint the
@@ -176,33 +183,48 @@ pub fn place_new_vertex(v: VertexId, loads: &[usize], caps: &CapacityModel) -> P
 /// The decision rule is deterministic whenever it says *Stay*: the current
 /// partition wins every tie, so randomness only ever picks *which other*
 /// partition to chase. A vertex that decided Stay therefore keeps deciding
-/// Stay — on every future iteration, under every RNG outcome — until
-/// something in its view changes: a neighbour's label, its own label, or
-/// its incident edges. The partitioner exploits this with an
-/// [`ActiveSet`](apg_exec::ActiveSet):
-/// a vertex is active iff it has not yet been evaluated to a Stay since it
-/// was last *dirtied*, and the decision phase visits **only active
-/// vertices** (whole shards with no active slot are skipped).
+/// Stay — on every future iteration, under every RNG outcome — for as long
+/// as its home count (plus itself, under `count_self`) still reaches its
+/// best foreign count. The partitioner exploits this with an
+/// [`ActiveSet`](apg_exec::ActiveSet): a vertex is active iff its last
+/// evaluation no longer proves Stay, and the decision phase visits **only
+/// active vertices** (whole shards with no active slot are skipped).
 ///
-/// Evaluating a vertex that decides Stay retires it; a vertex that
-/// proposes a migration stays active (its tie-break re-rolls each round,
-/// and a quota-blocked proposal must be re-made). Migrations re-dirty the
-/// migrant and its whole neighbourhood (every neighbour sees the label
-/// change), and the mutation hooks re-dirty exactly the vertices whose
-/// incident-edge multiset changed: an edge add/remove marks its two
-/// endpoints, a vertex removal marks every former neighbour, an insertion
-/// marks the newcomer — so streaming churn reactivates exactly the
-/// region it perturbed. Note that *cut-incident* is deliberately **not**
-/// the activity criterion: on a high-cut power-law graph nearly every
-/// vertex touches the cut, yet at convergence they all stably decide Stay
-/// — stay-stability is what lets converged iterations cost near zero
-/// instead of `O(|V|)`.
+/// Each slot's record keeps what its last evaluation proved (see the
+/// `marks` module). A vertex that decides Stay retires with its *stay
+/// margin* — home count minus best foreign count, which the kernel reports
+/// from the walk it already does — and every event in its view spends that
+/// margin by the most the event can move the tally: a foreign edge gained
+/// −1, a home edge gained +1, a home edge lost −1, a foreign edge lost 0, a
+/// neighbour relabelled away from home −2, into home +1, between two
+/// foreign partitions −1. It re-enters the sweep only when the margin goes
+/// negative, so a hub that gains one edge is not walked again. A vertex
+/// that proposes a migration stays active (its tie-break re-rolls each
+/// round); if quota refuses a proposal its fresh walk found, it keeps the
+/// candidates as a *memo* until any event touches its view, and its next
+/// evaluation is the willingness roll plus the kernel's tie-break over the
+/// memo — draw for draw what a walk would do, with no neighbour read.
+///
+/// The mutation hooks report exactly what changed: an edge add/remove to
+/// its two endpoints (with whether the other end is home or foreign), a
+/// vertex removal to every former neighbour, an insertion marks the
+/// newcomer, and a migration the migrant itself; the apply phase reports
+/// each relabel to the migrant's neighbours, summing an iteration's events
+/// per neighbour so the outcome does not depend on their order. An
+/// iteration that moves a large share of the graph (a mass move, see
+/// `MASS_MOVE_FRACTION`) re-activates every neighbour of a migrant
+/// instead. Note that *cut-incident* is deliberately **not** the activity
+/// criterion: on a high-cut power-law graph nearly every vertex touches the
+/// cut, yet at convergence they all stably decide Stay — stay-stability is
+/// what lets converged iterations cost near zero instead of `O(|V|)`.
 ///
 /// Because per-vertex RNG keying makes skipping exact, the history is
 /// *identical* to an exhaustive sweep's
-/// (`apg_core::reference::iterate_exhaustive` pins this); a converged, quiet
+/// (`apg_core::reference::iterate_exhaustive` pins this, walking every
+/// live vertex with no memo); `audit` proves every retired vertex's margin
+/// and every standing memo against a fresh count. A converged, quiet
 /// partitioner iterates in `O(shards)` bookkeeping, and a streaming one
-/// pays per batch in proportion to the region the batch dirtied.
+/// pays per batch in proportion to the views the batch actually changed.
 ///
 /// # Example
 ///
@@ -280,6 +302,19 @@ const NOT_MIGRATING: PartitionId = PartitionId::MAX;
 /// job: ~145 quota-blocked vertices, 0.11-0.28 ms fanned out against
 /// 0.03-0.06 ms inline).
 const INLINE_SWEEP_BELOW: usize = 512;
+
+/// An iteration that moves more than one apply shard of vertices
+/// ([`DEFAULT_SHARD_SIZE`](apg_exec::DEFAULT_SHARD_SIZE)) and more than one
+/// live vertex in this many is a *mass move*: its migrants' neighbours all
+/// re-enter the sweep instead of spending their stay margins, and standing
+/// memos are forgotten (so admission writes none). Exact either way; a
+/// wall-clock choice. In a refinement of 500k vertices from a hash start
+/// the first dozen iterations each move up to 10% of the graph, and there
+/// the margin bookkeeping — a bitmap probe per neighbour read, a margin
+/// update per event, memos the next moves invalidate — cost more than the
+/// re-walks it saved; a streaming batch moves a few hundred vertices of
+/// hundreds of thousands, and a small graph never moves a shard's worth.
+const MASS_MOVE_FRACTION: usize = 64;
 
 impl AdaptivePartitioner {
     /// Creates a partitioner over a copy of `graph`, initialised with the
@@ -585,7 +620,12 @@ impl AdaptivePartitioner {
             for slot in frozen.marks.sweep().iter_in(slots) {
                 let v = slot as VertexId;
                 debug_assert!(frozen.graph.is_vertex(v), "tombstone {v} in active set");
-                eval.evaluate(v);
+                if let Some(mut rng) = eval.roll(v) {
+                    match frozen.marks.memo(slot) {
+                        Some(candidates) => eval.propose_from_memo(v, candidates, &mut rng),
+                        None => eval.walk(v, &mut rng),
+                    }
+                }
             }
         })
     }
@@ -646,21 +686,26 @@ impl AdaptivePartitioner {
     }
 
     /// Merge phase: single-threaded and deterministic. First retire the
-    /// vertices the sweep proved interior — the apply phase re-dirties
-    /// every neighbourhood its moves perturb, so anything whose boundary
-    /// status changes is re-marked immediately after. Then admit proposals
-    /// into `pending` against the quota table in ascending vertex order
-    /// (exactly what a sequential sweep would have consumed).
+    /// vertices the sweep proved would stay, each with its stay margin —
+    /// the apply phase spends the margins its moves can erode, so a vertex
+    /// whose decision could change is re-marked immediately after. Then
+    /// admit proposals into `pending` against the quota table in ascending
+    /// vertex order (exactly what a sequential sweep would have consumed).
+    /// Unless the admitted set is a mass move, whose apply forgets every
+    /// memo, a proposer quota refused after a fresh walk then keeps its
+    /// candidates as a memo.
     fn admit(&mut self, outcomes: &[ShardOutcome], profile: &mut SweepProfile) {
         let merge_start = Instant::now();
         for outcome in outcomes {
             profile.visited += outcome.visited;
-            for &v in &outcome.retire {
-                self.marks.retire(v as usize);
+            profile.labels_read += outcome.labels_read;
+            profile.memo_hits += outcome.memo_hits;
+            for &(v, margin) in &outcome.retire {
+                self.marks.retired(v as usize, margin);
             }
         }
         self.pending.clear();
-        for (v, to) in outcomes.iter().flat_map(|o| o.proposals.iter().copied()) {
+        for &Proposal { v, to, .. } in outcomes.iter().flat_map(|o| &o.proposals) {
             let current = self.partitioning.partition_of(v);
             let units = if self.scalars.config.balance_edges {
                 self.graph.degree(v)
@@ -671,6 +716,21 @@ impl AdaptivePartitioner {
                 self.pending.push((v, to));
             }
         }
+        if !self.is_mass_move() {
+            // `pending` is an ascending subsequence of the proposals.
+            let mut admitted = self.pending.iter().map(|&(v, _)| v).peekable();
+            for outcome in outcomes {
+                let mut walked = outcome.candidates.as_slice();
+                for &Proposal { v, candidates, .. } in &outcome.proposals {
+                    let (fresh, rest) = walked.split_at(usize::from(candidates));
+                    walked = rest;
+                    if admitted.next_if_eq(&v).is_none() && !fresh.is_empty() {
+                        self.marks.refused(v as usize, fresh);
+                    }
+                }
+            }
+        }
+        self.marks.memos_settled();
         profile.merge_ms = ms_since(merge_start);
     }
 
@@ -697,17 +757,25 @@ impl AdaptivePartitioner {
     /// migrating (one read of the slot-indexed `scratch.targets` stamp,
     /// filled from `pending` for the duration of the fan-out), its frozen
     /// label otherwise. Shards of the migrant list therefore compute
-    /// independent `{cut delta, degree-mass delta, dirty list}` outcomes
-    /// against the frozen snapshot — each migrant–migrant edge is counted
-    /// by its lower-id endpoint, every other edge by its migrant — and the
-    /// single-threaded merge folds them in shard order, then replays the
-    /// label/size bookkeeping in admission order. The resulting state is
-    /// identical to moving one migrant at a time in admission order
-    /// (dirty-marking is idempotent and the deltas are exact) — the loop
+    /// independent `{cut delta, degree-mass delta, relabel events}`
+    /// outcomes against the frozen snapshot — each migrant–migrant edge is
+    /// counted by its lower-id endpoint, every other edge by its migrant,
+    /// and a neighbour gets an event unless it already awaits the sweep
+    /// with no memo (the sweep record is frozen during the fan-out, so the
+    /// skip is exact) — and the single-threaded merge folds them, then
+    /// replays the label/size bookkeeping in admission order. The resulting
+    /// state is identical to moving one migrant at a time in admission
+    /// order (the deltas are exact and the relabel fold is
+    /// order-independent) — the loop
     /// `apg_core::reference::iterate_serial_apply` keeps alive as the
     /// reference.
     fn apply_pending_sharded(&mut self) {
         let k = self.scalars.config.num_partitions as usize;
+        let mass = self.is_mass_move();
+        assert!(
+            self.graph.num_vertices() <= RELABEL_SLOT_LIMIT,
+            "slot range past {RELABEL_SLOT_LIMIT}"
+        );
         let targets = &mut self.scratch.targets;
         targets.resize(self.graph.num_vertices(), NOT_MIGRATING);
         for &(v, to) in &self.pending {
@@ -716,6 +784,7 @@ impl AdaptivePartitioner {
         let targets = &self.scratch.targets;
         let graph = &self.graph;
         let partitioning = &self.partitioning;
+        let marks = &self.marks;
         let pending = &self.pending;
         debug_assert!(
             pending.windows(2).all(|w| w[0].0 < w[1].0),
@@ -727,7 +796,7 @@ impl AdaptivePartitioner {
             let mut out = ApplyOutcome {
                 cut_delta: 0,
                 mass_delta: vec![0i64; k],
-                relabelled_neighbours: Vec::with_capacity(reads),
+                relabels: Relabels::with_reads(reads, mass),
             };
             for i in migrants {
                 let (v, to) = pending[i];
@@ -736,10 +805,10 @@ impl AdaptivePartitioner {
                     continue;
                 }
                 for &w in graph.neighbors(v) {
-                    // The neighbour sees v's label change: it re-enters
-                    // the active set.
-                    out.relabelled_neighbours.push(w);
                     let old_w = partitioning.partition_of(w);
+                    // The neighbour sees v's label change.
+                    out.relabels
+                        .record(w, old_w, from, to, || marks.wants_relabel(w as usize));
                     let (new_w, counts_edge) = match targets[w as usize] {
                         NOT_MIGRATING => (old_w, true),
                         // A migrant–migrant edge contributes one delta,
@@ -766,11 +835,10 @@ impl AdaptivePartitioner {
             for (p, delta) in out.mass_delta.iter().enumerate() {
                 self.degree_mass[p] = (self.degree_mass[p] as i64 + delta) as usize;
             }
-            for &w in &out.relabelled_neighbours {
-                self.marks.neighbour_relabelled(w as usize);
-            }
         }
         self.cut = cut as usize;
+        self.marks
+            .neighbours_relabelled(outcomes.iter().map(|out| &out.relabels));
         for i in 0..self.pending.len() {
             let (v, to) = self.pending[i];
             let from = self.partitioning.partition_of(v);
@@ -778,8 +846,17 @@ impl AdaptivePartitioner {
                 continue;
             }
             self.partitioning.move_vertex(v, to);
-            self.marks.mutated(v as usize);
+            self.marks.relabelled(v as usize);
         }
+    }
+
+    /// Whether the admitted `pending` set is a mass move (see
+    /// [`MASS_MOVE_FRACTION`]). Both apply paths ask here, so they record
+    /// and fold their relabels by the same rule.
+    fn is_mass_move(&self) -> bool {
+        let migrants = self.pending.len();
+        migrants > apg_exec::DEFAULT_SHARD_SIZE
+            && migrants * MASS_MOVE_FRACTION > self.graph.num_live_vertices()
     }
 
     fn stats_snapshot(&self, migrations: usize) -> IterationStats {
@@ -874,58 +951,68 @@ impl AdaptivePartitioner {
     }
 
     /// Adds an undirected edge; returns whether the graph changed. Both
-    /// endpoints re-enter the active set — and only they: an edge flip
-    /// changes the endpoints' own neighbour multisets, while every other
-    /// vertex's candidate counts are untouched (their neighbour sets and
-    /// neighbour *labels* did not move), so marking just `u` and `v` is
-    /// already exact and keeps hub-incident churn cheap.
+    /// endpoints are marked changed, and each spends its stay margin by
+    /// what the edge can move its tally (see the type-level docs) — no
+    /// other vertex's view moved (their neighbour sets and neighbour
+    /// *labels* did not), so hub-incident churn stays cheap.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> bool {
         let added = self.graph.add_edge(u, v);
         if added {
-            if self.partitioning.partition_of(u) != self.partitioning.partition_of(v) {
+            let (pu, pv) = (
+                self.partitioning.partition_of(u),
+                self.partitioning.partition_of(v),
+            );
+            if pu != pv {
                 self.cut += 1;
             }
-            self.degree_mass[self.partitioning.partition_of(u) as usize] += 1;
-            self.degree_mass[self.partitioning.partition_of(v) as usize] += 1;
-            self.marks.mutated(u as usize);
-            self.marks.mutated(v as usize);
+            self.degree_mass[pu as usize] += 1;
+            self.degree_mass[pv as usize] += 1;
+            let relation = Relation::between(pu, pv);
+            self.marks.edge_gained(u as usize, relation);
+            self.marks.edge_gained(v as usize, relation);
             self.scalars.quiet_streak = 0;
         }
         added
     }
 
     /// Removes an undirected edge; returns whether the graph changed. Both
-    /// endpoints re-enter the active set (and only they — see
-    /// [`AdaptivePartitioner::add_edge`] for why that is exact).
+    /// endpoints are marked changed and spend their margins (and only they
+    /// — see [`AdaptivePartitioner::add_edge`]).
     pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
         let removed = self.graph.remove_edge(u, v);
         if removed {
-            if self.partitioning.partition_of(u) != self.partitioning.partition_of(v) {
+            let (pu, pv) = (
+                self.partitioning.partition_of(u),
+                self.partitioning.partition_of(v),
+            );
+            if pu != pv {
                 self.cut -= 1;
             }
-            self.degree_mass[self.partitioning.partition_of(u) as usize] -= 1;
-            self.degree_mass[self.partitioning.partition_of(v) as usize] -= 1;
-            self.marks.mutated(u as usize);
-            self.marks.mutated(v as usize);
+            self.degree_mass[pu as usize] -= 1;
+            self.degree_mass[pv as usize] -= 1;
+            let relation = Relation::between(pu, pv);
+            self.marks.edge_lost(u as usize, relation);
+            self.marks.edge_lost(v as usize, relation);
             self.scalars.quiet_streak = 0;
         }
         removed
     }
 
     /// Removes a vertex and its incident edges; returns whether the graph
-    /// changed. Every former neighbour re-enters the active set (each lost
-    /// an edge); the tombstone itself leaves it.
+    /// changed. Every former neighbour lost an edge (marked changed, margin
+    /// spent); the tombstone itself leaves the active set.
     pub fn remove_vertex(&mut self, v: VertexId) -> bool {
         if !self.graph.is_vertex(v) {
             return false;
         }
         let pv = self.partitioning.partition_of(v);
         for &w in self.graph.neighbors(v) {
-            if self.partitioning.partition_of(w) != pv {
+            let pw = self.partitioning.partition_of(w);
+            if pw != pv {
                 self.cut -= 1;
             }
-            self.degree_mass[self.partitioning.partition_of(w) as usize] -= 1;
-            self.marks.mutated(w as usize);
+            self.degree_mass[pw as usize] -= 1;
+            self.marks.edge_lost(w as usize, Relation::between(pw, pv));
         }
         self.degree_mass[pv as usize] -= self.graph.degree(v);
         self.graph.remove_vertex(v);
@@ -983,8 +1070,10 @@ impl AdaptivePartitioner {
     }
 
     /// Audits internal invariants (incremental cut vs recount, size
-    /// accounting, max-partition tracking, the active-set invariant, the
-    /// apply stamp being clear); used by tests and debug assertions.
+    /// accounting, max-partition tracking, the apply stamp being clear, and
+    /// what the sweep relies on: every retired vertex's stay margin is at
+    /// most its true margin, every standing memo is what a fresh walk would
+    /// find); used by tests and debug assertions.
     ///
     /// # Panics
     ///
@@ -1018,6 +1107,10 @@ impl AdaptivePartitioner {
                 && self.scratch.targets.iter().all(|&t| t == NOT_MIGRATING),
             "apply target stamp not cleared"
         );
+        // Each inactive vertex's recorded stay margin is at most its true
+        // margin (home count, plus itself under `count_self`, minus the
+        // best foreign count) — so, margins being non-negative, no
+        // partition outweighs its current one among its neighbours.
         let mut counts = vec![0u32; self.scalars.config.num_partitions as usize];
         for v in self.graph.vertices() {
             if self.marks.sweep().contains(v as usize) {
@@ -1029,13 +1122,41 @@ impl AdaptivePartitioner {
             }
             let pv = self.partitioning.partition_of(v);
             let own = counts[pv as usize] + self.scalars.config.count_self as u32;
-            for (p, &count) in counts.iter().enumerate() {
-                assert!(
-                    p == pv as usize || count <= own,
-                    "inactive vertex {v} could migrate: partition {p} holds \
-                     {count} of its neighbours vs {own} at home"
-                );
-            }
+            let (p, best_foreign) = counts
+                .iter()
+                .enumerate()
+                .filter(|&(p, _)| p != pv as usize)
+                .map(|(p, &count)| (p, count))
+                .max_by_key(|&(_, count)| count)
+                .unwrap_or((pv as usize, 0));
+            let margin = self.marks.margin(v as usize);
+            assert!(
+                best_foreign + u32::from(margin) <= own,
+                "inactive vertex {v} claims margin {margin}, but partition {p} holds \
+                 {best_foreign} of its neighbours vs {own} at home"
+            );
+        }
+        // Every standing memo is what a fresh walk would find, in order.
+        let k = self.scalars.config.num_partitions;
+        let mut kernel = DecisionKernel::new(k, self.scalars.config.count_self);
+        for slot in self.marks.memo_slots() {
+            let v = slot as VertexId;
+            let memo = self.marks.memo(slot).expect("listed memo");
+            let labels = self
+                .graph
+                .neighbors(v)
+                .iter()
+                .map(|&w| self.partitioning.partition_of(w));
+            let decision = kernel.decide(
+                self.partitioning.partition_of(v),
+                labels,
+                &mut vertex_rng(0, 0, 0),
+            );
+            assert!(
+                matches!(decision, MigrationDecision::Migrate(_)) && kernel.candidates() == memo,
+                "vertex {v}'s memo {memo:?} is stale: a fresh walk gives {decision:?} over {:?}",
+                kernel.candidates()
+            );
         }
     }
 }
@@ -1067,26 +1188,43 @@ impl DeltaTarget for AdaptivePartitioner {
 }
 
 /// What one shard's decision pass produced: migration proposals (ascending
-/// vertex order), vertices proven interior (to retire from the active
-/// set), and how many slots it visited.
+/// vertex order) with the candidates of those that walked, vertices proven
+/// to stay with their stay margins (to retire from the active set), and
+/// what the pass cost.
 #[derive(Debug, Default)]
 struct ShardOutcome {
-    proposals: Vec<(VertexId, PartitionId)>,
-    retire: Vec<VertexId>,
+    proposals: Vec<Proposal>,
+    /// The walked proposals' candidate lists, back to back in proposal
+    /// order.
+    candidates: Vec<PartitionId>,
+    retire: Vec<(VertexId, u8)>,
     visited: usize,
+    labels_read: usize,
+    memo_hits: usize,
+}
+
+/// One migration proposal. `candidates` counts the entries it owns in its
+/// [`ShardOutcome::candidates`] — the list its fresh walk drew from, which
+/// becomes its memo if quota refuses it; zero for a proposal drawn from a
+/// memo. (A list never holds the home partition, so its length fits a
+/// partition id.)
+#[derive(Debug, Clone, Copy)]
+struct Proposal {
+    v: VertexId,
+    to: PartitionId,
+    candidates: PartitionId,
 }
 
 /// What one shard of the parallel apply produced: the cut and degree-mass
 /// deltas of its migrants' moves, computed against the frozen
-/// iteration-start labels, plus the neighbours that saw a label change
+/// iteration-start labels, plus the relabel events its neighbours saw
 /// (the migrants themselves are marked by the merge). Folding the
-/// outcomes in shard order reproduces the serial per-migrant loop's final
-/// state exactly.
+/// outcomes reproduces the serial per-migrant loop's final state exactly.
 #[derive(Debug)]
 struct ApplyOutcome {
     cut_delta: i64,
     mass_delta: Vec<i64>,
-    relabelled_neighbours: Vec<VertexId>,
+    relabels: Relabels,
 }
 
 /// One shard's view of the decide phase: the frozen iteration-start
@@ -1103,47 +1241,67 @@ struct Evaluator<'a> {
 }
 
 impl Evaluator<'_> {
-    /// Evaluates one vertex against the frozen iteration-start snapshot.
+    /// Opens one vertex's evaluation against the frozen iteration-start
+    /// snapshot: counts the visit and rolls the willingness draw from the
+    /// vertex's own `(seed, vertex, round)` RNG. `None` means the vertex
+    /// declined this round — it stays active (a memo it holds stands) and
+    /// re-rolls next iteration, exactly as an exhaustive sweep would; the
+    /// RNG, when returned, goes on to any tie-break.
     ///
-    /// Every draw comes from the vertex's own `(seed, vertex, round)` RNG —
-    /// first the willingness roll, then any tie-breaks inside the kernel —
-    /// so the outcome is independent of which other vertices were visited.
-    /// A vertex that decides *Stay* is retired from the active set: Stay is
-    /// deterministic (the current partition wins every tie), so with an
-    /// unchanged neighbourhood the vertex would decide Stay on every future
-    /// iteration too.
-    ///
-    /// There is no pre-scan for an interior vertex: the kernel's tally is
-    /// also the early-out. A vertex whose neighbours all share its label
-    /// makes its own partition the unique best, so the kernel returns Stay
-    /// — without a random draw — and the vertex retires. The kernel only
-    /// consumes randomness when several *foreign* partitions tie for best,
-    /// which an interior vertex cannot produce. Each evaluation reads
-    /// `neighbors(v)` and the labels behind it twice (tally, then
-    /// zero-and-collect; see [`DecisionKernel`]) and nothing else, so a
-    /// sweep costs its neighbour reads.
+    /// Every draw a vertex consumes comes from that RNG, so the outcome is
+    /// independent of which other vertices were visited.
     #[inline]
-    fn evaluate(&mut self, v: VertexId) {
+    fn roll(&mut self, v: VertexId) -> Option<StdRng> {
         self.out.visited += 1;
         let mut rng = vertex_rng(self.seed, v as u64, self.round);
-        if self.s < 1.0 && !rng.gen_bool(self.s) {
-            // Declined to evaluate this round: it stays active and re-rolls
-            // next iteration, exactly as an exhaustive sweep would.
-            return;
-        }
+        (self.s >= 1.0 || rng.gen_bool(self.s)).then_some(rng)
+    }
+
+    /// Decides by walking `v`'s neighbour labels through the kernel. A
+    /// vertex that decides *Stay* is retired with its stay margin: Stay is
+    /// deterministic (the current partition wins every tie), so until
+    /// events spend that margin it would decide Stay on every future
+    /// iteration too. A vertex that migrates proposes, keeping its
+    /// candidates in case quota refuses it.
+    ///
+    /// There is no pre-scan for an interior vertex: the kernel's tally is
+    /// also the early-out, and it only consumes randomness when several
+    /// *foreign* partitions tie for best. Each walk reads `neighbors(v)`
+    /// and the labels behind it twice (tally, then zero-and-collect; see
+    /// [`DecisionKernel`]) and nothing else, so a sweep costs its neighbour
+    /// reads.
+    #[inline]
+    fn walk(&mut self, v: VertexId, rng: &mut StdRng) {
         let (graph, partitioning) = (self.graph, self.partitioning);
+        let neighbours = graph.neighbors(v);
+        self.out.labels_read += neighbours.len();
         let current = partitioning.partition_of(v);
-        match self.kernel.decide(
-            current,
-            graph
-                .neighbors(v)
-                .iter()
-                .map(|&w| partitioning.partition_of(w)),
-            &mut rng,
-        ) {
-            MigrationDecision::Stay => self.out.retire.push(v),
-            MigrationDecision::Migrate(to) => self.out.proposals.push((v, to)),
+        let labels = neighbours.iter().map(|&w| partitioning.partition_of(w));
+        match self.kernel.decide(current, labels, rng) {
+            MigrationDecision::Stay => self.out.retire.push((v, self.kernel.stay_margin())),
+            MigrationDecision::Migrate(to) => {
+                let candidates = self.kernel.candidates();
+                self.out.candidates.extend_from_slice(candidates);
+                self.out.proposals.push(Proposal {
+                    v,
+                    to,
+                    candidates: candidates.len() as PartitionId,
+                });
+            }
         }
+    }
+
+    /// Proposes from `v`'s standing memo: the kernel's tie-break over the
+    /// candidates its last walk found, which no event has touched since —
+    /// the draw a fresh walk would make, with no neighbour read.
+    #[inline]
+    fn propose_from_memo(&mut self, v: VertexId, candidates: &[PartitionId], rng: &mut StdRng) {
+        self.out.memo_hits += 1;
+        self.out.proposals.push(Proposal {
+            v,
+            to: pick_candidate(candidates, rng),
+            candidates: 0,
+        });
     }
 }
 
@@ -1526,7 +1684,7 @@ mod tests {
     }
 
     #[test]
-    fn mutations_reactivate_the_perturbed_region() {
+    fn an_edge_reactivates_an_endpoint_exactly_when_its_margin_is_spent() {
         let g = gen::mesh3d(8, 8, 8);
         let cfg = AdaptiveConfig::builder(4)
             .willingness(1.0)
@@ -1535,13 +1693,115 @@ mod tests {
             .unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 31);
         p.run_to_convergence();
-        let quiet = p.num_active_vertices();
-        // An edge between two vertices re-activates both neighbourhoods.
-        let (u, v) = (0u32, 300u32);
-        assert!(p.add_edge(u, v) || p.remove_edge(u, v));
-        assert!(p.is_active(u) && p.is_active(v));
-        assert!(p.num_active_vertices() > quiet);
+        // A retired vertex with something to spend, and one more foreign
+        // non-neighbour than its margin.
+        let label = |p: &AdaptivePartitioner, v: VertexId| p.partitioning().partition_of(v);
+        let u = (0..512u32)
+            .find(|&v| !p.is_active(v) && p.marks.margin(v as usize) >= 2)
+            .expect("a converged mesh has interior vertices");
+        let m = p.marks.margin(u as usize);
+        let foreign: Vec<VertexId> = (0..512u32)
+            .filter(|&x| label(&p, x) != label(&p, u) && !p.graph().has_edge(u, x))
+            .take(usize::from(m) + 1)
+            .collect();
+        assert_eq!(foreign.len(), usize::from(m) + 1);
+        for (i, &x) in foreign.iter().enumerate() {
+            p.clear_changed();
+            assert!(p.add_edge(u, x));
+            // Both endpoints are always changed; u re-enters the sweep on
+            // edge m + 1 and not before.
+            assert_eq!(
+                p.changed_slots(),
+                vec![u.min(x) as usize, u.max(x) as usize]
+            );
+            let spent = i + 1 > usize::from(m);
+            assert_eq!(p.is_active(u), spent, "after {} foreign edges", i + 1);
+            if !spent {
+                assert_eq!(
+                    usize::from(p.marks.margin(u as usize)),
+                    usize::from(m) - i - 1
+                );
+            }
+            p.audit();
+        }
+        // A home edge lost spends one, a foreign one nothing.
+        let w = (0..512u32).find(|&w| {
+            !p.is_active(w)
+                && p.marks.margin(w as usize) == 1
+                && p.graph()
+                    .neighbors(w)
+                    .iter()
+                    .any(|&x| label(&p, x) == label(&p, w))
+                && p.graph()
+                    .neighbors(w)
+                    .iter()
+                    .any(|&x| label(&p, x) != label(&p, w))
+        });
+        if let Some(w) = w {
+            let far = |home: bool| {
+                p.graph()
+                    .neighbors(w)
+                    .iter()
+                    .copied()
+                    .find(|&x| (label(&p, x) == label(&p, w)) == home)
+                    .unwrap()
+            };
+            let (away, near) = (far(false), far(true));
+            assert!(p.remove_edge(w, away));
+            assert!(!p.is_active(w));
+            assert!(p.remove_edge(w, near));
+            assert!(!p.is_active(w), "margin 1 absorbs one home edge");
+            p.audit();
+        }
+    }
+
+    #[test]
+    fn a_refused_proposer_re_proposes_from_its_memo() {
+        use apg_partition::capacity::BalanceObjective;
+        let g = gen::mesh3d(6, 6, 6);
+        let cfg = AdaptiveConfig::builder(4).willingness(1.0).build().unwrap();
+        let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 21);
+        // No room anywhere: quota refuses every proposal.
+        let full = p.partitioning().sizes().to_vec();
+        p.set_fixed_capacities(CapacityModel::explicit(full, BalanceObjective::Vertices));
+        let (stats, walked) = p.iterate_profiled();
+        assert_eq!((stats.migrations, walked.memo_hits), (0, 0));
+        assert!(walked.labels_read > 0);
+        let proposers = p.num_active_vertices();
+        assert!(proposers > 0, "nobody proposed");
         p.audit();
+
+        // The next sweep answers every evaluation from a memo, and draws
+        // exactly the proposals fresh walks of the same vertices draw.
+        let proposals = |outcomes: &[ShardOutcome]| -> Vec<(VertexId, PartitionId)> {
+            outcomes
+                .iter()
+                .flat_map(|o| o.proposals.iter().map(|q| (q.v, q.to)))
+                .collect()
+        };
+        let cost = |outcomes: &[ShardOutcome]| {
+            let sum = |f: fn(&ShardOutcome) -> usize| outcomes.iter().map(f).sum::<usize>();
+            (sum(|o| o.labels_read), sum(|o| o.memo_hits))
+        };
+        let mut fresh = p.clone();
+        let mut profile = p.prepare_iteration();
+        let from_memos = p.decide_active(&mut profile);
+        assert_eq!(cost(&from_memos), (0, proposers));
+        let mut profile = fresh.prepare_iteration();
+        fresh
+            .scratch
+            .shards
+            .extend(fresh.shard_plan().ranges().enumerate());
+        let from_walks = fresh.decide(&mut profile, 1, |frozen, slots, eval| {
+            for v in frozen.graph.live_in(slots) {
+                if let Some(mut rng) = eval.roll(v) {
+                    eval.walk(v, &mut rng);
+                }
+            }
+        });
+        assert_eq!(cost(&from_walks).1, 0);
+        assert_eq!(proposals(&from_memos), proposals(&from_walks));
+        assert_eq!(proposals(&from_memos).len(), proposers);
     }
 
     #[test]

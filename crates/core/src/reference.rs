@@ -8,8 +8,9 @@
 //! mechanism it checks:
 //!
 //! * [`iterate_exhaustive`] — the work list is every slot range of the
-//!   plan and the decide phase visits every live vertex in it, never
-//!   consulting the active set to choose what to visit;
+//!   plan and the decide phase walks every live vertex in it, never
+//!   consulting the active set to choose what to visit nor a candidate
+//!   memo to skip a walk;
 //! * [`iterate_serial_apply`] — the admitted migrants move one at a time,
 //!   in admission order, each through `apply_move`.
 //!
@@ -19,7 +20,8 @@
 //! [`decide_touched_list`] is the same idea one level down: the decision
 //! kernel as it was before [`DecisionKernel`](crate::DecisionKernel)
 //! stopped keeping a touched list, which `tests/kernel_equivalence.rs`
-//! holds the production kernel to, decision for decision and draw for draw.
+//! holds the production kernel to, decision for decision, draw for draw
+//! and stay margin for stay margin.
 //!
 //! Nothing here is reachable from a production call path or from a
 //! configuration.
@@ -30,12 +32,14 @@ use apg_graph::{Graph, VertexId};
 use apg_partition::PartitionId;
 
 use super::{AdaptivePartitioner, IterationStats, SweepProfile};
+use crate::marks::Relabels;
 use crate::MigrationDecision;
 
 /// One iteration with the exhaustive decision sweep: every live vertex is
-/// evaluated, active or not. Because randomness is keyed per
-/// `(seed, vertex, iteration)` and skipped vertices provably decide *Stay*,
-/// the history equals [`AdaptivePartitioner::iterate`]'s.
+/// walked, active or not, memo or not. Because randomness is keyed per
+/// `(seed, vertex, iteration)`, skipped vertices provably decide *Stay* and
+/// a memo draws what a walk would, the history equals
+/// [`AdaptivePartitioner::iterate`]'s.
 pub fn iterate_exhaustive(p: &mut AdaptivePartitioner) -> (IterationStats, SweepProfile) {
     p.iterate_with(
         |p, profile| {
@@ -43,7 +47,9 @@ pub fn iterate_exhaustive(p: &mut AdaptivePartitioner) -> (IterationStats, Sweep
             p.scratch.shards.extend(plan.ranges().enumerate());
             p.decide(profile, p.config().parallelism, |frozen, slots, eval| {
                 for v in frozen.graph.live_in(slots) {
-                    eval.evaluate(v);
+                    if let Some(mut rng) = eval.roll(v) {
+                        eval.walk(v, &mut rng);
+                    }
                 }
             })
         },
@@ -52,21 +58,26 @@ pub fn iterate_exhaustive(p: &mut AdaptivePartitioner) -> (IterationStats, Sweep
 }
 
 /// One iteration with the serial apply: the admitted set is committed by
-/// the per-migrant `apply_move` loop instead of the sharded fan-out. The
-/// resulting state equals [`AdaptivePartitioner::iterate`]'s.
+/// the per-migrant `apply_move` loop instead of the sharded fan-out, every
+/// neighbour's relabel event recorded (none skipped) and the iteration's
+/// events folded once at the end. The resulting state equals
+/// [`AdaptivePartitioner::iterate`]'s.
 pub fn iterate_serial_apply(p: &mut AdaptivePartitioner) -> (IterationStats, SweepProfile) {
     p.iterate_with(AdaptivePartitioner::decide_active, |p| {
+        let reads = p.pending.iter().map(|&(v, _)| p.graph.degree(v)).sum();
+        let mut relabels = Relabels::with_reads(reads, p.is_mass_move());
         for i in 0..p.pending.len() {
             let (v, to) = p.pending[i];
-            apply_move(p, v, to);
+            apply_move(p, v, to, &mut relabels);
         }
+        p.marks.neighbours_relabelled([&relabels]);
     })
 }
 
 /// Moves one vertex, updating the cut edge by edge against the labels as
-/// they stand *now* (earlier migrants of the same iteration already moved)
-/// and re-dirtying the migrant's neighbourhood.
-fn apply_move(p: &mut AdaptivePartitioner, v: VertexId, to: PartitionId) {
+/// they stand *now* (earlier migrants of the same iteration already moved),
+/// marking the migrant and recording the relabel each neighbour saw.
+fn apply_move(p: &mut AdaptivePartitioner, v: VertexId, to: PartitionId, relabels: &mut Relabels) {
     let from = p.partitioning.partition_of(v);
     if from == to {
         return;
@@ -78,9 +89,9 @@ fn apply_move(p: &mut AdaptivePartitioner, v: VertexId, to: PartitionId) {
         } else if pw == to {
             p.cut -= 1; // was cut, becomes internal
         }
-        p.marks.neighbour_relabelled(w as usize);
+        relabels.record(w, pw, from, to, || true);
     }
-    p.marks.mutated(v as usize);
+    p.marks.relabelled(v as usize);
     let deg = p.graph.degree(v);
     p.degree_mass[from as usize] -= deg;
     p.degree_mass[to as usize] += deg;
@@ -90,15 +101,17 @@ fn apply_move(p: &mut AdaptivePartitioner, v: VertexId, to: PartitionId) {
 /// The greedy rule with an explicit touched list: labels are recorded in
 /// order of first occurrence (`current` last, when `count_self` adds it),
 /// the best count is a scan over them, and the candidates are the touched
-/// labels at that count, in that order. Allocates its `k`-length histogram
-/// per call — an oracle, not a kernel.
+/// labels at that count, in that order. A *Stay* also returns its stay
+/// margin — home count minus the best foreign touched count, saturated to
+/// a `u8`. Allocates its `k`-length histogram per call — an oracle, not a
+/// kernel.
 pub fn decide_touched_list<R: Rng, I>(
     k: PartitionId,
     count_self: bool,
     current: PartitionId,
     neighbor_partitions: I,
     rng: &mut R,
-) -> MigrationDecision
+) -> (MigrationDecision, Option<u8>)
 where
     I: Iterator<Item = PartitionId>,
 {
@@ -121,12 +134,18 @@ where
     for &p in &touched {
         best = best.max(counts[p as usize]);
     }
-    if best == 0 {
-        // Isolated vertex: cand(v, t) degenerates to the current
-        // partition (v ∈ Γ(v, t)).
-        MigrationDecision::Stay
-    } else if counts[current as usize] == best {
-        MigrationDecision::Stay
+    let home = counts[current as usize];
+    if best == 0 || home == best {
+        // (An isolated vertex: cand(v, t) degenerates to the current
+        // partition, v ∈ Γ(v, t).)
+        let foreign = touched
+            .iter()
+            .filter(|&&p| p != current)
+            .map(|&p| counts[p as usize])
+            .max()
+            .unwrap_or(0);
+        let margin = u8::try_from(home - foreign).unwrap_or(u8::MAX);
+        (MigrationDecision::Stay, Some(margin))
     } else {
         let mut candidates = Vec::new();
         for &p in &touched {
@@ -139,6 +158,6 @@ where
         } else {
             candidates[rng.gen_range(0..candidates.len())]
         };
-        MigrationDecision::Migrate(pick)
+        (MigrationDecision::Migrate(pick), None)
     }
 }

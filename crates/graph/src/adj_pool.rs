@@ -67,25 +67,36 @@ impl AdjPool {
         }
     }
 
-    /// A pool of `degrees.len()` empty slots whose spans are preallocated
-    /// back-to-back with exactly the given capacities — the bulk
-    /// constructor for callers that know every degree up front
-    /// (`DynGraph::from_graph`'s degree prepass). An [`AdjPool::replace`]
-    /// of slot `v` with up to `degrees[v]` entries never relocates.
-    pub fn with_capacities(degrees: &[usize]) -> Self {
-        let total: usize = degrees.iter().sum();
-        let mut spans = Vec::with_capacity(degrees.len());
-        let mut offset = 0usize;
-        for &d in degrees {
+    /// A pool holding `lists` (each strictly ascending, debug-asserted),
+    /// one slot per list in order, in exact-fit spans back to back in an
+    /// arena reserved at `total` entries — exact when that is their summed
+    /// length. The bulk constructor for callers that can list every slot up
+    /// front (`DynGraph::from_graph`): one append per list, nothing
+    /// zero-filled first, and the layout [`AdjPool::compact`] would
+    /// produce.
+    pub fn from_lists<'a, I>(total: usize, lists: I) -> Self
+    where
+        I: ExactSizeIterator<Item = &'a [VertexId]>,
+    {
+        let mut arena = Vec::with_capacity(total);
+        let mut spans = Vec::with_capacity(lists.len());
+        for list in lists {
+            debug_assert!(
+                list.windows(2).all(|w| w[0] < w[1]),
+                "list for slot {} not strictly ascending",
+                spans.len()
+            );
+            let len = list.len() as u32;
             spans.push(Span {
-                offset,
-                len: 0,
-                cap: d as u32,
+                offset: arena.len(),
+                len,
+                cap: len,
             });
-            offset += d;
+            arena.extend_from_slice(list);
         }
+        debug_assert_eq!(arena.len(), total, "lists do not sum to the stated total");
         AdjPool {
-            arena: vec![0; total],
+            arena,
             spans,
             garbage: 0,
             compactions: 0,
@@ -308,16 +319,20 @@ mod tests {
     }
 
     #[test]
-    fn with_capacities_bulk_fill_never_relocates() {
-        let degrees = [3usize, 0, 2];
-        let mut pool = AdjPool::with_capacities(&degrees);
-        let before = pool.arena_len();
-        pool.replace(0, &[10, 20, 30]);
-        pool.replace(2, &[7, 9]);
-        assert_eq!(pool.arena_len(), before, "bulk fill must not grow");
+    fn from_lists_packs_exact_fit_spans() {
+        let lists: [&[VertexId]; 3] = [&[10, 20, 30], &[], &[7, 9]];
+        let mut pool = AdjPool::from_lists(5, lists.iter().copied());
+        assert_eq!(pool.arena_len(), 5, "the arena is exactly the lists");
         assert_eq!(pool.garbage(), 0);
-        assert_eq!(pool.neighbors(0), &[10, 20, 30]);
-        assert_eq!(pool.neighbors(2), &[7, 9]);
+        assert_eq!(pool, pool_with_lists(&lists));
+        // The layout compaction would produce: compacting moves nothing.
+        let offsets: Vec<usize> = pool.spans.iter().map(|s| s.offset).collect();
+        pool.compact();
+        assert_eq!(
+            pool.spans.iter().map(|s| s.offset).collect::<Vec<_>>(),
+            offsets
+        );
+        assert_eq!(pool.arena_len(), 5);
     }
 
     #[test]
@@ -464,9 +479,8 @@ mod tests {
         }
         churned.insert_sorted(1, 7);
 
-        let mut fresh = AdjPool::with_capacities(&[50, 1]);
-        fresh.replace(0, &(1..100u32).step_by(2).collect::<Vec<_>>());
-        fresh.replace(1, &[7]);
+        let odds: Vec<VertexId> = (1..100u32).step_by(2).collect();
+        let mut fresh = AdjPool::from_lists(51, [&odds[..], &[7][..]].into_iter());
 
         assert_eq!(churned, fresh);
         churned.compact();

@@ -87,20 +87,16 @@ impl DynGraph {
     /// Copies any [`Graph`] into a `DynGraph`: same slots, same liveness,
     /// same neighbour lists, so the copy of a `DynGraph` equals its source.
     ///
-    /// The bulk constructor: a degree prepass carves exact-fit spans back
-    /// to back in slot order, then each list is one slice copy — no
-    /// search, shift or relocation per edge. It relies on the list
-    /// contract stated on [`Graph`] and takes the live and edge counts
-    /// from the source.
+    /// The bulk constructor: one counting pass sizes the arena exactly,
+    /// then each list is appended to it as one exact-fit span in slot order
+    /// — no zero fill, search, shift or relocation per edge. It relies on
+    /// the list contract stated on [`Graph`] and takes the live and edge
+    /// counts from the source.
     pub fn from_graph<G: Graph>(g: &G) -> Self {
-        let n = g.num_vertices();
-        let degrees: Vec<usize> = (0..n as VertexId).map(|v| g.degree(v)).collect();
-        let mut adj = AdjPool::with_capacities(&degrees);
-        let mut alive = Vec::with_capacity(n);
-        for v in 0..n as VertexId {
-            adj.replace(v as usize, g.neighbors(v));
-            alive.push(g.is_vertex(v));
-        }
+        let slots = 0..g.num_vertices() as VertexId;
+        let total = slots.clone().map(|v| g.degree(v)).sum();
+        let adj = AdjPool::from_lists(total, slots.clone().map(|v| g.neighbors(v)));
+        let alive = slots.map(|v| g.is_vertex(v)).collect();
         DynGraph {
             adj,
             alive,

@@ -7,14 +7,24 @@
 //!
 //! The exhaustive reference is `apg::core::reference::iterate_exhaustive`:
 //! the same phases as `AdaptivePartitioner::iterate` with the work list and
-//! the visit swapped for "every live vertex of every shard", so the two
-//! drivers differ only in which slots the decision phase visits.
+//! the visit swapped for "walk every live vertex of every shard", so the
+//! two drivers differ only in which slots the decision phase visits and
+//! whether a refused proposer's candidate memo may stand in for its walk.
+//!
+//! The sweep's work is also pinned without a stopwatch: after a growth
+//! batch on a converged graph it reads fewer neighbour labels than the
+//! older rule (every event re-activates) would have, and its counters are
+//! the same at every parallelism.
 
 use proptest::prelude::*;
+use rand::Rng;
 
-use apg::core::{reference, AdaptiveConfig, AdaptivePartitioner, IterationStats, SweepProfile};
-use apg::exec::DEFAULT_SHARD_SIZE;
-use apg::graph::{gen, CsrGraph, DynGraph, Graph};
+use apg::core::{
+    reference, AdaptiveConfig, AdaptivePartitioner, DecisionKernel, IterationStats,
+    MigrationDecision, QuotaRule, SweepProfile,
+};
+use apg::exec::{vertex_rng, DEFAULT_SHARD_SIZE};
+use apg::graph::{gen, CsrGraph, DynGraph, Graph, UpdateBatch, VertexId};
 use apg::partition::InitialStrategy;
 use apg::streams::{PowerLawGrowth, StreamSource};
 
@@ -194,5 +204,158 @@ fn multi_shard_sweep_equals_exhaustive_sweep_under_growth() {
         profiles.iter().any(|p| p.shards_swept >= 2
             && p.slots_scheduled < (p.shards_swept - 1) * DEFAULT_SHARD_SIZE),
         "no sweep scheduled trimmed ranges in two or more shards"
+    );
+}
+
+/// One iteration of the production sweep, and the neighbour labels the
+/// older marking rule would have read in it: a vertex stays active from
+/// any event in its view until it next decides *Stay* — an edge activates
+/// both endpoints, a move the migrant and every neighbour, and nothing is
+/// remembered from a refused proposal. `old` is that rule's active set; it
+/// is decided against the same iteration-start state the production sweep
+/// sees (the rule cannot change the history) and updated from the moves.
+fn iterate_beside_the_old_rule(
+    p: &mut AdaptivePartitioner,
+    seed: u64,
+    old: &mut [bool],
+) -> ((IterationStats, SweepProfile), usize) {
+    let config = p.config().clone();
+    let round = p.iteration() as u64;
+    let s = config.willingness_at(p.iteration());
+    let mut kernel = DecisionKernel::new(config.num_partitions, config.count_self);
+    let (graph, labels) = (p.graph(), p.partitioning());
+    let mut read = 0;
+    for v in graph.vertices() {
+        if !old[v as usize] {
+            continue;
+        }
+        let mut rng = vertex_rng(seed, u64::from(v), round);
+        if s < 1.0 && !rng.gen_bool(s) {
+            continue;
+        }
+        let neighbours = graph.neighbors(v);
+        read += neighbours.len();
+        let view = neighbours.iter().map(|&w| labels.partition_of(w));
+        if kernel.decide(labels.partition_of(v), view, &mut rng) == MigrationDecision::Stay {
+            old[v as usize] = false;
+        }
+    }
+    let before = labels.as_slice().to_vec();
+    let step = p.iterate_profiled();
+    for v in p.graph().vertices() {
+        if p.partitioning().partition_of(v) != before[v as usize] {
+            old[v as usize] = true;
+            for &w in p.graph().neighbors(v) {
+                old[w as usize] = true;
+            }
+        }
+    }
+    (step, read)
+}
+
+/// The machine-independent guard on what the sweep re-reads: on a
+/// converged power law, a growth batch wakes hubs that gained one edge and
+/// leaves quota-refused newcomers proposing, and the sweep reads fewer
+/// labels than the older rule would have — starting that rule from this
+/// sweep's own (smaller) active set, so its count is a lower bound on what
+/// the rule really read. The history equals the exhaustive sweep's, and
+/// the work counters are the same at parallelism 1, 2 and 8.
+#[test]
+fn a_growth_batch_rereads_less_than_the_old_marking_rule() {
+    let graph = gen::holme_kim(6_000, 8, 0.1, 17);
+    let shadow = DynGraph::from(&graph);
+    let batch = PowerLawGrowth::new(&shadow, 8, 400, 17)
+        .next_batch()
+        .expect("growth streams never end");
+    let run = |threads: usize, exhaustive: bool| {
+        let cfg = AdaptiveConfig::builder(8)
+            .parallelism(threads)
+            .build()
+            .unwrap();
+        let mut p = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 17);
+        assert!(p.run_to_convergence().converged());
+        let base = p.graph().num_vertices();
+        let mut old: Vec<bool> = (0..base as VertexId).map(|v| p.is_active(v)).collect();
+        p.apply_batch(&batch);
+        old.resize(p.graph().num_vertices(), true);
+        for v in base as VertexId..p.graph().num_vertices() as VertexId {
+            for &w in p.graph().neighbors(v) {
+                old[w as usize] = true;
+            }
+        }
+        let mut old_reads = 0;
+        let steps: Vec<_> = (0..4)
+            .map(|_| {
+                if exhaustive {
+                    reference::iterate_exhaustive(&mut p)
+                } else {
+                    let (step, read) = iterate_beside_the_old_rule(&mut p, 17, &mut old);
+                    old_reads += read;
+                    step
+                }
+            })
+            .collect();
+        p.audit();
+        let (history, profiles): (Vec<_>, Vec<_>) = steps.into_iter().unzip();
+        let work: Vec<_> = profiles
+            .iter()
+            .map(|q| (q.visited, q.labels_read, q.memo_hits))
+            .collect();
+        (
+            (history, p.partitioning().as_slice().to_vec()),
+            work,
+            old_reads,
+        )
+    };
+    let (observed, work, old_reads) = run(2, false);
+    assert_eq!(observed, run(2, true).0, "the exhaustive sweep diverged");
+    for threads in [1, 8] {
+        assert_eq!(
+            run(threads, false).1,
+            work,
+            "counters moved at parallelism {threads}"
+        );
+    }
+    let reads: usize = work.iter().map(|w| w.1).sum();
+    let memo_hits: usize = work.iter().map(|w| w.2).sum();
+    assert!(
+        memo_hits > 0,
+        "no refused proposer re-proposed from its memo"
+    );
+    assert!(
+        reads < old_reads,
+        "the sweep read {reads} labels, the old rule at least {old_reads}"
+    );
+}
+
+/// An iteration that moves more than a shard's worth of vertices and a
+/// large share of the graph folds its relabels en masse — every neighbour
+/// re-enters, memos are forgotten — and stays exact: unbounded quotas on a
+/// hash start move most of a 12k-vertex power law at once.
+#[test]
+fn a_mass_move_keeps_the_sweep_exact() {
+    let graph = gen::holme_kim(12_000, 8, 0.1, 23);
+    let run = |iterate: fn(&mut AdaptivePartitioner) -> (IterationStats, SweepProfile)| {
+        let cfg = AdaptiveConfig::builder(8)
+            .quota_rule(QuotaRule::Unbounded)
+            .parallelism(2)
+            .build()
+            .unwrap();
+        let mut p = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 23);
+        let mut history: Vec<_> = (0..6).map(|_| iterate(&mut p).0).collect();
+        let mut batch = UpdateBatch::new();
+        for v in 0..200 {
+            batch.add_edge(v, 11_999 - v);
+        }
+        p.apply_batch(&batch);
+        history.extend((0..4).map(|_| iterate(&mut p).0));
+        p.audit();
+        (history, p.partitioning().as_slice().to_vec())
+    };
+    let active = run(AdaptivePartitioner::iterate_profiled);
+    assert_eq!(active, run(reference::iterate_exhaustive));
+    assert!(
+        active.0.iter().any(|s| s.migrations > DEFAULT_SHARD_SIZE),
+        "no iteration moved more than a shard's worth"
     );
 }

@@ -5,8 +5,9 @@
 //! `reference::decide_touched_list` keeps the explicit touched list the
 //! kernel used to have. For any input the two must return the same
 //! decision **and leave the RNG in the same state** — every recorded
-//! history depends on which draws a vertex consumes — and the kernel must
-//! hand the next call a clean histogram.
+//! history depends on which draws a vertex consumes — a *Stay* must report
+//! the same stay margin (the partitioner skips a retired vertex on it), and
+//! the kernel must hand the next call a clean histogram.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -19,8 +20,8 @@ use apg::partition::PartitionId;
 const KS: [PartitionId; 6] = [1, 2, 9, 64, 4096, 65535];
 
 /// One evaluation on `kernel` and on the oracle from equal RNG states:
-/// same decision, same next draw. Returns the decision and whether the RNG
-/// was drawn from.
+/// same decision, same stay margin, same next draw. Returns the decision
+/// and whether the RNG was drawn from.
 fn check(
     kernel: &mut DecisionKernel,
     k: PartitionId,
@@ -31,7 +32,7 @@ fn check(
 ) -> (MigrationDecision, bool) {
     let (mut rng, mut oracle_rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
     let got = kernel.decide(current, labels.iter().copied(), &mut rng);
-    let want = decide_touched_list(
+    let (want, want_margin) = decide_touched_list(
         k,
         count_self,
         current,
@@ -40,6 +41,8 @@ fn check(
     );
     let ctx = || format!("k={k} count_self={count_self} current={current} labels={labels:?}");
     assert_eq!(got, want, "decision differs from the oracle: {}", ctx());
+    let got_margin = (got == MigrationDecision::Stay).then(|| kernel.stay_margin());
+    assert_eq!(got_margin, want_margin, "stay margin differs: {}", ctx());
     let next = rng.next_u64();
     assert_eq!(next, oracle_rng.next_u64(), "RNG state diverged: {}", ctx());
     (got, next != StdRng::seed_from_u64(seed).next_u64())
@@ -65,6 +68,7 @@ fn rule_shapes_match_the_oracle_at_every_k() {
 
             assert_eq!(run(&[]), (Stay, false), "isolated");
             assert_eq!(run(&[home; 7]), (Stay, false), "all neighbours at home");
+            assert_eq!(run(&[home; 300]), (Stay, false), "a saturated margin");
             if k >= 2 {
                 let away = if f[0] == home { f[2] } else { f[0] };
                 assert_eq!(run(&[away; 5]), (Migrate(away), false), "one foreign label");
