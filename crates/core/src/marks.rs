@@ -25,28 +25,44 @@
 //!   −2, into home +1, between two foreign partitions −1 — and the slot
 //!   re-enters the sweep only when the bound goes negative. While the bound
 //!   holds, *Stay* still wins, so skipping the slot is exact.
-//! * An **active** slot whose proposal quota refused keeps its *candidate
-//!   memo* — the best-count foreign partitions in first-occurrence order —
-//!   until any event touches its view. Its next evaluation is then the
-//!   willingness roll plus the kernel's tie-break over that list, draw for
-//!   draw what a fresh walk would do, with no neighbour read.
+//! * A slot whose proposal quota refused after a fresh walk is *parked*:
+//!   it leaves the sweep with its *candidate memo* — the best-count foreign
+//!   partitions in first-occurrence order — and waits, ordered by id, in the
+//!   queue of every pair `(home, candidate)` it could move by. Admission
+//!   reads a queue only while its pair has budget, and a parked slot it
+//!   reaches is evaluated from its memo: the willingness roll plus the
+//!   kernel's tie-break over that list, draw for draw what a fresh walk
+//!   would do, with no neighbour read. A parked slot admission does not
+//!   reach would have been refused whatever it drew. Any event in its view
+//!   — an edge gained or lost, a neighbour relabelled (even into home: its
+//!   margin byte means nothing), its own relabel, a mass move — drops the
+//!   memo and returns it to the sweep.
 //!
-//! A memo is held only by an active slot and a margin is read only for a
-//! retired one. Both start empty and grow on first write; restore starts
-//! from the saturated record, which needs neither.
+//! The parked slots are exactly the memo-holders, disjoint from the sweep,
+//! and a margin is read only for a slot in neither. Margins, memos and
+//! queues start empty and grow on first write; restore starts from the
+//! saturated record, which needs none of them. Queue entries of unparked
+//! slots are deleted lazily: admission skips them and drops the ones it
+//! passed, and the queues are compacted once such entries outnumber the
+//! live ones.
 //!
 //! An iteration's relabel events are folded as one set: per neighbour the
 //! deltas are summed — gains first, saturating, then losses — and the
-//! neighbour re-enters iff the sum takes its margin negative. The result
-//! does not depend on event order, so the serial and the sharded apply
-//! leave the same active set. An iteration that moves a large share of the
-//! graph (a *mass move*, the partitioner decides) skips the margins
-//! instead: every neighbour of a migrant re-enters and every memo is
-//! forgotten, which is conservative and costs one mark per event.
+//! neighbour re-enters iff the sum takes its margin negative (a parked one
+//! on any event). The result does not depend on event order, so the serial
+//! and the sharded apply leave the same active set. An iteration that moves
+//! a large share of the graph (a *mass move*, the partitioner decides)
+//! skips the margins instead: every neighbour of a migrant re-enters and
+//! every parked slot is unparked, which is conservative and costs one mark
+//! per event.
+
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use apg_exec::ActiveSet;
 use apg_graph::{DynGraph, Graph, VertexId};
-use apg_partition::PartitionId;
+use apg_partition::{PartitionId, Partitioning};
 
 /// Where an edge's far endpoint sits relative to the slot's own label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,8 +223,8 @@ pub(crate) struct SlotMarks {
     /// Stay margins, meaningful for retired live slots only; grows on the
     /// first retirement past its end.
     margins: Vec<u8>,
-    /// Candidate memos of refused proposers.
-    memos: Memos,
+    /// Refused proposers waiting out of the sweep, with their memos.
+    parked: Parked,
 }
 
 impl SlotMarks {
@@ -216,7 +232,7 @@ impl SlotMarks {
     /// owes the sweep an evaluation (exact — one the original had retired
     /// just decides *Stay* again), and with no checkpoint base to diff
     /// against yet every slot counts as changed. Marked by words, then the
-    /// tombstones cleared.
+    /// tombstones cleared. Nothing is parked.
     pub(crate) fn saturated(graph: &DynGraph) -> Self {
         let n = graph.num_vertices();
         let mut sweep = ActiveSet::with_default_shards(n);
@@ -232,7 +248,7 @@ impl SlotMarks {
             sweep,
             changed,
             margins: Vec::new(),
-            memos: Memos::empty(),
+            parked: Parked::empty(),
         }
     }
 
@@ -249,7 +265,7 @@ impl SlotMarks {
     /// checkpoint must re-encode it.
     #[inline]
     pub(crate) fn relabelled(&mut self, slot: usize) {
-        self.memos.drop(slot);
+        self.parked.drop(slot);
         self.sweep.mark(slot);
         self.changed.mark(slot);
     }
@@ -281,27 +297,29 @@ impl SlotMarks {
     }
 
     /// Whether a relabel seen by `slot` would change anything: it does
-    /// unless `slot` is already awaiting the sweep with no memo to drop.
-    /// Reads only the sweep bitmap and the memo bits, so the apply fan-out
-    /// may ask while the records are frozen.
+    /// unless `slot` is already awaiting the sweep (which holds no memo).
+    /// Reads only the sweep bitmap, so the apply fan-out may ask while the
+    /// records are frozen.
     #[inline]
     pub(crate) fn wants_relabel(&self, slot: usize) -> bool {
-        !self.sweep.contains(slot) | self.memos.holds(slot)
+        !self.sweep.contains(slot)
     }
 
     /// One iteration's neighbour relabels, folded as one set (see the
     /// module docs): each affected slot's margin takes the sum of its
     /// events, gains applied before losses, and the slot re-enters the
-    /// sweep iff that sum is negative; an active slot just drops its memo.
-    /// Neither the order of `relabels` nor the order within them matters.
-    /// An active slot's margin is meaningless (retiring rewrites it), so
-    /// the fold updates every slot's byte alike instead of asking first.
+    /// sweep iff that sum is negative; a parked slot re-enters on any
+    /// event. Neither the order of `relabels` nor the order within them
+    /// matters. A parked slot's margin is meaningless (retiring rewrites
+    /// it), so the fold updates every slot's byte alike instead of asking
+    /// first.
     ///
     /// A mass move's relabels skip the margins: every slot that saw one
-    /// re-enters the sweep and every memo is forgotten. Conservative, so
-    /// exact, and one bitmap mark per neighbour read — when a large share
-    /// of the graph moves, most of its neighbours would be re-evaluated
-    /// anyway and spending margins costs more than the walks it saves.
+    /// re-enters the sweep and every parked slot is unparked. Conservative,
+    /// so exact, and one bitmap mark per neighbour read — when a large
+    /// share of the graph moves, most of its neighbours would be
+    /// re-evaluated anyway and spending margins costs more than the walks
+    /// it saves.
     pub(crate) fn neighbours_relabelled<'a, R>(&mut self, relabels: R)
     where
         R: IntoIterator<Item = &'a Relabels> + Clone,
@@ -316,7 +334,10 @@ impl SlotMarks {
             }
         }
         if en_masse {
-            self.memos.forget_all();
+            for slot in self.parked.slots() {
+                self.sweep.mark(slot);
+            }
+            self.parked.forget_all();
             return;
         }
         let buffers = || relabels.clone().into_iter().filter_map(Relabels::margins);
@@ -327,7 +348,7 @@ impl SlotMarks {
             for &event in buffer.gains() {
                 let slot = event.slot();
                 self.margins[slot] = self.margins[slot].saturating_add(1);
-                self.memos.drop(slot);
+                self.unpark(slot);
             }
         }
         for buffer in buffers() {
@@ -338,14 +359,14 @@ impl SlotMarks {
                 if margin < 0 {
                     self.sweep.mark(slot);
                 }
-                self.memos.drop(slot);
+                self.unpark(slot);
             }
         }
     }
 
     /// `slot` became a tombstone: a checkpoint change that leaves the sweep.
     pub(crate) fn tombstoned(&mut self, slot: usize) {
-        self.memos.drop(slot);
+        self.parked.drop(slot);
         self.sweep.clear(slot);
         self.changed.mark(slot);
     }
@@ -354,7 +375,7 @@ impl SlotMarks {
     /// best foreign partition.
     #[inline]
     pub(crate) fn retired(&mut self, slot: usize, margin: u8) {
-        debug_assert!(!self.memos.holds(slot), "slot {slot} retired with a memo");
+        debug_assert!(!self.parked.holds(slot), "parked slot {slot} retired");
         if slot >= self.margins.len() {
             self.margins.resize(self.sweep.len(), 0);
         }
@@ -362,30 +383,75 @@ impl SlotMarks {
         self.sweep.clear(slot);
     }
 
-    /// Quota refused `slot`'s proposal, drawn from `candidates` by a fresh
-    /// walk: the slot stays active and keeps the list until its view
-    /// changes.
+    /// Quota refused `slot`'s proposal, drawn by a fresh walk from
+    /// `candidates` while labelled `home`: the slot is parked — it leaves
+    /// the sweep and keeps the list until its view changes. A slot already
+    /// parked (the exhaustive reference walks them too) keeps its memo,
+    /// which equals `candidates`.
     #[inline]
-    pub(crate) fn refused(&mut self, slot: usize, candidates: &[PartitionId]) {
-        debug_assert!(self.sweep.contains(slot), "refused slot {slot} is inactive");
-        self.memos.hold(slot, candidates, self.sweep.len());
+    pub(crate) fn refused(&mut self, slot: usize, home: PartitionId, candidates: &[PartitionId]) {
+        if self.parked.holds(slot) {
+            debug_assert_eq!(self.parked.memo(slot), Some(candidates));
+            return;
+        }
+        debug_assert!(self.sweep.contains(slot), "refused slot {slot} is retired");
+        self.sweep.clear(slot);
+        self.parked.hold(slot, home, candidates, self.sweep.len());
     }
 
-    /// The admissions of one iteration are done: reclaim memo space once
-    /// most of it belongs to dropped memos.
-    pub(crate) fn memos_settled(&mut self) {
-        self.memos.maybe_compact();
+    /// The admissions of one iteration are done, and the merge over the
+    /// parked queues passed the `passed` leading entries of each (see
+    /// [`ParkedMerge::finish`]): drop the stale ones among those, order the
+    /// queues again, and reclaim memo and queue space once most of it is
+    /// stale.
+    pub(crate) fn parked_settled(&mut self, passed: &[(Pair, usize)]) {
+        self.parked.settle(passed);
     }
 
-    /// `slot`'s standing candidate memo, if it holds one.
+    /// `slot`'s candidate memo, if it is parked.
     #[inline]
     pub(crate) fn memo(&self, slot: usize) -> Option<&[PartitionId]> {
-        self.memos.get(slot)
+        self.parked.memo(slot)
+    }
+
+    /// Whether `slot` is parked.
+    #[inline]
+    pub(crate) fn is_parked(&self, slot: usize) -> bool {
+        self.parked.holds(slot)
+    }
+
+    /// Parked slots.
+    pub(crate) fn num_parked(&self) -> usize {
+        self.parked.held.num_active()
+    }
+
+    /// Admission's ascending walk over the parked queues (see
+    /// [`ParkedMerge`]).
+    pub(crate) fn parked_merge(&self) -> ParkedMerge<'_> {
+        let queues: Vec<_> = self
+            .parked
+            .queues
+            .iter()
+            .filter(|(_, queue)| !queue.slots.is_empty())
+            .map(|(&pair, queue)| (pair, queue.slots.as_slice(), 0))
+            .collect();
+        let heads = queues
+            .iter()
+            .enumerate()
+            .map(|(q, (_, slots, _))| Reverse((slots[0], q)))
+            .collect();
+        ParkedMerge {
+            parked: &self.parked,
+            queues,
+            heads,
+            last: None,
+        }
     }
 
     /// The stay margin recorded for `slot`, a retired live slot.
     pub(crate) fn margin(&self, slot: usize) -> u8 {
         debug_assert!(!self.sweep.contains(slot), "slot {slot} is active");
+        debug_assert!(!self.parked.holds(slot), "slot {slot} is parked");
         self.margins[slot]
     }
 
@@ -407,20 +473,22 @@ impl SlotMarks {
         slots
     }
 
-    /// Slots holding a standing memo, ascending.
-    pub(crate) fn memo_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.memos.slots()
+    /// Parked slots, ascending.
+    pub(crate) fn parked_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.parked.slots()
     }
 
-    /// Audits the records against `graph`: exact internal counts, full
-    /// slot coverage, no tombstone awaiting a sweep, and memos held only by
-    /// active slots. (Whether each margin and memo is *true* needs the
-    /// labels; the partitioner's audit checks that.)
+    /// Audits the records against `graph` and its `labels`: exact internal
+    /// counts, full slot coverage, no tombstone awaiting a sweep or parked,
+    /// parked slots disjoint from the sweep, each parked at its current
+    /// label and reachable from the queue of every pair its memo names.
+    /// (Whether each margin and memo is *true* needs a walk; the
+    /// partitioner's audit checks that.)
     ///
     /// # Panics
     ///
     /// Panics when an invariant is violated.
-    pub(crate) fn audit(&self, graph: &DynGraph) {
+    pub(crate) fn audit(&self, graph: &DynGraph, labels: &Partitioning) {
         for set in [&self.sweep, &self.changed] {
             set.audit();
             assert_eq!(
@@ -435,22 +503,28 @@ impl SlotMarks {
                 "tombstone {slot} lingering in the active set"
             );
         }
-        for slot in self.memos.slots() {
+        for slot in self.parked.slots() {
             assert!(
-                self.sweep.contains(slot),
-                "inactive slot {slot} holds a memo"
+                !self.sweep.contains(slot),
+                "parked slot {slot} is also in the sweep"
+            );
+            assert!(graph.is_vertex(slot as VertexId), "tombstone {slot} parked");
+            let home = self.parked.entry(slot).expect("held")[1];
+            assert_eq!(
+                home,
+                labels.partition_of(slot as VertexId),
+                "slot {slot} parked away from its label"
             );
         }
-        self.memos.audit();
+        self.parked.audit();
     }
 
-    /// Spends `delta` of `slot`'s margin: an active slot only loses its
-    /// memo (its view changed); a retired one re-enters the sweep when the
-    /// margin would go negative.
+    /// Spends `delta` of `slot`'s margin: a slot awaiting the sweep has
+    /// nothing to spend and a parked one is unparked (its view changed); a
+    /// retired one re-enters the sweep when the margin would go negative.
     #[inline]
     fn spend(&mut self, slot: usize, delta: i32) {
-        if self.sweep.contains(slot) {
-            self.memos.drop(slot);
+        if self.sweep.contains(slot) || self.unpark(slot) {
             return;
         }
         let margin = i32::from(self.margins[slot]) + delta;
@@ -460,33 +534,94 @@ impl SlotMarks {
             self.margins[slot] = margin.min(i32::from(u8::MAX)) as u8;
         }
     }
+
+    /// Returns `slot` to the sweep if it is parked; whether it was.
+    #[inline]
+    fn unpark(&mut self, slot: usize) -> bool {
+        let parked = self.parked.drop(slot);
+        if parked {
+            self.sweep.mark(slot);
+        }
+        parked
+    }
 }
 
-/// Candidate memos: which slots hold one, where each starts, and the lists
-/// back to back. All three start empty and grow on first write.
+/// A `(from, to)` quota pair: a parked slot's home and one of its
+/// candidates.
+pub(crate) type Pair = (PartitionId, PartitionId);
+
+/// The parked slots: which they are, their memos, and the queue of each
+/// pair they could move by. Everything starts empty and grows on first
+/// write.
 #[derive(Debug, Clone)]
-struct Memos {
-    /// Slots holding a memo.
+struct Parked {
+    /// Which slots are parked.
     held: ActiveSet,
     /// Where `slot`'s memo starts in `lists` (meaningful while held).
     at: Vec<u32>,
-    /// Each memo as `[len, candidates…]`; the entries of dropped memos are
-    /// garbage until the next compaction.
+    /// Each memo as `[len, home, candidates…]`; the entries of dropped
+    /// memos are garbage until the next compaction.
     lists: Vec<PartitionId>,
     /// Entries of `lists` owned by held memos.
     live: usize,
+    /// Per pair, the slots parked on it; entries of unparked slots linger
+    /// until a merge passes them or the queues are compacted.
+    queues: BTreeMap<Pair, Queue>,
+    /// Queue entries owned by parked slots: their memo lengths, summed.
+    queued: usize,
 }
 
-/// Garbage below which memo space is never compacted.
+/// One pair's queue.
+#[derive(Debug, Clone, Default)]
+struct Queue {
+    /// Parked slots, strictly ascending up to `sorted`; the entries after
+    /// it were parked since the queue was last settled, ascending too (one
+    /// admission parks in vertex order).
+    slots: Vec<VertexId>,
+    sorted: usize,
+}
+
+impl Queue {
+    /// Queues `slot` unless an entry left from an earlier parking on this
+    /// pair, not yet compacted away, already stands for it.
+    fn park(&mut self, slot: VertexId) {
+        let sorted = &self.slots[..self.sorted];
+        if sorted.last() < Some(&slot) || sorted.binary_search(&slot).is_err() {
+            self.slots.push(slot);
+        }
+    }
+
+    /// Merges the entries parked since the last settle into the ascending
+    /// prefix, from the back: each moves the block of larger entries past
+    /// it once, so a newborn's entry — the largest id — costs one write.
+    fn settle(&mut self) {
+        let mut tail = self.slots.split_off(self.sorted);
+        tail.sort_unstable();
+        let (mut sorted, mut end) = (self.sorted, self.sorted + tail.len());
+        self.slots.resize(end, 0);
+        for &slot in tail.iter().rev() {
+            let at = self.slots[..sorted].partition_point(|&s| s < slot);
+            self.slots.copy_within(at..sorted, end - (sorted - at));
+            end -= sorted - at + 1;
+            sorted = at;
+            self.slots[end] = slot;
+        }
+        self.sorted = self.slots.len();
+    }
+}
+
+/// Garbage below which memo and queue space is never compacted.
 const MEMO_COMPACT_FLOOR: usize = 4096;
 
-impl Memos {
+impl Parked {
     fn empty() -> Self {
-        Memos {
+        Parked {
             held: ActiveSet::with_default_shards(0),
             at: Vec::new(),
             lists: Vec::new(),
             live: 0,
+            queues: BTreeMap::new(),
+            queued: 0,
         }
     }
 
@@ -495,20 +630,31 @@ impl Memos {
         slot < self.held.len() && self.held.contains(slot)
     }
 
+    /// `slot`'s memo as `[len, home, candidates…]`, if held.
     #[inline]
-    fn get(&self, slot: usize) -> Option<&[PartitionId]> {
+    fn entry(&self, slot: usize) -> Option<&[PartitionId]> {
         if !self.holds(slot) {
             return None;
         }
         let start = self.at[slot] as usize;
-        let len = self.lists[start] as usize;
-        Some(&self.lists[start + 1..start + 1 + len])
+        Some(&self.lists[start..start + 2 + self.lists[start] as usize])
     }
 
-    /// `slot` (of a range of `slots`) holds `candidates` from now on.
-    fn hold(&mut self, slot: usize, candidates: &[PartitionId], slots: usize) {
-        debug_assert!(!candidates.is_empty() && slot < slots);
-        self.drop(slot);
+    #[inline]
+    fn memo(&self, slot: usize) -> Option<&[PartitionId]> {
+        self.entry(slot).map(|entry| &entry[2..])
+    }
+
+    /// Whether `slot` is parked on `pair`: held, home `pair.0`, and `pair.1`
+    /// among its candidates.
+    fn is_queued(&self, slot: usize, (home, to): Pair) -> bool {
+        self.entry(slot)
+            .is_some_and(|entry| entry[1] == home && entry[2..].contains(&to))
+    }
+
+    /// Parks `slot` (of a range of `slots`) at `home` with `candidates`.
+    fn hold(&mut self, slot: usize, home: PartitionId, candidates: &[PartitionId], slots: usize) {
+        debug_assert!(!candidates.is_empty() && slot < slots && !self.holds(slot));
         if slot >= self.at.len() {
             self.held.grow_to(slots);
             self.at.resize(slots, 0);
@@ -518,14 +664,28 @@ impl Memos {
         // A candidate list never holds the home partition, so its length
         // is below `k` and fits a partition id.
         self.lists.push(candidates.len() as PartitionId);
+        self.lists.push(home);
         self.lists.extend_from_slice(candidates);
-        self.live += 1 + candidates.len();
+        self.live += 2 + candidates.len();
+        self.queued += candidates.len();
+        for &to in candidates {
+            self.queues
+                .entry((home, to))
+                .or_default()
+                .park(slot as VertexId);
+        }
     }
 
+    /// Unparks `slot`; whether it was parked. Its queue entries go stale.
     #[inline]
-    fn drop(&mut self, slot: usize) {
+    fn drop(&mut self, slot: usize) -> bool {
         if slot < self.held.len() && self.held.clear(slot) {
-            self.live -= 1 + self.lists[self.at[slot] as usize] as usize;
+            let len = self.lists[self.at[slot] as usize] as usize;
+            self.live -= 2 + len;
+            self.queued -= len;
+            true
+        } else {
+            false
         }
     }
 
@@ -533,14 +693,53 @@ impl Memos {
         self.held.clear_all();
         self.lists.clear();
         self.live = 0;
+        self.queues.clear();
+        self.queued = 0;
     }
 
     fn slots(&self) -> impl Iterator<Item = usize> + '_ {
         self.held.iter()
     }
 
-    /// Rebuilds `lists` from the held memos once garbage outweighs them.
-    fn maybe_compact(&mut self) {
+    /// Drops the stale entries among each queue's `passed` leading ones,
+    /// merges each queue's newly parked tail into its order, then rebuilds
+    /// the queues once stale entries outnumber live ones, and `lists` from
+    /// the held memos once garbage outweighs them.
+    fn settle(&mut self, passed: &[(Pair, usize)]) {
+        let mut queues = std::mem::take(&mut self.queues);
+        // Stale entries sit where the merge starts reading — unparked
+        // slots are mostly admitted ones, the lowest ids of their pairs —
+        // so the ones a merge passed go now, before the next merge passes
+        // them again.
+        for &(pair, passed) in passed {
+            let queue = queues.get_mut(&pair).expect("a merged queue");
+            let mut kept = 0;
+            for i in 0..passed {
+                let slot = queue.slots[i];
+                if self.is_queued(slot as usize, pair) {
+                    queue.slots[kept] = slot;
+                    kept += 1;
+                }
+            }
+            queue.slots.drain(kept..passed);
+            queue.sorted -= passed - kept;
+        }
+        let mut entries = 0;
+        for queue in queues.values_mut() {
+            queue.settle();
+            entries += queue.slots.len();
+        }
+        let stale = entries - self.queued;
+        if stale > MEMO_COMPACT_FLOOR && stale > self.queued {
+            queues.retain(|&pair, queue| {
+                queue
+                    .slots
+                    .retain(|&slot| self.is_queued(slot as usize, pair));
+                queue.sorted = queue.slots.len();
+                !queue.slots.is_empty()
+            });
+        }
+        self.queues = queues;
         let garbage = self.lists.len() - self.live;
         if garbage <= MEMO_COMPACT_FLOOR || garbage <= self.live {
             return;
@@ -548,7 +747,7 @@ impl Memos {
         let mut packed = Vec::with_capacity(self.live);
         for slot in self.held.iter() {
             let start = self.at[slot] as usize;
-            let end = start + 1 + self.lists[start] as usize;
+            let end = start + 2 + self.lists[start] as usize;
             self.at[slot] = packed.len() as u32;
             packed.extend_from_slice(&self.lists[start..end]);
         }
@@ -558,9 +757,97 @@ impl Memos {
     fn audit(&self) {
         let owned: usize = self
             .slots()
-            .map(|slot| 1 + self.lists[self.at[slot] as usize] as usize)
+            .map(|slot| 2 + self.lists[self.at[slot] as usize] as usize)
             .sum();
         assert_eq!(owned, self.live, "memo space accounting drifted");
+        let mut queued = 0;
+        for slot in self.slots() {
+            let entry = self.entry(slot).expect("held");
+            for &to in &entry[2..] {
+                let reachable = self
+                    .queues
+                    .get(&(entry[1], to))
+                    .is_some_and(|queue| queue.slots.binary_search(&(slot as VertexId)).is_ok());
+                assert!(
+                    reachable,
+                    "parked slot {slot} missing from the queue of ({}, {to})",
+                    entry[1]
+                );
+                queued += 1;
+            }
+        }
+        assert_eq!(queued, self.queued, "queue accounting drifted");
+        for (pair, queue) in &self.queues {
+            assert_eq!(queue.sorted, queue.slots.len(), "queue {pair:?} unsettled");
+            assert!(
+                queue.slots.windows(2).all(|w| w[0] < w[1]),
+                "queue {pair:?} out of order"
+            );
+        }
+    }
+}
+
+/// Admission's walk over the parked queues: every parked slot at least one
+/// of whose queues is still live, once each, ascending. A queue drops out
+/// for good the first time its pair is found dead — budgets only fall
+/// within an iteration — so a slot none of whose queues is live is never
+/// read, and a queue is read only while its pair has budget.
+#[derive(Debug)]
+pub(crate) struct ParkedMerge<'a> {
+    parked: &'a Parked,
+    /// Each queue: its pair, its entries and how many of them the merge
+    /// has passed.
+    queues: Vec<(Pair, &'a [VertexId], usize)>,
+    /// `(head entry, queue)` of every queue still in the merge, least
+    /// first.
+    heads: BinaryHeap<Reverse<(VertexId, usize)>>,
+    /// The last slot handed out.
+    last: Option<VertexId>,
+}
+
+impl ParkedMerge<'_> {
+    /// The next parked slot past the last one handled that sits at the
+    /// head of a queue whose pair `live` still accepts, skipping stale
+    /// entries. Asking again without [`ParkedMerge::handled`] returns the
+    /// same slot, unless its queues died meanwhile.
+    pub(crate) fn peek(
+        &mut self,
+        live: impl Fn(PartitionId, PartitionId) -> bool,
+    ) -> Option<VertexId> {
+        while let Some(mut top) = self.heads.peek_mut() {
+            let Reverse((slot, q)) = *top;
+            let (pair, entries, passed) = &mut self.queues[q];
+            if !live(pair.0, pair.1) {
+                PeekMut::pop(top);
+                continue;
+            }
+            if self.last.is_some_and(|last| slot <= last)
+                || !self.parked.is_queued(slot as usize, *pair)
+            {
+                *passed += 1;
+                match entries.get(*passed) {
+                    Some(&next) => *top = Reverse((next, q)),
+                    None => {
+                        PeekMut::pop(top);
+                    }
+                }
+                continue;
+            }
+            return Some(slot);
+        }
+        None
+    }
+
+    /// `slot`, the last [`ParkedMerge::peek`], has been handled.
+    pub(crate) fn handled(&mut self, slot: VertexId) {
+        self.last = Some(slot);
+    }
+
+    /// Ends the merge: how many leading entries of each queue it passed,
+    /// for [`SlotMarks::parked_settled`].
+    pub(crate) fn finish(self) -> Vec<(Pair, usize)> {
+        let passed = self.queues.into_iter().filter(|&(_, _, passed)| passed > 0);
+        passed.map(|(pair, _, passed)| (pair, passed)).collect()
     }
 }
 
@@ -643,14 +930,33 @@ mod tests {
     fn a_mass_move_reactivates_without_spending_and_forgets_memos() {
         let mut marks = retired_path();
         marks.born(4);
-        marks.refused(4, &[1]);
+        marks.refused(4, 0, &[1]);
+        assert!(!marks.sweep().contains(4) && marks.is_parked(4));
         let mut en_masse = Relabels::with_reads(1, true);
         en_masse.record(2, 0, 1, 0, || unreachable!("a mass move asks nothing"));
         marks.neighbours_relabelled([&en_masse]);
         assert!(marks.sweep().contains(2), "even a gain reactivates");
         assert!(!marks.sweep().contains(1));
-        assert_eq!(marks.memo(4), None);
-        marks.memos.audit();
+        assert!(marks.sweep().contains(4), "every parked slot re-enters");
+        assert_eq!((marks.memo(4), marks.num_parked()), (None, 0));
+        marks.parked.audit();
+    }
+
+    #[test]
+    fn a_gain_only_relabel_unparks_a_parked_neighbour() {
+        let mut marks = retired_path();
+        marks.born(4);
+        marks.refused(4, 0, &[1, 2]);
+        assert_eq!(marks.memo(4), Some(&[1, 2][..]));
+        // A neighbour moving into slot 4's home only adds to its margin
+        // byte, which means nothing while parked: the slot must unpark.
+        let mut gain = Relabels::with_reads(1, false);
+        gain.record(4, 0, 1, 0, || marks.wants_relabel(4));
+        marks.neighbours_relabelled([&gain]);
+        assert!(marks.sweep().contains(4), "a gain left the slot parked");
+        assert_eq!((marks.memo(4), marks.num_parked()), (None, 0));
+        marks.parked_settled(&[]);
+        marks.parked.audit();
     }
 
     #[test]
@@ -658,8 +964,13 @@ mod tests {
         let n = 20_000;
         let mut marks = SlotMarks::saturated(&DynGraph::with_vertices(n));
         for slot in 0..n {
-            marks.refused(slot, &[1, 2]);
+            marks.refused(slot, 0, &[1, 2]);
         }
+        assert_eq!(
+            marks.sweep().num_active(),
+            0,
+            "parked slots leave the sweep"
+        );
         assert_eq!(marks.memo(7), Some(&[1, 2][..]));
         marks.edge_lost(7, Relation::Foreign);
         assert_eq!(marks.memo(7), None, "any event drops it");
@@ -667,12 +978,42 @@ mod tests {
         for slot in (0..n).filter(|s| s % 10 != 0) {
             marks.relabelled(slot);
         }
-        marks.memos_settled();
-        assert_eq!(marks.memos.lists.len(), marks.memos.live, "compacted");
+        marks.parked_settled(&[]);
+        assert_eq!(marks.parked.lists.len(), marks.parked.live, "compacted");
+        for pair in [(0, 1), (0, 2)] {
+            assert_eq!(
+                marks.parked.queues[&pair].slots.len(),
+                n / 10,
+                "queue compacted"
+            );
+        }
         assert_eq!(marks.memo(10), Some(&[1, 2][..]));
-        assert_eq!(marks.memo_slots().count(), n / 10);
+        assert_eq!(marks.parked_slots().count(), n / 10);
         marks.tombstoned(20);
         assert_eq!(marks.memo(20), None);
-        marks.memos.audit();
+        marks.parked_settled(&[]);
+        marks.parked.audit();
+    }
+
+    #[test]
+    fn the_merge_reads_live_queues_once_each_ascending() {
+        let mut marks = SlotMarks::saturated(&DynGraph::with_vertices(8));
+        marks.refused(1, 0, &[1, 2]);
+        marks.refused(3, 0, &[2]);
+        marks.refused(5, 0, &[1]);
+        marks.refused(6, 1, &[0]);
+        marks.relabelled(5);
+        marks.parked_settled(&[]);
+        // Pair (0, 2) is dead: slot 3 is never read, slot 1 is through
+        // (0, 1), and the stale entry of slot 5 is skipped.
+        let live = |from, to| (from, to) != (0, 2);
+        let mut merge = marks.parked_merge();
+        let mut read = Vec::new();
+        while let Some(slot) = merge.peek(live) {
+            assert_eq!(merge.peek(live), Some(slot), "peeking again moved on");
+            merge.handled(slot);
+            read.push(slot);
+        }
+        assert_eq!(read, vec![1, 6]);
     }
 }

@@ -23,7 +23,7 @@ use apg_partition::{
 
 use crate::candidates::{pick_candidate, DecisionKernel, MigrationDecision};
 use crate::config::AdaptiveConfig;
-use crate::marks::{Relabels, Relation, SlotMarks, RELABEL_SLOT_LIMIT};
+use crate::marks::{ParkedMerge, Relabels, Relation, SlotMarks, RELABEL_SLOT_LIMIT};
 use crate::quota::QuotaTable;
 use crate::runner::ConvergenceReport;
 
@@ -66,12 +66,17 @@ impl IterationStats {
 /// must not depend on whether the active-set skip was enabled).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SweepProfile {
-    /// Active slots when the iteration started.
+    /// Active slots when the iteration started: the sweep's plus the
+    /// parked ones.
     pub active_before: usize,
-    /// Active slots when the iteration finished.
+    /// Active slots when the iteration finished: the sweep's plus the
+    /// parked ones.
     pub active_after: usize,
-    /// Vertices the decision phase visited: the live active ones (all live
-    /// vertices under the exhaustive reference driver).
+    /// Parked slots when the iteration started: refused proposers waiting
+    /// in their quota pairs' queues, out of the sweep.
+    pub parked: usize,
+    /// Vertices the decision phase visited: the sweep's, parked slots not
+    /// included (all live vertices under the exhaustive reference driver).
     pub visited: usize,
     /// Shards the fan-out scheduled (shards with no active slot are
     /// skipped outright).
@@ -81,8 +86,13 @@ pub struct SweepProfile {
     /// Neighbour labels the decision kernel read: the degree of every
     /// vertex it walked. Deterministic — identical at every parallelism.
     pub labels_read: usize,
-    /// Evaluations answered from a refused proposer's candidate memo, with
-    /// no neighbour read. Deterministic — identical at every parallelism.
+    /// Parked slots admission rolled the willingness draw for: those it
+    /// reached while one of their pairs still had budget. Deterministic —
+    /// identical at every parallelism.
+    pub parked_reads: usize,
+    /// Evaluations answered from a parked slot's candidate memo, with no
+    /// neighbour read: the parked reads that were willing. Deterministic —
+    /// identical at every parallelism.
     pub memo_hits: usize,
     /// Total slots inside the scheduled shard ranges. Each scheduled
     /// shard is trimmed to its dirtied region
@@ -200,10 +210,17 @@ pub fn place_new_vertex(v: VertexId, loads: &[usize], caps: &CapacityModel) -> P
 /// foreign partitions −1. It re-enters the sweep only when the margin goes
 /// negative, so a hub that gains one edge is not walked again. A vertex
 /// that proposes a migration stays active (its tie-break re-rolls each
-/// round); if quota refuses a proposal its fresh walk found, it keeps the
-/// candidates as a *memo* until any event touches its view, and its next
-/// evaluation is the willingness roll plus the kernel's tie-break over the
-/// memo — draw for draw what a walk would do, with no neighbour read.
+/// round). If quota refuses a proposal its fresh walk found, it is
+/// *parked*: it leaves the sweep with its candidates as a *memo* and waits
+/// in the queue of each quota pair `(home, candidate)` until any event
+/// touches its view. Quota admits in ascending vertex order, so admission
+/// merges the sweep's proposals with the heads of the queues whose pair
+/// still has budget; a parked vertex it reaches is evaluated from its memo
+/// — the willingness roll plus the kernel's tie-break, draw for draw what a
+/// walk would do, with no neighbour read — and one it does not reach would
+/// have been refused whatever it drew. A quota-starved pair therefore costs
+/// what its budget admits, not what its queue holds. "Active" means the
+/// sweep plus the parked slots.
 ///
 /// The mutation hooks report exactly what changed: an edge add/remove to
 /// its two endpoints (with whether the other end is home or foreign), a
@@ -212,19 +229,22 @@ pub fn place_new_vertex(v: VertexId, loads: &[usize], caps: &CapacityModel) -> P
 /// each relabel to the migrant's neighbours, summing an iteration's events
 /// per neighbour so the outcome does not depend on their order. An
 /// iteration that moves a large share of the graph (a mass move, see
-/// `MASS_MOVE_FRACTION`) re-activates every neighbour of a migrant
-/// instead. Note that *cut-incident* is deliberately **not** the activity
-/// criterion: on a high-cut power-law graph nearly every vertex touches the
-/// cut, yet at convergence they all stably decide Stay — stay-stability is
-/// what lets converged iterations cost near zero instead of `O(|V|)`.
+/// `MASS_MOVE_FRACTION`) re-activates every neighbour of a migrant and
+/// unparks every parked vertex instead. Note that *cut-incident* is
+/// deliberately **not** the activity criterion: on a high-cut power-law
+/// graph nearly every vertex touches the cut, yet at convergence they all
+/// stably decide Stay — stay-stability is what lets converged iterations
+/// cost near zero instead of `O(|V|)`.
 ///
 /// Because per-vertex RNG keying makes skipping exact, the history is
 /// *identical* to an exhaustive sweep's
 /// (`apg_core::reference::iterate_exhaustive` pins this, walking every
-/// live vertex with no memo); `audit` proves every retired vertex's margin
-/// and every standing memo against a fresh count. A converged, quiet
-/// partitioner iterates in `O(shards)` bookkeeping, and a streaming one
-/// pays per batch in proportion to the views the batch actually changed.
+/// live vertex, parked ones included, with no memo and no queue); `audit`
+/// proves every retired vertex's margin and every parked vertex's memo
+/// against a fresh count, and every parked vertex reachable from the queue
+/// of each pair its memo names. A converged, quiet partitioner iterates in
+/// `O(shards)` bookkeeping, and a streaming one pays per batch in
+/// proportion to the views the batch actually changed.
 ///
 /// # Example
 ///
@@ -294,20 +314,20 @@ struct IterScratch {
 /// [`PartitionId`].
 const NOT_MIGRATING: PartitionId = PartitionId::MAX;
 
-/// Active-vertex count below which the active-set sweep stays on the calling
-/// thread. `fanout::map_items` spawns its scoped threads per call — 80-110 µs
-/// for two on the 2-vCPU reference box — while an active vertex costs
-/// ~0.2-0.4 µs to evaluate, so below a few hundred vertices the whole sweep
-/// is cheaper than the spawn that would halve it (the tail of a refinement
-/// job: ~145 quota-blocked vertices, 0.11-0.28 ms fanned out against
-/// 0.03-0.06 ms inline).
+/// Sweep size (parked slots not counted: the sweep does not visit them)
+/// below which the active-set sweep stays on the calling thread.
+/// `fanout::map_items` spawns its scoped threads per call — 80-110 µs for
+/// two on the 2-vCPU reference box — while a swept vertex costs ~0.2-0.4 µs
+/// to evaluate, so below a few hundred vertices the whole sweep is cheaper
+/// than the spawn that would halve it (the tail of a refinement job: ~145
+/// vertices, 0.11-0.28 ms fanned out against 0.03-0.06 ms inline).
 const INLINE_SWEEP_BELOW: usize = 512;
 
 /// An iteration that moves more than one apply shard of vertices
 /// ([`DEFAULT_SHARD_SIZE`](apg_exec::DEFAULT_SHARD_SIZE)) and more than one
 /// live vertex in this many is a *mass move*: its migrants' neighbours all
-/// re-enter the sweep instead of spending their stay margins, and standing
-/// memos are forgotten (so admission writes none). Exact either way; a
+/// re-enter the sweep instead of spending their stay margins, and every
+/// parked vertex is unparked (so admission parks none). Exact either way; a
 /// wall-clock choice. In a refinement of 500k vertices from a hash start
 /// the first dozen iterations each move up to 10% of the graph, and there
 /// the margin bookkeeping — a bitmap probe per neighbour read, a margin
@@ -455,22 +475,22 @@ impl AdaptivePartitioner {
         self.scalars.quiet_streak
     }
 
-    /// Vertices the next decision sweep will visit (the active set): every
-    /// vertex with a cut-incident edge plus everything dirtied by
-    /// mutations or migrations since its last evaluation. This is the
-    /// per-iteration cost driver — `O(active)`, not `O(|V|)`.
+    /// Vertices in the active set: those the next decision sweep will
+    /// visit — everything whose last evaluation no longer proves *Stay* —
+    /// plus the parked refused proposers admission may read. Zero means
+    /// every further iteration migrates nothing.
     pub fn num_active_vertices(&self) -> usize {
-        self.marks.sweep().num_active()
+        self.marks.sweep().num_active() + self.marks.num_parked()
     }
 
-    /// Whether vertex `v` is in the active set (will be visited by the
-    /// next decision sweep).
+    /// Whether vertex `v` is in the active set: in the next decision sweep,
+    /// or parked.
     ///
     /// # Panics
     ///
     /// Panics if `v` is outside the slot range.
     pub fn is_active(&self, v: VertexId) -> bool {
-        self.marks.sweep().contains(v as usize)
+        self.marks.sweep().contains(v as usize) || self.marks.is_parked(v as usize)
     }
 
     /// Vertex slots mutated (liveness, adjacency, or label) since the last
@@ -546,19 +566,25 @@ impl AdaptivePartitioner {
     /// what `iterate` would have produced). This is the production
     /// composition of the phases; see the module docs.
     pub fn iterate_profiled(&mut self) -> (IterationStats, SweepProfile) {
-        self.iterate_with(Self::decide_active, Self::apply_pending_sharded)
+        self.iterate_with(
+            Self::decide_active,
+            ParkedBy::Queues,
+            Self::apply_pending_sharded,
+        )
     }
 
     /// The iteration skeleton: `decide` schedules the work list and runs
-    /// the fan-out over it, `apply` commits the admitted `pending` set.
+    /// the fan-out over it, admission reads the parked slots as `parked`
+    /// says, `apply` commits the admitted `pending` set.
     fn iterate_with(
         &mut self,
         decide: impl FnOnce(&mut Self, &mut SweepProfile) -> Vec<ShardOutcome>,
+        parked: ParkedBy,
         apply: impl FnOnce(&mut Self),
     ) -> (IterationStats, SweepProfile) {
         let mut profile = self.prepare_iteration();
         let outcomes = decide(self, &mut profile);
-        self.admit(&outcomes, &mut profile);
+        self.admit(&outcomes, parked, &mut profile);
         let apply_start = Instant::now();
         apply(self);
         profile.apply_ms = ms_since(apply_start);
@@ -594,24 +620,25 @@ impl AdaptivePartitioner {
         debug_assert_eq!(active.shard_size(), plan.shard_size());
         self.scratch.shards.clear();
         SweepProfile {
-            active_before: active.num_active(),
+            active_before: self.num_active_vertices(),
+            parked: self.marks.num_parked(),
             num_shards: plan.num_shards(),
             ..SweepProfile::default()
         }
     }
 
     /// Work-list and decide phases as production runs them: the
-    /// dirtied-region work list — only shards with active slots, each
-    /// trimmed to its first..=last active slot, so the fan-out covers the
-    /// region recent churn touched and nothing else — swept by visiting
-    /// each range's active slots.
+    /// dirtied-region work list — only shards with slots in the sweep, each
+    /// trimmed to its first..=last such slot, so the fan-out covers the
+    /// region recent churn touched and nothing else — swept by walking
+    /// each range's sweep slots. Parked slots are not in the sweep;
+    /// admission reads them.
     fn decide_active(&mut self, profile: &mut SweepProfile) -> Vec<ShardOutcome> {
-        self.marks
-            .sweep()
-            .collect_dirty_shards(&mut self.scratch.shards);
+        let sweep = self.marks.sweep();
+        sweep.collect_dirty_shards(&mut self.scratch.shards);
         // A sweep cheaper than the spawn runs inline; the fan-out returns
         // the same outcomes at any thread count, so histories cannot tell.
-        let threads = if profile.active_before < INLINE_SWEEP_BELOW {
+        let threads = if sweep.num_active() < INLINE_SWEEP_BELOW {
             1
         } else {
             self.scalars.config.parallelism
@@ -621,10 +648,7 @@ impl AdaptivePartitioner {
                 let v = slot as VertexId;
                 debug_assert!(frozen.graph.is_vertex(v), "tombstone {v} in active set");
                 if let Some(mut rng) = eval.roll(v) {
-                    match frozen.marks.memo(slot) {
-                        Some(candidates) => eval.propose_from_memo(v, candidates, &mut rng),
-                        None => eval.walk(v, &mut rng),
-                    }
+                    eval.walk(v, &mut rng);
                 }
             }
         })
@@ -690,47 +714,89 @@ impl AdaptivePartitioner {
     /// the apply phase spends the margins its moves can erode, so a vertex
     /// whose decision could change is re-marked immediately after. Then
     /// admit proposals into `pending` against the quota table in ascending
-    /// vertex order (exactly what a sequential sweep would have consumed).
-    /// Unless the admitted set is a mass move, whose apply forgets every
-    /// memo, a proposer quota refused after a fresh walk then keeps its
-    /// candidates as a memo.
-    fn admit(&mut self, outcomes: &[ShardOutcome], profile: &mut SweepProfile) {
+    /// vertex order (exactly what a sequential sweep would have consumed):
+    /// with `parked` = [`ParkedBy::Queues`], the sweep's proposals merged
+    /// with the heads of the parked queues whose pair still has budget,
+    /// each parked vertex reached evaluated from its memo. Only the order
+    /// within a pair matters, since budgets are per pair, and a parked
+    /// vertex the merge does not reach would have been refused whatever it
+    /// drew. Unless the admitted set is a mass move, whose apply unparks
+    /// everyone, a proposer quota refused after a fresh walk is then
+    /// parked.
+    fn admit(&mut self, outcomes: &[ShardOutcome], parked: ParkedBy, profile: &mut SweepProfile) {
         let merge_start = Instant::now();
         for outcome in outcomes {
             profile.visited += outcome.visited;
             profile.labels_read += outcome.labels_read;
-            profile.memo_hits += outcome.memo_hits;
             for &(v, margin) in &outcome.retire {
                 self.marks.retired(v as usize, margin);
             }
         }
         self.pending.clear();
-        for &Proposal { v, to, .. } in outcomes.iter().flat_map(|o| &o.proposals) {
-            let current = self.partitioning.partition_of(v);
-            let units = if self.scalars.config.balance_edges {
+        let config = &self.scalars.config;
+        let units = |v| {
+            if config.balance_edges {
                 self.graph.degree(v)
             } else {
                 1
+            }
+        };
+        let (s, round) = (
+            config.willingness_at(self.scalars.iteration),
+            self.scalars.iteration as u64,
+        );
+        let quota = &mut self.scratch.quota;
+        let mut queues = match parked {
+            ParkedBy::Queues if self.marks.num_parked() > 0 => Some(self.marks.parked_merge()),
+            _ => None,
+        };
+        let mut fresh = outcomes.iter().flat_map(|o| &o.proposals).peekable();
+        loop {
+            let next_parked = queues
+                .as_mut()
+                .and_then(|q| q.peek(|from, to| quota.available(from, to) > 0));
+            // The sweep never holds a parked slot, so the ids differ.
+            let (v, to) = match next_parked {
+                Some(v) if fresh.peek().is_none_or(|f| v < f.v) => {
+                    queues.as_mut().expect("peeked").handled(v);
+                    profile.parked_reads += 1;
+                    let Some(mut rng) = roll(self.scalars.seed, v, round, s) else {
+                        continue;
+                    };
+                    profile.memo_hits += 1;
+                    let candidates = self.marks.memo(v as usize).expect("parked slot");
+                    (v, pick_candidate(candidates, &mut rng))
+                }
+                _ => match fresh.next() {
+                    Some(&Proposal { v, to, .. }) => (v, to),
+                    None => break,
+                },
             };
-            if self.scratch.quota.try_consume_units(current, to, units) {
+            let from = self.partitioning.partition_of(v);
+            if quota.try_consume_units(from, to, units(v)) {
                 self.pending.push((v, to));
             }
         }
+        let passed = queues.map_or_else(Vec::new, ParkedMerge::finish);
         if !self.is_mass_move() {
-            // `pending` is an ascending subsequence of the proposals.
+            // `pending` is ascending — admitted proposals of the sweep
+            // between admitted parked slots — so a proposal was admitted
+            // iff `pending` holds its id.
             let mut admitted = self.pending.iter().map(|&(v, _)| v).peekable();
             for outcome in outcomes {
                 let mut walked = outcome.candidates.as_slice();
                 for &Proposal { v, candidates, .. } in &outcome.proposals {
                     let (fresh, rest) = walked.split_at(usize::from(candidates));
                     walked = rest;
-                    if admitted.next_if_eq(&v).is_none() && !fresh.is_empty() {
-                        self.marks.refused(v as usize, fresh);
+                    while admitted.next_if(|&a| a < v).is_some() {}
+                    if admitted.next_if_eq(&v).is_none() {
+                        let home = self.partitioning.partition_of(v);
+                        self.marks.refused(v as usize, home, fresh);
                     }
                 }
             }
         }
-        self.marks.memos_settled();
+        self.marks.parked_settled(&passed);
         profile.merge_ms = ms_since(merge_start);
     }
 
@@ -744,7 +810,7 @@ impl AdaptivePartitioner {
         } else {
             self.scalars.quiet_streak = 0;
         }
-        profile.active_after = self.marks.sweep().num_active();
+        profile.active_after = self.num_active_vertices();
         (self.stats_snapshot(migrations), profile)
     }
 
@@ -761,8 +827,8 @@ impl AdaptivePartitioner {
     /// outcomes against the frozen snapshot — each migrant–migrant edge is
     /// counted by its lower-id endpoint, every other edge by its migrant,
     /// and a neighbour gets an event unless it already awaits the sweep
-    /// with no memo (the sweep record is frozen during the fan-out, so the
-    /// skip is exact) — and the single-threaded merge folds them, then
+    /// (the sweep record is frozen during the fan-out, so the skip is
+    /// exact) — and the single-threaded merge folds them, then
     /// replays the label/size bookkeeping in admission order. The resulting
     /// state is identical to moving one migrant at a time in admission
     /// order (the deltas are exact and the relabel fold is
@@ -1072,8 +1138,10 @@ impl AdaptivePartitioner {
     /// Audits internal invariants (incremental cut vs recount, size
     /// accounting, max-partition tracking, the apply stamp being clear, and
     /// what the sweep relies on: every retired vertex's stay margin is at
-    /// most its true margin, every standing memo is what a fresh walk would
-    /// find); used by tests and debug assertions.
+    /// most its true margin, every parked vertex's memo is what a fresh
+    /// walk would find, and the parked set is disjoint from the sweep with
+    /// every parked vertex in the queue of each pair its memo names); used
+    /// by tests and debug assertions.
     ///
     /// # Panics
     ///
@@ -1099,7 +1167,7 @@ impl AdaptivePartitioner {
         // equality is safe; randomness only enters once another partition
         // strictly wins). This is precisely what makes skipping inactive
         // vertices indistinguishable from evaluating them.
-        self.marks.audit(&self.graph);
+        self.marks.audit(&self.graph, &self.partitioning);
         // Between iterations the apply stamp names no migrant, so a stale
         // target cannot leak into the next apply.
         assert!(
@@ -1113,7 +1181,7 @@ impl AdaptivePartitioner {
         // partition outweighs its current one among its neighbours.
         let mut counts = vec![0u32; self.scalars.config.num_partitions as usize];
         for v in self.graph.vertices() {
-            if self.marks.sweep().contains(v as usize) {
+            if self.marks.sweep().contains(v as usize) || self.marks.is_parked(v as usize) {
                 continue;
             }
             counts.iter_mut().for_each(|c| *c = 0);
@@ -1136,10 +1204,11 @@ impl AdaptivePartitioner {
                  {best_foreign} of its neighbours vs {own} at home"
             );
         }
-        // Every standing memo is what a fresh walk would find, in order.
+        // Every parked vertex's memo is what a fresh walk would find, in
+        // order (and `SlotMarks::audit` found it in those pairs' queues).
         let k = self.scalars.config.num_partitions;
         let mut kernel = DecisionKernel::new(k, self.scalars.config.count_self);
-        for slot in self.marks.memo_slots() {
+        for slot in self.marks.parked_slots() {
             let v = slot as VertexId;
             let memo = self.marks.memo(slot).expect("listed memo");
             let labels = self
@@ -1188,26 +1257,32 @@ impl DeltaTarget for AdaptivePartitioner {
 }
 
 /// What one shard's decision pass produced: migration proposals (ascending
-/// vertex order) with the candidates of those that walked, vertices proven
-/// to stay with their stay margins (to retire from the active set), and
-/// what the pass cost.
+/// vertex order) with their candidates, vertices proven to stay with their
+/// stay margins (to retire from the active set), and what the pass cost.
 #[derive(Debug, Default)]
 struct ShardOutcome {
     proposals: Vec<Proposal>,
-    /// The walked proposals' candidate lists, back to back in proposal
-    /// order.
+    /// The proposals' candidate lists, back to back in proposal order.
     candidates: Vec<PartitionId>,
     retire: Vec<(VertexId, u8)>,
     visited: usize,
     labels_read: usize,
-    memo_hits: usize,
+}
+
+/// Who evaluates the parked slots in an iteration.
+#[derive(Debug, Clone, Copy)]
+enum ParkedBy {
+    /// Admission, from their pairs' queues: production.
+    Queues,
+    /// The decide phase, which walked them with every other live vertex:
+    /// the exhaustive reference.
+    Sweep,
 }
 
 /// One migration proposal. `candidates` counts the entries it owns in its
-/// [`ShardOutcome::candidates`] — the list its fresh walk drew from, which
-/// becomes its memo if quota refuses it; zero for a proposal drawn from a
-/// memo. (A list never holds the home partition, so its length fits a
-/// partition id.)
+/// [`ShardOutcome::candidates`] — the list its walk drew from, which
+/// becomes its memo if quota refuses it. (A list never holds the home
+/// partition, so its length fits a partition id.)
 #[derive(Debug, Clone, Copy)]
 struct Proposal {
     v: VertexId,
@@ -1244,17 +1319,16 @@ impl Evaluator<'_> {
     /// Opens one vertex's evaluation against the frozen iteration-start
     /// snapshot: counts the visit and rolls the willingness draw from the
     /// vertex's own `(seed, vertex, round)` RNG. `None` means the vertex
-    /// declined this round — it stays active (a memo it holds stands) and
-    /// re-rolls next iteration, exactly as an exhaustive sweep would; the
-    /// RNG, when returned, goes on to any tie-break.
+    /// declined this round — it stays active and re-rolls next iteration,
+    /// exactly as an exhaustive sweep would; the RNG, when returned, goes on
+    /// to any tie-break.
     ///
     /// Every draw a vertex consumes comes from that RNG, so the outcome is
     /// independent of which other vertices were visited.
     #[inline]
     fn roll(&mut self, v: VertexId) -> Option<StdRng> {
         self.out.visited += 1;
-        let mut rng = vertex_rng(self.seed, v as u64, self.round);
-        (self.s >= 1.0 || rng.gen_bool(self.s)).then_some(rng)
+        roll(self.seed, v, self.round, self.s)
     }
 
     /// Decides by walking `v`'s neighbour labels through the kernel. A
@@ -1290,19 +1364,15 @@ impl Evaluator<'_> {
             }
         }
     }
+}
 
-    /// Proposes from `v`'s standing memo: the kernel's tie-break over the
-    /// candidates its last walk found, which no event has touched since —
-    /// the draw a fresh walk would make, with no neighbour read.
-    #[inline]
-    fn propose_from_memo(&mut self, v: VertexId, candidates: &[PartitionId], rng: &mut StdRng) {
-        self.out.memo_hits += 1;
-        self.out.proposals.push(Proposal {
-            v,
-            to: pick_candidate(candidates, rng),
-            candidates: 0,
-        });
-    }
+/// `v`'s willingness roll in `round` at willingness `s`, from its own
+/// `(seed, vertex, round)` RNG: the RNG, for any tie-break, if `v` is
+/// willing. The one roll of the sweep and of admission's parked reads.
+#[inline]
+fn roll(seed: u64, v: VertexId, round: u64, s: f64) -> Option<StdRng> {
+    let mut rng = vertex_rng(seed, v as u64, round);
+    (s >= 1.0 || rng.gen_bool(s)).then_some(rng)
 }
 
 /// Milliseconds elapsed since `start`.
@@ -1640,11 +1710,11 @@ mod tests {
             "converged mesh still has {} of {all} vertices active",
             p.num_active_vertices()
         );
-        // The sweep visits exactly the active set.
+        // The sweep visits exactly the active set's unparked part.
         let active = p.num_active_vertices();
         let (_, profile) = p.iterate_profiled();
         assert_eq!(profile.active_before, active);
-        assert_eq!(profile.visited, active);
+        assert_eq!(profile.visited + profile.parked, active);
         assert!(profile.shards_swept <= profile.num_shards);
         // The scheduled slot footprint is trimmed to the dirtied region:
         // never wider than the full plan, never narrower than the slots it
@@ -1666,13 +1736,20 @@ mod tests {
         let (_, first) = p.iterate_profiled();
         assert_eq!(first.slots_scheduled, 512);
         p.run_to_convergence();
-        // Perturb two distant vertices: the next sweep schedules only the
-        // slivers around them, not whole 4096-wide shards (the mesh fits in
-        // one shard, so without trimming this would be 512 slots).
+        // Tie vertex 0 to more foreign low-id vertices than any margin
+        // absorbs: the next sweep schedules only the sliver around them,
+        // not whole 4096-wide shards (the mesh fits in one shard, so
+        // without trimming this would be 512 slots).
+        let home = p.partitioning().partition_of(0);
         let mut batch = apg_graph::UpdateBatch::new();
-        batch.remove_edge(0, 1);
+        for x in (2..64)
+            .filter(|&x| p.partitioning().partition_of(x) != home && !p.graph().has_edge(0, x))
+            .take(8)
+        {
+            batch.add_edge(0, x);
+        }
         p.apply_batch(&batch);
-        let dirtied = p.num_active_vertices();
+        let dirtied = p.marks.sweep().num_active();
         let (_, profile) = p.iterate_profiled();
         assert!(dirtied > 0);
         assert!(
@@ -1761,47 +1838,42 @@ mod tests {
         let g = gen::mesh3d(6, 6, 6);
         let cfg = AdaptiveConfig::builder(4).willingness(1.0).build().unwrap();
         let mut p = AdaptivePartitioner::with_strategy(&g, InitialStrategy::Hash, &cfg, 21);
-        // No room anywhere: quota refuses every proposal.
+        // No room anywhere: quota refuses every proposal and parks it.
         let full = p.partitioning().sizes().to_vec();
-        p.set_fixed_capacities(CapacityModel::explicit(full, BalanceObjective::Vertices));
+        let caps = |room: usize| {
+            let caps = full.iter().map(|&size| size + room).collect();
+            CapacityModel::explicit(caps, BalanceObjective::Vertices)
+        };
+        p.set_fixed_capacities(caps(0));
         let (stats, walked) = p.iterate_profiled();
         assert_eq!((stats.migrations, walked.memo_hits), (0, 0));
         assert!(walked.labels_read > 0);
-        let proposers = p.num_active_vertices();
+        let proposers = p.marks.num_parked();
         assert!(proposers > 0, "nobody proposed");
+        assert_eq!(p.num_active_vertices(), proposers, "the rest retired");
         p.audit();
 
-        // The next sweep answers every evaluation from a memo, and draws
-        // exactly the proposals fresh walks of the same vertices draw.
-        let proposals = |outcomes: &[ShardOutcome]| -> Vec<(VertexId, PartitionId)> {
-            outcomes
-                .iter()
-                .flat_map(|o| o.proposals.iter().map(|q| (q.v, q.to)))
-                .collect()
-        };
-        let cost = |outcomes: &[ShardOutcome]| {
-            let sum = |f: fn(&ShardOutcome) -> usize| outcomes.iter().map(f).sum::<usize>();
-            (sum(|o| o.labels_read), sum(|o| o.memo_hits))
-        };
-        let mut fresh = p.clone();
-        let mut profile = p.prepare_iteration();
-        let from_memos = p.decide_active(&mut profile);
-        assert_eq!(cost(&from_memos), (0, proposers));
-        let mut profile = fresh.prepare_iteration();
-        fresh
-            .scratch
-            .shards
-            .extend(fresh.shard_plan().ranges().enumerate());
-        let from_walks = fresh.decide(&mut profile, 1, |frozen, slots, eval| {
-            for v in frozen.graph.live_in(slots) {
-                if let Some(mut rng) = eval.roll(v) {
-                    eval.walk(v, &mut rng);
-                }
-            }
-        });
-        assert_eq!(cost(&from_walks).1, 0);
-        assert_eq!(proposals(&from_memos), proposals(&from_walks));
-        assert_eq!(proposals(&from_memos).len(), proposers);
+        // Every pair is dead: nothing is swept and nothing is read.
+        let (stats, starved) = p.iterate_profiled();
+        assert_eq!(stats.migrations, 0);
+        assert_eq!(
+            (starved.visited, starved.parked, starved.parked_reads),
+            (0, proposers, 0)
+        );
+
+        // One unit per pair: admission reads parked slots from their memos,
+        // never a neighbour label, and only while their pairs have budget —
+        // drawing exactly what fresh walks draw.
+        p.set_fixed_capacities(caps(3));
+        let mut exhaustive = p.clone();
+        let (stats, from_memos) = p.iterate_profiled();
+        assert_eq!((from_memos.visited, from_memos.labels_read), (0, 0));
+        assert_eq!(from_memos.memo_hits, from_memos.parked_reads);
+        assert!(stats.migrations > 0 && from_memos.parked_reads < proposers);
+        assert_eq!(reference::iterate_exhaustive(&mut exhaustive).0, stats);
+        assert_eq!(exhaustive.partitioning(), p.partitioning());
+        p.audit();
+        exhaustive.audit();
     }
 
     #[test]

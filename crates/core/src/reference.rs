@@ -8,9 +8,9 @@
 //! mechanism it checks:
 //!
 //! * [`iterate_exhaustive`] — the work list is every slot range of the
-//!   plan and the decide phase walks every live vertex in it, never
-//!   consulting the active set to choose what to visit nor a candidate
-//!   memo to skip a walk;
+//!   plan and the decide phase walks every live vertex in it, parked ones
+//!   included, never consulting the active set to choose what to visit nor
+//!   a candidate memo to skip a walk, and admission reads no parked queue;
 //! * [`iterate_serial_apply`] — the admitted migrants move one at a time,
 //!   in admission order, each through `apply_move`.
 //!
@@ -31,14 +31,16 @@ use rand::Rng;
 use apg_graph::{Graph, VertexId};
 use apg_partition::PartitionId;
 
-use super::{AdaptivePartitioner, IterationStats, SweepProfile};
+use super::{AdaptivePartitioner, IterationStats, ParkedBy, SweepProfile};
 use crate::marks::Relabels;
 use crate::MigrationDecision;
 
 /// One iteration with the exhaustive decision sweep: every live vertex is
-/// walked, active or not, memo or not. Because randomness is keyed per
-/// `(seed, vertex, iteration)`, skipped vertices provably decide *Stay* and
-/// a memo draws what a walk would, the history equals
+/// walked, active, parked or retired, and admission takes the walks'
+/// proposals alone. Because randomness is keyed per
+/// `(seed, vertex, iteration)`, skipped vertices provably decide *Stay*, a
+/// memo draws what a walk would and a parked vertex production's merge does
+/// not reach is refused whatever it draws, the history equals
 /// [`AdaptivePartitioner::iterate`]'s.
 pub fn iterate_exhaustive(p: &mut AdaptivePartitioner) -> (IterationStats, SweepProfile) {
     p.iterate_with(
@@ -53,6 +55,7 @@ pub fn iterate_exhaustive(p: &mut AdaptivePartitioner) -> (IterationStats, Sweep
                 }
             })
         },
+        ParkedBy::Sweep,
         AdaptivePartitioner::apply_pending_sharded,
     )
 }
@@ -63,7 +66,7 @@ pub fn iterate_exhaustive(p: &mut AdaptivePartitioner) -> (IterationStats, Sweep
 /// events folded once at the end. The resulting state equals
 /// [`AdaptivePartitioner::iterate`]'s.
 pub fn iterate_serial_apply(p: &mut AdaptivePartitioner) -> (IterationStats, SweepProfile) {
-    p.iterate_with(AdaptivePartitioner::decide_active, |p| {
+    p.iterate_with(AdaptivePartitioner::decide_active, ParkedBy::Queues, |p| {
         let reads = p.pending.iter().map(|&(v, _)| p.graph.degree(v)).sum();
         let mut relabels = Relabels::with_reads(reads, p.is_mass_move());
         for i in 0..p.pending.len() {

@@ -13,8 +13,9 @@
 //!
 //! The sweep's work is also pinned without a stopwatch: after a growth
 //! batch on a converged graph it reads fewer neighbour labels than the
-//! older rule (every event re-activates) would have, and its counters are
-//! the same at every parallelism.
+//! older rule (every event re-activates) would have, a quota-starved pair's
+//! parked proposers are read only as far as the pair's budget lasts, and
+//! the counters are the same at every parallelism.
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -25,7 +26,8 @@ use apg::core::{
 };
 use apg::exec::{vertex_rng, DEFAULT_SHARD_SIZE};
 use apg::graph::{gen, CsrGraph, DynGraph, Graph, UpdateBatch, VertexId};
-use apg::partition::InitialStrategy;
+use apg::partition::capacity::BalanceObjective;
+use apg::partition::{CapacityModel, InitialStrategy, Partitioning};
 use apg::streams::{PowerLawGrowth, StreamSource};
 
 /// Random simple graph as an edge list over `n` vertices.
@@ -205,6 +207,10 @@ fn multi_shard_sweep_equals_exhaustive_sweep_under_growth() {
             && p.slots_scheduled < (p.shards_swept - 1) * DEFAULT_SHARD_SIZE),
         "no sweep scheduled trimmed ranges in two or more shards"
     );
+    assert!(
+        profiles.iter().any(|p| p.parked > 0 && p.parked_reads > 0),
+        "no refused proposer was parked and read back from its queue"
+    );
 }
 
 /// One iteration of the production sweep, and the neighbour labels the
@@ -358,4 +364,104 @@ fn a_mass_move_keeps_the_sweep_exact() {
         active.0.iter().any(|s| s.migrations > DEFAULT_SHARD_SIZE),
         "no iteration moved more than a shard's worth"
     );
+}
+
+/// Budget of the starved pair `(0, 1)`, in vertices per iteration.
+const STARVED_BUDGET: usize = 8;
+
+/// One iteration of `iterate` with the pairs into partition 1 topped up to
+/// [`STARVED_BUDGET`] each and every other pair at 0: partition 1 gets room
+/// for two budgets (quota splits a partition's room over its `k − 1 = 2`
+/// sources), every other partition none.
+fn starved_step(
+    p: &mut AdaptivePartitioner,
+    iterate: fn(&mut AdaptivePartitioner) -> (IterationStats, SweepProfile),
+) -> (IterationStats, SweepProfile) {
+    let mut caps = p.partitioning().sizes().to_vec();
+    caps[1] += 2 * STARVED_BUDGET;
+    p.set_fixed_capacities(CapacityModel::explicit(caps, BalanceObjective::Vertices));
+    iterate(p)
+}
+
+/// Hundreds of leaves in partition 0 each hang off one hub in partition 1
+/// and one in partition 2, so each proposes to 1 or 2 at random — and
+/// only the pairs into 1 have budget, a few units an iteration (the hubs,
+/// wanting partition 0, park on dead pairs). Once the first refusal parks
+/// them, admission reads a leaf only while `(0, 1)` has
+/// budget left: never the whole queue, and never through the dead `(0, 2)`.
+/// The history equals the exhaustive sweep's, and the counters are the
+/// same at parallelism 1, 2 and 8.
+#[test]
+fn a_starved_pair_reads_only_its_budget() {
+    // Leaves every 20th slot over three shards; the rest are isolated.
+    let n = 2 * DEFAULT_SHARD_SIZE + 1_000;
+    let hubs: [[VertexId; 4]; 2] = [[1, 2, 3, 4], [5, 6, 7, 8]];
+    let leaves: Vec<VertexId> = (20..n as VertexId).step_by(20).collect();
+    let mut graph = DynGraph::with_vertices(n);
+    for (i, &leaf) in leaves.iter().enumerate() {
+        graph.add_edge(leaf, hubs[0][i % 4]);
+        graph.add_edge(leaf, hubs[1][i % 4]);
+    }
+    let labels = (0..n as VertexId).map(|v| match v {
+        1..=4 => 1,
+        5..=8 => 2,
+        _ => 0,
+    });
+    let labels = Partitioning::from_assignment(labels.collect(), 3);
+    let run =
+        |threads: usize,
+         iterate: fn(&mut AdaptivePartitioner) -> (IterationStats, SweepProfile)| {
+            let cfg = AdaptiveConfig::builder(3)
+                .willingness(1.0)
+                .parallelism(threads)
+                .build()
+                .unwrap();
+            let mut p = AdaptivePartitioner::from_partitioning(&graph, labels.clone(), &cfg, 5);
+            let steps: Vec<_> = (0..20).map(|_| starved_step(&mut p, iterate)).collect();
+            p.audit();
+            let (history, profiles): (Vec<_>, Vec<_>) = steps.into_iter().unzip();
+            let work: Vec<_> = profiles
+                .iter()
+                .map(|q| {
+                    (
+                        q.visited,
+                        q.labels_read,
+                        q.parked,
+                        q.parked_reads,
+                        q.memo_hits,
+                    )
+                })
+                .collect();
+            ((history, p.partitioning().as_slice().to_vec()), work)
+        };
+    let (observed, work) = run(2, AdaptivePartitioner::iterate_profiled);
+    assert_eq!(
+        observed,
+        run(2, reference::iterate_exhaustive).0,
+        "the exhaustive sweep diverged"
+    );
+    for threads in [1, 8] {
+        assert_eq!(
+            run(threads, AdaptivePartitioner::iterate_profiled).1,
+            work,
+            "counters moved at parallelism {threads}"
+        );
+    }
+    assert!(
+        observed.0.iter().all(|s| s.migrations == STARVED_BUDGET),
+        "each iteration admits exactly the budget: {:?}",
+        observed.0.iter().map(|s| s.migrations).collect::<Vec<_>>()
+    );
+    for (i, &(_, _, parked, reads, memo_hits)) in work.iter().enumerate().skip(1) {
+        // A leaf reached draws partition 1 with probability 1/2.
+        assert!(
+            parked >= 200 && reads > 0,
+            "iteration {i}: {parked} parked, {reads} read"
+        );
+        assert!(
+            reads <= 4 * STARVED_BUDGET,
+            "iteration {i} read {reads} of {parked} parked for a budget of {STARVED_BUDGET}"
+        );
+        assert_eq!(memo_hits, reads, "everyone is willing");
+    }
 }

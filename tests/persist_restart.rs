@@ -11,7 +11,7 @@
 //! cursor, resume, and finish the stream.
 
 use apg::core::{AdaptiveConfig, AdaptivePartitioner, StreamCheckpoint, StreamingRunner};
-use apg::graph::{gen, DynGraph};
+use apg::graph::{gen, DynGraph, Graph};
 use apg::partition::InitialStrategy;
 use apg::streams::{
     CdrConfig, CdrStream, ForestFireConfig, ForestFireSource, PowerLawGrowth, RestartableSource,
@@ -187,6 +187,45 @@ fn power_law_growth_survives_kill_and_resume() {
             8,
             3,
             6,
+        );
+    }
+}
+
+/// Growth over a denser base, in batches big enough that quota refuses
+/// newcomers: the kill point holds parked proposers (read through the
+/// sweep profile's counter, on a copy), a resumed runner starts with none
+/// parked — restore re-marks every live vertex for the sweep — and the
+/// resumed timeline still equals the uninterrupted one.
+#[test]
+fn a_parked_population_survives_kill_and_resume() {
+    let base = DynGraph::from(&gen::holme_kim(3_000, 8, 0.1, 9));
+    let source = || PowerLawGrowth::new(&base, 8, 400, SEED);
+    let (total, snapshot_at, crash_at) = (8, 3, 6);
+
+    let mut killed = runner(&base, 1);
+    assert_eq!(killed.drive(&mut source(), crash_at), crash_at);
+    let (_, at_kill) = killed.partitioner().clone().iterate_profiled();
+    assert!(at_kill.parked > 0, "nothing parked at the kill point");
+    let resumed = StreamingRunner::resume(
+        StreamCheckpoint::from_bytes(&killed.checkpoint().to_bytes()).unwrap(),
+    );
+    let (_, at_resume) = resumed.partitioner().clone().iterate_profiled();
+    assert_eq!(at_resume.parked, 0, "restore parked someone");
+    assert_eq!(
+        at_resume.active_before,
+        resumed.partitioner().graph().num_live_vertices(),
+        "restore must start from the saturated sweep"
+    );
+
+    for parallelism in [1usize, 2, 8] {
+        check_kill_and_resume(
+            "parked-growth",
+            &base,
+            source,
+            parallelism,
+            total,
+            snapshot_at,
+            crash_at,
         );
     }
 }
