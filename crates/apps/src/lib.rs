@@ -17,16 +17,12 @@
 
 pub mod components;
 pub mod heartsim;
-pub mod labelprop;
 pub mod maxclique;
 pub mod pagerank;
-pub mod sssp;
 pub mod tunkrank;
 
 pub use components::ConnectedComponents;
 pub use heartsim::{CellState, HeartSim};
-pub use labelprop::{Community, LabelPropagation};
 pub use maxclique::MaxClique;
 pub use pagerank::PageRank;
-pub use sssp::{Distance, Sssp};
 pub use tunkrank::TunkRank;

@@ -23,27 +23,15 @@ use apg_pregel::{Context, VertexProgram};
 #[derive(Debug, Clone, Copy)]
 pub struct PageRank {
     iterations: usize,
-    damping: f64,
 }
+
+/// The damping factor (the probability of following a link).
+const DAMPING: f64 = 0.85;
 
 impl PageRank {
     /// PageRank for the given number of power iterations (damping 0.85).
     pub fn new(iterations: usize) -> Self {
-        PageRank {
-            iterations,
-            damping: 0.85,
-        }
-    }
-
-    /// Overrides the damping factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < damping < 1`.
-    pub fn with_damping(mut self, damping: f64) -> Self {
-        assert!(damping > 0.0 && damping < 1.0, "damping must be in (0, 1)");
-        self.damping = damping;
-        self
+        PageRank { iterations }
     }
 }
 
@@ -59,7 +47,7 @@ impl VertexProgram for PageRank {
             let incoming: f64 = messages.iter().sum();
             // Dangling mass (degree-0 vertices hold their rank) is ignored;
             // meshes and social graphs here have no isolated vertices.
-            *ctx.value_mut() = (1.0 - self.damping) / n + self.damping * incoming;
+            *ctx.value_mut() = (1.0 - DAMPING) / n + DAMPING * incoming;
         }
         if ctx.superstep() < self.iterations {
             let share = *ctx.value() / ctx.degree().max(1) as f64;
@@ -116,12 +104,6 @@ mod tests {
         for leaf in 1..5 {
             assert!(centre > *e.vertex_value(leaf).unwrap() * 2.0);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "damping")]
-    fn rejects_bad_damping() {
-        let _ = PageRank::new(5).with_damping(1.5);
     }
 
     #[test]

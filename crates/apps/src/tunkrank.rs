@@ -18,31 +18,16 @@ use apg_pregel::{Context, VertexProgram};
 #[derive(Debug, Clone, Copy)]
 pub struct TunkRank {
     iterations: usize,
-    retweet_prob: f64,
 }
+
+/// The retweet probability `p` (a common literature choice).
+const RETWEET_PROB: f64 = 0.05;
 
 impl TunkRank {
     /// TunkRank for a fixed number of iterations with retweet probability
-    /// `p = 0.05` (a common literature choice).
+    /// `p = 0.05`.
     pub fn new(iterations: usize) -> Self {
-        TunkRank {
-            iterations,
-            retweet_prob: 0.05,
-        }
-    }
-
-    /// Overrides the retweet probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= p < 1`.
-    pub fn with_retweet_prob(mut self, p: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&p),
-            "retweet probability must be in [0, 1)"
-        );
-        self.retweet_prob = p;
-        self
+        TunkRank { iterations }
     }
 }
 
@@ -55,8 +40,7 @@ impl VertexProgram for TunkRank {
             *ctx.value_mut() = messages.iter().sum();
         }
         if ctx.superstep() < self.iterations {
-            let contribution =
-                (1.0 + self.retweet_prob * *ctx.value()) / ctx.degree().max(1) as f64;
+            let contribution = (1.0 + RETWEET_PROB * *ctx.value()) / ctx.degree().max(1) as f64;
             ctx.send_to_neighbors(contribution);
         } else {
             ctx.vote_to_halt();

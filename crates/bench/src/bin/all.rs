@@ -43,19 +43,4 @@ fn main() {
 
     banner("Figure 9");
     fig9::print(&fig9::run(args.scale, args.seed));
-
-    banner("Thread scaling");
-    scaling::print(&scaling::run(args.scale, args.reps(), args.seed));
-
-    banner("Active-set sweep");
-    sweep::print(&sweep::run(args.scale, args.seed));
-
-    banner("Streaming ingestion");
-    streaming::print(&streaming::run(args.scale, args.reps(), args.seed));
-
-    banner("Serving locality");
-    serve::print(&serve::run(args.scale, args.seed));
-
-    banner("Checkpoint overhead");
-    persist::print(&persist::run(args.scale, args.reps(), args.seed));
 }

@@ -8,7 +8,7 @@ fn main() {
     let args = RunArgs::from_env();
     let result = fig7::run(args.scale, args.seed);
     let stride = match args.scale {
-        Scale::Paper | Scale::Xl => 10,
+        Scale::Paper => 10,
         Scale::Quick => 5,
         Scale::Tiny => 2,
     };

@@ -19,7 +19,7 @@ pub struct Fig5Row {
 /// The paper's Figure 5 graph list (quick scale trims the biggest two).
 pub fn graphs(scale: Scale, seed: u64) -> Vec<(String, CsrGraph)> {
     let names: &[&str] = match scale {
-        Scale::Paper | Scale::Xl => &[
+        Scale::Paper => &[
             "1e4", "3elt", "4elt", "64kcube", "plc1000", "plc10000", "epinion", "wikivote",
         ],
         Scale::Quick => &["1e4", "3elt", "plc1000", "wikivote"],

@@ -21,7 +21,7 @@ pub struct ScalePoint {
 /// The paper's Figure 6 sizes.
 pub fn sizes(scale: Scale) -> &'static [usize] {
     match scale {
-        Scale::Paper | Scale::Xl => &[1000, 3000, 9900, 29700, 99000, 300_000],
+        Scale::Paper => &[1000, 3000, 9900, 29700, 99000, 300_000],
         Scale::Quick => &[1000, 3000, 9900],
         Scale::Tiny => &[1000, 3000],
     }

@@ -48,7 +48,7 @@ pub struct Fig7Result {
 /// documented single-host substitute for the paper's 100 M), `Quick` 20³.
 pub fn mesh_side(scale: Scale) -> usize {
     match scale {
-        Scale::Paper | Scale::Xl => 64,
+        Scale::Paper => 64,
         Scale::Quick => 20,
         Scale::Tiny => 10,
     }
@@ -61,7 +61,7 @@ const QUIET_WINDOW: usize = 30;
 pub fn run(scale: Scale, seed: u64) -> Fig7Result {
     let side = mesh_side(scale);
     let (cap_a, cap_b) = match scale {
-        Scale::Paper | Scale::Xl => (450, 550),
+        Scale::Paper => (450, 550),
         Scale::Quick => (150, 200),
         Scale::Tiny => (60, 80),
     };

@@ -36,9 +36,9 @@ const EDGE_TTL_HOURS: f64 = 2.0;
 /// Windows across the day per scale.
 pub fn windows(scale: Scale) -> usize {
     match scale {
-        Scale::Paper | Scale::Xl => 144, // 10-minute windows
-        Scale::Quick => 48,              // 30-minute windows
-        Scale::Tiny => 12,               // 2-hour windows
+        Scale::Paper => 144, // 10-minute windows
+        Scale::Quick => 48,  // 30-minute windows
+        Scale::Tiny => 12,   // 2-hour windows
     }
 }
 
@@ -48,7 +48,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Fig8Point> {
     let window_secs = 24.0 * 3600.0 / num_windows as f64;
     let config = TwitterConfig {
         initial_users: match scale {
-            Scale::Paper | Scale::Xl => 4000,
+            Scale::Paper => 4000,
             Scale::Quick => 1500,
             Scale::Tiny => 500,
         },
@@ -131,31 +131,6 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Fig8Point> {
             hash_time: mean(&rh),
             adaptive_time: mean(&ra),
         });
-        if std::env::var_os("APG_FIG8_DIAG").is_some() && w % 8 == 0 {
-            eprintln!(
-                "diag w={w} users={} edges={} cut_adaptive={:.3} cut_hash={:.3} mig={} remote_a={} remote_h={} compute_a={} local_a={} local_h={}",
-                adaptive.num_live_vertices(),
-                adaptive.num_edges(),
-                adaptive.cut_ratio(),
-                hash.cut_ratio(),
-                ra.iter().map(|r| r.migrations_completed).sum::<u64>(),
-                ra.last().unwrap().messages_remote,
-                rh.last().unwrap().messages_remote,
-                ra.last().unwrap().compute_units,
-                ra.last().unwrap().messages_local,
-                rh.last().unwrap().messages_local,
-            );
-            let wt = &ra.last().unwrap().worker_times;
-            let wh = &rh.last().unwrap().worker_times;
-            eprintln!(
-                "  worker_times adaptive: {:?}",
-                wt.iter().map(|t| (t / 1000.0).round()).collect::<Vec<_>>()
-            );
-            eprintln!(
-                "  worker_times hash:     {:?}",
-                wh.iter().map(|t| (t / 1000.0).round()).collect::<Vec<_>>()
-            );
-        }
     }
     points
 }

@@ -34,7 +34,7 @@ const WEEKS: usize = 4;
 /// Population per scale.
 pub fn subscribers(scale: Scale) -> usize {
     match scale {
-        Scale::Paper | Scale::Xl => 20_000,
+        Scale::Paper => 20_000,
         Scale::Quick => 3_000,
         Scale::Tiny => 600,
     }

@@ -1,8 +1,5 @@
-//! One module per experiment. `table1` and `fig1`…`fig9` reproduce the
-//! paper's evaluation (§4); `scaling`, `sweep`, `streaming`, `serve` and
-//! `persist` are perf experiments of this implementation. They measure
-//! and do not check: every contract they exercise is owned by a suite
-//! under `tests/`.
+//! One module per experiment: `table1` and `fig1`…`fig9` reproduce the
+//! paper's evaluation (§4).
 
 pub mod fig1;
 pub mod fig4;
@@ -11,11 +8,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod persist;
-pub mod scaling;
-pub mod serve;
-pub mod streaming;
-pub mod sweep;
 pub mod table1;
 
 use apg_graph::CsrGraph;
@@ -26,7 +18,7 @@ use crate::Scale;
 /// `epinions` (power law) — shrunk at quick scale.
 pub fn headline_graphs(scale: Scale, seed: u64) -> Vec<(&'static str, CsrGraph)> {
     match scale {
-        Scale::Paper | Scale::Xl => vec![
+        Scale::Paper => vec![
             ("64kcube", apg_graph::gen::mesh3d(40, 40, 40)),
             (
                 "epinions",

@@ -32,7 +32,7 @@ pub fn selected(scale: Scale) -> Vec<&'static Dataset> {
     TABLE1
         .iter()
         .filter(|d| match scale {
-            Scale::Paper | Scale::Xl => true,
+            Scale::Paper => true,
             Scale::Quick => d.default_vertices() <= 200_000,
             Scale::Tiny => d.default_vertices() <= 20_000,
         })

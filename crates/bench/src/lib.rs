@@ -12,20 +12,9 @@
 //!
 //! Absolute numbers differ from the paper — their substrate was a 63-blade
 //! cluster, ours is a simulator with an explicit cost model — but the shape
-//! of every curve is expected to hold. `EXPERIMENTS.md` records
-//! paper-vs-measured for each figure.
+//! of every curve is expected to hold.
 
 pub mod experiments;
 pub mod scale;
 
 pub use scale::Scale;
-
-/// Writes a perf experiment's JSON report to `path` and says so. A report
-/// that cannot be written is a failed run, so this exits non-zero.
-pub fn write_report(path: &str, json: &str) {
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("could not write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {path}");
-}

@@ -14,34 +14,17 @@ pub enum Scale {
     Quick,
     /// The paper's sizes (or their documented substitutes).
     Paper,
-    /// Beyond-paper stress sizes (the scaling bench runs 10M vertices).
-    /// Opt-in only — `--scale xl` — and single-repetition,
-    /// since one run is minutes of work and gigabytes of graph.
-    /// Experiments without a dedicated stress configuration treat `Xl`
-    /// like [`Scale::Paper`].
-    Xl,
 }
 
 impl Scale {
-    /// Parses from a CLI argument (`quick`/`paper`/`xl`).
+    /// Parses from a CLI argument (`tiny`/`quick`/`paper`, any case, or
+    /// the aliases `t`, `small`/`q`, `full`/`p`).
     pub fn parse(s: &str) -> Option<Scale> {
         match s.to_ascii_lowercase().as_str() {
             "tiny" | "t" => Some(Scale::Tiny),
             "quick" | "small" | "q" => Some(Scale::Quick),
             "paper" | "full" | "p" => Some(Scale::Paper),
-            "xl" | "x" => Some(Scale::Xl),
             _ => None,
-        }
-    }
-
-    /// Canonical lowercase name, as recorded in `BENCH_*.json` headers so
-    /// every artefact is self-describing about the scale it ran at.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Scale::Tiny => "tiny",
-            Scale::Quick => "quick",
-            Scale::Paper => "paper",
-            Scale::Xl => "xl",
         }
     }
 
@@ -51,15 +34,16 @@ impl Scale {
             Scale::Tiny => 1,
             Scale::Quick => 3,
             Scale::Paper => 10,
-            Scale::Xl => 1,
         }
     }
 }
 
-/// Reads `--scale` and `--reps` style overrides from `std::env::args`.
-///
-/// Recognised: `--scale quick|paper`, `--reps N`, `--seed N`.
-#[derive(Debug, Clone, Copy)]
+/// What every experiment binary accepts.
+const USAGE: &str = "usage: [--scale tiny|quick|paper] [--reps N] [--seed N]";
+
+/// The experiment binaries' command line: `--scale tiny|quick|paper`,
+/// `--reps N`, `--seed N`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunArgs {
     /// Requested scale (default quick).
     pub scale: Scale,
@@ -70,35 +54,38 @@ pub struct RunArgs {
 }
 
 impl RunArgs {
-    /// Parses the current process arguments, ignoring unknown flags.
+    /// Parses the process arguments. An unknown flag, a missing value or
+    /// one that does not parse prints the error and a usage line and exits
+    /// with code 2, so a mistyped `--scale` never runs the default size.
     pub fn from_env() -> Self {
-        let mut args = RunArgs {
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}\n{USAGE}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses arguments (the program name already skipped); the error
+    /// names the first unknown flag, missing value or unparsable value.
+    fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+        let mut parsed = RunArgs {
             scale: Scale::Quick,
             reps: None,
             seed: 42,
         };
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--scale" => {
-                    if let Some(v) = it.next().as_deref().and_then(Scale::parse) {
-                        args.scale = v;
-                    }
-                }
-                "--reps" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        args.reps = Some(v);
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        args.seed = v;
-                    }
-                }
-                _ => {}
+        let mut it = args.into_iter();
+        while let Some(flag) = it.next() {
+            if !matches!(flag.as_str(), "--scale" | "--reps" | "--seed") {
+                return Err(format!("unknown argument `{flag}`"));
+            }
+            let value = it.next().ok_or_else(|| format!("`{flag}` needs a value"))?;
+            let bad = || format!("bad value `{value}` for `{flag}`");
+            match flag.as_str() {
+                "--scale" => parsed.scale = Scale::parse(&value).ok_or_else(bad)?,
+                "--reps" => parsed.reps = Some(value.parse().map_err(|_| bad())?),
+                _ => parsed.seed = value.parse().map_err(|_| bad())?,
             }
         }
-        args
+        Ok(parsed)
     }
 
     /// Effective repetition count.
@@ -118,11 +105,66 @@ mod tests {
         assert_eq!(Scale::parse("huge"), None);
     }
 
+    fn parse(args: &[&str]) -> Result<RunArgs, String> {
+        RunArgs::parse(args.iter().map(|a| a.to_string()))
+    }
+
     #[test]
-    fn names_round_trip_through_parse() {
-        for scale in [Scale::Tiny, Scale::Quick, Scale::Paper, Scale::Xl] {
-            assert_eq!(Scale::parse(scale.name()), Some(scale));
+    fn accepts_every_documented_form() {
+        let defaults = RunArgs {
+            scale: Scale::Quick,
+            reps: None,
+            seed: 42,
+        };
+        assert_eq!(parse(&[]), Ok(defaults));
+        for (value, scale) in [
+            ("tiny", Scale::Tiny),
+            ("t", Scale::Tiny),
+            ("quick", Scale::Quick),
+            ("small", Scale::Quick),
+            ("q", Scale::Quick),
+            ("paper", Scale::Paper),
+            ("full", Scale::Paper),
+            ("p", Scale::Paper),
+            ("Tiny", Scale::Tiny),
+        ] {
+            let args = parse(&["--scale", value]).unwrap();
+            assert_eq!(args, RunArgs { scale, ..defaults }, "--scale {value}");
         }
+        let args = parse(&["--seed", "7", "--reps", "4", "--scale", "paper"]).unwrap();
+        assert_eq!(
+            args,
+            RunArgs {
+                scale: Scale::Paper,
+                reps: Some(4),
+                seed: 7,
+            }
+        );
+        assert_eq!(args.reps(), 4);
+    }
+
+    #[test]
+    fn rejects_what_it_cannot_parse() {
+        for bad in [
+            &["--scale", "papr"][..],
+            &["--scale", "xl"],
+            &["--scale"],
+            &["--reps", "three"],
+            &["--reps", "-1"],
+            &["--seed", "0x2a"],
+            &["--sacle", "paper"],
+            &["tiny"],
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+        assert_eq!(
+            parse(&["--scale", "papr"]),
+            Err("bad value `papr` for `--scale`".to_string())
+        );
+        assert_eq!(
+            parse(&["--verbose"]),
+            Err("unknown argument `--verbose`".to_string())
+        );
     }
 
     #[test]

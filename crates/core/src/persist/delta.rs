@@ -33,7 +33,7 @@ use crate::streaming::{fold_timeline_digest, RunnerScalars, TimelineStats};
 /// Serialised as a framed `APGD` container
 /// ([`format::MAGIC_DELTA`]); deltas are decoded from disk, so
 /// `apply` validates everything — structurally via
-/// [`GraphDiff::validate_against`], and end-to-end via
+/// [`GraphDiff::apply_to`], and end-to-end via
 /// `StreamCheckpoint::validate` — before any state escapes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointDelta {

@@ -1,6 +1,5 @@
 //! Reference iteration drivers: what the equivalence suites compare
-//! [`AdaptivePartitioner::iterate`] against. The `sweep` bench also times
-//! [`iterate_exhaustive`], as a measured baseline only: it checks nothing.
+//! [`AdaptivePartitioner::iterate`] against.
 //!
 //! Each driver composes the same phases as
 //! [`AdaptivePartitioner::iterate_profiled`] and swaps **exactly one** for
@@ -15,7 +14,9 @@
 //!   in admission order, each through `apply_move`.
 //!
 //! Both must produce histories byte-identical to production's
-//! (`tests/active_set_sweep.rs`, `tests/apply_equivalence.rs`).
+//! (`tests/active_set_sweep.rs`, `tests/apply_equivalence.rs`), and once
+//! a power law goes quiet the production sweep must visit under a quarter
+//! of what [`iterate_exhaustive`] visits (`tests/active_set_sweep.rs`).
 //!
 //! [`decide_touched_list`] is the same idea one level down: the decision
 //! kernel as it was before [`DecisionKernel`](crate::DecisionKernel)

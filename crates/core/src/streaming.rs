@@ -68,7 +68,6 @@ use apg_serve::{QueryRouter, QueryWorkload, ServeStats};
 use apg_streams::StreamSource;
 
 use crate::partitioner::AdaptivePartitioner;
-use crate::runner::ConvergenceReport;
 
 /// Per-batch observables of a streaming run.
 ///
@@ -434,12 +433,6 @@ impl StreamingRunner {
             }
         }
         max_batches
-    }
-
-    /// Runs the partitioner to convergence on the current graph (e.g.
-    /// after the stream ends), returning the standard report.
-    pub fn run_to_convergence(&mut self) -> ConvergenceReport {
-        self.partitioner.run_to_convergence()
     }
 
     /// The retained per-batch timeline, oldest first. With an unbounded

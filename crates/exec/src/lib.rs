@@ -60,4 +60,4 @@ pub mod shard;
 pub use active::{ActiveIter, ActiveSet};
 pub use fanout::{available_parallelism, map_items, map_shards};
 pub use rng::{stream_rng, stream_state, vertex_rng, vertex_state};
-pub use shard::{merge_in_order, ShardPlan, DEFAULT_SHARD_SIZE};
+pub use shard::{ShardPlan, DEFAULT_SHARD_SIZE};

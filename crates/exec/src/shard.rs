@@ -88,21 +88,6 @@ impl ShardPlan {
     }
 }
 
-/// Flattens per-shard outputs into one vector, preserving shard order.
-///
-/// Combined with shard-ordered fan-out results (see
-/// [`crate::fanout::map_shards`]), this yields the same sequence a
-/// single-threaded sweep over `0..len` would produce — the merge half of the
-/// workspace's chunk/merge convention.
-pub fn merge_in_order<T>(parts: Vec<Vec<T>>) -> Vec<T> {
-    let total = parts.iter().map(Vec::len).sum();
-    let mut merged = Vec::with_capacity(total);
-    for part in parts {
-        merged.extend(part);
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,12 +127,6 @@ mod tests {
             a.ranges().collect::<Vec<_>>(),
             b.ranges().collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn merge_preserves_shard_order() {
-        let parts = vec![vec![1, 2], vec![], vec![3], vec![4, 5]];
-        assert_eq!(merge_in_order(parts), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

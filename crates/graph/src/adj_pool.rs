@@ -52,11 +52,6 @@ pub struct AdjPool {
 }
 
 impl AdjPool {
-    /// An empty pool with no slots.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A pool of `n` empty slots.
     pub fn with_slots(n: usize) -> Self {
         AdjPool {
@@ -491,7 +486,7 @@ mod tests {
 
     #[test]
     fn push_slot_appends_empty_slots() {
-        let mut pool = AdjPool::new();
+        let mut pool = AdjPool::default();
         assert_eq!(pool.push_slot(), 0);
         assert_eq!(pool.push_slot(), 1);
         assert_eq!(pool.num_slots(), 2);

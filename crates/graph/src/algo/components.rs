@@ -1,6 +1,6 @@
 //! Connected components via weighted union-find.
 
-use crate::types::{Graph, VertexId};
+use crate::types::Graph;
 
 /// Result of a connected-components computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -11,19 +11,6 @@ pub struct Components {
     pub count: usize,
     /// Size of the largest component.
     pub giant_size: usize,
-}
-
-impl Components {
-    /// Fraction of live vertices inside the giant component.
-    ///
-    /// The paper reports this for the CDR graph (99.1%).
-    pub fn giant_fraction(&self, live: usize) -> f64 {
-        if live == 0 {
-            0.0
-        } else {
-            self.giant_size as f64 / live as f64
-        }
-    }
 }
 
 /// Computes connected components of the live subgraph.
@@ -79,13 +66,6 @@ pub fn connected_components<G: Graph>(graph: &G) -> Components {
     }
 }
 
-/// Convenience: component label lookup that panics on tombstones.
-pub fn component_of(components: &Components, v: VertexId) -> u32 {
-    let label = components.labels[v as usize];
-    assert_ne!(label, u32::MAX, "vertex {v} is not live");
-    label
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,11 +93,11 @@ mod tests {
     }
 
     #[test]
-    fn giant_fraction_on_connected_graph_is_one() {
+    fn connected_mesh_is_one_giant_component() {
         let g = crate::gen::mesh3d(5, 5, 5);
         let c = connected_components(&g);
         assert_eq!(c.count, 1);
-        assert!((c.giant_fraction(125) - 1.0).abs() < 1e-12);
+        assert_eq!(c.giant_size, 125);
     }
 
     #[test]
@@ -126,6 +106,5 @@ mod tests {
         let c = connected_components(&g);
         assert_eq!(c.count, 0);
         assert_eq!(c.giant_size, 0);
-        assert_eq!(c.giant_fraction(0), 0.0);
     }
 }

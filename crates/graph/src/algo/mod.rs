@@ -1,14 +1,8 @@
-//! Graph algorithms used by the evaluation: connected components, BFS,
-//! degree statistics and clustering coefficients.
+//! Graph algorithms used by the evaluation: connected components, degree
+//! statistics and clustering coefficients.
 
 mod components;
 mod stats;
-mod traversal;
-mod triangles;
 
-pub use components::{component_of, connected_components, Components};
-pub use stats::{
-    degree_histogram, degree_stats, global_clustering, powerlaw_exponent, DegreeStats,
-};
-pub use traversal::{bfs_distances, estimate_mean_geodesic};
-pub use triangles::{core_numbers, triangle_counts, TriangleCounts};
+pub use components::{connected_components, Components};
+pub use stats::{degree_stats, global_clustering, DegreeStats};

@@ -129,77 +129,3 @@ mod tests {
         assert!((global_clustering(&g) - 0.6).abs() < 1e-12);
     }
 }
-
-/// Degree histogram: `histogram[d]` = number of live vertices of degree `d`.
-pub fn degree_histogram<G: Graph>(graph: &G) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for v in graph.vertices() {
-        let d = graph.degree(v);
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
-}
-
-/// Crude power-law exponent estimate via the Hill/MLE estimator
-/// `1 + n / Σ ln(d_i / (d_min - 0.5))` over degrees `>= d_min`.
-///
-/// Good enough to tell a power law (α ≈ 2–3) from a homogeneous mesh
-/// (degenerate, returns `None` when fewer than 10 vertices qualify).
-pub fn powerlaw_exponent<G: Graph>(graph: &G, d_min: usize) -> Option<f64> {
-    let mut n = 0usize;
-    let mut log_sum = 0.0f64;
-    for v in graph.vertices() {
-        let d = graph.degree(v);
-        if d >= d_min {
-            n += 1;
-            log_sum += (d as f64 / (d_min as f64 - 0.5)).ln();
-        }
-    }
-    if n < 10 || log_sum <= 0.0 {
-        None
-    } else {
-        Some(1.0 + n as f64 / log_sum)
-    }
-}
-
-#[cfg(test)]
-mod dist_tests {
-    use super::*;
-    use crate::{gen, CsrGraph};
-
-    #[test]
-    fn histogram_of_star() {
-        let g = CsrGraph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let h = degree_histogram(&g);
-        assert_eq!(h[1], 4);
-        assert_eq!(h[4], 1);
-    }
-
-    #[test]
-    fn histogram_sums_to_live_count() {
-        let g = gen::holme_kim(500, 4, 0.1, 1);
-        let h = degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), 500);
-    }
-
-    #[test]
-    fn ba_exponent_near_three() {
-        // Barabási–Albert graphs have alpha ~ 3.
-        let g = gen::preferential_attachment(20_000, 4, 7);
-        let alpha = powerlaw_exponent(&g, 8).expect("enough tail");
-        assert!(
-            (2.2..=3.8).contains(&alpha),
-            "BA exponent estimate {alpha} outside expected band"
-        );
-    }
-
-    #[test]
-    fn mesh_has_no_meaningful_tail() {
-        let g = gen::mesh3d(8, 8, 8);
-        // All degrees <= 6; nothing at or above d_min = 10.
-        assert_eq!(powerlaw_exponent(&g, 10), None);
-    }
-}

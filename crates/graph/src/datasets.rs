@@ -9,8 +9,7 @@
 //! [`Dataset::substitution`].
 //!
 //! The paper's `1e8` (10^8-vertex heart mesh, 3 TB in RAM on a 63-blade
-//! cluster) is listed with a 1/100 scale default; pass an explicit scale to
-//! [`Dataset::build_scaled`] to grow it as far as your memory allows.
+//! cluster) is listed with a 1/100 scale default.
 
 use crate::csr::CsrGraph;
 use crate::gen;
@@ -60,12 +59,6 @@ impl Dataset {
     /// ignore the seed entirely.
     pub fn build(&self, seed: u64) -> CsrGraph {
         (self.builder)(self.default_scale_down, seed)
-    }
-
-    /// Builds the dataset scaled down by `scale_down` (1 = paper-size).
-    pub fn build_scaled(&self, scale_down: usize, seed: u64) -> CsrGraph {
-        assert!(scale_down >= 1, "scale_down must be >= 1");
-        (self.builder)(scale_down, seed)
     }
 
     /// Vertex count at the default scale.

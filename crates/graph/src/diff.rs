@@ -354,16 +354,6 @@ impl GraphDiff {
         Ok(resolved)
     }
 
-    /// Validates the diff against `base` without mutating it. See the
-    /// [module docs](self) for the full check list.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError::Corrupt`] naming the violated invariant.
-    pub fn validate_against(&self, base: &DynGraph) -> Result<(), DecodeError> {
-        self.resolve_against(base).map(|_| ())
-    }
-
     /// Applies the diff to `base`, turning it into the final state.
     ///
     /// Resolution (validation + final-list materialisation) runs first
@@ -410,9 +400,9 @@ impl Encode for GraphDiff {
 }
 
 impl Decode for GraphDiff {
-    /// Structural validation that needs the base graph lives in
-    /// [`GraphDiff::validate_against`]; decoding checks only what the
-    /// bytes alone can prove.
+    /// Structural validation that needs the base graph runs in
+    /// [`GraphDiff::apply_to`]; decoding checks only what the bytes alone
+    /// can prove.
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let new_slots = usize::decode(dec)?;
         let new_live = usize::decode(dec)?;

@@ -191,7 +191,7 @@ impl DynGraph {
 
     /// Rewrites the slots a validated [`GraphDiff`](crate::GraphDiff)
     /// names and installs the pre-checked bookkeeping totals. Infallible
-    /// by contract: callers run `GraphDiff::validate_against` first, so
+    /// by contract: `GraphDiff::apply_to` resolves the diff first, so
     /// every list is sorted, symmetric in the final state, and consistent
     /// with `new_live`/`new_edges`.
     pub(crate) fn apply_validated_diff(

@@ -21,10 +21,8 @@ mod fire;
 mod mesh;
 mod powerlaw;
 mod random;
-mod smallworld;
 
 pub use fire::{forest_fire, ForestFireConfig};
 pub use mesh::{mesh2d_tri, mesh3d, rect_mesh_dims};
 pub use powerlaw::{holme_kim, preferential_attachment};
 pub use random::erdos_renyi;
-pub use smallworld::watts_strogatz;

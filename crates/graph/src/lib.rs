@@ -20,10 +20,9 @@
 //!   triangulated meshes, Holme–Kim power-law-cluster graphs, preferential
 //!   attachment, Erdős–Rényi, and the forest-fire expansion model the paper
 //!   uses to mimic dynamic growth.
-//! * [`algo`] — connected components, BFS, degree statistics, clustering.
+//! * [`algo`] — connected components, degree statistics, clustering.
 //! * [`datasets`] — the named datasets of the paper's Table 1 (synthetic
 //!   stand-ins for the real-world graphs; each records its substitution).
-//! * [`io`] — plain-text edge-list reading/writing.
 //!
 //! # Example
 //!
@@ -44,7 +43,6 @@ pub mod delta;
 pub mod diff;
 pub mod dynamic;
 pub mod gen;
-pub mod io;
 pub mod persist;
 pub mod types;
 

@@ -33,8 +33,5 @@ pub mod partitioning;
 
 pub use capacity::CapacityModel;
 pub use initial::InitialStrategy;
-pub use metrics::{
-    communication_profile, cut_edges, cut_edges_sharded, cut_ratio, edge_imbalance,
-    vertex_imbalance, CommunicationProfile,
-};
+pub use metrics::{cut_edges, cut_edges_sharded, cut_ratio, edge_imbalance, vertex_imbalance};
 pub use partitioning::{PartitionId, Partitioning};

@@ -206,108 +206,3 @@ mod tests {
         assert_eq!(cut_edges_sharded(&g, &p, 4), 0);
     }
 }
-
-/// Per-partition communication summary for a BSP superstep in which every
-/// vertex messages all neighbours once — the load model behind the paper's
-/// time-per-iteration plots.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommunicationProfile {
-    /// Messages each partition sends to other partitions.
-    pub remote_out: Vec<usize>,
-    /// Messages each partition delivers internally.
-    pub local: Vec<usize>,
-    /// Vertices with at least one neighbour in another partition.
-    pub boundary_vertices: Vec<usize>,
-}
-
-impl CommunicationProfile {
-    /// Total remote messages (both directions of every cut edge).
-    pub fn total_remote(&self) -> usize {
-        self.remote_out.iter().sum()
-    }
-
-    /// Max-to-mean skew of outbound remote traffic — the quantity that
-    /// gates the BSP barrier when messaging dominates.
-    pub fn remote_skew(&self) -> f64 {
-        let total = self.total_remote();
-        if total == 0 {
-            return 1.0;
-        }
-        let k = self.remote_out.len() as f64;
-        let max = *self.remote_out.iter().max().expect("k >= 1") as f64;
-        max / (total as f64 / k)
-    }
-}
-
-/// Computes the [`CommunicationProfile`] of a partitioning.
-pub fn communication_profile<G: Graph>(
-    graph: &G,
-    partitioning: &Partitioning,
-) -> CommunicationProfile {
-    let k = partitioning.num_partitions() as usize;
-    let mut remote_out = vec![0usize; k];
-    let mut local = vec![0usize; k];
-    let mut boundary = vec![0usize; k];
-    for v in graph.vertices() {
-        let pv = partitioning.partition_of(v) as usize;
-        let mut is_boundary = false;
-        for &w in graph.neighbors(v) {
-            if partitioning.partition_of(w) as usize == pv {
-                local[pv] += 1;
-            } else {
-                remote_out[pv] += 1;
-                is_boundary = true;
-            }
-        }
-        if is_boundary {
-            boundary[pv] += 1;
-        }
-    }
-    CommunicationProfile {
-        remote_out,
-        local,
-        boundary_vertices: boundary,
-    }
-}
-
-#[cfg(test)]
-mod comm_tests {
-    use super::*;
-    use apg_graph::CsrGraph;
-
-    #[test]
-    fn profile_of_split_path() {
-        // 0-1-2-3 split in the middle.
-        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let p = Partitioning::from_assignment(vec![0, 0, 1, 1], 2);
-        let prof = communication_profile(&g, &p);
-        assert_eq!(prof.total_remote(), 2); // edge 1-2, both directions
-        assert_eq!(prof.local, vec![2, 2]);
-        assert_eq!(prof.boundary_vertices, vec![1, 1]);
-        assert!((prof.remote_skew() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn skew_detects_hub_concentration() {
-        // Star centre in partition 0 alone: p0 sends 4 remote, others few.
-        let g = CsrGraph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let p = Partitioning::from_assignment(vec![0, 1, 1, 1, 1], 2);
-        let prof = communication_profile(&g, &p);
-        assert_eq!(prof.remote_out, vec![4, 4]);
-        // Balanced here; now isolate a leaf to partition 0 with the hub.
-        let p2 = Partitioning::from_assignment(vec![0, 0, 1, 1, 1], 2);
-        let prof2 = communication_profile(&g, &p2);
-        assert_eq!(prof2.remote_out[0], 3);
-        assert_eq!(prof2.remote_out[1], 3);
-        assert_eq!(prof2.local[0], 2);
-    }
-
-    #[test]
-    fn empty_graph_profile() {
-        let g = CsrGraph::from_edges(0, &[]);
-        let p = Partitioning::new(0, 3);
-        let prof = communication_profile(&g, &p);
-        assert_eq!(prof.total_remote(), 0);
-        assert_eq!(prof.remote_skew(), 1.0);
-    }
-}

@@ -228,64 +228,6 @@ mod tests {
     }
 }
 
-impl Partitioning {
-    /// Serialises the assignment as plain text: a header line `k n`, then
-    /// one partition id per line. Stable across versions; intended for
-    /// persisting partition maps between runs (the paper's motivation for
-    /// adaptation is precisely avoiding recomputing these from scratch).
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer failures.
-    pub fn write_text<W: std::io::Write>(&self, mut writer: W) -> std::io::Result<()> {
-        writeln!(writer, "{} {}", self.num_partitions(), self.num_vertices())?;
-        for &p in &self.assignment {
-            writeln!(writer, "{p}")?;
-        }
-        Ok(())
-    }
-
-    /// Reads an assignment written by [`Partitioning::write_text`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on malformed headers, short files, or
-    /// out-of-range partition ids.
-    pub fn read_text<R: std::io::Read>(reader: R) -> std::io::Result<Partitioning> {
-        use std::io::{BufRead, BufReader, Error, ErrorKind};
-        let bad = |msg: &str| Error::new(ErrorKind::InvalidData, msg.to_string());
-        let mut lines = BufReader::new(reader).lines();
-        let header = lines.next().ok_or_else(|| bad("empty partition file"))??;
-        let mut parts = header.split_whitespace();
-        let k: PartitionId = parts
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad("malformed header"))?;
-        let n: usize = parts
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad("malformed header"))?;
-        if k == 0 {
-            return Err(bad("k must be positive"));
-        }
-        let mut assignment = Vec::with_capacity(n);
-        for line in lines.take(n) {
-            let p: PartitionId = line?
-                .trim()
-                .parse()
-                .map_err(|_| bad("malformed partition id"))?;
-            if p >= k {
-                return Err(bad("partition id out of range"));
-            }
-            assignment.push(p);
-        }
-        if assignment.len() != n {
-            return Err(bad("truncated partition file"));
-        }
-        Ok(Partitioning::from_assignment(assignment, k))
-    }
-}
-
 impl apg_persist::Encode for Partitioning {
     /// Binary codec (part of the `apg-persist` durable-state layer): `k`,
     /// the per-slot assignment, and the **live** sizes. Sizes are encoded
@@ -401,28 +343,5 @@ mod persistence_tests {
             Partitioning::from_bytes(&enc.into_bytes()).unwrap_err(),
             DecodeError::Corrupt("partitioning has k == 0")
         ));
-    }
-
-    #[test]
-    fn text_round_trip() {
-        let p = Partitioning::from_assignment(vec![0, 2, 1, 2, 0], 3);
-        let mut buf = Vec::new();
-        p.write_text(&mut buf).unwrap();
-        let q = Partitioning::read_text(&buf[..]).unwrap();
-        assert_eq!(p, q);
-    }
-
-    #[test]
-    fn rejects_out_of_range_ids() {
-        let err = Partitioning::read_text("2 2\n0\n5\n".as_bytes()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn rejects_truncation_and_garbage() {
-        assert!(Partitioning::read_text("3 5\n0\n1\n".as_bytes()).is_err());
-        assert!(Partitioning::read_text("x y\n".as_bytes()).is_err());
-        assert!(Partitioning::read_text("".as_bytes()).is_err());
-        assert!(Partitioning::read_text("0 0\n".as_bytes()).is_err());
     }
 }

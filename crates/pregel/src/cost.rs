@@ -44,15 +44,6 @@ impl CostModel {
         }
     }
 
-    /// A compute-heavy profile (e.g. the cardiac FEM kernel, where CPU time
-    /// is "not negligible (more than 17%)").
-    pub fn compute_heavy() -> Self {
-        CostModel {
-            compute: 5.0,
-            ..Self::lan_10gbe()
-        }
-    }
-
     /// Calibrated to the paper's biomedical deployment (Figure 7): with
     /// hash partitioning, messaging is >80% of superstep time and compute
     /// above 17% (the 32-ODE kernel is charged separately via

@@ -18,7 +18,7 @@ use apg_partition::{CapacityModel, InitialStrategy, PartitionId, Partitioning};
 use crate::cost::{CostModel, SuperstepReport};
 use crate::fault::FaultPlan;
 use crate::migrate::{InFlight, MigrationController};
-use crate::program::{Aggregates, Context, VertexProgram};
+use crate::program::{Context, VertexProgram};
 use crate::worker::{VertexState, WorkerCounters, WorkerId, WorkerState};
 
 /// Builder for [`Engine`]; start from [`EngineBuilder::new`].
@@ -141,7 +141,6 @@ impl EngineBuilder {
             in_flight_set: HashSet::new(),
             cost_model: self.cost_model,
             fault_plan: self.fault_plan,
-            agg: Aggregates::new(),
             superstep: 0,
             total_sim_time: 0.0,
         }
@@ -165,7 +164,6 @@ pub struct Engine<P: VertexProgram> {
     in_flight_set: HashSet<VertexId>,
     cost_model: CostModel,
     fault_plan: FaultPlan,
-    agg: Aggregates,
     superstep: usize,
     total_sim_time: f64,
 }
@@ -173,7 +171,6 @@ pub struct Engine<P: VertexProgram> {
 struct WorkerOutput<M> {
     outboxes: Vec<Vec<(VertexId, M)>>,
     counters: WorkerCounters,
-    agg: Aggregates,
     decided: Vec<InFlight>,
 }
 
@@ -185,7 +182,6 @@ struct SuperstepView<'a, P> {
     in_flight: &'a HashSet<VertexId>,
     controller: Option<&'a MigrationController>,
     caps: &'a CapacityModel,
-    agg_prev: &'a Aggregates,
     superstep: usize,
 }
 
@@ -223,7 +219,6 @@ impl<P: VertexProgram> Engine<P> {
             in_flight: &self.in_flight_set,
             controller: self.controller.as_ref(),
             caps: &caps,
-            agg_prev: &self.agg,
             superstep: t,
         };
 
@@ -240,12 +235,10 @@ impl<P: VertexProgram> Engine<P> {
         // ---- merge phase (single-threaded, at the barrier) ----
         let mut counters_total = WorkerCounters::default();
         let mut per_worker_counters = Vec::with_capacity(k);
-        let mut agg_next = Aggregates::new();
         let mut decided_all: Vec<InFlight> = Vec::new();
         for out in &outputs {
             counters_total.merge(&out.counters);
             per_worker_counters.push(out.counters);
-            agg_next.merge(&out.agg);
             decided_all.extend_from_slice(&out.decided);
         }
         // Route new messages (worker-order concatenation keeps it
@@ -255,7 +248,6 @@ impl<P: VertexProgram> Engine<P> {
                 self.inboxes[dest].extend(msgs);
             }
         }
-        self.agg = agg_next;
 
         // Publish this superstep's decisions (routing changes now), move
         // last superstep's batch (states follow one superstep later).
@@ -538,7 +530,6 @@ fn run_worker<P: VertexProgram>(
 
     let mut outboxes: Vec<Vec<(VertexId, P::Message)>> = (0..k).map(|_| Vec::new()).collect();
     let mut counters = WorkerCounters::default();
-    let mut agg_next = Aggregates::new();
 
     let mut cursor = 0usize;
     for (&v, state) in worker.vertices.iter_mut() {
@@ -567,8 +558,6 @@ fn run_worker<P: VertexProgram>(
             graph: view.graph,
             routing: view.routing,
             counters: &mut counters,
-            agg_prev: view.agg_prev,
-            agg_next: &mut agg_next,
         };
         program.compute(&mut ctx, vertex_msgs);
     }
@@ -630,7 +619,6 @@ fn run_worker<P: VertexProgram>(
     WorkerOutput {
         outboxes,
         counters,
-        agg: agg_next,
         decided,
     }
 }
@@ -915,30 +903,6 @@ mod tests {
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
-    }
-
-    #[test]
-    fn aggregates_cross_supersteps() {
-        struct CountActive;
-        impl VertexProgram for CountActive {
-            type Value = f64;
-            type Message = ();
-            fn compute(&self, ctx: &mut Context<'_, '_, f64, ()>, _messages: &[()]) {
-                if ctx.superstep() == 1 {
-                    // Every vertex contributed 1.0 at superstep 0.
-                    *ctx.value_mut() = ctx.read_aggregate("active").unwrap_or(-1.0);
-                    ctx.vote_to_halt();
-                } else if ctx.superstep() == 0 {
-                    ctx.aggregate("active", 1.0);
-                    // Stay active by messaging self-neighbours.
-                    ctx.send_to_neighbors(());
-                }
-            }
-        }
-        let g = gen::mesh3d(3, 3, 3);
-        let mut e = EngineBuilder::new(3).build(&g, CountActive);
-        e.run(2);
-        assert_eq!(e.vertex_value(0), Some(&27.0));
     }
 
     #[test]

@@ -74,5 +74,5 @@ pub use cost::{CostModel, SuperstepReport};
 pub use engine::{Engine, EngineBuilder};
 pub use fault::{FaultEvent, FaultPlan};
 pub use migrate::MigrationController;
-pub use program::{Aggregates, Context, VertexProgram};
+pub use program::{Context, VertexProgram};
 pub use worker::WorkerId;

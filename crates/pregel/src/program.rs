@@ -1,7 +1,5 @@
 //! The vertex-program abstraction (the "Pregel API" layer of Figure 2).
 
-use std::collections::HashMap;
-
 use apg_graph::{DynGraph, Graph, VertexId};
 use apg_partition::Partitioning;
 
@@ -44,44 +42,6 @@ pub trait VertexProgram: Send + Sync + 'static {
     }
 }
 
-/// Aggregated values shared across workers with a one-superstep delay
-/// (Pregel's aggregator mechanism). Values written during superstep `t` are
-/// readable by every vertex during `t + 1`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Aggregates {
-    values: HashMap<&'static str, f64>,
-}
-
-impl Aggregates {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `v` into the named sum.
-    pub fn add(&mut self, name: &'static str, v: f64) {
-        *self.values.entry(name).or_insert(0.0) += v;
-    }
-
-    /// Reads a named sum (from the previous superstep when accessed through
-    /// [`Context::read_aggregate`]).
-    pub fn get(&self, name: &str) -> Option<f64> {
-        self.values.get(name).copied()
-    }
-
-    /// Merges another partial aggregate into this one.
-    pub fn merge(&mut self, other: &Aggregates) {
-        for (k, v) in &other.values {
-            *self.values.entry(k).or_insert(0.0) += v;
-        }
-    }
-
-    /// Clears all sums.
-    pub fn clear(&mut self) {
-        self.values.clear();
-    }
-}
-
 /// Per-vertex view handed to [`VertexProgram::compute`].
 ///
 /// The context routes messages through the engine's routing table, which is
@@ -98,8 +58,6 @@ pub struct Context<'a, 'b, V, M> {
     pub(crate) graph: &'b DynGraph,
     pub(crate) routing: &'b Partitioning,
     pub(crate) counters: &'a mut WorkerCounters,
-    pub(crate) agg_prev: &'b Aggregates,
-    pub(crate) agg_next: &'a mut Aggregates,
 }
 
 impl<V, M> Context<'_, '_, V, M> {
@@ -173,16 +131,6 @@ impl<V, M> Context<'_, '_, V, M> {
         *self.halted = true;
     }
 
-    /// Adds `v` into a named global aggregate, readable next superstep.
-    pub fn aggregate(&mut self, name: &'static str, v: f64) {
-        self.agg_next.add(name, v);
-    }
-
-    /// Reads a named aggregate as of the end of the previous superstep.
-    pub fn read_aggregate(&self, name: &str) -> Option<f64> {
-        self.agg_prev.get(name)
-    }
-
     /// Charges extra compute cost to the cost model (beyond the default one
     /// unit per active vertex). The cardiac FEM kernel uses this to model
     /// its "more than 32 differential equations on one hundred variables".
@@ -196,22 +144,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn aggregates_sum_and_merge() {
-        let mut a = Aggregates::new();
-        a.add("x", 1.5);
-        a.add("x", 2.5);
-        let mut b = Aggregates::new();
-        b.add("x", 1.0);
-        b.add("y", 7.0);
-        a.merge(&b);
-        assert_eq!(a.get("x"), Some(5.0));
-        assert_eq!(a.get("y"), Some(7.0));
-        assert_eq!(a.get("z"), None);
-        a.clear();
-        assert_eq!(a.get("x"), None);
-    }
-
-    #[test]
     fn context_routes_and_counts() {
         let mut value = 0u32;
         let mut halted = false;
@@ -222,8 +154,6 @@ mod tests {
         let mut routing = Partitioning::new(3, 2);
         routing.assign_all(&[0, 1, 1]);
         let mut counters = WorkerCounters::default();
-        let agg_prev = Aggregates::new();
-        let mut agg_next = Aggregates::new();
         {
             let mut ctx = Context {
                 vertex: 0,
@@ -235,8 +165,6 @@ mod tests {
                 graph: &graph,
                 routing: &routing,
                 counters: &mut counters,
-                agg_prev: &agg_prev,
-                agg_next: &mut agg_next,
             };
             ctx.send(0, 1); // local
             ctx.send(1, 2); // remote

@@ -42,17 +42,6 @@ pub enum QueryMix {
     CommunityBiased,
 }
 
-impl QueryMix {
-    /// Short label for reports and bench JSON.
-    pub fn label(&self) -> &'static str {
-        match self {
-            QueryMix::Uniform => "uniform",
-            QueryMix::DegreeBiased => "degree-biased",
-            QueryMix::CommunityBiased => "community-biased",
-        }
-    }
-}
-
 /// A reproducible query stream: `generate(graph, round)` yields the round's
 /// queries as a pure function of `(graph, seed, round)`.
 ///

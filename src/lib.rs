@@ -32,8 +32,7 @@
 //!   partitioned graph between streaming batches, accounting every
 //!   traversal hop as local or remote to the anchor's partition.
 //! * [`mod@bench`] — the experiment drivers behind the `fig1`…`fig9`, `table1`,
-//!   `ablation`, `serve` and `all` binaries regenerating the paper's
-//!   evaluation.
+//!   `ablation` and `all` binaries regenerating the paper's evaluation.
 //!
 //! # Quickstart
 //!

@@ -15,7 +15,8 @@
 //! batch on a converged graph it reads fewer neighbour labels than the
 //! older rule (every event re-activates) would have, a quota-starved pair's
 //! parked proposers are read only as far as the pair's budget lasts, and
-//! the counters are the same at every parallelism.
+//! the counters are the same at every parallelism. Once a power law goes
+//! quiet, the sweep visits a fraction of what the exhaustive driver does.
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -464,4 +465,44 @@ fn a_starved_pair_reads_only_its_budget() {
         );
         assert_eq!(memo_hits, reads, "everyone is willing");
     }
+}
+
+/// A power law refined from hash for 40 iterations has gone quiet, and
+/// its active set has decayed to under a quarter of the graph. The next
+/// 20 iterations visit under a quarter of the slots the exhaustive driver
+/// visits from the same start, which walks at least half the graph.
+#[test]
+fn the_quiet_sweep_decays_on_a_power_law() {
+    const REFINE: usize = 40;
+    const CONVERGED: usize = 20;
+    let graph = gen::holme_kim(8_000, 8, 0.1, 11);
+    let live = graph.num_vertices();
+    let cfg = AdaptiveConfig::builder(8).build().unwrap();
+    let run = |iterate: fn(&mut AdaptivePartitioner) -> (IterationStats, SweepProfile)| {
+        let mut p = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, 11);
+        let refine: Vec<_> = (0..REFINE).map(|_| iterate(&mut p).0).collect();
+        assert!(
+            refine.iter().any(|stats| stats.migrations == 0),
+            "the refine never went quiet"
+        );
+        let active = p.num_active_vertices();
+        let visited: usize = (0..CONVERGED).map(|_| iterate(&mut p).1.visited).sum();
+        p.audit();
+        (active, visited)
+    };
+    let (active, visited) = run(AdaptivePartitioner::iterate_profiled);
+    let (_, exhaustive) = run(reference::iterate_exhaustive);
+    assert!(
+        active < live / 4,
+        "active set barely decayed: {active} of {live}"
+    );
+    assert!(
+        visited * 4 < exhaustive,
+        "converged sweeps visited {visited} slots against the exhaustive {exhaustive}"
+    );
+    assert!(
+        exhaustive / CONVERGED >= live / 2,
+        "the exhaustive driver visited only {} slots per iteration",
+        exhaustive / CONVERGED
+    );
 }

@@ -18,6 +18,9 @@
 //!    (`generate` then `answer`) in order, at even and uneven splits; and a
 //!    reused scratch leaks nothing from one query into the next, across
 //!    graph growth included.
+//!
+//! And the claim the layer exists for: on a CDR churn stream the adaptive
+//! partitioner keeps more of the same queries' hops local than hash.
 
 use std::collections::BTreeSet;
 
@@ -25,7 +28,7 @@ use proptest::prelude::*;
 
 use apg::core::{AdaptiveConfig, AdaptivePartitioner, StreamingRunner};
 use apg::graph::{DynGraph, Graph, UpdateBatch, VertexId};
-use apg::partition::{InitialStrategy, Partitioning};
+use apg::partition::{InitialStrategy, PartitionId, Partitioning};
 use apg::prelude::{Query, QueryMix, QueryRouter, QueryWorkload, ServeStats};
 use apg::serve::TraversalScratch;
 use apg::streams::{CdrConfig, CdrStream};
@@ -403,4 +406,138 @@ fn serve_timeline_is_parallelism_invariant() {
         let hops: usize = sequential.iter().map(|s| s.hops).sum();
         assert!(hops > 0, "{mix:?} scenario too quiet to prove anything");
     }
+}
+
+/// The assignments the locality comparison serves under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arm {
+    /// Hash start, converged on the initial graph, then 5 iterations per
+    /// batch.
+    Adaptive,
+    /// `H(v) mod k`, never adapted.
+    Hash,
+    /// Contiguous slot ranges, never adapted.
+    StaticRange,
+}
+
+/// One arm's serve timeline, summed over its rounds.
+#[derive(Debug)]
+struct ArmTotals {
+    rounds: usize,
+    queries: usize,
+    hops: usize,
+    local_hops: usize,
+}
+
+impl ArmTotals {
+    fn local_pct(&self) -> f64 {
+        100.0 * self.local_hops as f64 / self.hops as f64
+    }
+}
+
+const LOCALITY_QUERIES_PER_ROUND: usize = 64;
+const LOCALITY_BATCHES: usize = 8;
+
+/// Streams `cdr` for [`LOCALITY_BATCHES`] batches at k = 8 and serves
+/// [`LOCALITY_QUERIES_PER_ROUND`] queries of `mix` (k-hop depth 2) after
+/// each one, under `arm`'s assignment.
+fn serve_locality(arm: Arm, cdr: CdrConfig, mix: QueryMix) -> ArmTotals {
+    const SEED: u64 = 42;
+    const K: PartitionId = 8;
+    let graph = DynGraph::with_vertices(cdr.initial_subscribers);
+    // Every arm shares the config, so all three place streamed-in
+    // vertices the same way.
+    let cfg = AdaptiveConfig::builder(K)
+        .parallelism(2)
+        .max_iterations(120)
+        .build()
+        .unwrap();
+    let mut partitioner = match arm {
+        Arm::Adaptive | Arm::Hash => {
+            AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, SEED)
+        }
+        Arm::StaticRange => {
+            let n = graph.num_vertices();
+            let ranges = (0..n)
+                .map(|v| (v * K as usize / n) as PartitionId)
+                .collect();
+            let ranges = Partitioning::from_assignment(ranges, K);
+            AdaptivePartitioner::from_partitioning(&graph, ranges, &cfg, SEED)
+        }
+    };
+    let iterations_per_batch = if arm == Arm::Adaptive {
+        partitioner.run_to_convergence();
+        5
+    } else {
+        0
+    };
+    let workload = QueryWorkload::new(mix, LOCALITY_QUERIES_PER_ROUND, SEED ^ 0x5e7e).khop_depth(2);
+    let mut runner = StreamingRunner::new(partitioner)
+        .iterations_per_batch(iterations_per_batch)
+        .serve_workload(workload);
+    runner.drive(&mut CdrStream::new(cdr, SEED), LOCALITY_BATCHES);
+    let timeline = runner.serve_timeline();
+    let sum = |field: fn(&ServeStats) -> usize| timeline.iter().map(field).sum();
+    ArmTotals {
+        rounds: timeline.len(),
+        queries: sum(|s| s.queries),
+        hops: sum(|s| s.hops),
+        local_hops: sum(|s| s.local_hops),
+    }
+}
+
+/// Over three query mixes × two churn rates (the paper's weekly turnover
+/// and three times it), on a 2,000-subscriber CDR stream, the adaptive
+/// arm keeps more hops inside the anchor's partition than hash somewhere,
+/// and by more than 10 points on community-biased queries at the paper's
+/// churn. All arms answer the identical queries — generation reads only
+/// `(graph, seed, round)` — so their hop counts agree.
+#[test]
+fn adaptive_keeps_more_hops_local_than_hash() {
+    let paper = CdrConfig {
+        initial_subscribers: 2_000,
+        ..CdrConfig::default()
+    };
+    let hot = CdrConfig {
+        weekly_addition_rate: paper.weekly_addition_rate * 3.0,
+        weekly_removal_rate: paper.weekly_removal_rate * 3.0,
+        dormancy_rate: paper.dormancy_rate * 3.0,
+        ..paper
+    };
+    let mut leads = 0;
+    for mix in [
+        QueryMix::Uniform,
+        QueryMix::DegreeBiased,
+        QueryMix::CommunityBiased,
+    ] {
+        for (churn, cdr) in [("paper", paper), ("hot", hot)] {
+            let [adaptive, hash, range] = [Arm::Adaptive, Arm::Hash, Arm::StaticRange]
+                .map(|arm| serve_locality(arm, cdr, mix));
+            for (arm, totals) in [
+                ("adaptive", &adaptive),
+                ("hash", &hash),
+                ("static-range", &range),
+            ] {
+                assert_eq!(totals.rounds, LOCALITY_BATCHES, "{mix:?}/{churn} {arm}");
+                assert_eq!(
+                    totals.queries,
+                    LOCALITY_BATCHES * LOCALITY_QUERIES_PER_ROUND,
+                    "{mix:?}/{churn} {arm}"
+                );
+                assert!(totals.hops > 0, "{mix:?}/{churn} {arm} served no hops");
+                assert_eq!(
+                    totals.hops, hash.hops,
+                    "{mix:?}/{churn} {arm}: the queries depend on the assignment"
+                );
+            }
+            let lead = adaptive.local_pct() - hash.local_pct();
+            if lead > 0.0 {
+                leads += 1;
+            }
+            if mix == QueryMix::CommunityBiased && churn == "paper" {
+                assert!(lead > 10.0, "adaptive leads hash by only {lead:.1} points");
+            }
+        }
+    }
+    assert!(leads > 0, "adaptive never beat hash on local hops");
 }
