@@ -66,9 +66,7 @@ pub enum ConfigError {
     /// Willingness `s` outside `[0, 1]` (carries the offending value).
     WillingnessOutOfRange(f64),
     /// Capacity factor below `1.0`, i.e. less than the balanced load, or
-    /// not finite (carries the offending factor — note
-    /// [`AdaptiveConfigBuilder::capacity_slack`] with a negative slack
-    /// lands here, as do NaN and `+∞`).
+    /// not finite (carries the offending factor — NaN and `+∞` land here).
     CapacityFactorBelowOne(f64),
     /// `parallelism == 0`: the decision sweep needs at least one thread.
     ZeroParallelism,
@@ -118,7 +116,7 @@ impl std::error::Error for ConfigError {}
 /// use apg_core::{AdaptiveConfig, ConfigError};
 ///
 /// let config = AdaptiveConfig::builder(16)
-///     .capacity_slack(0.1)
+///     .capacity_factor(1.1)
 ///     .parallelism(8)
 ///     .build()
 ///     .unwrap();
@@ -144,21 +142,6 @@ impl AdaptiveConfigBuilder {
     /// (validated to finite and `>= 1.0` at build).
     pub fn capacity_factor(mut self, factor: f64) -> Self {
         self.config.capacity_factor = factor;
-        self
-    }
-
-    /// Sets the capacity as balanced load plus a slack fraction:
-    /// `capacity_factor = 1.0 + slack` (so `0.1` means 110%, the paper's
-    /// evaluation setting). Negative slack fails validation.
-    pub fn capacity_slack(mut self, slack: f64) -> Self {
-        self.config.capacity_factor = 1.0 + slack;
-        self
-    }
-
-    /// Sets the convergence window (migration-free iterations before the
-    /// runner declares convergence; the paper uses 30).
-    pub fn convergence_window(mut self, window: usize) -> Self {
-        self.config.convergence_window = window;
         self
     }
 
@@ -249,7 +232,8 @@ pub struct AdaptiveConfig {
     /// Per-partition capacity as a factor of the balanced load (finite,
     /// `>= 1.0`).
     pub capacity_factor: f64,
-    /// Iterations without any migration before declaring convergence.
+    /// Iterations without any migration before declaring convergence (the
+    /// paper's 30 by default).
     pub convergence_window: usize,
     /// Hard iteration cap for [`crate::AdaptivePartitioner::run_to_convergence`].
     pub max_iterations: usize,
@@ -362,7 +346,6 @@ mod tests {
         let c = AdaptiveConfig::builder(4)
             .willingness(1.0)
             .capacity_factor(2.0)
-            .convergence_window(5)
             .max_iterations(10)
             .quota_rule(QuotaRule::Unbounded)
             .count_self(true)
@@ -399,10 +382,9 @@ mod tests {
     #[test]
     fn builder_accepts_the_blessed_chain() {
         let c = AdaptiveConfig::builder(8)
-            .capacity_slack(0.1)
+            .capacity_factor(1.1)
             .parallelism(8)
             .willingness(0.7)
-            .convergence_window(10)
             .max_iterations(200)
             .quota_rule(QuotaRule::Unbounded)
             .count_self(true)
@@ -451,10 +433,9 @@ mod tests {
                 .build(),
             Err(CapacityFactorBelowOne(f64::INFINITY))
         );
-        assert_eq!(
-            AdaptiveConfig::builder(4).capacity_slack(-0.2).build(),
-            Err(CapacityFactorBelowOne(0.8))
-        );
+        let mut negative_slack = defaults(4);
+        negative_slack.capacity_factor = 1.0 + -0.2;
+        assert_eq!(negative_slack.validate(), Err(CapacityFactorBelowOne(0.8)));
         assert_eq!(
             AdaptiveConfig::builder(4).parallelism(0).build(),
             Err(ZeroParallelism)

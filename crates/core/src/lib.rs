@@ -62,7 +62,7 @@ pub use config::{
 pub use partitioner::reference;
 pub use partitioner::{place_new_vertex, AdaptivePartitioner, IterationStats, SweepProfile};
 pub use persist::{
-    CheckpointDelta, CheckpointStore, CheckpointView, InstallReport, PartitionerState,
+    CheckpointDelta, CheckpointStore, CheckpointView, DeltaBase, InstallReport, PartitionerState,
     RecoveredCheckpoint, StreamCheckpoint,
 };
 // The store types `CheckpointStore`'s signatures speak in, so callers can

@@ -5,11 +5,15 @@
 //! checkpoint re-encodes only *checkpoint-changed* ones, so both are
 //! exactly as correct as the marking at every mutation site. The sites
 //! therefore never see the records: they report the **fact** that occurred
-//! — an edge gained or lost with its label relation, a neighbour relabelled
+//! — an edge gained or lost with its far endpoint, a neighbour relabelled
 //! with its class, a vertex retired with its margin or refused with its
 //! candidates — and [`SlotMarks`] turns it into the right combination of
 //! marks. "Dirtied its own state but forgot the checkpoint record" cannot
 //! be written.
+//!
+//! The checkpoint record is also a [`Journal`]: the verb that first marks
+//! a slot changed since the durable root copies what the slot was there,
+//! so an incremental checkpoint needs no second graph to diff against.
 //!
 //! # What a slot's last evaluation proved
 //!
@@ -63,28 +67,6 @@ use std::collections::{BTreeMap, BinaryHeap};
 use apg_exec::ActiveSet;
 use apg_graph::{DynGraph, Graph, VertexId};
 use apg_partition::{PartitionId, Partitioning};
-
-/// Where an edge's far endpoint sits relative to the slot's own label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Relation {
-    /// Same partition as the slot.
-    Home,
-    /// Any other partition.
-    Foreign,
-}
-
-impl Relation {
-    /// The relation between two labels (symmetric: both endpoints of an
-    /// edge see the same one).
-    #[inline]
-    pub(crate) fn between(a: PartitionId, b: PartitionId) -> Self {
-        if a == b {
-            Relation::Home
-        } else {
-            Relation::Foreign
-        }
-    }
-}
 
 /// One neighbour relabel, as seen by the neighbour: four bytes — the slot
 /// in the low 30 bits, what the relabel can take from its margin (0, 1 or
@@ -211,8 +193,63 @@ impl RelabelBuffer {
     }
 }
 
-/// The sweep record, the checkpoint record and what each slot's last
-/// evaluation proved, over the vertex slot range.
+/// The live graph and labels a verb reads a slot's pre-image from.
+pub(crate) type Live<'a> = (&'a DynGraph, &'a Partitioning);
+
+/// What each slot changed since the durable root was there — its label
+/// and neighbour list — recorded on its first change. Only live slots
+/// change. Cleared in place, capacity kept.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Journal {
+    /// The root's slot count; slots born since need no pre-image. Zero
+    /// until there is a root, so a saturated record journals nothing.
+    root_slots: usize,
+    /// Per journalled slot, in journal order: `(slot, label, end of its
+    /// list in lists)`.
+    entries: Vec<(usize, PartitionId, usize)>,
+    lists: Vec<VertexId>,
+    /// `slot` → its index in `entries`, valid while that entry names the
+    /// slot back (so clearing never touches it).
+    index: Vec<u32>,
+}
+
+impl Journal {
+    /// Journals `slot` as `live` holds it, unless it was born since the
+    /// root. An event that changed the edge to `w` passes `Some((w, had))`:
+    /// the slot had that edge before iff `had`, whether or not `live`
+    /// shows the event yet.
+    fn record(&mut self, slot: usize, (graph, labels): Live<'_>, edge: Option<(VertexId, bool)>) {
+        if slot >= self.root_slots {
+            return;
+        }
+        let list = graph.neighbors(slot as VertexId);
+        match edge {
+            None => self.lists.extend_from_slice(list),
+            Some((w, had)) => {
+                let (below, rest) = list.split_at(list.partition_point(|&x| x < w));
+                self.lists.extend_from_slice(below);
+                self.lists.extend(had.then_some(w));
+                self.lists
+                    .extend_from_slice(rest.strip_prefix(&[w]).unwrap_or(rest));
+            }
+        }
+        self.index.resize(self.index.len().max(self.root_slots), 0);
+        self.index[slot] = self.entries.len() as u32;
+        let label = labels.partition_of(slot as VertexId);
+        self.entries.push((slot, label, self.lists.len()));
+    }
+
+    /// `slot`'s label and neighbour list at the root, if journalled.
+    pub(crate) fn pre_image(&self, slot: usize) -> Option<(PartitionId, &[VertexId])> {
+        let i = *self.index.get(slot)? as usize;
+        let &(_, label, end) = self.entries.get(i).filter(|e| e.0 == slot)?;
+        let start = i.checked_sub(1).map_or(0, |prev| self.entries[prev].2);
+        Some((label, &self.lists[start..end]))
+    }
+}
+
+/// The sweep record, the checkpoint record with its journal, and what each
+/// slot's last evaluation proved, over the vertex slot range.
 #[derive(Debug, Clone)]
 pub(crate) struct SlotMarks {
     /// Slots the next decision sweep must visit.
@@ -220,6 +257,8 @@ pub(crate) struct SlotMarks {
     /// Slots whose own state (liveness, adjacency or label) mutated since
     /// the last [`SlotMarks::checkpointed`].
     changed: ActiveSet,
+    /// What the `changed` slots below the root were at the root.
+    pub(crate) journal: Journal,
     /// Stay margins, meaningful for retired live slots only; grows on the
     /// first retirement past its end.
     margins: Vec<u8>,
@@ -231,8 +270,8 @@ impl SlotMarks {
     /// The record for a fresh or restored partitioner: every live vertex
     /// owes the sweep an evaluation (exact — one the original had retired
     /// just decides *Stay* again), and with no checkpoint base to diff
-    /// against yet every slot counts as changed. Marked by words, then the
-    /// tombstones cleared. Nothing is parked.
+    /// against yet every slot counts as changed, which journals nothing.
+    /// Marked by words, then the tombstones cleared. Nothing is parked.
     pub(crate) fn saturated(graph: &DynGraph) -> Self {
         let n = graph.num_vertices();
         let mut sweep = ActiveSet::with_default_shards(n);
@@ -247,6 +286,7 @@ impl SlotMarks {
         SlotMarks {
             sweep,
             changed,
+            journal: Journal::default(),
             margins: Vec::new(),
             parked: Parked::empty(),
         }
@@ -261,39 +301,29 @@ impl SlotMarks {
         self.changed.mark(slot);
     }
 
-    /// `slot` changed label (it migrated): its whole view moved, and a
-    /// checkpoint must re-encode it.
+    /// `slot` is about to change label (it migrates): its whole view
+    /// moves, and a checkpoint must re-encode it.
     #[inline]
-    pub(crate) fn relabelled(&mut self, slot: usize) {
+    pub(crate) fn relabelled(&mut self, slot: usize, live: Live<'_>) {
         self.parked.drop(slot);
         self.sweep.mark(slot);
-        self.changed.mark(slot);
+        self.change(slot, live, None);
     }
 
-    /// `slot` gained an edge to a neighbour in `relation` to it.
+    /// `slot` gained the edge to `other`.
     #[inline]
-    pub(crate) fn edge_gained(&mut self, slot: usize, relation: Relation) {
-        self.changed.mark(slot);
-        self.spend(
-            slot,
-            match relation {
-                Relation::Home => 1,
-                Relation::Foreign => -1,
-            },
-        );
+    pub(crate) fn edge_gained(&mut self, slot: usize, other: VertexId, live: Live<'_>) {
+        let home = live.1.partition_of(slot as VertexId) == live.1.partition_of(other);
+        self.change(slot, live, Some((other, false)));
+        self.spend(slot, if home { 1 } else { -1 });
     }
 
-    /// `slot` lost an edge to a neighbour in `relation` to it.
+    /// `slot` lost the edge to `other`.
     #[inline]
-    pub(crate) fn edge_lost(&mut self, slot: usize, relation: Relation) {
-        self.changed.mark(slot);
-        self.spend(
-            slot,
-            match relation {
-                Relation::Home => -1,
-                Relation::Foreign => 0,
-            },
-        );
+    pub(crate) fn edge_lost(&mut self, slot: usize, other: VertexId, live: Live<'_>) {
+        let home = live.1.partition_of(slot as VertexId) == live.1.partition_of(other);
+        self.change(slot, live, Some((other, true)));
+        self.spend(slot, if home { -1 } else { 0 });
     }
 
     /// Whether a relabel seen by `slot` would change anything: it does
@@ -364,11 +394,12 @@ impl SlotMarks {
         }
     }
 
-    /// `slot` became a tombstone: a checkpoint change that leaves the sweep.
-    pub(crate) fn tombstoned(&mut self, slot: usize) {
+    /// `slot` is about to become a tombstone: a checkpoint change that
+    /// leaves the sweep.
+    pub(crate) fn tombstoned(&mut self, slot: usize, live: Live<'_>) {
         self.parked.drop(slot);
         self.sweep.clear(slot);
-        self.changed.mark(slot);
+        self.change(slot, live, None);
     }
 
     /// The sweep evaluated `slot` to a stable *Stay*, `margin` ahead of its
@@ -456,9 +487,13 @@ impl SlotMarks {
     }
 
     /// The current state just became (or was just restored from) the
-    /// durable checkpoint base: nothing has changed relative to it.
+    /// durable checkpoint base: nothing has changed relative to it, and the
+    /// journal starts over relative to it.
     pub(crate) fn checkpointed(&mut self) {
         self.changed.clear_all();
+        self.journal.root_slots = self.changed.len();
+        self.journal.entries.clear();
+        self.journal.lists.clear();
     }
 
     /// Read-only view of the sweep-dirty set, for scheduling the sweep.
@@ -517,6 +552,15 @@ impl SlotMarks {
             );
         }
         self.parked.audit();
+    }
+
+    /// Marks `slot` changed, journalling what it was if this is its first
+    /// change since the root.
+    #[inline]
+    fn change(&mut self, slot: usize, live: Live<'_>, edge: Option<(VertexId, bool)>) {
+        if self.changed.mark(slot) {
+            self.journal.record(slot, live, edge);
+        }
     }
 
     /// Spends `delta` of `slot`'s margin: a slot awaiting the sweep has
@@ -855,6 +899,12 @@ impl ParkedMerge<'_> {
 mod tests {
     use super::*;
 
+    /// `n` isolated vertices in partition 0: the live state the verbs of
+    /// these tests read (they record events without applying them).
+    fn isolated(n: usize) -> (DynGraph, Partitioning) {
+        (DynGraph::with_vertices(n), Partitioning::new(n, 3))
+    }
+
     fn retired_path() -> SlotMarks {
         // A 4-vertex path: every slot retired with margin 2.
         let mut g = DynGraph::with_vertices(4);
@@ -870,20 +920,24 @@ mod tests {
 
     #[test]
     fn a_margin_absorbs_exactly_its_worth_of_foreign_edges() {
+        // Slot 3 is foreign to the rest.
+        let (graph, mut labels) = isolated(4);
+        labels.move_vertex(3, 1);
+        let live = (&graph, &labels);
         let mut marks = retired_path();
         marks.checkpointed();
-        marks.edge_gained(1, Relation::Foreign);
-        marks.edge_gained(1, Relation::Foreign);
+        marks.edge_gained(1, 3, live);
+        marks.edge_gained(1, 3, live);
         assert!(!marks.sweep().contains(1), "margin 2 absorbs two");
         assert_eq!(marks.changed_slots(), vec![1], "every edge is a change");
-        marks.edge_gained(1, Relation::Foreign);
+        marks.edge_gained(1, 3, live);
         assert!(marks.sweep().contains(1), "the third spends it");
         // Home gains and foreign losses never reactivate.
-        marks.edge_gained(2, Relation::Home);
-        marks.edge_lost(2, Relation::Foreign);
-        marks.edge_lost(2, Relation::Home);
-        marks.edge_lost(2, Relation::Home);
-        marks.edge_lost(2, Relation::Home);
+        marks.edge_gained(2, 0, live);
+        marks.edge_lost(2, 3, live);
+        marks.edge_lost(2, 0, live);
+        marks.edge_lost(2, 0, live);
+        marks.edge_lost(2, 0, live);
         assert!(!marks.sweep().contains(2));
         assert_eq!(marks.margin(2), 0);
     }
@@ -962,7 +1016,9 @@ mod tests {
     #[test]
     fn memos_stand_until_the_view_changes_and_compact_away() {
         let n = 20_000;
-        let mut marks = SlotMarks::saturated(&DynGraph::with_vertices(n));
+        let (graph, labels) = isolated(n);
+        let live = (&graph, &labels);
+        let mut marks = SlotMarks::saturated(&graph);
         for slot in 0..n {
             marks.refused(slot, 0, &[1, 2]);
         }
@@ -972,11 +1028,11 @@ mod tests {
             "parked slots leave the sweep"
         );
         assert_eq!(marks.memo(7), Some(&[1, 2][..]));
-        marks.edge_lost(7, Relation::Foreign);
+        marks.edge_lost(7, 0, live);
         assert_eq!(marks.memo(7), None, "any event drops it");
         assert!(marks.sweep().contains(7));
         for slot in (0..n).filter(|s| s % 10 != 0) {
-            marks.relabelled(slot);
+            marks.relabelled(slot, live);
         }
         marks.parked_settled(&[]);
         assert_eq!(marks.parked.lists.len(), marks.parked.live, "compacted");
@@ -989,7 +1045,7 @@ mod tests {
         }
         assert_eq!(marks.memo(10), Some(&[1, 2][..]));
         assert_eq!(marks.parked_slots().count(), n / 10);
-        marks.tombstoned(20);
+        marks.tombstoned(20, live);
         assert_eq!(marks.memo(20), None);
         marks.parked_settled(&[]);
         marks.parked.audit();
@@ -997,12 +1053,13 @@ mod tests {
 
     #[test]
     fn the_merge_reads_live_queues_once_each_ascending() {
-        let mut marks = SlotMarks::saturated(&DynGraph::with_vertices(8));
+        let (graph, labels) = isolated(8);
+        let mut marks = SlotMarks::saturated(&graph);
         marks.refused(1, 0, &[1, 2]);
         marks.refused(3, 0, &[2]);
         marks.refused(5, 0, &[1]);
         marks.refused(6, 1, &[0]);
-        marks.relabelled(5);
+        marks.relabelled(5, (&graph, &labels));
         marks.parked_settled(&[]);
         // Pair (0, 2) is dead: slot 3 is never read, slot 1 is through
         // (0, 1), and the stale entry of slot 5 is skipped.
@@ -1015,5 +1072,85 @@ mod tests {
             read.push(slot);
         }
         assert_eq!(read, vec![1, 6]);
+    }
+
+    #[test]
+    fn a_saturated_record_journals_nothing() {
+        let (mut runner, mut source) = crate::persist::growth_runner(2);
+        runner.drive(&mut source, 20);
+        let p = runner.partitioner();
+        assert!(p.graph().num_vertices() > 200 && p.iteration() > 0);
+        let journal = p.journal();
+        assert_eq!((journal.entries.len(), journal.lists.len()), (0, 0));
+        assert_eq!(journal.index.len(), 0, "nothing was ever journalled");
+    }
+
+    #[test]
+    fn the_journal_holds_exactly_the_changed_slots_below_the_root() {
+        use apg_graph::UpdateBatch;
+        use apg_streams::StreamSource;
+        let mut contents = Vec::new();
+        for parallelism in [1, 2, 8] {
+            let (mut runner, mut source) = crate::persist::growth_runner(parallelism);
+            runner.drive(&mut source, 10);
+            let base = runner.checkpoint();
+            let graph = &base.state.graph;
+            runner.partitioner_mut().clear_changed();
+            // An edge the graph already has changes nothing: no mark, no
+            // pre-image.
+            let (u, w) = graph.edges().next().expect("an edge");
+            assert!(!runner.partitioner_mut().add_edge(u, w));
+            assert!(runner.partitioner().changed_slots().is_empty());
+            assert!(runner.partitioner().journal().entries.is_empty());
+            // Churn: tombstones, lost edges, an emptied list, growth and
+            // relabels.
+            let mut churn = UpdateBatch::new();
+            let hub = graph.vertices().max_by_key(|&v| graph.degree(v)).unwrap();
+            churn.remove_vertex(hub);
+            churn.remove_edge(u, w);
+            let lone = graph
+                .vertices()
+                .filter(|&v| v != hub && graph.degree(v) > 0)
+                .min_by_key(|&v| graph.degree(v))
+                .unwrap();
+            for &x in graph.neighbors(lone) {
+                churn.remove_edge(lone, x);
+            }
+            runner.ingest(&churn);
+            runner.drive(&mut source, 5);
+            runner.ingest(&source.next_batch().unwrap());
+
+            let p = runner.partitioner();
+            let changed = p.changed_slots();
+            let journal = p.journal();
+            let root = graph.num_vertices();
+            assert!(changed.contains(&(hub as usize)) && changed.contains(&(lone as usize)));
+            assert!(
+                changed.iter().any(|&slot| slot < root
+                    && base.state.partitioning.as_slice()[slot]
+                        != p.partitioning().as_slice()[slot]),
+                "no slot below the root was relabelled"
+            );
+            for slot in 0..p.graph().num_vertices() {
+                let v = slot as VertexId;
+                let expected = (slot < root && changed.binary_search(&slot).is_ok()).then(|| {
+                    assert!(graph.is_vertex(v), "tombstone {slot} changed");
+                    (base.state.partitioning.partition_of(v), graph.neighbors(v))
+                });
+                assert_eq!(journal.pre_image(slot), expected, "slot {slot}");
+            }
+            let below_root = changed.partition_point(|&slot| slot < root);
+            assert_eq!(journal.entries.len(), below_root);
+            contents.push((journal.entries.clone(), journal.lists.clone()));
+
+            // Clearing starts over in place, capacity kept.
+            let capacity = journal.lists.capacity();
+            runner.partitioner_mut().clear_changed();
+            let journal = runner.partitioner().journal();
+            assert!(journal.entries.is_empty() && journal.lists.is_empty());
+            assert_eq!(journal.lists.capacity(), capacity);
+            assert_eq!(journal.pre_image(hub as usize), None);
+        }
+        assert!(contents.windows(2).all(|pair| pair[0] == pair[1]));
     }
 }

@@ -23,7 +23,7 @@ use apg_partition::{
 
 use crate::candidates::{pick_candidate, DecisionKernel, MigrationDecision};
 use crate::config::AdaptiveConfig;
-use crate::marks::{ParkedMerge, Relabels, Relation, SlotMarks, RELABEL_SLOT_LIMIT};
+use crate::marks::{Journal, ParkedMerge, Relabels, SlotMarks, RELABEL_SLOT_LIMIT};
 use crate::quota::QuotaTable;
 use crate::runner::ConvergenceReport;
 
@@ -504,9 +504,16 @@ impl AdaptivePartitioner {
 
     /// Resets the changed-slot record: the current state just became the
     /// durable checkpoint base (an install succeeded), or was just
-    /// restored from it.
+    /// restored from it. It also starts the journal: each slot's first
+    /// change from here copies what the slot was, the base side of the
+    /// next delta. A record never cleared journals nothing.
     pub fn clear_changed(&mut self) {
         self.marks.checkpointed();
+    }
+
+    /// What each changed slot was at the last `clear_changed`.
+    pub(crate) fn journal(&self) -> &Journal {
+        &self.marks.journal
     }
 
     /// Whether the convergence criterion (no migrations for
@@ -911,8 +918,9 @@ impl AdaptivePartitioner {
             if from == to {
                 continue;
             }
+            self.marks
+                .relabelled(v as usize, (&self.graph, &self.partitioning));
             self.partitioning.move_vertex(v, to);
-            self.marks.relabelled(v as usize);
         }
     }
 
@@ -1033,9 +1041,9 @@ impl AdaptivePartitioner {
             }
             self.degree_mass[pu as usize] += 1;
             self.degree_mass[pv as usize] += 1;
-            let relation = Relation::between(pu, pv);
-            self.marks.edge_gained(u as usize, relation);
-            self.marks.edge_gained(v as usize, relation);
+            let live = (&self.graph, &self.partitioning);
+            self.marks.edge_gained(u as usize, v, live);
+            self.marks.edge_gained(v as usize, u, live);
             self.scalars.quiet_streak = 0;
         }
         added
@@ -1056,9 +1064,9 @@ impl AdaptivePartitioner {
             }
             self.degree_mass[pu as usize] -= 1;
             self.degree_mass[pv as usize] -= 1;
-            let relation = Relation::between(pu, pv);
-            self.marks.edge_lost(u as usize, relation);
-            self.marks.edge_lost(v as usize, relation);
+            let live = (&self.graph, &self.partitioning);
+            self.marks.edge_lost(u as usize, v, live);
+            self.marks.edge_lost(v as usize, u, live);
             self.scalars.quiet_streak = 0;
         }
         removed
@@ -1072,18 +1080,19 @@ impl AdaptivePartitioner {
             return false;
         }
         let pv = self.partitioning.partition_of(v);
+        let live = (&self.graph, &self.partitioning);
+        self.marks.tombstoned(v as usize, live);
         for &w in self.graph.neighbors(v) {
             let pw = self.partitioning.partition_of(w);
             if pw != pv {
                 self.cut -= 1;
             }
             self.degree_mass[pw as usize] -= 1;
-            self.marks.edge_lost(w as usize, Relation::between(pw, pv));
+            self.marks.edge_lost(w as usize, v, live);
         }
         self.degree_mass[pv as usize] -= self.graph.degree(v);
         self.graph.remove_vertex(v);
         self.partitioning.forget_vertex(v);
-        self.marks.tombstoned(v as usize);
         self.scalars.quiet_streak = 0;
         true
     }

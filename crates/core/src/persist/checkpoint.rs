@@ -190,10 +190,7 @@ impl StreamCheckpoint {
 
 impl Encode for StreamCheckpoint {
     fn encode(&self, enc: &mut Encoder) {
-        self.state.encode(enc);
-        self.runner.encode(enc);
-        self.timeline.encode(enc);
-        self.tail.encode(enc);
+        CheckpointView::from(self).encode(enc);
     }
 }
 
@@ -223,10 +220,11 @@ impl Decode for StreamCheckpoint {
 
 /// Everything a checkpoint captures — the big members borrowed, the two
 /// scalar blocks by value: the *current* side of
-/// [`CheckpointDelta::between`](super::CheckpointDelta::between). Both a
-/// captured [`StreamCheckpoint`] and a live [`StreamingRunner`] convert
-/// into one, so a delta is diffed straight from the runner's state without
-/// first cloning it into a checkpoint.
+/// [`CheckpointDelta::between`](super::CheckpointDelta::between), and the
+/// one `APGC` encoder. Both a captured [`StreamCheckpoint`] and a live
+/// [`StreamingRunner`] convert into one, so a delta is diffed, and a full
+/// snapshot encoded, straight from the runner's state without first
+/// cloning it into a checkpoint.
 #[derive(Debug, Clone)]
 pub struct CheckpointView<'a> {
     pub(super) graph: &'a DynGraph,
@@ -235,6 +233,24 @@ pub struct CheckpointView<'a> {
     pub(super) runner: RunnerScalars,
     pub(super) timeline: &'a [TimelineStats],
     pub(super) tail: &'a [UpdateBatch],
+}
+
+impl CheckpointView<'_> {
+    /// The framed `APGC` bytes [`StreamCheckpoint::to_bytes`] would write.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        format::encode_framed(format::MAGIC_CHECKPOINT, self)
+    }
+}
+
+impl Encode for CheckpointView<'_> {
+    fn encode(&self, enc: &mut Encoder) {
+        self.graph.encode(enc);
+        self.partitioning.encode(enc);
+        self.partitioner.encode(enc);
+        self.runner.encode(enc);
+        self.timeline.encode(enc);
+        self.tail.encode(enc);
+    }
 }
 
 impl<'a> From<&'a StreamCheckpoint> for CheckpointView<'a> {
@@ -308,7 +324,8 @@ impl StreamingRunner {
         // Restore saturates the changed-slot set (its base is unknown in
         // general), but here the base is exact: the restored state *is*
         // the checkpoint's snapshot, so nothing has changed relative to it
-        // yet. Clear before the tail replay re-marks the tail's churn.
+        // yet. Clear, which starts the journal, before the tail replay
+        // re-marks and journals the tail's churn.
         runner.partitioner_mut().clear_changed();
         for batch in tail.into_batches() {
             runner.ingest(&batch);

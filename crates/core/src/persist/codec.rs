@@ -348,7 +348,6 @@ mod tests {
                 b.quota_rule(QuotaRule::Unbounded)
                     .balance_on_edges(true)
                     .count_self(true)
-                    .convergence_window(0)
                     .max_iterations(0)
             },
         ];
@@ -358,5 +357,11 @@ mod tests {
             let back = StreamCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
             assert_eq!(back, ckpt);
         }
+        // No setter reaches the convergence window: its floor, set on the
+        // public field, round-trips too.
+        let mut ckpt = valid;
+        ckpt.state.scalars.config.convergence_window = 0;
+        let back = StreamCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
+        assert_eq!(back, ckpt);
     }
 }

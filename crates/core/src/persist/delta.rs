@@ -1,18 +1,64 @@
 //! The delta value: a checkpoint encoded against a durable base.
 //!
-//! In: a base [`StreamCheckpoint`], a [`CheckpointView`] of the current
-//! state and the tracked changed slots ([`CheckpointDelta::between`]), or
-//! `APGD` bytes. Out: a [`CheckpointDelta`], its bytes, and — applied to
-//! its base ([`CheckpointDelta::apply`]) — the current checkpoint, byte
-//! for byte.
+//! In: a [`DeltaBase`], a [`CheckpointView`] of the current state and the
+//! tracked changed slots ([`CheckpointDelta::between`]), or `APGD` bytes.
+//! Out: a [`CheckpointDelta`], its bytes, and — applied to its base
+//! ([`CheckpointDelta::apply`]) — the current checkpoint, byte for byte.
 
-use apg_graph::{DeltaLog, Graph, GraphDiff};
+use apg_graph::{DeltaLog, Graph, GraphDiff, VertexId};
 use apg_partition::{PartitionId, Partitioning};
 use apg_persist::{decode_len, format, Decode, DecodeError, Decoder, Encode, Encoder};
 
 use super::checkpoint::{CheckpointView, PartitionerState, StreamCheckpoint};
+use crate::marks::Journal;
 use crate::partitioner::PartitionerScalars;
 use crate::streaming::{fold_timeline_digest, RunnerScalars, TimelineStats};
+
+/// The base side of [`CheckpointDelta::between`]: the base's slot count,
+/// runner scalars and retained timeline, and its slots through one lookup
+/// — a captured checkpoint, or the journal a live partitioner kept since
+/// the base (which knows only the slots changed since).
+#[derive(Debug, Clone, Copy)]
+pub struct DeltaBase<'a> {
+    pub(super) slots: usize,
+    pub(super) runner: RunnerScalars,
+    pub(super) timeline: &'a [TimelineStats],
+    pub(super) lookup: Lookup<'a>,
+}
+
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Lookup<'a> {
+    Captured(&'a PartitionerState),
+    Journal(&'a Journal),
+}
+
+impl<'a> DeltaBase<'a> {
+    /// `slot`'s liveness, label and neighbour list in the base, if known.
+    fn slot(&self, slot: usize) -> Option<(bool, PartitionId, &'a [VertexId])> {
+        match self.lookup {
+            Lookup::Captured(state) => {
+                let v = slot as VertexId;
+                let label = state.partitioning.partition_of(v);
+                Some((state.graph.is_vertex(v), label, state.graph.neighbors(v)))
+            }
+            // Only live slots change, so every pre-image is live.
+            Lookup::Journal(journal) => journal
+                .pre_image(slot)
+                .map(|(label, list)| (true, label, list)),
+        }
+    }
+}
+
+impl<'a> From<&'a StreamCheckpoint> for DeltaBase<'a> {
+    fn from(ckpt: &'a StreamCheckpoint) -> Self {
+        DeltaBase {
+            slots: ckpt.state.graph.num_vertices(),
+            runner: ckpt.runner,
+            timeline: &ckpt.timeline,
+            lookup: Lookup::Captured(&ckpt.state),
+        }
+    }
+}
 
 /// A delta-encoded checkpoint: the difference between a durable base
 /// [`StreamCheckpoint`] and a newer one, `O(changed-state)` on the wire
@@ -80,18 +126,20 @@ impl CheckpointDelta {
     ///
     /// Returns `None` when `current` is not reachable from `base` by
     /// append-only growth — the timeline's retained base suffix was
-    /// rewritten, or the slot space or the batch counter shrank. Callers
-    /// fall back to a full snapshot install; `None` is a policy signal, not
-    /// an error.
-    pub fn between<'a>(
-        base: &StreamCheckpoint,
+    /// rewritten, or the slot space or the batch counter shrank — or when
+    /// `base` cannot say what a changed slot was (a journal not kept since
+    /// this base). Callers fall back to a full snapshot install; `None` is
+    /// a policy signal, not an error.
+    pub fn between<'a, 'b>(
+        base: impl Into<DeltaBase<'b>>,
         current: impl Into<CheckpointView<'a>>,
         changed: &[usize],
         base_seq: u64,
         base_digest: u64,
     ) -> Option<CheckpointDelta> {
+        let base: DeltaBase<'b> = base.into();
         let current: CheckpointView<'a> = current.into();
-        let base_n = base.state.graph.num_vertices();
+        let base_n = base.slots;
         let cur_n = current.graph.num_vertices();
         let base_ingested = base.runner.batches_ingested;
         if cur_n < base_n || current.runner.batches_ingested < base_ingested {
@@ -111,15 +159,17 @@ impl CheckpointDelta {
         if !current.timeline.starts_with(&base.timeline[dropped..]) {
             return None;
         }
-        let graph = GraphDiff::between(&base.state.graph, current.graph, changed);
+        let slot = |s| base.slot(s).map(|(alive, _, list)| (alive, list));
+        let graph = GraphDiff::from_base(base_n, slot, current.graph, changed)?;
         // Label records: every tracked slot whose assignment moved, plus
         // every newborn — the slots the graph diff visited.
-        let base_assign = base.state.partitioning.as_slice();
         let cur_assign = current.partitioning.as_slice();
-        let labels = GraphDiff::slots_to_visit(changed, base_n, cur_n)
-            .filter(|&slot| slot >= base_n || base_assign[slot] != cur_assign[slot])
-            .map(|slot| (slot, cur_assign[slot]))
-            .collect();
+        let mut labels = Vec::new();
+        for slot in GraphDiff::slots_to_visit(changed, base_n, cur_n) {
+            if slot >= base_n || base.slot(slot)?.1 != cur_assign[slot] {
+                labels.push((slot, cur_assign[slot]));
+            }
+        }
         Some(CheckpointDelta {
             base_seq,
             base_digest,

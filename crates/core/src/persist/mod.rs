@@ -97,12 +97,16 @@
 //!
 //! One file per value on the path from a live runner to a durable root
 //! (view → delta → install): `codec` (wire codecs), `checkpoint`
-//! ([`StreamCheckpoint`], [`CheckpointView`], capture and resume), `delta`
-//! ([`CheckpointDelta`]) and `store` ([`CheckpointStore`]). The nine
-//! persisted scalars are declared once, in [`PartitionerScalars`] and
+//! ([`StreamCheckpoint`], [`CheckpointView`] — the one `APGC` encoder —
+//! capture and resume), `delta` ([`CheckpointDelta`] and its
+//! [`DeltaBase`]) and `store` ([`CheckpointStore`]). The nine persisted
+//! scalars are declared once, in [`PartitionerScalars`] and
 //! [`RunnerScalars`]; every container holds the two blocks by value, each
 //! written as one contiguous run of bytes. The batches themselves are
 //! durable once, in the tail: no container keeps a second replay log.
+//! Nothing keeps a second graph either: the partitioner journals what
+//! each slot was before its first change since the durable root, and
+//! journal pre-images plus the live state equal that root.
 
 mod checkpoint;
 mod codec;
@@ -112,13 +116,15 @@ mod store;
 pub use crate::partitioner::PartitionerScalars;
 pub use crate::streaming::RunnerScalars;
 pub use checkpoint::{CheckpointView, PartitionerState, StreamCheckpoint};
-pub use delta::CheckpointDelta;
+pub use delta::{CheckpointDelta, DeltaBase};
 pub use store::{CheckpointStore, InstallReport, RecoveredCheckpoint};
 
 /// The runner the in-file tests share: power-law growth from 200 isolated
 /// vertices, two iterations per batch.
 #[cfg(test)]
-fn growth_runner(parallelism: usize) -> (crate::StreamingRunner, apg_streams::PowerLawGrowth) {
+pub(crate) fn growth_runner(
+    parallelism: usize,
+) -> (crate::StreamingRunner, apg_streams::PowerLawGrowth) {
     use apg_partition::InitialStrategy;
     let base = apg_graph::DynGraph::with_vertices(200);
     let cfg = crate::AdaptiveConfig::builder(4)

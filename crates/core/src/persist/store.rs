@@ -2,17 +2,19 @@
 //!
 //! In: a live [`StreamingRunner`] and the directory's [`SegmentStore`].
 //! Out: one root file (a chained [`CheckpointDelta`] or a full
-//! [`StreamCheckpoint`]), an [`InstallReport`] saying which, and the held
-//! base advanced to exactly that root. One value, the private `Plan`,
-//! flows through [`CheckpointStore::install`]'s three steps.
+//! [`StreamCheckpoint`]) and an [`InstallReport`] saying which. The store
+//! holds no graph: what each slot was at the root is in the runner's
+//! journal (see
+//! [`AdaptivePartitioner::clear_changed`](crate::AdaptivePartitioner::clear_changed)),
+//! and the store keeps only the root's small members.
 
 use apg_graph::{Graph, UpdateBatch};
 use apg_persist::store::{SegmentStore, StoreConfig, StoreError};
 use apg_persist::{Decode, Encode};
 
-use super::checkpoint::StreamCheckpoint;
-use super::delta::CheckpointDelta;
-use crate::streaming::StreamingRunner;
+use super::checkpoint::{CheckpointView, StreamCheckpoint};
+use super::delta::{CheckpointDelta, DeltaBase, Lookup};
+use crate::streaming::{RunnerScalars, StreamingRunner, TimelineStats};
 
 /// A [`StreamCheckpoint`] recovered from disk by [`CheckpointStore::open`].
 #[derive(Debug)]
@@ -34,31 +36,29 @@ pub struct InstallReport {
     /// Whether the checkpoint was encoded incrementally — a
     /// [`CheckpointDelta`] chained onto the previous root — rather than as
     /// a full snapshot (the first install, a rebase, or a fallback when
-    /// the runner's history was not an append-only extension of the base).
+    /// the runner's history was not an append-only extension of the root).
     pub incremental: bool,
     /// Serialised payload size in bytes (of the delta or full snapshot).
     pub bytes: usize,
 }
 
-/// What an install decided to write, encoded and ready.
-enum Plan {
-    /// Chain `delta` onto the held base.
-    Delta {
-        delta: CheckpointDelta,
-        bytes: Vec<u8>,
-    },
-    /// Write `checkpoint` as a full snapshot; it is also the next base.
-    Full {
-        checkpoint: StreamCheckpoint,
-        bytes: Vec<u8>,
-    },
+/// The durable root's small members: what a delta's base side needs
+/// besides the runner's journal.
+#[derive(Debug)]
+struct Root {
+    slots: usize,
+    runner: RunnerScalars,
+    timeline: Vec<TimelineStats>,
 }
 
-/// The `O(graph)` part of an install: a full capture and its encoding.
-fn capture(runner: &StreamingRunner) -> (StreamCheckpoint, Vec<u8>) {
-    let checkpoint = runner.checkpoint();
-    let bytes = checkpoint.to_bytes();
-    (checkpoint, bytes)
+impl Root {
+    fn of(view: &CheckpointView<'_>) -> Root {
+        Root {
+            slots: view.graph.num_vertices(),
+            runner: view.runner,
+            timeline: view.timeline.to_vec(),
+        }
+    }
 }
 
 /// File-backed durability for a [`StreamingRunner`]: the
@@ -68,32 +68,32 @@ fn capture(runner: &StreamingRunner) -> (StreamCheckpoint, Vec<u8>) {
 ///
 /// The loop: [`CheckpointStore::install`] rarely, [`CheckpointStore::append`]
 /// after every ingested batch (one O(batch) durable frame). Installs are
-/// **incremental** whenever possible: the store keeps the chain-head
-/// checkpoint in memory as the diff base (advancing it slot by slot as
-/// deltas land, never re-cloning it), drains the runner's changed-slot
-/// tracking, and writes an `O(changed-state)` [`CheckpointDelta`] chained
-/// onto the previous root — falling back to a full snapshot on the first
-/// install, when the chain reaches
-/// [`StoreConfig::max_chain_len`] (the rebase, which also
-/// garbage-collects the superseded chain), or when the runner's history
-/// is not an append-only extension of the base. Each install starts a
-/// fresh write-ahead segment, which is what bounds recovery time. After a
-/// crash, [`CheckpointStore::open`] replays base plus chain and rebuilds
-/// the exact `(snapshot, tail)` checkpoint that was durable at the kill
-/// point.
+/// **incremental** whenever possible: the runner's journal holds what
+/// each slot changed since the root was, so the store diffs the changed
+/// slots' pre-images against the live state and writes an
+/// `O(changed-state)` [`CheckpointDelta`] chained onto the previous root —
+/// falling back to a full snapshot on the first install, when the chain
+/// reaches [`StoreConfig::max_chain_len`] (the rebase, which also
+/// garbage-collects the superseded chain), when the runner's history is
+/// not an append-only extension of the root, or when its journal was not
+/// kept since this root. Each install starts a fresh write-ahead segment,
+/// which is what bounds recovery time. After a crash,
+/// [`CheckpointStore::open`] replays base plus chain and rebuilds the
+/// exact `(snapshot, tail)` checkpoint that was durable at the kill point.
 #[derive(Debug)]
 pub struct CheckpointStore {
     store: SegmentStore,
-    /// The decoded chain-head checkpoint (tail-free) — what the next
-    /// incremental install diffs against. `None` only on a fresh store
+    /// The durable root's small members; `None` only on a fresh store
     /// before its first install.
-    base: Option<StreamCheckpoint>,
+    root: Option<Root>,
 }
 
 impl CheckpointStore {
     /// Opens (or creates) the store in `dir`, recovering whatever was
     /// durable: the root snapshot, every chained delta applied in order,
-    /// then the write-ahead tail re-appended.
+    /// then the write-ahead tail re-appended. The recovered graph is the
+    /// only one built: resume it with [`StreamingRunner::resume`], whose
+    /// cleared record starts the journal the next install diffs from.
     ///
     /// # Errors
     ///
@@ -119,20 +119,16 @@ impl CheckpointStore {
             ))?;
             head = Some(delta.apply(base)?);
         }
-        let checkpoint = match &head {
-            None => None,
-            Some(head) => {
-                let mut ckpt = head.clone();
-                for payload in &recovery.tail {
-                    ckpt.append(UpdateBatch::from_bytes(payload)?);
-                }
-                Some(ckpt)
+        let root = head.as_ref().map(|head| Root::of(&head.into()));
+        if let Some(ckpt) = &mut head {
+            for payload in &recovery.tail {
+                ckpt.append(UpdateBatch::from_bytes(payload)?);
             }
-        };
+        }
         Ok((
-            CheckpointStore { store, base: head },
+            CheckpointStore { store, root },
             RecoveredCheckpoint {
-                checkpoint,
+                checkpoint: head,
                 torn_frames_dropped: recovery.torn_frames_dropped,
             },
         ))
@@ -140,131 +136,91 @@ impl CheckpointStore {
 
     /// Makes `runner`'s state the durable recovery root.
     ///
-    /// Writes a chained [`CheckpointDelta`] when a base exists, the chain
+    /// Writes a chained [`CheckpointDelta`] when a root exists, the chain
     /// is below [`StoreConfig::max_chain_len`], the runner's history
-    /// extends the base append-only, and the delta is smaller than the
+    /// extends the root append-only, its journal names every changed slot
+    /// below the root's slot count, and the delta is smaller than the
     /// snapshot it stands in for; otherwise a full snapshot — which is
     /// also the **rebase**: installing it folds the chain away and
     /// garbage-collects the stale files. Either way the manifest flip is
     /// atomic, a fresh write-ahead segment starts, and the runner's
-    /// changed-slot tracking is drained so the next install diffs against
-    /// exactly this state.
+    /// changed-slot record and journal are cleared so the next install
+    /// diffs against exactly this state.
     ///
     /// Three steps: *plan* (diff, encode, decide), *commit* (the one store
-    /// call) and *advance* (bring the held base up to the new root). The
-    /// delta path is `O(changed slots × degree)` plus the `O(V)`
-    /// assignment and `O(window)` timeline — no capture, no full encode;
-    /// the full path is `O(graph)` and runs on the first install and then
-    /// once per `max_chain_len + 1` installs. The held base always equals
-    /// the durable root: it moves only after the store call returned `Ok`
-    /// (debug builds re-capture and compare on every install).
+    /// call) and *advance* (take the new root's small members and clear
+    /// the runner's record). The delta path is `O(changed slots × degree)`
+    /// plus the `O(window)` timeline; the full path encodes the live
+    /// state, `O(graph)`, and runs on the first install and then once per
+    /// `max_chain_len + 1` installs. Neither path captures the runner.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`]; on error the previous root stays durable and
-    /// the changed-slot tracking is left intact (the failed install never
-    /// becomes a diff base). A failed *full* install leaves no base (the
-    /// old one is released before the store call, to hold one graph copy
-    /// at a time), so the next install is full too; a failed delta install
-    /// keeps its base, which still equals the durable root.
+    /// the runner's changed-slot record and journal are left intact (the
+    /// failed install never becomes a diff base), so the next install
+    /// diffs against the durable root again.
     pub fn install(&mut self, runner: &mut StreamingRunner) -> Result<InstallReport, StoreError> {
-        let plan = self.plan(runner);
-        let report = self.commit(&plan)?;
-        self.advance(plan, runner);
-        debug_assert_eq!(
-            self.base,
-            Some(runner.checkpoint()),
-            "in-memory base diverged from the state just made durable"
-        );
-        Ok(report)
-    }
-
-    /// Diffs a delta from the live runner when the chain can take one, and
-    /// decides between it and a full snapshot. A plan for a full snapshot
-    /// releases the old base.
-    fn plan(&mut self, runner: &StreamingRunner) -> Plan {
-        let candidate = match (
-            self.base.as_ref(),
-            self.store.snapshot_seq(),
-            self.store.root_digest(),
-        ) {
-            (Some(base), Some(seq), Some(digest)) if !self.store.needs_rebase() => {
-                let changed = runner.partitioner().changed_slots();
-                CheckpointDelta::between(base, runner, &changed, seq, digest)
-            }
-            _ => None,
-        };
-        let Some(delta) = candidate else {
-            self.base = None;
-            let (checkpoint, bytes) = capture(runner);
-            return Plan::Full { checkpoint, bytes };
-        };
-        let bytes = delta.to_bytes();
-        // A delta only earns its chain link by being smaller: when most of
-        // the state churned since the base, the per-slot framing makes the
-        // delta *larger* than the snapshot it stands in for — install full
-        // instead, which also resets the chain for free. A full snapshot
-        // spends at least one byte per edge and two per slot, so below
-        // that floor the delta is smaller without looking; at or above it
-        // (wall-to-wall churn), capture and compare.
-        let graph = runner.partitioner().graph();
-        let full_bytes_floor = graph.num_edges() + 2 * graph.num_vertices();
-        if bytes.len() < full_bytes_floor {
-            return Plan::Delta { delta, bytes };
-        }
-        let (checkpoint, full_bytes) = capture(runner);
-        if bytes.len() < full_bytes.len() {
-            return Plan::Delta { delta, bytes };
-        }
-        self.base = None;
-        Plan::Full {
-            checkpoint,
-            bytes: full_bytes,
-        }
-    }
-
-    /// The one store call. On error neither `self` nor the runner moved.
-    fn commit(&mut self, plan: &Plan) -> Result<InstallReport, StoreError> {
-        let (incremental, bytes) = match plan {
-            Plan::Delta { bytes, .. } => (true, bytes),
-            Plan::Full { bytes, .. } => (false, bytes),
-        };
+        let (incremental, bytes) = self.plan(runner);
         if incremental {
-            self.store.install_delta(bytes)?;
+            self.store.install_delta(&bytes)?;
         } else {
-            self.store.install_snapshot(bytes)?;
+            self.store.install_snapshot(&bytes)?;
         }
+        // Advance: the root's small members are the runner's, and its
+        // record and journal start over (in place, capacity kept).
+        self.root = Some(Root::of(&CheckpointView::from(&*runner)));
+        runner.partitioner_mut().clear_changed();
         Ok(InstallReport {
             incremental,
             bytes: bytes.len(),
         })
     }
 
-    /// After a successful commit: the held base becomes the state just
-    /// made durable, and the runner's changed-slot tracking is drained. A
-    /// delta's base is patched in place — the diff's slots copied from the
-    /// live graph, assignment and timeline taken afresh, the scalar blocks
-    /// moved over from the delta.
-    fn advance(&mut self, plan: Plan, runner: &mut StreamingRunner) {
-        match plan {
-            Plan::Full { checkpoint, .. } => self.base = Some(checkpoint),
-            Plan::Delta { delta, .. } => {
-                let base = self
-                    .base
-                    .as_mut()
-                    .expect("a delta is diffed against a held base");
+    /// Diffs a delta from the runner's journal when the chain can take
+    /// one, and decides between it and a full snapshot: whether to chain,
+    /// and the bytes to write.
+    fn plan(&self, runner: &StreamingRunner) -> (bool, Vec<u8>) {
+        let view = CheckpointView::from(runner);
+        let candidate = match (
+            &self.root,
+            self.store.snapshot_seq(),
+            self.store.root_digest(),
+        ) {
+            (Some(root), Some(seq), Some(digest)) if !self.store.needs_rebase() => {
                 let partitioner = runner.partitioner();
-                base.state.graph.sync_slots_from(
-                    partitioner.graph(),
-                    delta.graph.changed.iter().map(|entry| entry.slot),
-                );
-                base.state.partitioning = partitioner.partitioning().clone();
-                base.state.scalars = delta.partitioner;
-                base.runner = delta.runner;
-                base.timeline = runner.timeline().to_vec();
+                let base = DeltaBase {
+                    slots: root.slots,
+                    runner: root.runner,
+                    timeline: &root.timeline,
+                    lookup: Lookup::Journal(partitioner.journal()),
+                };
+                let changed = partitioner.changed_slots();
+                CheckpointDelta::between(base, runner, &changed, seq, digest)
             }
+            _ => None,
+        };
+        let Some(delta) = candidate else {
+            return (false, view.to_bytes());
+        };
+        let bytes = delta.to_bytes();
+        // A delta only earns its chain link by being smaller: when most of
+        // the state churned since the root, the per-slot framing makes the
+        // delta *larger* than the snapshot it stands in for — install full
+        // instead, which also resets the chain for free. A full snapshot
+        // spends at least one byte per edge and two per slot, so below
+        // that floor the delta is smaller without looking; at or above it
+        // (wall-to-wall churn), encode the snapshot and compare.
+        let full_bytes_floor = view.graph.num_edges() + 2 * view.graph.num_vertices();
+        if bytes.len() < full_bytes_floor {
+            return (true, bytes);
         }
-        runner.partitioner_mut().clear_changed();
+        let full = view.to_bytes();
+        if bytes.len() < full.len() {
+            (true, bytes)
+        } else {
+            (false, full)
+        }
     }
 
     /// Write-aheads one ingested batch (call with exactly the batches the
@@ -345,6 +301,40 @@ mod tests {
             resumed.partitioner().partitioning(),
             runner.partitioner().partitioning()
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A runner whose record was never cleared has journalled nothing, so
+    /// against a store that has a root its changed slots have no
+    /// pre-images: the install goes full instead of diffing, and what it
+    /// wrote recovers to that runner.
+    #[test]
+    fn a_runner_without_a_journal_for_the_root_installs_full() {
+        let dir =
+            std::env::temp_dir().join(format!("apg-core-unjournalled-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = StoreConfig {
+            fsync: false,
+            ..StoreConfig::default()
+        };
+        let (mut store, _) = CheckpointStore::open(&dir, config.clone()).unwrap();
+        let (mut first, mut source) = growth_runner(1);
+        first.drive(&mut source, 20);
+        let root = first.checkpoint();
+        assert!(!store.install(&mut first).unwrap().incremental);
+
+        // The same stream one batch on: a captured base would chain it.
+        let (mut fresh, mut again) = growth_runner(1);
+        fresh.drive(&mut again, 21);
+        let changed = fresh.partitioner().changed_slots();
+        let delta = CheckpointDelta::between(&root, &fresh, &changed, 0, 0).unwrap();
+        assert!(delta.to_bytes().len() < fresh.checkpoint().to_bytes().len());
+        assert!(!store.install(&mut fresh).unwrap().incremental);
+        drop(store);
+        let (_, recovered) = CheckpointStore::open(&dir, config).unwrap();
+        let resumed = StreamingRunner::resume(recovered.checkpoint.unwrap());
+        assert_eq!(resumed.partitioner().graph(), fresh.partitioner().graph());
+        assert_eq!(resumed.timeline(), fresh.timeline());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

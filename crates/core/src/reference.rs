@@ -95,7 +95,7 @@ fn apply_move(p: &mut AdaptivePartitioner, v: VertexId, to: PartitionId, relabel
         }
         relabels.record(w, pw, from, to, || true);
     }
-    p.marks.relabelled(v as usize);
+    p.marks.relabelled(v as usize, (&p.graph, &p.partitioning));
     let deg = p.graph.degree(v);
     p.degree_mass[from as usize] -= deg;
     p.degree_mass[to as usize] += deg;

@@ -114,7 +114,20 @@ impl GraphDiff {
     /// Panics if `current` has fewer slots than `base` (ids are never
     /// reused) or `candidates` is not strictly ascending.
     pub fn between(base: &DynGraph, current: &DynGraph, candidates: &[usize]) -> GraphDiff {
-        let base_n = base.num_vertices();
+        let slot = |s| Some((base.is_vertex(s as VertexId), base.neighbors(s as VertexId)));
+        Self::from_base(base.num_vertices(), slot, current, candidates)
+            .expect("a graph has every slot")
+    }
+
+    /// [`GraphDiff::between`] from a `base_n`-slot base that `base` reads
+    /// slot by slot — liveness and ascending neighbour list — or cannot
+    /// (`None`, and then neither can this). Panics as `between` does.
+    pub fn from_base<'b>(
+        base_n: usize,
+        base: impl Fn(usize) -> Option<(bool, &'b [VertexId])>,
+        current: &DynGraph,
+        candidates: &[usize],
+    ) -> Option<GraphDiff> {
         let cur_n = current.num_vertices();
         assert!(cur_n >= base_n, "current graph lost slots");
         debug_assert!(
@@ -126,16 +139,13 @@ impl GraphDiff {
             "candidate slot out of range"
         );
         let mut changed = Vec::new();
-        let mut push_if_changed = |slot: usize| {
+        for slot in Self::slots_to_visit(candidates, base_n, cur_n) {
             let cur_alive = current.is_vertex(slot as VertexId);
             let cur_list = current.neighbors(slot as VertexId);
-            let (base_alive, base_list): (bool, &[VertexId]) = if slot < base_n {
-                (
-                    base.is_vertex(slot as VertexId),
-                    base.neighbors(slot as VertexId),
-                )
+            let (base_alive, base_list) = if slot < base_n {
+                base(slot)?
             } else {
-                (false, &[])
+                (false, &[][..])
             };
             // Two-pointer walk over the sorted lists: what the base has
             // and the current lacks was removed, the converse added.
@@ -161,7 +171,7 @@ impl GraphDiff {
             removed.extend_from_slice(&base_list[i..]);
             added.extend_from_slice(&cur_list[j..]);
             if slot < base_n && cur_alive == base_alive && added.is_empty() && removed.is_empty() {
-                return;
+                continue;
             }
             changed.push(SlotDiff {
                 slot,
@@ -169,16 +179,13 @@ impl GraphDiff {
                 added,
                 removed,
             });
-        };
-        for slot in Self::slots_to_visit(candidates, base_n, cur_n) {
-            push_if_changed(slot);
         }
-        GraphDiff {
+        Some(GraphDiff {
             new_slots: cur_n,
             new_live: current.num_live_vertices(),
             new_edges: current.num_edges(),
             changed,
-        }
+        })
     }
 
     /// Whether the diff rewrites no slots (the bookkeeping totals then

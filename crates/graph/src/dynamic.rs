@@ -190,10 +190,11 @@ impl DynGraph {
     }
 
     /// Rewrites the slots a validated [`GraphDiff`](crate::GraphDiff)
-    /// names and installs the pre-checked bookkeeping totals. Infallible
-    /// by contract: `GraphDiff::apply_to` resolves the diff first, so
-    /// every list is sorted, symmetric in the final state, and consistent
-    /// with `new_live`/`new_edges`.
+    /// names — newborn slots appended dead and empty first, a dead slot
+    /// releasing its span — and installs the pre-checked bookkeeping
+    /// totals. Infallible by contract: `GraphDiff::apply_to` resolves the
+    /// diff first, so every list is sorted, symmetric in the final state,
+    /// and consistent with `new_live`/`new_edges`.
     pub(crate) fn apply_validated_diff(
         &mut self,
         new_slots: usize,
@@ -201,63 +202,21 @@ impl DynGraph {
         new_live: usize,
         new_edges: usize,
     ) {
-        self.grow_slots_to(new_slots);
+        while self.adj.num_slots() < new_slots {
+            self.adj.push_slot();
+            self.alive.push(false);
+        }
         for entry in changed {
-            self.overwrite_slot(entry.slot, entry.alive, &entry.neighbors);
+            if entry.alive {
+                self.adj.replace(entry.slot, &entry.neighbors);
+            } else {
+                self.adj.clear_slot(entry.slot);
+            }
+            self.alive[entry.slot] = entry.alive;
         }
         self.num_live = new_live;
         self.num_edges = new_edges;
         self.adj.maybe_compact();
-    }
-
-    /// Brings a stale copy up to date with `live`, the graph it was cloned
-    /// from, by copying only `slots`: liveness and neighbour list of each
-    /// listed slot, every slot `live` has allocated since, and the
-    /// bookkeeping totals. `O(listed slots × degree)`, not `O(graph)` — how
-    /// a checkpoint base follows the graph it shadows.
-    ///
-    /// `slots` must cover every slot whose liveness or adjacency differs
-    /// between the two (a superset is fine, as is any order); the result
-    /// then equals `live`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `live` has fewer slots than `self` (ids are never reused).
-    pub fn sync_slots_from(&mut self, live: &DynGraph, slots: impl IntoIterator<Item = usize>) {
-        let stale_slots = self.num_vertices();
-        assert!(live.num_vertices() >= stale_slots, "live graph lost slots");
-        self.grow_slots_to(live.num_vertices());
-        let newborn = stale_slots..live.num_vertices();
-        for slot in slots
-            .into_iter()
-            .filter(|&slot| slot < stale_slots)
-            .chain(newborn)
-        {
-            self.overwrite_slot(slot, live.alive[slot], live.adj.neighbors(slot));
-        }
-        self.num_live = live.num_live;
-        self.num_edges = live.num_edges;
-        self.adj.maybe_compact();
-    }
-
-    /// Appends dead, empty slots until the slot space has `n` of them.
-    fn grow_slots_to(&mut self, n: usize) {
-        while self.adj.num_slots() < n {
-            self.adj.push_slot();
-            self.alive.push(false);
-        }
-    }
-
-    /// Sets one slot's liveness and whole neighbour list. A dead slot
-    /// releases its span (it never grows back).
-    fn overwrite_slot(&mut self, slot: usize, alive: bool, neighbors: &[VertexId]) {
-        if alive {
-            self.adj.replace(slot, neighbors);
-        } else {
-            debug_assert!(neighbors.is_empty(), "dead slot {slot} given adjacency");
-            self.adj.clear_slot(slot);
-        }
-        self.alive[slot] = alive;
     }
 
     /// Freezes the current live subgraph into a [`CsrGraph`].

@@ -375,12 +375,18 @@ impl Decode for String {
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<T: Encode> Encode for [T] {
     fn encode(&self, enc: &mut Encoder) {
         enc.write_varint(self.len() as u64);
         for item in self {
             item.encode(enc);
         }
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, enc: &mut Encoder) {
+        self.as_slice().encode(enc);
     }
 }
 

@@ -103,6 +103,13 @@ fn peak_above(baseline: usize) -> usize {
     PEAK_BYTES.load(Ordering::Relaxed).saturating_sub(baseline)
 }
 
+/// Held by each test that builds a graph-sized state and measures a peak
+/// against it, so no two of them allocate into each other's window.
+fn graph_sized() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Decoding a few-hundred-byte artefact must stay far below this, even
 /// with concurrent test threads allocating into the shared counters.
 const DECODE_PEAK_BOUND: usize = 64 << 20;
@@ -894,16 +901,15 @@ fn windowed_checkpoint_size_is_flat_in_stream_length() {
 
 /// Installs stay O(changed) — proved with the allocation counters, not a
 /// stopwatch. After a 10-edge batch on a graph of over half a million
-/// edges, the chained install may allocate for the delta, the O(V)
-/// assignment and the O(window) timeline, nothing graph-sized: a clone of
-/// the graph costs at least its arena, a full encode at least one byte per
-/// edge and two per slot, and either overshoots a quarter of the arena on
-/// its own. (Debug builds re-capture after every install to assert the
-/// advanced base, by design, so only an optimised build measures the peak;
-/// CI runs this binary in release.)
+/// edges, the chained install may allocate for the delta and the O(window)
+/// timeline, nothing graph-sized: a clone of the graph costs at least its
+/// arena, a full encode at least one byte per edge and two per slot, and
+/// either overshoots a quarter of the arena on its own. Every build
+/// measures it: no install captures anything.
 #[test]
 fn chained_install_allocates_nothing_graph_sized() {
     use apg::graph::Graph;
+    let _exclusive = graph_sized();
     let graph = DynGraph::from(&apg::graph::gen::holme_kim(64_000, 10, 0.1, SEED));
     assert!(graph.num_vertices() >= 50_000 && graph.num_edges() >= 500_000);
     // Every edge sits in two neighbour lists of 4-byte ids.
@@ -928,20 +934,71 @@ fn chained_install_allocates_nothing_graph_sized() {
         let report = store.install(&mut r).unwrap();
         (report, peak_above(baseline))
     };
-    // The first relocation in the base's exact-fit arena doubles the
-    // backing `Vec` — amortised growth, paid once: measure the install
-    // after it.
-    assert!(ten_edges(0).0.incremental);
-    let (report, peak) = ten_edges(10);
-    assert!(report.incremental, "a 10-edge change must chain a delta");
-    assert!(report.bytes < 4096, "delta of {} bytes", report.bytes);
-    if !cfg!(debug_assertions) {
+    for offset in [0, 10] {
+        let (report, peak) = ten_edges(offset);
+        assert!(report.incremental, "a 10-edge change must chain a delta");
+        assert!(report.bytes < 4096, "delta of {} bytes", report.bytes);
         assert!(
             peak < arena_bytes / 4,
             "a chained install allocated {peak} bytes against a {arena_bytes}-byte arena: \
              something graph-sized was cloned or encoded"
         );
     }
+}
+
+/// Recovery builds one graph. `CheckpointStore::open` of a store whose
+/// root is a two-link delta chain over a graph of over half a million
+/// edges replays the chain into the one checkpoint it returns; the store
+/// itself keeps only the root's small members. So the open peaks at that
+/// checkpoint plus what it reads and frees on the way — less than the
+/// edge arena a second copy of the graph would cost on its own.
+#[test]
+fn open_of_a_chained_store_builds_one_graph() {
+    use apg::graph::Graph;
+    let _exclusive = graph_sized();
+    let graph = DynGraph::from(&apg::graph::gen::holme_kim(64_000, 10, 0.1, SEED));
+    assert!(graph.num_edges() >= 500_000);
+    // Every edge sits in two neighbour lists of 4-byte ids.
+    let arena_bytes = 2 * graph.num_edges() * std::mem::size_of::<u32>();
+    let cfg = AdaptiveConfig::builder(4).parallelism(2).build().unwrap();
+    let partitioner = AdaptivePartitioner::with_strategy(&graph, InitialStrategy::Hash, &cfg, SEED);
+    drop(graph);
+    let mut r = StreamingRunner::new(partitioner).iterations_per_batch(0);
+    let scratch = Scratch::new("open-peak");
+    let (mut store, _) = CheckpointStore::open(&scratch.0, StoreConfig::default()).unwrap();
+    assert!(!store.install(&mut r).unwrap().incremental);
+    for offset in [0u32, 10, 20] {
+        let mut batch = UpdateBatch::new();
+        for i in 0..10 {
+            batch.add_edge(1_000 + offset + i, 40_000 + 7 * (offset + i));
+        }
+        r.ingest(&batch);
+        store.append(&batch).unwrap();
+        if offset < 20 {
+            assert!(store.install(&mut r).unwrap().incremental);
+        }
+    }
+    assert_eq!(store.store().chain_len(), 2);
+    drop(store);
+
+    let baseline = reset_peak();
+    let (store, recovered) = CheckpointStore::open(&scratch.0, StoreConfig::default()).unwrap();
+    let peak = peak_above(baseline);
+    drop(store);
+    let checkpoint_bytes = LIVE_BYTES.load(Ordering::Relaxed).saturating_sub(baseline);
+    let checkpoint = recovered.checkpoint.expect("a durable root");
+    assert_eq!(
+        checkpoint.tail.len(),
+        1,
+        "the last batch is write-ahead only"
+    );
+    let resumed = StreamingRunner::resume(checkpoint);
+    assert!(resumed.partitioner().graph() == r.partitioner().graph());
+    assert!(
+        peak < checkpoint_bytes + arena_bytes,
+        "open peaked at {peak} bytes for a {checkpoint_bytes}-byte recovered checkpoint \
+         and a {arena_bytes}-byte arena: a second graph was built"
+    );
 }
 
 // ---------------------------------------------------------------------------

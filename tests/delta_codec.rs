@@ -6,7 +6,8 @@
 //! observation-free, so it must be diff-free too). The same churn through
 //! a real `CheckpointStore` pins which installs go incremental: the
 //! store's size guard must decide exactly as the full-capture reference
-//! rule does.
+//! rule does, and the delta the store diffs from the runner's journal
+//! must be the one the rule diffs from a captured base.
 
 use proptest::prelude::*;
 
@@ -318,46 +319,60 @@ proptest! {
         assert_recovery_equals_live(&scratch.0, &runner);
     }
 
-    /// `DynGraph::sync_slots_from`: a stale clone synced over the slots
-    /// mutated since (tombstones, emptied lists and newborn slots among
-    /// them) equals the live graph, counters included — with or without
-    /// the newborn slots listed, and wherever compaction happened.
+    /// The journal is a diff base: a `CheckpointStore` holds no graph and
+    /// diffs the changed slots' journalled pre-images against the live
+    /// state, and every install writes what the reference rule diffs
+    /// against a full capture of the previous root — over tombstones,
+    /// emptied lists, newborn slots and relabels (two iterations per
+    /// batch). Some runs reopen the store cold every few batches and
+    /// resume from what it recovered, its graph compacted first, so the
+    /// journal also starts from a root restored mid-chain with a
+    /// write-ahead tail. What is on disk at the end recovers to the live
+    /// runner.
     #[test]
-    fn slot_sync_brings_a_stale_clone_up_to_date(
+    fn journal_diff_equals_captured_base_diff(
         ops in proptest::collection::vec((0u8..5, 0u32..64, 0u32..64), 4..80),
-        split_frac in 0usize..100,
-        compact_stale in 0u8..2,
-        list_newborns in 0u8..2,
+        cadence in 1usize..4,
+        reopen_every in 0usize..4, // 0 = never
+        compact_recovered in 0u8..2,
+        seed in 0u64..200,
     ) {
         let batches = batches_from_ops(&ops, 16, 8);
-        let split = split_frac * batches.len() / 100;
-        let mut live = DynGraph::with_vertices(16);
-        for batch in &batches[..split] {
-            batch.apply(&mut live);
+        let scratch = Scratch::new("journal");
+        let (mut store, _) = CheckpointStore::open(&scratch.0, store_config()).expect("open");
+        let cfg = AdaptiveConfig::builder(3).parallelism(2).build().unwrap();
+        let partitioner = AdaptivePartitioner::with_strategy(
+            &DynGraph::with_vertices(16),
+            InitialStrategy::Hash,
+            &cfg,
+            seed,
+        );
+        let mut runner = StreamingRunner::new(partitioner).iterations_per_batch(2);
+        let mut rule = ReferenceRule::default();
+        rule.install_checked(&mut store, &mut runner);
+        for (i, batch) in batches.iter().enumerate() {
+            runner.ingest(batch);
+            store.append(batch).expect("append");
+            if reopen_every > 0 && (i + 1) % reopen_every == 0 {
+                drop(store);
+                let (reopened, recovered) =
+                    CheckpointStore::open(&scratch.0, store_config()).expect("reopen");
+                let mut checkpoint = recovered.checkpoint.expect("a durable root");
+                if compact_recovered == 1 {
+                    checkpoint.state.graph.compact_adjacency();
+                }
+                let resumed = StreamingRunner::resume(checkpoint);
+                prop_assert_eq!(resumed.partitioner().graph(), runner.partitioner().graph());
+                store = reopened;
+                runner = resumed;
+            }
+            if (i + 1) % cadence == 0 {
+                rule.install_checked(&mut store, &mut runner);
+            }
         }
-        let mut stale = live.clone();
-        if compact_stale == 1 {
-            stale.compact_adjacency();
-        }
-        for batch in &batches[split..] {
-            batch.apply(&mut live);
-        }
-        // The marked set: every slot that differs, as the partitioner's
-        // changed record would hold (a superset is allowed; this is exact).
-        let marked: Vec<usize> = (0..live.num_vertices())
-            .filter(|&slot| {
-                let v = slot as VertexId;
-                (slot >= stale.num_vertices() && list_newborns == 1)
-                    || (slot < stale.num_vertices()
-                        && (stale.is_vertex(v) != live.is_vertex(v)
-                            || stale.neighbors(v) != live.neighbors(v)))
-            })
-            .collect();
-        stale.sync_slots_from(&live, marked);
-        prop_assert_eq!(&stale, &live);
-        prop_assert_eq!(stale.num_live_vertices(), live.vertices().count());
-        prop_assert_eq!(stale.num_edges(), live.edges().count());
-        prop_assert_eq!(stale.num_vertices(), live.num_vertices());
+        rule.install_checked(&mut store, &mut runner);
+        drop(store);
+        assert_recovery_equals_live(&scratch.0, &runner);
     }
 
     /// Fuzzed churn, fuzzed split point, bounded and unbounded timeline
