@@ -151,12 +151,17 @@ impl PartitionerScalars {
 /// The partition the newborn vertex `v` starts in: `H(v) mod k`, the
 /// lightweight placement of the paper's Pregel-like system, or the
 /// least-loaded partition (lowest id on ties) when the hashed one has no
-/// room left. `loads` must count in `caps`'s units — vertices, or degree
-/// mass when balancing edges. The one statement of the rule, shared by the
-/// logical-level partitioner and the BSP engine.
-pub fn place_new_vertex(v: VertexId, loads: &[usize], caps: &CapacityModel) -> PartitionId {
+/// room left. `capacity` gives a partition's limit, and `loads` must count
+/// in its units — vertices, or degree mass when balancing edges. The one
+/// statement of the rule, shared by the logical-level partitioner and the
+/// BSP engine.
+pub fn place_new_vertex(
+    v: VertexId,
+    loads: &[usize],
+    capacity: impl Fn(PartitionId) -> usize,
+) -> PartitionId {
     let hashed = (hash_vertex(v) % loads.len() as u64) as PartitionId;
-    if caps.remaining(hashed, loads[usize::from(hashed)]) > 0 {
+    if capacity(hashed) > loads[usize::from(hashed)] {
         return hashed;
     }
     (0..loads.len()).min_by_key(|&p| loads[p]).expect("k >= 1") as PartitionId
@@ -540,6 +545,26 @@ impl AdaptivePartitioner {
         }
     }
 
+    /// Partition `p`'s entry in [`AdaptivePartitioner::capacities`], read
+    /// without building the model: placing a newborn needs one limit, and
+    /// must not allocate `k` of them.
+    fn capacity_of(&self, p: PartitionId) -> usize {
+        let config = &self.scalars.config;
+        match &self.scalars.fixed_capacities {
+            Some(caps) => caps.capacity(p),
+            None if config.balance_edges => CapacityModel::balanced_limit(
+                2 * self.graph.num_edges().max(1),
+                config.num_partitions,
+                config.capacity_factor,
+            ),
+            None => CapacityModel::balanced_limit(
+                self.graph.num_live_vertices(),
+                config.num_partitions,
+                config.capacity_factor,
+            ),
+        }
+    }
+
     /// Per-partition degree mass (edge endpoints).
     pub fn degree_mass(&self) -> &[usize] {
         &self.degree_mass
@@ -607,14 +632,13 @@ impl AdaptivePartitioner {
     /// and the quota table derived from it. Also empties the work list and
     /// opens the iteration's profile.
     fn prepare_iteration(&mut self) -> SweepProfile {
-        let caps = self.capacities();
         let mut remaining = std::mem::take(&mut self.scratch.remaining);
         remaining.clear();
         remaining.extend(
             self.loads()
                 .iter()
                 .enumerate()
-                .map(|(p, &load)| caps.remaining(p as PartitionId, load)),
+                .map(|(p, &load)| self.capacity_of(p as PartitionId).saturating_sub(load)),
         );
         self.scratch
             .quota
@@ -1017,7 +1041,7 @@ impl AdaptivePartitioner {
     /// new vertex starts active (it owes a first evaluation).
     fn insert_vertex(&mut self) -> VertexId {
         let v = self.graph.add_vertex();
-        let p = place_new_vertex(v, self.loads(), &self.capacities());
+        let p = place_new_vertex(v, self.loads(), |p| self.capacity_of(p));
         self.partitioning.grow_to(v as usize + 1, p);
         self.marks.born(v as usize);
         self.scalars.quiet_streak = 0;
@@ -1243,6 +1267,10 @@ impl AdaptivePartitioner {
 /// shared application loop drives these hooks, so the partitioner's batch
 /// path cannot drift from a bare graph's.
 impl DeltaTarget for AdaptivePartitioner {
+    fn delta_warm(&self, v: VertexId) {
+        self.graph.delta_warm(v);
+    }
+
     fn delta_add_vertex(&mut self) -> VertexId {
         self.insert_vertex()
     }

@@ -122,12 +122,28 @@ impl AdjPool {
         self.spans[slot].len as usize
     }
 
+    /// The largest entry of `slot`'s list, `None` when it is empty.
+    #[inline]
+    pub(crate) fn last_of(&self, slot: usize) -> Option<VertexId> {
+        self.neighbors(slot).last().copied()
+    }
+
     /// Inserts `value` into `slot`'s sorted list; `false` if present.
     /// Relocates the span (amortized doubling) when it is full.
+    ///
+    /// A value past the list's current maximum is appended without a
+    /// search: that is every edge to a newborn vertex (always the largest
+    /// id), so growth touches a hub's span and list tail, not the
+    /// `log(degree)` lines a binary search would read.
     pub fn insert_sorted(&mut self, slot: usize, value: VertexId) -> bool {
-        let pos = match self.neighbors(slot).binary_search(&value) {
-            Ok(_) => return false,
-            Err(pos) => pos,
+        let list = self.neighbors(slot);
+        let pos = if list.last().is_none_or(|&last| last < value) {
+            list.len()
+        } else {
+            match list.binary_search(&value) {
+                Ok(_) => return false,
+                Err(pos) => pos,
+            }
         };
         if self.spans[slot].len == self.spans[slot].cap {
             self.grow(slot);
@@ -288,6 +304,56 @@ mod tests {
         assert_eq!(pool.neighbors(0), &[2, 5, 7, 9]);
         assert_eq!(pool.neighbors(1), &[] as &[VertexId]);
         assert!(!pool.insert_sorted(0, 5), "duplicate rejected");
+    }
+
+    #[test]
+    fn a_value_past_the_maximum_appends() {
+        let mut pool = pool_with_lists(&[&[2, 5, 9], &[4]]);
+        let before = pool.spans[0];
+        assert!(pool.insert_sorted(0, 10));
+        assert_eq!(pool.neighbors(0), &[2, 5, 9, 10]);
+        assert_eq!(pool.last_of(0), Some(10));
+        assert_eq!(pool.spans[0].offset, before.offset, "room left: no move");
+        // An empty list takes any value through the same path.
+        let slot = pool.push_slot();
+        assert_eq!(pool.last_of(slot), None);
+        assert!(pool.insert_sorted(slot, 0));
+        assert_eq!(pool.neighbors(slot), &[0]);
+        assert_eq!(
+            pool.neighbors(1),
+            &[4],
+            "the neighbouring span is untouched"
+        );
+    }
+
+    #[test]
+    fn a_duplicate_of_the_maximum_is_rejected_unchanged() {
+        let mut pool = pool_with_lists(&[&[2, 5, 9]]);
+        let (span, arena, garbage) = (pool.spans[0], pool.arena_len(), pool.garbage());
+        assert!(!pool.insert_sorted(0, 9));
+        assert_eq!(pool.neighbors(0), &[2, 5, 9]);
+        assert_eq!(pool.spans[0].len, span.len);
+        assert_eq!(pool.spans[0].offset, span.offset);
+        assert_eq!((pool.arena_len(), pool.garbage()), (arena, garbage));
+    }
+
+    #[test]
+    fn a_value_below_the_maximum_lands_in_sorted_position() {
+        let mut pool = pool_with_lists(&[&[2, 5, 9]]);
+        for (value, expect) in [
+            (7, &[2, 5, 7, 9][..]),
+            (0, &[0, 2, 5, 7, 9]),
+            (6, &[0, 2, 5, 6, 7, 9]),
+            (8, &[0, 2, 5, 6, 7, 8, 9]),
+        ] {
+            assert!(pool.insert_sorted(0, value));
+            assert_eq!(pool.neighbors(0), expect);
+        }
+        assert!(
+            !pool.insert_sorted(0, 5),
+            "an inner duplicate is still found"
+        );
+        assert_eq!(pool.last_of(0), Some(9));
     }
 
     #[test]

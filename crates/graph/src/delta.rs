@@ -141,6 +141,12 @@ impl ApplyReport {
 /// sequential id allocation, duplicate/self-loop/dead-endpoint edges
 /// rejected with `false`, vertex removal dropping incident edges.
 pub trait DeltaTarget {
+    /// Reads, and discards, what a coming mutation at `v` will read first,
+    /// so its cache misses overlap the deltas applied meanwhile (see
+    /// [`READ_AHEAD`]). `v` may be any id — dead, unknown, or not yet
+    /// allocated — and must never panic. A pure hint: it changes nothing,
+    /// and the default does nothing.
+    fn delta_warm(&self, _v: VertexId) {}
     /// Allocates the next vertex slot and returns its id.
     fn delta_add_vertex(&mut self) -> VertexId;
     /// Adds the undirected edge `{u, v}`; `false` if it changed nothing.
@@ -153,6 +159,10 @@ pub trait DeltaTarget {
 }
 
 impl DeltaTarget for DynGraph {
+    fn delta_warm(&self, v: VertexId) {
+        self.warm_slot(v);
+    }
+
     fn delta_add_vertex(&mut self) -> VertexId {
         self.add_vertex()
     }
@@ -172,6 +182,38 @@ impl DeltaTarget for DynGraph {
         let degree = self.degree(v);
         self.remove_vertex(v);
         Some(degree)
+    }
+}
+
+/// How many deltas ahead of the one it applies [`UpdateBatch::apply_to`]
+/// warms through [`DeltaTarget::delta_warm`].
+///
+/// On a graph larger than the last-level cache every edge to a random hub
+/// misses twice, on the hub's span and on its list, and applying deltas
+/// strictly one after another serialises those misses. Warming the slots
+/// of delta `i + READ_AHEAD` before applying delta `i` keeps about that
+/// many deltas' misses in flight at once: on a power-law growth stream,
+/// 16 newborns are ~128 endpoint reads. On a graph that fits in cache the
+/// warm hits and costs a few loads.
+pub const READ_AHEAD: usize = 16;
+
+impl GraphDelta {
+    /// Warms every existing vertex this delta will touch. `ConnectNew`
+    /// names only vertices born in the same batch, which are hot already.
+    fn warm<T: DeltaTarget + ?Sized>(&self, target: &T) {
+        match self {
+            GraphDelta::AddVertex { neighbors } => {
+                for &w in neighbors {
+                    target.delta_warm(w);
+                }
+            }
+            GraphDelta::AddEdge { u, v } | GraphDelta::RemoveEdge { u, v } => {
+                target.delta_warm(*u);
+                target.delta_warm(*v);
+            }
+            GraphDelta::RemoveVertex { vertex } => target.delta_warm(*vertex),
+            GraphDelta::ConnectNew { .. } => {}
+        }
     }
 }
 
@@ -326,10 +368,17 @@ impl UpdateBatch {
     /// deterministic: the same batch applied to structurally equal targets
     /// produces structurally equal targets and identical reports. Deltas
     /// that change nothing are counted as rejected, never errors.
+    ///
+    /// Before applying each delta it warms the slots of the delta
+    /// [`READ_AHEAD`] places later, a read-only hint that cannot change
+    /// what is applied.
     pub fn apply_to<T: DeltaTarget + ?Sized>(&self, target: &mut T) -> ApplyReport {
         let mut report = ApplyReport::default();
         let mut new_ids: Vec<VertexId> = Vec::with_capacity(self.num_new);
-        for delta in &self.deltas {
+        for (i, delta) in self.deltas.iter().enumerate() {
+            if let Some(ahead) = self.deltas.get(i + READ_AHEAD) {
+                ahead.warm(target);
+            }
             match delta {
                 GraphDelta::AddVertex { neighbors } => {
                     let v = target.delta_add_vertex();
@@ -464,7 +513,214 @@ impl From<Vec<UpdateBatch>> for DeltaLog {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
+
+    /// The batch applied delta by delta through the graph's own mutators,
+    /// with no read-ahead: what [`UpdateBatch::apply_to`] must equal.
+    fn apply_one_by_one(graph: &mut DynGraph, batch: &UpdateBatch) -> ApplyReport {
+        let mut report = ApplyReport::default();
+        let count = |changed: bool, report: &mut ApplyReport| {
+            if changed {
+                report.edges_added += 1;
+            } else {
+                report.rejected += 1;
+            }
+        };
+        for delta in batch.deltas() {
+            match delta {
+                GraphDelta::AddVertex { neighbors } => {
+                    let v = graph.add_vertex();
+                    report.new_vertices.push(v);
+                    for &w in neighbors {
+                        count(graph.add_edge(v, w), &mut report);
+                    }
+                }
+                GraphDelta::ConnectNew { a, b } => {
+                    let (x, y) = (report.new_vertices[*a], report.new_vertices[*b]);
+                    count(graph.add_edge(x, y), &mut report);
+                }
+                GraphDelta::AddEdge { u, v } => count(graph.add_edge(*u, *v), &mut report),
+                GraphDelta::RemoveEdge { u, v } => {
+                    if graph.remove_edge(*u, *v) {
+                        report.edges_removed += 1;
+                    } else {
+                        report.rejected += 1;
+                    }
+                }
+                GraphDelta::RemoveVertex { vertex } => {
+                    let degree = graph.is_vertex(*vertex).then(|| graph.degree(*vertex));
+                    if graph.remove_vertex(*vertex) {
+                        report.vertices_removed += 1;
+                        report.edges_removed += degree.unwrap();
+                    } else {
+                        report.rejected += 1;
+                    }
+                }
+            }
+        }
+        report
+    }
+
+    /// What a [`Watched`] target saw, in order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Seen {
+        /// `delta_warm(v)` while the graph had `slots` slots.
+        Warm { v: VertexId, slots: usize },
+        /// Any mutator call.
+        Mutate,
+    }
+
+    /// A bare graph that logs every hook call.
+    struct Watched {
+        graph: DynGraph,
+        seen: RefCell<Vec<Seen>>,
+    }
+
+    impl Watched {
+        fn new(graph: DynGraph) -> Self {
+            Watched {
+                graph,
+                seen: RefCell::new(Vec::new()),
+            }
+        }
+
+        fn log(&self, event: Seen) {
+            self.seen.borrow_mut().push(event);
+        }
+    }
+
+    impl DeltaTarget for Watched {
+        fn delta_warm(&self, v: VertexId) {
+            let slots = self.graph.num_vertices();
+            self.log(Seen::Warm { v, slots });
+            self.graph.delta_warm(v);
+        }
+
+        fn delta_add_vertex(&mut self) -> VertexId {
+            self.log(Seen::Mutate);
+            self.graph.delta_add_vertex()
+        }
+
+        fn delta_add_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+            self.log(Seen::Mutate);
+            self.graph.delta_add_edge(u, v)
+        }
+
+        fn delta_remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+            self.log(Seen::Mutate);
+            self.graph.delta_remove_edge(u, v)
+        }
+
+        fn delta_remove_vertex(&mut self, v: VertexId) -> Option<usize> {
+            self.log(Seen::Mutate);
+            self.graph.delta_remove_vertex(v)
+        }
+    }
+
+    /// Applies `batch` to a copy of `base` through the read-ahead loop and
+    /// one by one, asserts both graphs and reports are equal, and returns
+    /// what the read-ahead loop's target saw.
+    fn assert_read_ahead_is_invisible(base: &DynGraph, batch: &UpdateBatch) -> Vec<Seen> {
+        let mut watched = Watched::new(base.clone());
+        let report = batch.apply_to(&mut watched);
+        let mut reference = base.clone();
+        assert_eq!(report, apply_one_by_one(&mut reference, batch));
+        assert_eq!(watched.graph, reference);
+        watched.graph.audit();
+        watched.seen.into_inner()
+    }
+
+    /// A ring of `n` vertices.
+    fn ring(n: usize) -> DynGraph {
+        let mut g = DynGraph::with_vertices(n);
+        for v in 0..n as VertexId {
+            g.add_edge(v, (v + 1) % n as VertexId);
+        }
+        g
+    }
+
+    #[test]
+    fn a_batch_shorter_than_the_window_warms_nothing() {
+        let base = ring(8);
+        let mut batch = UpdateBatch::new();
+        let a = batch.add_vertex(vec![0, 3, 99]);
+        let b = batch.add_vertex(vec![8, 5]);
+        batch.connect_new(a, b);
+        batch.add_edge(1, 5);
+        batch.remove_edge(2, 3);
+        batch.remove_vertex(6);
+        batch.add_edge(6, 0);
+        assert!(batch.len() < READ_AHEAD);
+        let seen = assert_read_ahead_is_invisible(&base, &batch);
+        assert!(seen.iter().all(|e| *e == Seen::Mutate), "{seen:?}");
+    }
+
+    #[test]
+    fn a_newborn_named_inside_the_window_is_warmed_as_unallocated() {
+        // Each newborn links to the previous one by its concrete future id,
+        // as `PowerLawGrowth` emits: the warm of newborn j runs while newborn
+        // j - 1 does not exist yet.
+        let base = ring(16);
+        let n = base.num_vertices() as VertexId;
+        let mut batch = UpdateBatch::new();
+        batch.add_vertex(vec![0]);
+        for j in 1..3 * READ_AHEAD as VertexId {
+            batch.add_vertex(vec![n + j - 1, j % n, n + j + 5]);
+        }
+        let seen = assert_read_ahead_is_invisible(&base, &batch);
+        let unallocated = seen
+            .iter()
+            .filter(|e| matches!(e, Seen::Warm { v, slots } if *v as usize >= *slots))
+            .count();
+        // Every warm of a newborn (and of the never-born `n + j + 5`) names
+        // a slot that does not exist yet.
+        assert_eq!(unallocated, 2 * (2 * READ_AHEAD));
+    }
+
+    #[test]
+    fn edges_at_a_tombstone_inside_the_window_reject_alike() {
+        let base = ring(32);
+        let mut batch = UpdateBatch::new();
+        batch.remove_vertex(5);
+        for _ in 0..READ_AHEAD / 2 {
+            batch.add_edge(5, 9);
+            batch.remove_edge(4, 5);
+        }
+        batch.add_vertex(vec![5, 6, 4]);
+        batch.add_edge(6, 4);
+        batch.remove_vertex(5);
+        batch.add_edge(5, 5);
+        assert!(batch.len() > READ_AHEAD);
+        let seen = assert_read_ahead_is_invisible(&base, &batch);
+        assert!(seen.contains(&Seen::Warm { v: 5, slots: 32 }));
+        let mut reference = base.clone();
+        let report = apply_one_by_one(&mut reference, &batch);
+        assert_eq!((report.vertices_removed, report.edges_removed), (1, 2));
+        assert_eq!(report.edges_added, 3);
+        assert_eq!(report.rejected, READ_AHEAD + 3);
+    }
+
+    #[test]
+    fn each_delta_past_the_window_is_warmed_once_ahead_of_time() {
+        let base = DynGraph::with_vertices(200);
+        let mut batch = UpdateBatch::new();
+        let edges: Vec<(VertexId, VertexId)> = (0..40).map(|i| (i, 100 + i)).collect();
+        for &(u, v) in &edges {
+            batch.add_edge(u, v);
+        }
+        let seen = assert_read_ahead_is_invisible(&base, &batch);
+        let mut expect = Vec::new();
+        for i in 0..edges.len() {
+            if let Some(&(u, v)) = edges.get(i + READ_AHEAD) {
+                expect.push(Seen::Warm { v: u, slots: 200 });
+                expect.push(Seen::Warm { v, slots: 200 });
+            }
+            expect.push(Seen::Mutate);
+        }
+        assert_eq!(seen, expect);
+    }
 
     #[test]
     fn applies_in_scheduled_order() {

@@ -177,6 +177,17 @@ impl DynGraph {
             && self.adj.neighbors(u as usize).binary_search(&v).is_ok()
     }
 
+    /// Reads `v`'s liveness, its span and its list's tail — everything an
+    /// append to `v`'s list touches (see [`AdjPool::insert_sorted`]) — and
+    /// discards them: the batch apply's read-ahead. Ids never allocated
+    /// read nothing.
+    pub(crate) fn warm_slot(&self, v: VertexId) {
+        let slot = v as usize;
+        if let Some(&alive) = self.alive.get(slot) {
+            std::hint::black_box((alive, self.adj.last_of(slot)));
+        }
+    }
+
     /// Forces an adjacency-arena compaction, rebuilding the slab in slot
     /// order with tight spans.
     ///

@@ -47,11 +47,8 @@ impl CapacityModel {
     /// Panics if `k == 0` or `factor < 1.0` (capacities below the balanced
     /// load cannot hold the graph).
     pub fn vertex_balanced(n: usize, k: PartitionId, factor: f64) -> Self {
-        assert!(k > 0, "need at least one partition");
-        assert!(factor >= 1.0, "capacity factor below balanced load");
-        let per = (((n as f64) / k as f64).ceil() * factor).round() as usize;
         CapacityModel {
-            limits: vec![per.max(1); k as usize],
+            limits: vec![Self::balanced_limit(n, k, factor); k as usize],
             objective: BalanceObjective::Vertices,
         }
     }
@@ -62,13 +59,27 @@ impl CapacityModel {
     ///
     /// Panics if `k == 0` or `factor < 1.0`.
     pub fn edge_balanced(num_edges: usize, k: PartitionId, factor: f64) -> Self {
-        assert!(k > 0, "need at least one partition");
-        assert!(factor >= 1.0, "capacity factor below balanced load");
-        let per = (((2 * num_edges) as f64 / k as f64).ceil() * factor).round() as usize;
         CapacityModel {
-            limits: vec![per.max(1); k as usize],
+            limits: vec![Self::balanced_limit(2 * num_edges, k, factor); k as usize],
             objective: BalanceObjective::Edges,
         }
+    }
+
+    /// The limit every partition gets when `units` (vertices, or edge
+    /// endpoints) are balanced over `k` partitions: `ceil(units / k) *
+    /// factor`, at least 1. [`CapacityModel::vertex_balanced`] and
+    /// [`CapacityModel::edge_balanced`] fill their models with it; a caller
+    /// that needs one partition's limit reads it here without building one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0` or `factor < 1.0` (capacities below the balanced
+    /// load cannot hold the graph).
+    pub fn balanced_limit(units: usize, k: PartitionId, factor: f64) -> usize {
+        assert!(k > 0, "need at least one partition");
+        assert!(factor >= 1.0, "capacity factor below balanced load");
+        let per = (((units as f64) / k as f64).ceil() * factor).round() as usize;
+        per.max(1)
     }
 
     /// Explicit per-partition limits (e.g. heterogeneous workers, or the

@@ -100,9 +100,12 @@ use std::path::{Path, PathBuf};
 
 use crate::{format, DecodeError};
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, the zlib polynomial) tables for slicing-by-8.
+/// `CRC32_TABLES[0]` is the classic bytewise table; `CRC32_TABLES[j][i]`
+/// is the CRC of byte `i` followed by `j` zero bytes, so eight lookups
+/// fold eight input bytes at once instead of eight dependent steps.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -115,17 +118,44 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut j = 1;
+    while j < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[j - 1][i];
+            tables[j][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        j += 1;
+    }
+    tables
 };
 
-/// IEEE CRC-32 of `bytes` (the checksum every frame carries).
+/// IEEE CRC-32 of `bytes` (the checksum every frame carries): eight bytes
+/// per step through the slicing-by-8 tables, the tail bytewise.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let byte = |word: u32, shift: u32| ((word >> shift) & 0xff) as usize;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let (lo, hi) = word.split_at(4);
+        let lo = crc ^ u32::from_le_bytes(lo.try_into().expect("4 bytes"));
+        let hi = u32::from_le_bytes(hi.try_into().expect("4 bytes"));
+        crc = t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 8)]
+            ^ t[5][byte(lo, 16)]
+            ^ t[4][byte(lo, 24)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 8)]
+            ^ t[1][byte(hi, 16)]
+            ^ t[0][byte(hi, 24)];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][byte(crc ^ u32::from(b), 0)];
     }
     !crc
 }
@@ -1007,6 +1037,46 @@ mod tests {
         // The canonical IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The one-table, one-byte-per-step CRC the sliced loop must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ u32::from(b)) & 0xff) as usize];
+        }
+        !crc
+    }
+
+    /// `n` bytes from a fixed xorshift stream.
+    fn noise(n: usize) -> Vec<u8> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_loop() {
+        let bytes = noise(1 << 20);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xcbf4_3926);
+        for len in 0..=64 {
+            for start in [0, 1, 3, 7] {
+                let slice = &bytes[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "length {len} at {start}"
+                );
+            }
+        }
+        assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+        assert_eq!(crc32(&[0xff; 64]), crc32_bytewise(&[0xff; 64]));
     }
 
     #[test]

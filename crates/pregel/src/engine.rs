@@ -467,10 +467,14 @@ impl<P: VertexProgram> Engine<P> {
 /// table's live vertex counts at the moment of insertion — the units the
 /// engine's capacities count in.
 impl<P: VertexProgram> DeltaTarget for Engine<P> {
+    fn delta_warm(&self, v: VertexId) {
+        self.graph.delta_warm(v);
+    }
+
     fn delta_add_vertex(&mut self) -> VertexId {
         let caps = self.capacities();
         let v = self.graph.add_vertex();
-        let w = place_new_vertex(v, self.routing.sizes(), &caps);
+        let w = place_new_vertex(v, self.routing.sizes(), |p| caps.capacity(p));
         self.routing.grow_to(v as usize + 1, w);
         self.state_at.push(w);
         self.workers[w as usize]
