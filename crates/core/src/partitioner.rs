@@ -304,6 +304,12 @@ struct IterScratch {
     /// neighbour labels a second time to zero what it tallied, so reuse
     /// cannot leak counts across vertices.
     kernels: Vec<DecisionKernel>,
+    /// One reusable [`ShardOutcome`] per scheduled shard, beside its
+    /// kernel: each is cleared (and reserved, see
+    /// [`ShardOutcome::clear_for`]) before its shard is swept, so proposal,
+    /// candidate and retire buffers keep their capacity across iterations
+    /// and a steady-state sweep allocates nothing per shard.
+    outcomes: Vec<ShardOutcome>,
     /// Quota admission table, rebuilt in place each iteration.
     quota: QuotaTable,
     /// Slot-indexed migration targets for the apply fan-out: `targets[w]`
@@ -321,9 +327,11 @@ const NOT_MIGRATING: PartitionId = PartitionId::MAX;
 
 /// Sweep size (parked slots not counted: the sweep does not visit them)
 /// below which the active-set sweep stays on the calling thread.
-/// `fanout::map_items` spawns its scoped threads per call — 80-110 µs for
-/// two on the 2-vCPU reference box — while a swept vertex costs ~0.2-0.4 µs
-/// to evaluate, so below a few hundred vertices the whole sweep is cheaper
+/// `fanout::map_items` spawns its scoped threads per call — 40-46 µs for
+/// two on a quiet 2-vCPU Intel Xeon VM, 61-70 µs on the same VM under load
+/// (`machine_probe`'s empty two-thread fan-out) — while a swept vertex
+/// costs ~0.2-0.4 µs to evaluate, so below a few hundred vertices the whole
+/// sweep is cheaper
 /// than the spawn that would halve it (the tail of a refinement job: ~145
 /// vertices, 0.11-0.28 ms fanned out against 0.03-0.06 ms inline).
 const INLINE_SWEEP_BELOW: usize = 512;
@@ -426,6 +434,7 @@ impl AdaptivePartitioner {
             remaining: Vec::with_capacity(k),
             shards: Vec::new(),
             kernels: Vec::new(),
+            outcomes: Vec::new(),
             quota: QuotaTable::new(config.quota_rule, &vec![0; k]),
             targets: Vec::new(),
         };
@@ -610,13 +619,15 @@ impl AdaptivePartitioner {
     /// says, `apply` commits the admitted `pending` set.
     fn iterate_with(
         &mut self,
-        decide: impl FnOnce(&mut Self, &mut SweepProfile) -> Vec<ShardOutcome>,
+        decide: impl FnOnce(&mut Self, &mut SweepProfile),
         parked: ParkedBy,
         apply: impl FnOnce(&mut Self),
     ) -> (IterationStats, SweepProfile) {
         let mut profile = self.prepare_iteration();
-        let outcomes = decide(self, &mut profile);
-        self.admit(&outcomes, parked, &mut profile);
+        decide(self, &mut profile);
+        let outcomes = std::mem::take(&mut self.scratch.outcomes);
+        self.admit(&outcomes[..profile.shards_swept], parked, &mut profile);
+        self.scratch.outcomes = outcomes;
         let apply_start = Instant::now();
         apply(self);
         profile.apply_ms = ms_since(apply_start);
@@ -664,7 +675,7 @@ impl AdaptivePartitioner {
     /// region recent churn touched and nothing else — swept by walking
     /// each range's sweep slots. Parked slots are not in the sweep;
     /// admission reads them.
-    fn decide_active(&mut self, profile: &mut SweepProfile) -> Vec<ShardOutcome> {
+    fn decide_active(&mut self, profile: &mut SweepProfile) {
         let sweep = self.marks.sweep();
         sweep.collect_dirty_shards(&mut self.scratch.shards);
         // A sweep cheaper than the spawn runs inline; the fan-out returns
@@ -692,37 +703,45 @@ impl AdaptivePartitioner {
     /// propose migrations against the frozen graph + assignment. Every
     /// vertex draws from its own (seed, vertex, iteration) RNG, so visiting
     /// a subset draws exactly what a full sweep would have drawn for each
-    /// visited vertex. Read-only, embarrassingly parallel; proposals come
-    /// back in shard order = vertex order.
-    fn decide<F>(
-        &mut self,
-        profile: &mut SweepProfile,
-        threads: usize,
-        sweep_shard: F,
-    ) -> Vec<ShardOutcome>
+    /// visited vertex. Read-only, embarrassingly parallel; the outcomes
+    /// land in `scratch.outcomes[..shards_swept]`, in shard order = vertex
+    /// order.
+    fn decide<F>(&mut self, profile: &mut SweepProfile, threads: usize, sweep_shard: F)
     where
         F: Fn(&Self, std::ops::Range<usize>, &mut Evaluator<'_>) + Sync,
     {
         profile.shards_swept = self.scratch.shards.len();
         profile.slots_scheduled = self.scratch.shards.iter().map(|(_, r)| r.len()).sum();
 
-        // One reusable kernel per scheduled shard (grown on demand, kept
-        // across iterations). Kernels are interchangeable — decide() leaves
-        // no state behind — so pairing kernel i with work item i is safe.
-        // They leave the scratch for the fan-out so the workers can share
-        // `&self` beside them.
+        // One reusable kernel and outcome per scheduled shard (grown on
+        // demand, kept across iterations). Kernels are interchangeable —
+        // decide() leaves no state behind — and each outcome is cleared
+        // before its shard fills it, so pairing both with work item i is
+        // safe. They leave the scratch for the fan-out so the workers can
+        // share `&self` beside them.
         let mut kernels = std::mem::take(&mut self.scratch.kernels);
         if kernels.len() < profile.shards_swept {
             let (k, count_self) = (self.config().num_partitions, self.config().count_self);
             kernels.resize_with(profile.shards_swept, || DecisionKernel::new(k, count_self));
         }
+        let mut outcomes = std::mem::take(&mut self.scratch.outcomes);
+        if outcomes.len() < profile.shards_swept {
+            outcomes.resize_with(profile.shards_swept, ShardOutcome::default);
+        }
+        for (out, (_, slots)) in outcomes.iter_mut().zip(&self.scratch.shards) {
+            out.clear_for(slots.len());
+        }
         let frozen = &*self;
         let s = frozen.config().willingness_at(frozen.iteration());
         let round = frozen.scalars.iteration as u64;
-        let work: Vec<_> = kernels.iter_mut().zip(&frozen.scratch.shards).collect();
+        let work: Vec<_> = kernels
+            .iter_mut()
+            .zip(&mut outcomes)
+            .zip(&frozen.scratch.shards)
+            .collect();
 
         let decide_start = Instant::now();
-        let outcomes = fanout::map_items(threads, work, |_, (kernel, (_, slots))| {
+        fanout::map_items(threads, work, |_, ((kernel, out), (_, slots))| {
             let mut eval = Evaluator {
                 s,
                 seed: frozen.scalars.seed,
@@ -730,14 +749,13 @@ impl AdaptivePartitioner {
                 graph: &frozen.graph,
                 partitioning: &frozen.partitioning,
                 kernel,
-                out: ShardOutcome::default(),
+                out,
             };
             sweep_shard(frozen, slots.clone(), &mut eval);
-            eval.out
         });
         profile.decide_ms = ms_since(decide_start);
         self.scratch.kernels = kernels;
-        outcomes
+        self.scratch.outcomes = outcomes;
     }
 
     /// Merge phase: single-threaded and deterministic. First retire the
@@ -1296,7 +1314,7 @@ impl DeltaTarget for AdaptivePartitioner {
 /// What one shard's decision pass produced: migration proposals (ascending
 /// vertex order) with their candidates, vertices proven to stay with their
 /// stay margins (to retire from the active set), and what the pass cost.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct ShardOutcome {
     proposals: Vec<Proposal>,
     /// The proposals' candidate lists, back to back in proposal order.
@@ -1304,6 +1322,27 @@ struct ShardOutcome {
     retire: Vec<(VertexId, u8)>,
     visited: usize,
     labels_read: usize,
+}
+
+impl ShardOutcome {
+    /// Empties the outcome for a sweep of `slots` slots, keeping its
+    /// capacity, and reserves room for the whole sweep: a visited vertex
+    /// adds one retiree or one proposal at most, and the candidate room
+    /// covers one per slot. The decide phase calls this on the calling
+    /// thread before the fan-out, so the workers fill buffers that are
+    /// already there and allocate nothing even while the buffers still
+    /// grow — bar a shard whose proposers average more than one candidate
+    /// per slot swept.
+    fn clear_for(&mut self, slots: usize) {
+        self.proposals.clear();
+        self.candidates.clear();
+        self.retire.clear();
+        self.proposals.reserve(slots);
+        self.candidates.reserve(slots);
+        self.retire.reserve(slots);
+        self.visited = 0;
+        self.labels_read = 0;
+    }
 }
 
 /// Who evaluates the parked slots in an iteration.
@@ -1349,7 +1388,7 @@ struct Evaluator<'a> {
     graph: &'a DynGraph,
     partitioning: &'a Partitioning,
     kernel: &'a mut DecisionKernel,
-    out: ShardOutcome,
+    out: &'a mut ShardOutcome,
 }
 
 impl Evaluator<'_> {

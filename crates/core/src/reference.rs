@@ -54,7 +54,7 @@ pub fn iterate_exhaustive(p: &mut AdaptivePartitioner) -> (IterationStats, Sweep
                         eval.walk(v, &mut rng);
                     }
                 }
-            })
+            });
         },
         ParkedBy::Sweep,
         AdaptivePartitioner::apply_pending_sharded,

@@ -128,6 +128,24 @@ impl AdjPool {
         self.neighbors(slot).last().copied()
     }
 
+    /// `slot`'s span as a `(offset, len)` pair, `None` for a slot never
+    /// allocated. Never panics.
+    #[inline]
+    pub(crate) fn span_of(&self, slot: usize) -> Option<(usize, u32)> {
+        self.spans.get(slot).map(|span| (span.offset, span.len))
+    }
+
+    /// The smallest entry of `slot`'s list, `None` when it is empty or the
+    /// slot was never allocated. Never panics.
+    #[inline]
+    pub(crate) fn first_of(&self, slot: usize) -> Option<VertexId> {
+        let (offset, len) = self.span_of(slot)?;
+        if len == 0 {
+            return None;
+        }
+        self.arena.get(offset).copied()
+    }
+
     /// Inserts `value` into `slot`'s sorted list; `false` if present.
     /// Relocates the span (amortized doubling) when it is full.
     ///

@@ -188,6 +188,23 @@ impl DynGraph {
         }
     }
 
+    /// Reads the span of every vertex in `frontier`, then the head of every
+    /// list, and discards them: a traversal's read-ahead, issued before it
+    /// scans the frontier. Each pass's loads are independent of one
+    /// another, so their cache misses overlap instead of queueing behind
+    /// the scan one list at a time.
+    ///
+    /// A pure hint: it changes nothing and never panics. Tombstones (empty
+    /// lists) and ids never allocated read no list entry.
+    pub fn warm_lists(&self, frontier: &[VertexId]) {
+        for &v in frontier {
+            std::hint::black_box(self.adj.span_of(v as usize));
+        }
+        for &v in frontier {
+            std::hint::black_box(self.adj.first_of(v as usize));
+        }
+    }
+
     /// Forces an adjacency-arena compaction, rebuilding the slab in slot
     /// order with tight spans.
     ///
@@ -454,6 +471,31 @@ mod tests {
         assert_eq!(g.neighbors(0), &[1, 2, 5, 7, 9]);
         g.remove_edge(0, 5);
         assert_eq!(g.neighbors(0), &[1, 2, 7, 9]);
+        g.audit();
+    }
+
+    #[test]
+    fn warm_lists_reads_no_entry_of_an_empty_or_unknown_slot() {
+        let mut g = DynGraph::with_vertices(4);
+        g.add_edge(0, 1);
+        g.add_edge(0, 3);
+        g.add_edge(1, 2);
+        g.remove_vertex(1);
+        let before = g.clone();
+        // A tombstone, a vertex the removal left isolated and ids never
+        // allocated: the hint reads no list entry for any of them and never
+        // panics.
+        for frontier in [&[][..], &[1], &[2, 1], &[4, 1_000_000, VertexId::MAX]] {
+            g.warm_lists(frontier);
+            for &v in frontier {
+                assert_eq!(g.adj.first_of(v as usize), None, "slot {v}");
+            }
+        }
+        // A live list's head is its smallest neighbour.
+        g.warm_lists(&[0, 3]);
+        assert_eq!(g.adj.first_of(0), Some(3));
+        assert_eq!(g.adj.first_of(3), Some(0));
+        assert_eq!(g, before, "warming changed the graph");
         g.audit();
     }
 

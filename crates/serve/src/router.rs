@@ -61,6 +61,12 @@ impl TraversalScratch {
     /// scanned neighbour is stored at the write position and the position
     /// advances only when its bit was clear, so an already-seen vertex is
     /// simply overwritten by the next store.
+    ///
+    /// Before scanning a level wider than one vertex, the kernel warms it
+    /// ([`DynGraph::warm_lists`]): every frontier vertex's span, then every
+    /// list head, so the level's cache misses overlap instead of each scan
+    /// waiting on its own. The anchor's list is warmed by whoever queued the
+    /// query ([`QueryRouter::serve_round`] does, a few queries ahead).
     fn traverse(&mut self, graph: &DynGraph, anchor: VertexId, k: usize) -> &[VertexId] {
         let words = graph.num_vertices().div_ceil(64);
         if self.visited.len() < words {
@@ -77,6 +83,9 @@ impl TraversalScratch {
         for _ in 0..k {
             if level.is_empty() {
                 break;
+            }
+            if level.len() > 1 {
+                graph.warm_lists(&self.buf[level.clone()]);
             }
             for i in level.clone() {
                 let neighbors = graph.neighbors(self.buf[i]);
@@ -107,6 +116,11 @@ impl TraversalScratch {
         &self.buf[1..len]
     }
 }
+
+/// Queries a [`QueryRouter::serve_round`] worker generates ahead of the one
+/// it answers. Each query's anchor list is warmed when it is generated, so
+/// that miss overlaps the answers to the `AHEAD` queries before it.
+pub const AHEAD: usize = 4;
 
 /// Routes queries to their anchor's serving domain and executes them
 /// against a borrowed `(graph, assignment)` snapshot.
@@ -225,7 +239,10 @@ impl<'a> QueryRouter<'a> {
     /// [`TraversalScratch`], generates each of its queries from that
     /// query's own `(seed, query, round)` stream, answers it and folds the
     /// outcome into a partial [`ServeStats`]; the partials are then summed.
-    /// No per-query collection is ever built.
+    /// No per-query collection is ever built: a worker generates [`AHEAD`]
+    /// queries in front of the one it answers, into a fixed ring on its
+    /// stack, and warms each anchor's list as its query enters the ring
+    /// (a hint; answers come out in index order all the same).
     ///
     /// Every deterministic field of [`ServeStats`] is an integer sum over
     /// the round's queries, and a query's outcome depends only on its own
@@ -254,13 +271,9 @@ impl<'a> QueryRouter<'a> {
             let workers = parallelism.clamp(1, total);
             let plan = ShardPlan::new(total, total.div_ceil(workers));
             let partials = fanout::map_shards(parallelism, &plan, |_, range| {
-                let mut scratch = TraversalScratch::new();
-                let mut partial = ServeStats::default();
-                for q in range {
-                    let query = workload.generate_one(self.graph, q as u64, round);
-                    partial.absorb(query.kind(), &self.answer_with(&mut scratch, &query));
-                }
-                partial
+                self.serve_range(range, |q| {
+                    workload.generate_one(self.graph, q as u64, round)
+                })
             });
             for partial in &partials {
                 stats.merge(partial);
@@ -268,6 +281,33 @@ impl<'a> QueryRouter<'a> {
         }
         stats.wall_ms = started.elapsed().as_secs_f64() * 1e3;
         stats
+    }
+
+    /// One worker's share of a round: queries `query(q)` for `q` in
+    /// `range`, answered in index order on one scratch and folded into a
+    /// partial. Each query is generated [`AHEAD`] steps before it is
+    /// answered, into a fixed ring, and its anchor's list is warmed then.
+    fn serve_range(
+        &self,
+        range: std::ops::Range<usize>,
+        query: impl Fn(usize) -> Query,
+    ) -> ServeStats {
+        let mut scratch = TraversalScratch::new();
+        let mut partial = ServeStats::default();
+        let mut ring = [Query::VertexLookup(0); AHEAD];
+        // Step `q` answers query `q - AHEAD` from its ring slot, then
+        // generates query `q` into the slot it freed.
+        for q in range.start..range.end + AHEAD {
+            let slot = &mut ring[q % AHEAD];
+            if q >= range.start + AHEAD {
+                partial.absorb(slot.kind(), &self.answer_with(&mut scratch, slot));
+            }
+            if q < range.end {
+                *slot = query(q);
+                self.graph.warm_lists(&[slot.anchor()]);
+            }
+        }
+        partial
     }
 }
 
@@ -403,6 +443,81 @@ mod tests {
             assert!(scratch.traverse(&g, v, 0).is_empty());
             assert!(scratch.is_clear());
         }
+    }
+
+    /// [`bridged_triangles`] with vertex 3 tombstoned, an isolated vertex 6
+    /// and a leaf 7 hanging off vertex 0: anchors with frontiers of zero and
+    /// one vertex, and a traversal that routes around a tombstone.
+    fn ragged_graph() -> (DynGraph, Partitioning) {
+        let (mut g, _) = bridged_triangles();
+        let (isolated, leaf) = (g.add_vertex(), g.add_vertex());
+        assert_eq!((isolated, leaf), (6, 7));
+        g.add_edge(0, leaf);
+        g.remove_vertex(3);
+        let p = Partitioning::from_assignment(vec![0, 0, 0, 1, 1, 1, 1, 0], 2);
+        (g, p)
+    }
+
+    /// The reference a served range must equal: `answer` folded over the
+    /// queries one at a time.
+    fn fold_answers(r: &QueryRouter<'_>, queries: &[Query], round: u64) -> ServeStats {
+        let mut stats = ServeStats {
+            round,
+            ..ServeStats::default()
+        };
+        for query in queries {
+            stats.absorb(query.kind(), &r.answer(query));
+        }
+        stats
+    }
+
+    #[test]
+    fn short_rounds_equal_the_fold_of_their_answers() {
+        let (g, p) = ragged_graph();
+        let r = QueryRouter::new(&g, &p);
+        for len in 1..=AHEAD + 1 {
+            let w = QueryWorkload::new(QueryMix::Uniform, len, 3).khop_depth(3);
+            for round in 0..16 {
+                let expect = fold_answers(&r, &w.generate(&g, round), round);
+                for parallelism in [1, 2, 3] {
+                    assert_eq!(
+                        r.serve_round(&w, round, parallelism),
+                        expect,
+                        "{len} queries, round {round}, parallelism {parallelism}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ranges_with_ragged_anchors_equal_the_fold_of_their_answers() {
+        let (g, p) = ragged_graph();
+        let r = QueryRouter::new(&g, &p);
+        // Tombstoned (3), isolated (6, frontier 0), leaf (7, frontier 1)
+        // and ordinary anchors, each under every kind.
+        let anchors = [3, 6, 7, 0, 3, 4];
+        let queries: Vec<Query> = anchors
+            .iter()
+            .flat_map(|&v| {
+                [
+                    Query::VertexLookup(v),
+                    Query::Neighborhood(v),
+                    Query::KHop { anchor: v, k: 2 },
+                    Query::KHop { anchor: v, k: 3 },
+                ]
+            })
+            .collect();
+        for len in 1..=AHEAD + 1 {
+            for window in queries.windows(len) {
+                let served = r.serve_range(0..len, |q| window[q]);
+                assert_eq!(served, fold_answers(&r, window, 0), "{window:?}");
+            }
+        }
+        assert_eq!(
+            r.serve_range(0..0, |_| unreachable!()),
+            ServeStats::default()
+        );
     }
 
     #[test]
